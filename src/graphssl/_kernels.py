@@ -1,93 +1,26 @@
-"""Hot numeric kernels: feature-weighted squared distances.
+"""Feature-weighted squared Euclidean distances, computed by scipy.spatial.
 
-Each kernel has a plain-Python/loop body (compiled with numba's @njit when
-available) and a vectorized numpy fallback.  Selection happens at import
-time: set ``GRAPHSSL_NUMBA=0`` in the environment to force the numpy path.
-``benchmarks/bench_kernels.py`` compares the two.
-
-All distance matrices returned by the pairwise kernels are bit-exact
-symmetric with a zero diagonal: entries are computed once per (i, j) pair
-and mirrored.
+``pdist`` evaluates each unordered pair once, so ``pairwise_sq_dists`` is
+bit-exact symmetric with a zero diagonal.
 """
 
-import os
-
 import numpy as np
+from scipy.spatial.distance import cdist, pdist, squareform
 
-_want_numba = os.environ.get("GRAPHSSL_NUMBA", "1") not in ("0", "false", "no")
-
-try:
-    if not _want_numba:
-        raise ImportError
-    from numba import njit
-
-    USING_NUMBA = True
-except ImportError:
-    USING_NUMBA = False
-
-
-def _pairwise_sq_dists_loop(x, psi):
-    n, p = x.shape
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            acc = 0.0
-            for f in range(p):
-                d = x[i, f] - x[j, f]
-                acc += psi[f] * d * d
-            out[i, j] = acc
-            out[j, i] = acc
-    return out
-
-
-def _cross_sq_dists_loop(a, b, psi):
-    n, p = a.shape
-    m = b.shape[0]
-    out = np.empty((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for f in range(p):
-                d = a[i, f] - b[j, f]
-                acc += psi[f] * d * d
-            out[i, j] = acc
-    return out
-
-
-def _pairwise_sq_dists_numpy(x, psi):
-    diff = x[:, None, :] - x[None, :, :]
-    d = np.einsum("ijk,k,ijk->ij", diff, psi, diff)
-    d = np.triu(d, 1)
-    return d + d.T
-
-
-def _cross_sq_dists_numpy(a, b, psi):
-    diff = a[:, None, :] - b[None, :, :]
-    return np.einsum("ijk,k,ijk->ij", diff, psi, diff)
-
-
-if USING_NUMBA:
-    _pairwise_sq_dists_impl = njit(cache=True)(_pairwise_sq_dists_loop)
-    _cross_sq_dists_impl = njit(cache=True)(_cross_sq_dists_loop)
-else:
-    _pairwise_sq_dists_impl = _pairwise_sq_dists_numpy
-    _cross_sq_dists_impl = _cross_sq_dists_numpy
-
-
-def _as_c_double(x):
-    return np.ascontiguousarray(x, dtype=np.float64)
+# There is one backend; the constant stays for tools that stamp which ran.
+USING_NUMBA = False
 
 
 def pairwise_sq_dists(x: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """n x n matrix of feature-weighted squared Euclidean distances."""
-    x = _as_c_double(np.atleast_2d(x))
-    psi = _as_c_double(psi)
-    return _pairwise_sq_dists_impl(x, psi)
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.shape[0] == 0:
+        return np.zeros((0, 0))
+    return squareform(pdist(x, "sqeuclidean", w=np.asarray(psi, dtype=np.float64)))
 
 
 def cross_sq_dists(a: np.ndarray, b: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """len(a) x len(b) matrix of feature-weighted squared distances."""
-    a = _as_c_double(np.atleast_2d(a))
-    b = _as_c_double(np.atleast_2d(b))
-    psi = _as_c_double(psi)
-    return _cross_sq_dists_impl(a, b, psi)
+    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+    b = np.atleast_2d(np.asarray(b, dtype=np.float64))
+    return cdist(a, b, "sqeuclidean", w=np.asarray(psi, dtype=np.float64))

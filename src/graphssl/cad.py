@@ -54,6 +54,26 @@ class CadModel:
         return m_pos, m_neg
 
 
+def _check_lam(lam) -> np.ndarray:
+    """lam as a scalar or 1-D array, every value >= 0."""
+    lam = np.asarray(lam, dtype=np.float64)
+    if lam.ndim > 1:
+        raise InputError("lam must be a scalar or a 1-D sequence")
+    if np.any(lam < 0):
+        raise InputError("lam must be >= 0")
+    return lam
+
+
+def _resolve_sigma(sigma: float | None, points: np.ndarray) -> float:
+    """The given kernel width, which must be finite and > 0, or else the
+    width heuristic of the points."""
+    if sigma is None:
+        return sigma_from_points(points)
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise InputError("sigma must be finite and positive when given")
+    return sigma
+
+
 def fit_cad_model(train: PointSet, lam: float = 0.0, sigma: float | None = None,
                   normalize_by_p: bool = True, priors: str = "empirical") -> CadModel:
     """Split the training set by class and precompute volumes and priors.
@@ -63,15 +83,14 @@ def fit_cad_model(train: PointSet, lam: float = 0.0, sigma: float | None = None,
     per class, so empirical priors cancel class-size information, which on
     strongly imbalanced data leaves the posterior uninformative).
     """
-    if lam < 0:
-        raise InputError("lam must be >= 0")
+    _check_lam(lam)
     if priors not in ("empirical", "uniform"):
         raise InputError("priors must be 'empirical' or 'uniform'")
     pos = train.points[train.labels == 1]
     neg = train.points[train.labels == -1]
     if pos.shape[0] == 0 or neg.shape[0] == 0:
         raise DegenerateGraphError("both classes need at least one training point")
-    sigma = sigma if sigma is not None else sigma_from_points(train.points)
+    sigma = _resolve_sigma(sigma, train.points)
     psi = train.feature_weights
 
     def class_vol(pts):
@@ -93,21 +112,31 @@ def fit_cad_model(train: PointSet, lam: float = 0.0, sigma: float | None = None,
     )
 
 
-def _rwcad_from_masses(model: CadModel, m_pos, m_neg, y) -> np.ndarray:
-    like_pos = m_pos / (model.vol_pos + 2.0 * m_pos)
-    like_neg = m_neg / (model.vol_neg + 2.0 * m_neg)
+def _rwcad_posterior(model: CadModel, m_pos, m_neg, own_is_pos, lam,
+                     vol_pos, vol_neg) -> np.ndarray:
+    """Posterior of the opposite label with the lam-padded denominator.
+
+    lam only enters the final division, so a 1-D lam scores every value
+    from the same masses: the result has one row per lam, and the shape of
+    the masses for a scalar lam.
+    """
+    like_pos = m_pos / (vol_pos + 2.0 * m_pos)
+    like_neg = m_neg / (vol_neg + 2.0 * m_neg)
     total = like_pos * model.prior_pos + like_neg * model.prior_neg
-    opposite = np.where(y == 1, like_neg * model.prior_neg, like_pos * model.prior_pos)
-    denom = model.lam + total
-    return np.divide(opposite, denom, out=np.zeros_like(opposite), where=denom > 0)
+    opposite = np.where(own_is_pos, like_neg * model.prior_neg, like_pos * model.prior_pos)
+    denom = np.asarray(lam)[..., None] + total
+    return np.divide(opposite, denom, out=np.zeros(denom.shape), where=denom > 0)
 
 
-def rwcad_scores(model: CadModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def rwcad_scores(model: CadModel, x: np.ndarray, y: np.ndarray,
+                 lam: float | np.ndarray | None = None) -> np.ndarray:
     """Posterior of the opposite label with the lam-padded denominator,
-    one score in [0, 1) per query row."""
+    one score in [0, 1) per query row; a 1-D lam (default: the model's)
+    gives one row of scores per value."""
     y = np.atleast_1d(np.asarray(y))
+    lam = model.lam if lam is None else _check_lam(lam)
     m_pos, m_neg = model.masses(x)
-    return _rwcad_from_masses(model, m_pos, m_neg, y)
+    return _rwcad_posterior(model, m_pos, m_neg, y == 1, lam, model.vol_pos, model.vol_neg)
 
 
 def rwcad_score(model: CadModel, x_e: np.ndarray, y_e: int) -> float:
@@ -142,27 +171,23 @@ def _loo_masses(ps: PointSet, sigma: float, normalize_by_p: bool):
     return m_pos, m_neg
 
 
-def rwcad_scores_loo(ps: PointSet, lam: float, sigma: float | None = None,
+def rwcad_scores_loo(ps: PointSet, lam: float | np.ndarray, sigma: float | None = None,
                      normalize_by_p: bool = True, priors: str = "empirical") -> np.ndarray:
     """Score every example of a fully labeled set against the rest of the
-    set (its own node left out of its class graph)."""
-    model = fit_cad_model(ps, lam, sigma, normalize_by_p, priors)
+    set (its own node left out of its class graph).  A 1-D lam gives one
+    row of scores per value from a single kernel-mass computation."""
+    lam = _check_lam(lam)
+    model = fit_cad_model(ps, 0.0, sigma, normalize_by_p, priors)
     m_pos, m_neg = _loo_masses(ps, model.sigma, normalize_by_p)
     own_is_pos = ps.labels == 1
     vol_pos = np.where(own_is_pos, model.vol_pos - 2.0 * m_pos, model.vol_pos)
     vol_neg = np.where(own_is_pos, model.vol_neg, model.vol_neg - 2.0 * m_neg)
-    like_pos = m_pos / (vol_pos + 2.0 * m_pos)
-    like_neg = m_neg / (vol_neg + 2.0 * m_neg)
-    total = like_pos * model.prior_pos + like_neg * model.prior_neg
-    opposite = np.where(own_is_pos, like_neg * model.prior_neg, like_pos * model.prior_pos)
-    denom = lam + total
-    return np.divide(opposite, denom, out=np.zeros_like(opposite), where=denom > 0)
+    return _rwcad_posterior(model, m_pos, m_neg, own_is_pos, lam, vol_pos, vol_neg)
 
 
 def weighted_knn_scores_loo(ps: PointSet, sigma: float | None = None,
                             normalize_by_p: bool = True) -> np.ndarray:
-    sigma = sigma if sigma is not None else sigma_from_points(ps.points)
-    m_pos, m_neg = _loo_masses(ps, sigma, normalize_by_p)
+    m_pos, m_neg = _loo_masses(ps, _resolve_sigma(sigma, ps.points), normalize_by_p)
     total = m_pos + m_neg
     if np.any(total <= 0):
         raise DegenerateGraphError("zero leave-one-out kernel mass")

@@ -10,7 +10,10 @@ Layout under the output directory:
 
 Cells are independent and may execute concurrently; the summary is
 assembled after all cells finish, in grid-then-run order, so re-running a
-plan reproduces summary.csv byte for byte.
+plan reproduces summary.csv byte for byte.  rwcad cells that share a run
+and differ only in lambda are scored as one task, from one draw of the data
+and one kernel-mass computation, since lambda enters only the posterior's
+final division.
 """
 
 from __future__ import annotations
@@ -96,16 +99,21 @@ def grid_hash(params: dict) -> str:
 
 
 def score_method(method: str, params: dict, spec, seed: int, n_samples: int,
-                 flip_fraction: float) -> tuple[np.ndarray, np.ndarray]:
-    """One run: generate, corrupt, score.  Returns (scores, binary truth)."""
+                 flip_fraction: float,
+                 lams: list[float] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """One run: generate, corrupt, score.  Returns (scores, binary truth).
+
+    ``lams`` (rwcad only) scores each of several lambdas in place of
+    ``params["lambda"]``, one row of scores per lambda.
+    """
     if isinstance(spec, MixtureSpec):
         clean = gen_gauss_mixture(spec, n_samples, seed)
         corrupted, mask = flip_labels(clean, flip_fraction, seed + 1_000_003)
-        scores = _transductive_scores(method, params, corrupted)
+        scores = _transductive_scores(method, params, corrupted, lams)
         return scores, mask
     if isinstance(spec, CoreSpec):
         train, test, truth = gen_core_dataset(spec, seed)
-        scores = _train_test_scores(method, params, train, test)
+        scores = _train_test_scores(method, params, train, test, lams)
         return scores, truth.anomaly_mask
     raise InputError(f"unsupported dataset spec {type(spec).__name__}")
 
@@ -114,9 +122,14 @@ def _sigma(params: dict) -> float | None:
     return float(params["sigma"]) if "sigma" in params else None
 
 
-def _transductive_scores(method: str, params: dict, ps: PointSet) -> np.ndarray:
+def _lambda(params: dict) -> float:
+    return float(params.get("lambda", 0.01))
+
+
+def _transductive_scores(method: str, params: dict, ps: PointSet,
+                         lams: list[float] | None = None) -> np.ndarray:
     if method == "rwcad":
-        return rwcad_scores_loo(ps, float(params.get("lambda", 0.01)), _sigma(params),
+        return rwcad_scores_loo(ps, _lambda(params) if lams is None else lams, _sigma(params),
                                 priors=str(params.get("priors", "empirical")))
     if method == "knn":
         return weighted_knn_scores_loo(ps, _sigma(params))
@@ -129,12 +142,12 @@ def _transductive_scores(method: str, params: dict, ps: PointSet) -> np.ndarray:
 
 
 def _train_test_scores(method: str, params: dict, train: PointSet,
-                       test: PointSet) -> np.ndarray:
+                       test: PointSet, lams: list[float] | None = None) -> np.ndarray:
     if method in ("rwcad", "knn"):
-        model = fit_cad_model(train, float(params.get("lambda", 0.01)), _sigma(params),
+        model = fit_cad_model(train, _lambda(params), _sigma(params),
                               priors=str(params.get("priors", "empirical")))
         if method == "rwcad":
-            return rwcad_scores(model, test.points, test.labels)
+            return rwcad_scores(model, test.points, test.labels, lams)
         return weighted_knn_scores(model, test.points, test.labels)
     cfg = SoftConfig(gamma_g=float(params.get("gamma_g", 1.0)),
                      c_l=float(params.get("c_l", 1.0)),
@@ -159,26 +172,65 @@ class CellResult:
     error: str = ""
 
 
-def _run_cell(plan: ExperimentPlan, spec, params: dict, run: int, outdir: Path) -> CellResult:
+def _lambda_groupable(params: dict) -> bool:
+    try:
+        return _lambda(params) >= 0
+    except (TypeError, ValueError):
+        return False
+
+
+def _cell_groups(plan: ExperimentPlan, points: list[dict]) -> list[list[tuple[dict, int]]]:
+    """(params, run) cells grouped into scoring tasks: rwcad cells that share
+    a run and differ only in a valid lambda form one group, and every other
+    cell is a group of its own, so that it fails on its own."""
+    groups: dict = {}
+    cells = [(params, run) for params in points for run in range(plan.n_runs)]
+    for i, (params, run) in enumerate(cells):
+        key = i
+        if plan.method == "rwcad" and _lambda_groupable(params):
+            key = (run, grid_hash({k: v for k, v in params.items() if k != "lambda"}))
+        groups.setdefault(key, []).append((params, run))
+    return list(groups.values())
+
+
+def _run_group(plan: ExperimentPlan, spec, cells: list[tuple[dict, int]],
+               outdir: Path) -> list[CellResult]:
+    """Score a group of cells from one draw of the data and write each
+    cell's artifacts; if scoring raises, every cell of the group fails."""
+    params, run = cells[0]
     seed = plan.base_seed + run
+    rows, truth, error = [None] * len(cells), None, None
+    try:
+        lams = [_lambda(p) for p, _ in cells] if plan.method == "rwcad" else None
+        scores, truth = score_method(plan.method, params, spec, seed,
+                                     plan.n_samples, plan.flip_fraction, lams)
+        rows = scores if lams is not None else [scores]
+    except Exception as exc:  # recorded per-row, aggregation skips failures
+        error = exc
+    return [_write_cell(plan, p, run, seed, outdir, row, truth, error)
+            for (p, _), row in zip(cells, rows)]
+
+
+def _write_cell(plan: ExperimentPlan, params: dict, run: int, seed: int, outdir: Path,
+                scores, truth, error: Exception | None) -> CellResult:
     cell_dir = outdir / plan.method / grid_hash(params) / f"run{run}"
     cell_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        scores, truth = score_method(plan.method, params, spec, seed,
-                                     plan.n_samples, plan.flip_fraction)
-        scaling = TaskScaling.fit(scores)
-        gio.write_scores_csv(cell_dir / "scores.csv", scores, scale_scores(scaling, scores))
-        value = auroc(scores, truth)
-        gio.write_metrics_json(cell_dir / "metrics.json", {
-            "auroc": value, "n": int(scores.size), "method": plan.method,
-            "params": params, "seed": seed,
-            "flips_before_split": True,
-        })
-        return CellResult(params, run, seed, "ok", value, int(scores.size))
-    except Exception as exc:  # recorded per-row, aggregation skips failures
-        (cell_dir / "error.txt").write_text(
-            "".join(traceback.format_exception(exc)))
-        return CellResult(params, run, seed, "failed", None, 0, error=str(exc))
+    if error is None:
+        try:
+            scaling = TaskScaling.fit(scores)
+            gio.write_scores_csv(cell_dir / "scores.csv", scores,
+                                 scale_scores(scaling, scores))
+            value = auroc(scores, truth)
+            gio.write_metrics_json(cell_dir / "metrics.json", {
+                "auroc": value, "n": int(scores.size), "method": plan.method,
+                "params": params, "seed": seed,
+                "flips_before_split": True,
+            })
+            return CellResult(params, run, seed, "ok", value, int(scores.size))
+        except Exception as exc:
+            error = exc
+    (cell_dir / "error.txt").write_text("".join(traceback.format_exception(error)))
+    return CellResult(params, run, seed, "failed", None, 0, error=str(error))
 
 
 def run_plan(plan: ExperimentPlan, threads: int = 1) -> list[CellResult]:
@@ -187,15 +239,17 @@ def run_plan(plan: ExperimentPlan, threads: int = 1) -> list[CellResult]:
     outdir = Path(plan.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     points = grid_points(plan.grid)
-    cells = [(params, run) for params in points for run in range(plan.n_runs)]
+    groups = _cell_groups(plan, points)
     workers = threads if threads > 0 else (os.cpu_count() or 1)
     if workers == 1:
-        results = [_run_cell(plan, spec, params, run, outdir) for params, run in cells]
+        done = [_run_group(plan, spec, cells, outdir) for cells in groups]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_cell, plan, spec, params, run, outdir)
-                       for params, run in cells]
-            results = [f.result() for f in futures]
+            futures = [pool.submit(_run_group, plan, spec, cells, outdir) for cells in groups]
+            done = [f.result() for f in futures]
+    rank = {id(params): i for i, params in enumerate(points)}
+    results = sorted((res for group in done for res in group),
+                     key=lambda res: (rank[id(res.params)], res.run))
     _write_summary(outdir / "summary.csv", plan, points, results)
     return results
 

@@ -6,8 +6,10 @@ from scipy.stats import spearmanr
 from graphssl import (DegenerateGraphError, GraphConfig, InputError,
                       PointSet, SimilarityGraph, SoftConfig, TaskScaling,
                       backbone_cad, build_graph, fit_cad_model,
-                      gaussian_weight, rwcad_score, rwcad_scores, scale_scores,
-                      softhad_score, weighted_knn_score, weighted_knn_scores)
+                      gaussian_weight, rwcad_score, rwcad_scores, rwcad_scores_loo,
+                      scale_scores, softhad_score, weighted_knn_score,
+                      weighted_knn_scores, weighted_knn_scores_loo)
+from graphssl.cad import LAMBDA_GRID
 
 
 def _mirror_training_set():
@@ -17,6 +19,55 @@ def _mirror_training_set():
     pts = np.vstack([pos, neg])
     labels = np.array([1, 1, 1, -1, -1, -1])
     return PointSet(pts, labels)
+
+
+def _random_labeled_set(seed, n=50):
+    rng = np.random.default_rng(seed)
+    return PointSet(rng.normal(size=(n, 3)), np.where(rng.random(n) < 0.4, 1, -1),
+                    rng.random(3))
+
+
+class TestLambdaBatch:
+    @pytest.mark.parametrize("priors", ["empirical", "uniform"])
+    def test_loo_rows_equal_single_lambda_scores(self, priors):
+        ps = _random_labeled_set(5)
+        rows = rwcad_scores_loo(ps, LAMBDA_GRID, sigma=0.7, priors=priors)
+        assert rows.shape == (len(LAMBDA_GRID), ps.n)
+        for k, lam in enumerate(LAMBDA_GRID):
+            single = rwcad_scores_loo(ps, lam, sigma=0.7, priors=priors)
+            assert single.shape == (ps.n,)
+            assert np.array_equal(rows[k], single)
+
+    def test_train_test_rows_equal_single_lambda_scores(self):
+        train = _random_labeled_set(6)
+        rng = np.random.default_rng(7)
+        x, y = rng.normal(size=(20, 3)), np.where(rng.random(20) < 0.5, 1, -1)
+        rows = rwcad_scores(fit_cad_model(train, 0.0, sigma=0.7), x, y, LAMBDA_GRID)
+        assert rows.shape == (len(LAMBDA_GRID), 20)
+        for k, lam in enumerate(LAMBDA_GRID):
+            single = rwcad_scores(fit_cad_model(train, lam, sigma=0.7), x, y)
+            assert np.array_equal(rows[k], single)
+            assert np.array_equal(rows[k], rwcad_scores(fit_cad_model(train, 0.0, sigma=0.7),
+                                                        x, y, lam))
+
+    def test_negative_lambda_in_batch_rejected(self):
+        ps = _random_labeled_set(8)
+        with pytest.raises(InputError):
+            rwcad_scores_loo(ps, [0.1, -1.0], sigma=0.7)
+        with pytest.raises(InputError):
+            rwcad_scores(fit_cad_model(ps, 0.0, sigma=0.7), ps.points, ps.labels, [[0.1]])
+
+
+class TestSigmaValidation:
+    @pytest.mark.parametrize("sigma", [float("nan"), 0.0, -1.0, float("inf")])
+    def test_cad_scorers_reject_bad_sigma(self, sigma):
+        ps = _random_labeled_set(9, n=12)
+        with pytest.raises(InputError, match="sigma"):
+            fit_cad_model(ps, 0.0, sigma=sigma)
+        with pytest.raises(InputError, match="sigma"):
+            rwcad_scores_loo(ps, 0.01, sigma=sigma)
+        with pytest.raises(InputError, match="sigma"):
+            weighted_knn_scores_loo(ps, sigma=sigma)
 
 
 class TestRwcad:

@@ -6,8 +6,10 @@ import pytest
 
 from graphssl import PointSet
 from graphssl.cli import main
+from graphssl.datasets import load_dataset_spec
 from graphssl.io import (read_points_csv, read_scores_csv, read_truth_csv,
                          write_points_csv)
+from graphssl.plan import grid_hash, grid_points, plan_from_config, run_plan, score_method
 
 
 def _write_mixture_cfg(path: Path) -> Path:
@@ -194,12 +196,12 @@ class TestEval:
 
 
 class TestRunPlan:
-    def _plan(self, tmp_path, grid_line="grid.lambda = [0.01, 1.0]") -> Path:
+    def _plan(self, tmp_path, grid_line="grid.lambda = [0.01, 1.0]", n_runs=2) -> Path:
         mix = _write_mixture_cfg(tmp_path)
         plan = tmp_path / "plan.cfg"
         plan.write_text(
             f"method = rwcad\ndataset = {mix.name}\nn_samples = 120\n"
-            f"flip_fraction = 0.05\nn_runs = 2\nbase_seed = 7\n{grid_line}\n")
+            f"flip_fraction = 0.05\nn_runs = {n_runs}\nbase_seed = 7\n{grid_line}\n")
         return plan
 
     def test_layout_and_rerun_byte_identical(self, tmp_path):
@@ -250,6 +252,53 @@ class TestRunPlan:
         assert main(["--threads", "4", "run-plan", "--config", str(plan),
                      "--out-dir", str(out2)]) == 0
         assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
+
+    def _tree(self, root: Path) -> dict:
+        return {f.relative_to(root).as_posix(): f.read_bytes()
+                for f in sorted(root.rglob("*")) if f.is_file()}
+
+    def test_lambda_grid_trees_identical_across_threads(self, tmp_path):
+        plan = self._plan(tmp_path, "grid.lambda = [1e-05, 0.01, 1.0, 100.0]\n"
+                                    "grid.sigma = [0.6, 0.9]", n_runs=3)
+        trees = []
+        for threads in (1, 2):
+            out = tmp_path / f"t{threads}"
+            run_plan(plan_from_config(plan, outdir=str(out)), threads=threads)
+            trees.append(self._tree(out))
+        assert len([k for k in trees[0] if k.endswith("scores.csv")]) == 4 * 2 * 3
+        assert trees[0] == trees[1]
+
+    def test_failed_group_marks_every_lambda_cell(self, tmp_path):
+        plan = self._plan(tmp_path, "grid.lambda = [0.01, 1.0, 10.0]\ngrid.sigma = [-1.0]")
+        out = tmp_path / "out"
+        results = run_plan(plan_from_config(plan, outdir=str(out)))
+        assert len(results) == 3 * 2
+        assert all(r.status == "failed" and "sigma" in r.error for r in results)
+        errors = sorted(out.glob("rwcad/*/run*/error.txt"))
+        assert len(errors) == 3 * 2
+        assert all("InputError" in e.read_text() for e in errors)
+        assert not list(out.glob("rwcad/*/run*/scores.csv"))
+
+    def test_invalid_lambda_fails_only_its_own_cell(self, tmp_path):
+        plan = self._plan(tmp_path, "grid.lambda = [-1.0, 0.01, 1.0]")
+        out = tmp_path / "out"
+        results = run_plan(plan_from_config(plan, outdir=str(out)))
+        assert [(r.params["lambda"], r.run, r.status) for r in results] == [
+            (-1.0, 0, "failed"), (-1.0, 1, "failed"), (0.01, 0, "ok"), (0.01, 1, "ok"),
+            (1.0, 0, "ok"), (1.0, 1, "ok")]
+        assert len(list(out.glob("rwcad/*/run*/error.txt"))) == 2
+
+    def test_grouped_cells_match_cells_scored_alone(self, tmp_path):
+        plan = plan_from_config(self._plan(tmp_path, "grid.lambda = [0.0, 0.01, 1.0]"),
+                                outdir=str(tmp_path / "out"))
+        run_plan(plan)
+        spec = load_dataset_spec(plan.dataset)
+        for params in grid_points(plan.grid):
+            for run in range(plan.n_runs):
+                alone, _ = score_method("rwcad", params, spec, plan.base_seed + run,
+                                        plan.n_samples, plan.flip_fraction)
+                cell = tmp_path / "out" / "rwcad" / grid_hash(params) / f"run{run}"
+                assert np.array_equal(read_scores_csv(cell / "scores.csv"), alone)
 
 
 def test_global_config_supplies_defaults(tmp_path):

@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphssl import _kernels
 
@@ -40,19 +42,52 @@ def test_cross_matches_pairwise_blocks():
     assert np.allclose(cross, full[:11, 11:], atol=1e-12)
 
 
-def test_numba_and_numpy_paths_agree():
-    rng = np.random.default_rng(3)
-    x = rng.normal(size=(30, 4))
-    psi = rng.random(4)
-    loop = _kernels._pairwise_sq_dists_loop
-    if _kernels.USING_NUMBA:
-        loop = loop  # njit-wrapped already via impl; call raw python body
-        got_loop = _kernels._pairwise_sq_dists_impl(
-            np.ascontiguousarray(x), np.ascontiguousarray(psi))
-    else:
-        got_loop = _kernels._pairwise_sq_dists_loop(x, psi)
-    got_numpy = _kernels._pairwise_sq_dists_numpy(x, psi)
-    assert np.allclose(got_loop, got_numpy, atol=1e-10)
+def _einsum_pairwise(x, psi):
+    """The einsum formula the kernels used before scipy.spatial, kept as a
+    test-only reference: the scipy kernels must match it bit for bit."""
+    x = np.asarray(x, dtype=np.float64)
+    diff = x[:, None, :] - x[None, :, :]
+    d = np.triu(np.einsum("ijk,k,ijk->ij", diff, psi, diff), 1)
+    return d + d.T
+
+
+def _einsum_cross(a, b, psi):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    diff = a[:, None, :] - b[None, :, :]
+    return np.einsum("ijk,k,ijk->ij", diff, psi, diff)
+
+
+@st.composite
+def _kernel_inputs(draw):
+    n = draw(st.integers(1, 60))
+    m = draw(st.integers(1, 20))
+    p = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    x = rng.normal(size=(n, p)) * scale
+    b = rng.normal(size=(m, p)) * scale
+    weights = draw(st.sampled_from(["ones", "random", "with zeros"]))
+    psi = np.ones(p) if weights == "ones" else rng.random(p)
+    if weights == "with zeros":
+        psi[rng.random(p) < 0.5] = 0.0
+    layout = draw(st.sampled_from(["float", "int", "strided"]))
+    if layout == "int":
+        x, b = np.round(x).astype(np.int64), np.round(b).astype(np.int64)
+    elif layout == "strided":     # views that are not C-contiguous (unless 1 x 1)
+        x = np.repeat(x, 2, axis=1)[:, ::2]
+        b = np.asfortranarray(b)
+    return x, b, psi
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_inputs())
+def test_scipy_kernels_match_einsum_reference(inputs):
+    x, b, psi = inputs
+    d = _kernels.pairwise_sq_dists(x, psi)
+    assert np.array_equal(d, _einsum_pairwise(x, psi))
+    assert np.array_equal(d, d.T)
+    assert np.all(np.diag(d) == 0.0)
+    assert np.array_equal(_kernels.cross_sq_dists(x, b, psi), _einsum_cross(x, b, psi))
 
 
 def test_integer_input_upcast():
