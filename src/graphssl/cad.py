@@ -17,12 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import _kernels
 from .errors import DegenerateGraphError, InputError
 from .graph import (PointSet, SimilarityGraph, gaussian_weights_matrix,
-                    laplacian, sigma_from_points)
+                    mass_laplacian, sigma_from_points)
 from .harmonic import DEFAULT_TOL, SoftConfig, soft_harmonic, solve_spd
 from .rng import PortableRng
 
@@ -59,8 +58,8 @@ def _check_lam(lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=np.float64)
     if lam.ndim > 1:
         raise InputError("lam must be a scalar or a 1-D sequence")
-    if np.any(lam < 0):
-        raise InputError("lam must be >= 0")
+    if not np.all(lam >= 0):
+        raise InputError("lam must be >= 0 (and not NaN)")
     return lam
 
 
@@ -163,8 +162,9 @@ def weighted_knn_score(train: PointSet, x_e: np.ndarray, y_e: int,
 def _loo_masses(ps: PointSet, sigma: float, normalize_by_p: bool):
     """Per-example own/other-class kernel masses with the example's own
     contribution removed from its class."""
-    kw = dict(sigma=sigma, psi=ps.feature_weights, normalize_by_p=normalize_by_p)
-    k = gaussian_weights_matrix(ps.points, ps.points, **kw)
+    d2 = _kernels.pairwise_sq_dists(ps.points, ps.feature_weights)
+    denom = ps.p * sigma * sigma if normalize_by_p else sigma * sigma
+    k = np.exp(-d2 / denom)
     np.fill_diagonal(k, 0.0)
     m_pos = k[:, ps.labels == 1].sum(axis=1)
     m_neg = k[:, ps.labels == -1].sum(axis=1)
@@ -221,10 +221,8 @@ def backbone_cad(centroid_graph: SimilarityGraph, multiplicities: np.ndarray,
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (centroid_graph.n,) or not np.all(np.isin(y, (-1.0, 1.0))):
         raise InputError("backbone CAD needs a fully labeled +-1 vector")
-    mass_w = sp.csr_matrix(v[:, None] * centroid_graph.dense() * v[None, :])
-    g_mass = SimilarityGraph(mass_w)
-    lap = laplacian(g_mass)
-    a = (lap + sp.diags((cfg.gamma_g + cfg.c_l) * v)).tocsr()
+    a = mass_laplacian(centroid_graph.dense(), v)
+    a[np.diag_indices_from(a)] += (cfg.gamma_g + cfg.c_l) * v
     values = solve_spd(a, cfg.c_l * v * y, tol)
     return np.abs(values - y)
 

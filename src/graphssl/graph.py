@@ -221,6 +221,17 @@ def laplacian(g: SimilarityGraph, normalized: bool = False) -> sp.csr_matrix:
     return (sp.identity(g.n, format="csr") - inv_sqrt @ g.weights @ inv_sqrt).tocsr()
 
 
+def mass_laplacian(weights: np.ndarray, multiplicities: np.ndarray) -> np.ndarray:
+    """Dense Laplacian D - W of W = V W~ V, where node i of the weight
+    matrix W~ stands for multiplicities[i] replicas.  The diagonal of W~
+    is ignored."""
+    v = np.asarray(multiplicities, dtype=np.float64)
+    lap = -(v[:, None] * np.asarray(weights, dtype=np.float64) * v[None, :])
+    np.fill_diagonal(lap, 0.0)
+    np.fill_diagonal(lap, -lap.sum(axis=1))
+    return lap
+
+
 def stationary_distribution(g: SimilarityGraph) -> np.ndarray:
     """Stationary distribution of the degree-proportional random walk,
     d / vol; fixed point of the transition matrix D^{-1} W."""
@@ -229,12 +240,20 @@ def stationary_distribution(g: SimilarityGraph) -> np.ndarray:
     return g.degrees / g.volume
 
 
+def component_labels(weights) -> np.ndarray:
+    """Component index of each node of a dense or sparse weight matrix;
+    nonzero entries are edges."""
+    # csgraph's own conversion of a dense matrix is slower than CSR's
+    return _cc(weights if sp.issparse(weights) else sp.csr_matrix(weights),
+               directed=False)[1]
+
+
 def connected_components(g: SimilarityGraph) -> list[np.ndarray]:
     """Components over nonzero-weight edges, ordered by smallest member."""
-    _, labels = _cc(g.weights, directed=False)
-    comps: dict[int, list[int]] = {}
-    for idx, lab in enumerate(labels):
-        comps.setdefault(int(lab), []).append(idx)
-    groups = [np.array(v, dtype=np.int64) for v in comps.values()]
+    labels = component_labels(g.weights)
+    if labels.size == 0:
+        return []
+    order = np.argsort(labels, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
     groups.sort(key=lambda a: int(a[0]))
     return groups

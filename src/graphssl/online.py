@@ -11,7 +11,9 @@ radius * growth / (growth - 1) of its (possibly re-merged) centroid.
 A graph whose nodes carry multiplicities v behaves exactly like the graph
 where node i is replicated v_i times: edge conductances add, so the full
 harmonic solution is recovered from the small system
-``(L_uu + gamma_g V_uu) l_u = W_ul l_l`` with W = V W~ V.
+``(L_uu + gamma_g V_uu) l_u = W_ul l_l`` with W = V W~ V.  The centroid
+graph has at most ``capacity`` nodes, so it is kept as dense arrays and the
+system is factored densely.
 """
 
 from __future__ import annotations
@@ -19,12 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import _kernels
-from .errors import DegenerateGraphError, InputError
-from .graph import GraphConfig, SimilarityGraph, connected_components, laplacian
-from .harmonic import DEFAULT_TOL, SoftLabels, solve_spd
+from .errors import InputError
+from .graph import GraphConfig, mass_laplacian
+from .harmonic import DEFAULT_TOL, SoftLabels, check_labeled_components, solve_spd
 
 ABSTAIN = 0
 
@@ -35,7 +36,8 @@ class QuantizerState:
     Exactly one writer: observe() calls are strictly ordered.  After each
     call the centroid count is at most ``capacity``, pairwise centroid
     distances are at least ``radius``, and multiplicities sum to the
-    number of points observed.
+    number of points observed.  The centroids are the first ``size`` rows
+    of one array that grows by doubling up to ``capacity + 1`` rows.
     """
 
     def __init__(self, capacity: int, growth: float = 1.5):
@@ -46,7 +48,7 @@ class QuantizerState:
         self.capacity = capacity
         self.growth = growth
         self.radius: float | None = None
-        self.centroids: list[np.ndarray] = []
+        self._rows: np.ndarray | None = None
         self.multiplicities: list[int] = []
         self.centroid_labels: list[int] = []
         self.label_conflicts = 0
@@ -57,10 +59,21 @@ class QuantizerState:
 
     @property
     def size(self) -> int:
-        return len(self.centroids)
+        return len(self.multiplicities)
+
+    @property
+    def centroids(self) -> np.ndarray:
+        """The centroids as the rows of a read-only view; the next
+        observe() may change it."""
+        if self._rows is None:
+            return np.empty((0, 0))
+        view = self._rows[:self.size]
+        view.flags.writeable = False
+        return view
 
     def centroid_matrix(self) -> np.ndarray:
-        return np.vstack(self.centroids)
+        """A copy of the centroids, one per row."""
+        return self.centroids.copy()
 
     def max_distortion(self) -> float:
         """Upper bound on any observed point's distance to its centroid:
@@ -73,7 +86,7 @@ class QuantizerState:
         """Fold one point into the sketch; returns its centroid index
         (valid in post-call indexing)."""
         x = np.asarray(x, dtype=np.float64).ravel()
-        if self.centroids and x.shape != self.centroids[0].shape:
+        if self._rows is not None and x.shape != self._rows.shape[1:]:
             raise InputError("point dimension does not match existing centroids")
         if label not in (-1, 0, 1):
             raise InputError("label must be in {-1, 0, +1}")
@@ -87,9 +100,9 @@ class QuantizerState:
         return idx
 
     def _place(self, x: np.ndarray, label: int) -> int:
-        if not self.centroids:
+        if self._rows is None:
             return self._append(x, label)
-        d2 = _kernels.cross_sq_dists(self.centroid_matrix(), x[None, :],
+        d2 = _kernels.cross_sq_dists(self.centroids, x[None, :],
                                      np.ones(x.size)).ravel()
         nearest = int(np.argmin(d2))
         if self.radius is None:
@@ -103,7 +116,14 @@ class QuantizerState:
         return self._append(x, label)
 
     def _append(self, x: np.ndarray, label: int) -> int:
-        self.centroids.append(x.copy())
+        k = self.size
+        if self._rows is None:
+            self._rows = np.empty((min(16, self.capacity + 1), x.size))
+        elif k == self._rows.shape[0]:
+            grown = np.empty((min(2 * k, self.capacity + 1), x.size))
+            grown[:k] = self._rows[:k]
+            self._rows = grown
+        self._rows[k] = x
         self.multiplicities.append(1)
         self.centroid_labels.append(label)
         return self.size - 1
@@ -121,24 +141,27 @@ class QuantizerState:
         """Grow the radius until a greedy scan keeps at most ``capacity``
         centroids, then merge each dropped centroid into its nearest
         survivor.  Returns the old->new index mapping."""
-        pts = self.centroid_matrix()
-        d2 = _kernels.pairwise_sq_dists(pts, np.ones(pts.shape[1]))
-        keep: list[int] = []
+        n = self.size
+        d2 = _kernels.pairwise_sq_dists(self.centroids, np.ones(self._rows.shape[1]))
         while True:
             self.radius *= self.growth
             r2 = self.radius * self.radius
-            keep = []
-            for i in range(len(self.centroids)):
-                if all(d2[i, j] >= r2 for j in keep):
+            # scan in index order: keep a centroid unless a kept one lies
+            # closer than the radius (d2 is exactly symmetric)
+            keep: list[int] = []
+            near_kept = np.zeros(n, dtype=bool)
+            for i in range(n):
+                if not near_kept[i]:
                     keep.append(i)
+                    near_kept |= d2[i] < r2
             if len(keep) <= self.capacity:
                 break
-        mapping = [-1] * len(self.centroids)
+        mapping = [-1] * n
         for new, old in enumerate(keep):
             mapping[old] = new
         mult = [self.multiplicities[i] for i in keep]
         labels = [self.centroid_labels[i] for i in keep]
-        for i in range(len(self.centroids)):
+        for i in range(n):
             if mapping[i] >= 0:
                 continue
             target = int(np.argmin(d2[i, keep]))
@@ -150,7 +173,7 @@ class QuantizerState:
                     labels[target] = dropped
                 elif labels[target] != dropped:
                     self.label_conflicts += 1
-        self.centroids = [self.centroids[i] for i in keep]
+        self._rows[:len(keep)] = self._rows[keep]
         self.multiplicities = mult
         self.centroid_labels = labels
         return mapping
@@ -187,10 +210,6 @@ class CompactGraph:
     def k(self) -> int:
         return self.centroid_weights.shape[0]
 
-    def mass_graph(self) -> SimilarityGraph:
-        v = self.multiplicities
-        return SimilarityGraph(sp.csr_matrix(v[:, None] * self.centroid_weights * v[None, :]))
-
 
 def compact_harmonic(cg: CompactGraph, centroid_labels: np.ndarray, gamma_g: float = 0.0,
                      tol: float = DEFAULT_TOL) -> SoftLabels:
@@ -202,22 +221,18 @@ def compact_harmonic(cg: CompactGraph, centroid_labels: np.ndarray, gamma_g: flo
     labeled = labels != 0
     if not labeled.any():
         raise InputError("at least one labeled centroid required")
-    g = cg.mass_graph()
     values = labels.copy()
     unlabeled = ~labeled
     if not unlabeled.any():
         return SoftLabels(values, "compact_hs")
     if gamma_g == 0.0:
-        for comp in connected_components(g):
-            if not labeled[comp].any():
-                raise DegenerateGraphError(
-                    "gamma_g = 0 with a label-free centroid component is singular")
+        check_labeled_components(cg.centroid_weights, labeled)
     u_idx = np.flatnonzero(unlabeled)
     l_idx = np.flatnonzero(labeled)
-    lap = laplacian(g)
-    sink = sp.diags(gamma_g * cg.multiplicities[u_idx])
-    a = (lap[np.ix_(u_idx, u_idx)] + sink).tocsr()
-    b = np.asarray(g.weights[np.ix_(u_idx, l_idx)] @ labels[l_idx]).ravel()
+    lap = mass_laplacian(cg.centroid_weights, cg.multiplicities)
+    a = lap[np.ix_(u_idx, u_idx)]
+    a[np.diag_indices_from(a)] += gamma_g * cg.multiplicities[u_idx]
+    b = -lap[np.ix_(u_idx, l_idx)] @ labels[l_idx]
     values[u_idx] = solve_spd(a, b, tol)
     return SoftLabels(values, "compact_hs")
 
@@ -230,7 +245,7 @@ class OnlineStep:
 
 
 def _centroid_similarity(state: QuantizerState, cfg: GraphConfig, eps_cut: float) -> np.ndarray:
-    pts = state.centroid_matrix()
+    pts = state.centroids
     if cfg.sigma is None:
         raise InputError("online prediction needs an explicit sigma")
     psi = np.ones(pts.shape[1])
@@ -240,6 +255,21 @@ def _centroid_similarity(state: QuantizerState, cfg: GraphConfig, eps_cut: float
     np.fill_diagonal(w, 0.0)
     w[w < eps_cut] = 0.0
     return w
+
+
+def _component_of(w: np.ndarray, idx: int) -> np.ndarray:
+    """Sorted indices of the nodes joined to node idx by nonzero entries of
+    the dense weight matrix w, found breadth-first.  On centroid graphs of
+    about 75 nodes this takes a seventh of the time of csgraph's labelling,
+    most of which goes to building and validating a CSR copy."""
+    adj = w != 0
+    reach = np.zeros(w.shape[0], dtype=bool)
+    reach[idx] = True
+    frontier = reach.copy()
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~reach
+        reach |= frontier
+    return np.flatnonzero(reach)
 
 
 def predict_online(state: QuantizerState, x: np.ndarray, label: int, gamma_g: float,
@@ -256,13 +286,12 @@ def predict_online(state: QuantizerState, x: np.ndarray, label: int, gamma_g: fl
     if not np.any(labels != 0):
         return OnlineStep(ABSTAIN, True, idx)
     w = _centroid_similarity(state, graph_cfg, eps_cut=0.1 * gamma_g)
-    g = SimilarityGraph(sp.csr_matrix(w))
-    comp = next(c for c in connected_components(g) if idx in c)
+    comp = _component_of(w, idx)
     if not np.any(labels[comp] != 0):
         return OnlineStep(ABSTAIN, True, idx)
     cg = CompactGraph(w[np.ix_(comp, comp)], np.asarray(state.multiplicities)[comp])
     sol = compact_harmonic(cg, labels[comp], gamma_g)
-    value = sol.values[int(np.flatnonzero(comp == idx)[0])]
+    value = sol.values[int(np.searchsorted(comp, idx))]
     if value == 0.0:
         return OnlineStep(ABSTAIN, True, idx)
     return OnlineStep(int(np.sign(value)), False, idx)

@@ -9,7 +9,8 @@ from graphssl import (DegenerateGraphError, GraphConfig, InputError,
                       gaussian_weight, rwcad_score, rwcad_scores, rwcad_scores_loo,
                       scale_scores, softhad_score, weighted_knn_score,
                       weighted_knn_scores, weighted_knn_scores_loo)
-from graphssl.cad import LAMBDA_GRID
+from graphssl.cad import LAMBDA_GRID, _loo_masses
+from graphssl.graph import gaussian_weights_matrix
 
 
 def _mirror_training_set():
@@ -56,6 +57,30 @@ class TestLambdaBatch:
             rwcad_scores_loo(ps, [0.1, -1.0], sigma=0.7)
         with pytest.raises(InputError):
             rwcad_scores(fit_cad_model(ps, 0.0, sigma=0.7), ps.points, ps.labels, [[0.1]])
+
+
+    def test_nan_lambda_rejected(self):
+        ps = _random_labeled_set(8, n=20)
+        nan = float("nan")
+        for lam in (nan, [0.1, nan]):
+            with pytest.raises(InputError, match="lam"):
+                rwcad_scores_loo(ps, lam, sigma=0.5)
+            with pytest.raises(InputError, match="lam"):
+                rwcad_scores(fit_cad_model(ps, 0.0, sigma=0.5), ps.points, ps.labels, lam)
+        with pytest.raises(InputError, match="lam"):
+            fit_cad_model(ps, nan, sigma=0.5)
+
+
+class TestLooMasses:
+    @pytest.mark.parametrize("normalize_by_p", [True, False])
+    def test_pdist_kernel_bit_identical_to_cross_kernel(self, normalize_by_p):
+        ps = _random_labeled_set(10, n=80)
+        m_pos, m_neg = _loo_masses(ps, 0.7, normalize_by_p)
+        k = gaussian_weights_matrix(ps.points, ps.points, 0.7, ps.feature_weights,
+                                    normalize_by_p)
+        np.fill_diagonal(k, 0.0)
+        assert np.array_equal(m_pos, k[:, ps.labels == 1].sum(axis=1))
+        assert np.array_equal(m_neg, k[:, ps.labels == -1].sum(axis=1))
 
 
 class TestSigmaValidation:

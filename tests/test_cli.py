@@ -288,6 +288,19 @@ class TestRunPlan:
             (1.0, 0, "ok"), (1.0, 1, "ok")]
         assert len(list(out.glob("rwcad/*/run*/error.txt"))) == 2
 
+    def test_nan_lambda_fails_only_its_own_cell(self, tmp_path):
+        plan = self._plan(tmp_path, "grid.lambda = [NaN, 0.01, 1.0]")
+        out = tmp_path / "out"
+        results = run_plan(plan_from_config(plan, outdir=str(out)))
+        assert [(r.run, r.status) for r in results] == [
+            (0, "failed"), (1, "failed"), (0, "ok"), (1, "ok"), (0, "ok"), (1, "ok")]
+        assert all(np.isnan(r.params["lambda"]) for r in results[:2])
+        nan_cell = out / "rwcad" / grid_hash(results[0].params)
+        assert sorted(f.relative_to(nan_cell).as_posix() for f in nan_cell.rglob("*.*")) == [
+            "run0/error.txt", "run1/error.txt"]
+        assert all("InputError" in e.read_text() for e in nan_cell.rglob("error.txt"))
+        assert len(list(out.glob("rwcad/*/run*/error.txt"))) == 2
+
     def test_grouped_cells_match_cells_scored_alone(self, tmp_path):
         plan = plan_from_config(self._plan(tmp_path, "grid.lambda = [0.0, 0.01, 1.0]"),
                                 outdir=str(tmp_path / "out"))

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components as csgraph_components
 
 from graphssl import (DegenerateGraphError, GraphConfig, InputError, PointSet,
                       SimilarityGraph, build_graph, connected_components,
@@ -222,6 +223,23 @@ class TestConnectedComponents:
         g = SimilarityGraph(sp.csr_matrix(w))
         comps = connected_components(g)
         assert [c.tolist() for c in comps] == [[0, 2, 4], [1, 3, 5]]
+
+    def test_empty_graph_has_no_components(self):
+        assert connected_components(SimilarityGraph(sp.csr_matrix((0, 0)))) == []
+
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.floats(0.0, 0.3))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_grouping_loop(self, n, seed, density):
+        # reference: the csgraph labels grouped by a dict, sorted by first member
+        g = random_graph(n, seed, density=density, ensure_connected=False)
+        _, labels = csgraph_components(g.weights, directed=False)
+        groups = {}
+        for node, lab in enumerate(labels):
+            groups.setdefault(int(lab), []).append(node)
+        want = sorted(groups.values(), key=lambda members: members[0])
+        got = connected_components(g)
+        assert [c.tolist() for c in got] == want
+        assert all(c.dtype == np.int64 for c in got)
 
 
 def test_similarity_graph_validate_passes_for_built_graphs():

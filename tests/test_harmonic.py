@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphssl import (DegenerateGraphError, InputError, SimilarityGraph,
-                      SoftConfig, blockwise_harmonic, connected_components,
+                      SoftConfig, SolverError, blockwise_harmonic, connected_components,
                       hard_harmonic, laplacian, soft_harmonic, solve_spd)
+from graphssl.harmonic import DENSE_MAX_N
 
 from _synth import random_graph, random_labels
 
@@ -38,6 +41,80 @@ class TestSolveSpd:
         b = rng.normal(size=25)
         x = solve_spd(a, b, 1e-10)
         assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b) * 1.001
+
+
+# system sizes on both sides of the dense-Cholesky / Jacobi-PCG cutoff
+SIDES = st.sampled_from(["dense", "pcg"])
+
+
+def _size(side, extra):
+    return 2 + extra if side == "dense" else DENSE_MAX_N + 1 + extra
+
+
+class TestSolveSpdPaths:
+    """solve_spd against np.linalg.solve on both sides of DENSE_MAX_N."""
+
+    @given(SIDES, st.integers(0, 40), st.integers(0, 2**32 - 1),
+           st.sampled_from([1e-3, 1.0, 10.0]))
+    @settings(max_examples=30, deadline=None)
+    def test_random_spd_matches_dense_solve(self, side, extra, seed, shift):
+        n = _size(side, extra)
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(n, n))
+        a = m @ m.T / n + shift * np.eye(n)
+        b = rng.normal(size=n)
+        want = np.linalg.solve(a, b)
+        for system in (a, sp.csr_matrix(a)):
+            x = solve_spd(system, b, 1e-10)
+            assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
+            assert np.allclose(x, want, rtol=1e-6, atol=1e-8 * np.abs(want).max())
+
+    @given(SIDES, st.integers(0, 40), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, 1e-8, 1e-4, 1.0]))
+    @settings(max_examples=30, deadline=None)
+    def test_laplacian_systems_match_dense_solve(self, side, extra, seed, gamma):
+        n_labeled = 6
+        n = _size(side, extra) + n_labeled
+        g = random_graph(n, seed, density=min(1.0, 8.0 / n))
+        labels = random_labels(n, n_labeled, seed)
+        u, l = np.flatnonzero(labels == 0), np.flatnonzero(labels != 0)
+        assert (u.size <= DENSE_MAX_N) == (side == "dense")
+        a = (laplacian(g)[np.ix_(u, u)] + gamma * sp.identity(u.size)).tocsr()
+        b = np.asarray(g.weights[np.ix_(u, l)] @ labels[l]).ravel()
+        x = solve_spd(a, b, 1e-10)
+        assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
+        want = np.linalg.solve(a.toarray(), b)
+        assert np.allclose(x, want, rtol=1e-6, atol=1e-8)
+        # the dense ndarray of the same system goes through Cholesky
+        assert np.allclose(solve_spd(a.toarray(), b, 1e-10), want, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("n", [3, DENSE_MAX_N + 10])
+    def test_indefinite_raises_solver_error(self, n):
+        d = np.ones(n)
+        d[1] = -1.0
+        b = np.ones(n)
+        with pytest.raises(SolverError):
+            solve_spd(np.diag(d), b)
+        with pytest.raises(SolverError):
+            solve_spd(sp.diags(d).tocsr(), b)
+
+    def test_indefinite_with_positive_diagonal_raises_solver_error(self):
+        # eigenvalues 3 and -1: only the factorization can tell, since CG
+        # may still converge on such a system
+        block = np.array([[1.0, 2.0], [2.0, 1.0]])
+        for a in (block, sp.csr_matrix(block), sp.block_diag([block] * 3, format="csr")):
+            with pytest.raises(SolverError) as err:
+                solve_spd(a, np.ones(a.shape[0]))
+            assert err.value.residual == 1.0
+
+    def test_singular_raises_solver_error(self):
+        lap = laplacian(random_graph(8, 1)).toarray()
+        with pytest.raises(SolverError):
+            solve_spd(lap, np.arange(8.0))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(InputError):
+            solve_spd(np.eye(3), np.ones(4))
 
 
 class TestHardHarmonic:

@@ -1,13 +1,20 @@
+import copy
 import time
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components as csgraph_components
+from scipy.sparse.linalg import spsolve
 
-from graphssl import (CompactGraph, GraphConfig, InputError, PointSet,
-                      QuantizerState, SimilarityGraph, build_graph,
-                      compact_harmonic, hard_harmonic, max_distortion, observe,
-                      predict_online)
+from graphssl import (CompactGraph, DegenerateGraphError, GraphConfig, InputError,
+                      PointSet, QuantizerState, SimilarityGraph, SolverError, build_graph,
+                      compact_harmonic, hard_harmonic, laplacian, max_distortion,
+                      observe, predict_online)
+from graphssl import _kernels
+from graphssl.online import _centroid_similarity
 
 
 def replay_assignments(stream, capacity, growth):
@@ -205,6 +212,231 @@ class TestPredictOnline:
         state = QuantizerState(4)
         step = predict_online(state, np.array([0.0, 0.0]), 0, 0.1, self.CFG)
         assert step.abstained
+
+
+# Test-only copies of the list-based quantizer and the sparse compact solve
+# that the dense online path replaced.
+
+class ListQuantizer:
+    """The quantizer with one array per centroid and the pairwise greedy
+    scan of its repartition."""
+
+    def __init__(self, capacity, growth):
+        self.capacity, self.growth = capacity, growth
+        self.radius = None
+        self.centroids, self.multiplicities, self.centroid_labels = [], [], []
+        self.label_conflicts = 0
+        self.last_repartition = None
+
+    def observe(self, x, label):
+        self.last_repartition = None
+        idx = self._place(np.asarray(x, dtype=np.float64), label)
+        if len(self.centroids) > self.capacity:
+            self.last_repartition = self._repartition()
+            idx = self.last_repartition[idx]
+        return idx
+
+    def _place(self, x, label):
+        if not self.centroids:
+            return self._append(x, label)
+        d2 = _kernels.cross_sq_dists(np.vstack(self.centroids), x[None, :],
+                                     np.ones(x.size)).ravel()
+        nearest = int(np.argmin(d2))
+        if self.radius is None:
+            if d2[nearest] == 0.0:
+                return self._absorb(nearest, label)
+            self.radius = float(np.sqrt(d2[nearest]))
+            return self._append(x, label)
+        if d2[nearest] < self.radius * self.radius:
+            return self._absorb(nearest, label)
+        return self._append(x, label)
+
+    def _append(self, x, label):
+        self.centroids.append(x.copy())
+        self.multiplicities.append(1)
+        self.centroid_labels.append(label)
+        return len(self.centroids) - 1
+
+    def _absorb(self, idx, label):
+        self.multiplicities[idx] += 1
+        if label != 0:
+            if self.centroid_labels[idx] == 0:
+                self.centroid_labels[idx] = label
+            elif self.centroid_labels[idx] != label:
+                self.label_conflicts += 1
+        return idx
+
+    def _repartition(self):
+        pts = np.vstack(self.centroids)
+        d2 = _kernels.pairwise_sq_dists(pts, np.ones(pts.shape[1]))
+        while True:
+            self.radius *= self.growth
+            r2 = self.radius * self.radius
+            keep = []
+            for i in range(len(self.centroids)):
+                if all(d2[i, j] >= r2 for j in keep):
+                    keep.append(i)
+            if len(keep) <= self.capacity:
+                break
+        mapping = [-1] * len(self.centroids)
+        for new, old in enumerate(keep):
+            mapping[old] = new
+        mult = [self.multiplicities[i] for i in keep]
+        labels = [self.centroid_labels[i] for i in keep]
+        for i in range(len(self.centroids)):
+            if mapping[i] >= 0:
+                continue
+            target = int(np.argmin(d2[i, keep]))
+            mapping[i] = target
+            mult[target] += self.multiplicities[i]
+            dropped = self.centroid_labels[i]
+            if dropped != 0:
+                if labels[target] == 0:
+                    labels[target] = dropped
+                elif labels[target] != dropped:
+                    self.label_conflicts += 1
+        self.centroids = [self.centroids[i] for i in keep]
+        self.multiplicities, self.centroid_labels = mult, labels
+        return mapping
+
+
+def sparse_compact_system(w, mult, labels, gamma_g):
+    """The unlabeled system of compact_harmonic as a SimilarityGraph of
+    V W~ V and its sparse Laplacian sliced with np.ix_: (A, b, unlabeled)."""
+    g = SimilarityGraph(sp.csr_matrix(mult[:, None] * w * mult[None, :]))
+    lab = np.asarray(labels) != 0
+    if gamma_g == 0.0:
+        _, comp_of = csgraph_components(g.weights, directed=False)
+        if np.unique(comp_of[lab]).size < comp_of.max() + 1:
+            raise DegenerateGraphError("label-free component")
+    u, l = np.flatnonzero(~lab), np.flatnonzero(lab)
+    a = (laplacian(g)[np.ix_(u, u)] + sp.diags(gamma_g * mult[u])).tocsc()
+    b = np.asarray(g.weights[np.ix_(u, l)] @ np.asarray(labels, dtype=np.float64)[l]).ravel()
+    return a, b, u
+
+
+def sparse_compact_values(w, mult, labels, gamma_g):
+    """compact_harmonic through the sparse system and a SuperLU solve, and
+    the tolerance another backward-stable solve must match it to.
+
+    The tolerance is 1e-10, or 1e-13 cond(A) max|x| where that is larger:
+    the forward error a backward-stable solve may make.  Weights that
+    underflow toward 1e-20 (gamma_g <= 1e-8 keeps them) can make A nearly
+    singular; once the tolerance exceeds 1e-6 no float64 solver pins the
+    values down, and it is returned as None.
+    """
+    values = np.asarray(labels, dtype=np.float64).copy()
+    a, b, u = sparse_compact_system(w, mult, labels, gamma_g)
+    if not u.size:
+        return values, 1e-10
+    values[u] = np.atleast_1d(spsolve(a, b))
+    tol = max(1e-10, 1e-13 * np.linalg.cond(a.toarray()) * np.abs(values[u]).max())
+    if not tol <= 1e-6:
+        assert gamma_g <= 1e-8
+        return values, None
+    return values, tol
+
+
+def sparse_online_system(state, idx, gamma_g, cfg):
+    """The compact graph predict_online solves for centroid idx, with the
+    component found through a SimilarityGraph and a dict of csgraph labels:
+    (W~, multiplicities, labels, position of idx), or None when it abstains."""
+    labels = np.asarray(state.centroid_labels, dtype=np.float64)
+    if not np.any(labels != 0):
+        return None
+    w = _centroid_similarity(state, cfg, eps_cut=0.1 * gamma_g)
+    _, comp_of = csgraph_components(SimilarityGraph(sp.csr_matrix(w)).weights, directed=False)
+    groups = {}
+    for node, lab in enumerate(comp_of):
+        groups.setdefault(int(lab), []).append(node)
+    comp = np.array(groups[int(comp_of[idx])])
+    if not np.any(labels[comp] != 0):
+        return None
+    mult = np.asarray(state.multiplicities, dtype=np.float64)[comp]
+    return w[np.ix_(comp, comp)], mult, labels[comp], int(np.flatnonzero(comp == idx)[0])
+
+
+def _random_stream(seed, n, p):
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(0, 3, (3, p))
+    which = rng.integers(0, 3, n)
+    points = centers[which] + rng.normal(0, 0.6, (n, p))
+    labels = np.where(rng.random(n) < 0.15, np.where(which == 0, 1, -1), 0)
+    return points, labels
+
+
+class TestDenseOnlineMatchesSparse:
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(1, 3),
+           st.sampled_from([1.3, 1.5, 2.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_quantizer_matches_list_quantizer(self, seed, capacity, p, growth):
+        points, labels = _random_stream(seed, 120, p)
+        state, ref = QuantizerState(capacity, growth), ListQuantizer(capacity, growth)
+        for x, lab in zip(points, labels):
+            assert state.observe(x, int(lab)) == ref.observe(x, int(lab))
+            assert state.last_repartition == ref.last_repartition
+            assert state.radius == ref.radius
+            assert state.multiplicities == ref.multiplicities
+            assert state.centroid_labels == ref.centroid_labels
+            assert state.label_conflicts == ref.label_conflicts
+            assert np.array_equal(state.centroids, np.vstack(ref.centroids))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(4, 30), st.integers(1, 3),
+           st.sampled_from([0.0, 1e-8, 0.01, 0.5]))
+    @settings(max_examples=25, deadline=None)
+    def test_predictions_match_sparse_solve(self, seed, capacity, p, gamma_g):
+        points, labels = _random_stream(seed, 60, p)
+        cfg = GraphConfig(mode="epsilon", sigma=1.0)
+        state = QuantizerState(capacity, 1.5)
+        for x, lab in zip(points, labels):
+            idx = copy.deepcopy(state).observe(x, int(lab))
+            try:
+                step = predict_online(state, x, int(lab), gamma_g, cfg)
+            except SolverError:
+                # Only a system too ill-conditioned for the 1e-10 residual
+                # check may fail: Cholesky's backward error keeps the relative
+                # residual below about 10 eps cond(A).  With gamma_g <= 1e-8
+                # a component can hang on weights near 1e-20.
+                w, mult, comp_labels, _ = sparse_online_system(state, idx, gamma_g, cfg)
+                a, _, _ = sparse_compact_system(w, mult, comp_labels, gamma_g)
+                assert gamma_g <= 1e-8 and np.linalg.cond(a.toarray()) > 1e4
+                continue
+            assert step.centroid == idx
+            system = sparse_online_system(state, idx, gamma_g, cfg)
+            if system is None:
+                assert step.abstained
+                continue
+            w, mult, comp_labels, pos = system
+            want, tol = sparse_compact_values(w, mult, comp_labels, gamma_g)
+            if tol is None:
+                continue
+            got = compact_harmonic(CompactGraph(w, mult), comp_labels, gamma_g).values
+            assert np.max(np.abs(got - want)) <= tol
+            if abs(want[pos]) > tol:
+                assert not step.abstained and step.prediction == int(np.sign(want[pos]))
+
+    def test_gamma_zero_label_free_component_rejected(self):
+        w = np.zeros((4, 4))
+        w[0, 1] = w[1, 0] = 1.0
+        w[2, 3] = w[3, 2] = 1.0
+        cg = CompactGraph(w, np.array([1.0, 2.0, 1.0, 3.0]))
+        with pytest.raises(DegenerateGraphError):
+            compact_harmonic(cg, np.array([1, 0, 0, 0]), 0.0)
+        got = compact_harmonic(cg, np.array([1, 0, 0, -1]), 0.0).values
+        want, tol = sparse_compact_values(w, cg.multiplicities, np.array([1, 0, 0, -1]), 0.0)
+        assert tol == 1e-10 and np.max(np.abs(got - want)) <= tol
+
+    def test_centroid_rows_grow_past_first_block(self):
+        state = QuantizerState(capacity=50)
+        points = np.arange(40.0)[:, None] * np.array([[1.0, 0.0]])
+        for x in points:
+            state.observe(x)
+        assert state.size == 40
+        assert np.array_equal(state.centroids, points)
+        assert not state.centroids.flags.writeable
+        copy = state.centroid_matrix()
+        copy[0, 0] = -1.0
+        assert state.centroids[0, 0] == 0.0
 
 
 def test_per_step_cost_stays_flat():
