@@ -20,9 +20,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import DegenerateGraphError, InputError
-from .graph import (PointSet, SimilarityGraph, gaussian_weights_matrix,
-                    mass_laplacian, sigma_from_points)
-from .harmonic import DEFAULT_TOL, SoftConfig, soft_harmonic, solve_spd
+from .graph import PointSet, SimilarityGraph, gaussian_weights_matrix, sigma_from_points
+from .harmonic import DEFAULT_TOL, SoftConfig, soft_harmonic, solve_harmonic
 from .rng import PortableRng
 
 LAMBDA_GRID = tuple(10.0 ** e for e in range(-5, 6))
@@ -195,15 +194,19 @@ def weighted_knn_scores_loo(ps: PointSet, sigma: float | None = None,
     return 1.0 - own / total
 
 
+def _pm1_labels(y: np.ndarray, method: str) -> np.ndarray:
+    y = np.asarray(y, dtype=np.float64)
+    if not np.all(np.isin(y, (-1.0, 1.0))):
+        raise InputError(f"{method} needs a fully labeled +-1 vector")
+    return y
+
+
 def softhad_score(g: SimilarityGraph, y: np.ndarray, cfg: SoftConfig,
                   tol: float = DEFAULT_TOL) -> np.ndarray:
     """|soft harmonic solution - actual label| over a fully labeled graph;
     scores live in [0, 2], higher is more anomalous."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (g.n,) or not np.all(np.isin(y, (-1.0, 1.0))):
-        raise InputError("softhad needs a fully labeled +-1 vector")
-    values = soft_harmonic(g, y, cfg, tol).values
-    return np.abs(values - y)
+    y = _pm1_labels(y, "softhad")
+    return np.abs(soft_harmonic(g, y, cfg, tol).values - y)
 
 
 def backbone_cad(centroid_graph: SimilarityGraph, multiplicities: np.ndarray,
@@ -215,15 +218,9 @@ def backbone_cad(centroid_graph: SimilarityGraph, multiplicities: np.ndarray,
     reproduces the expanded-graph score exactly when the backbone comes
     from collapsing duplicate rows.
     """
-    v = np.asarray(multiplicities, dtype=np.float64)
-    if v.shape != (centroid_graph.n,) or np.any(v < 1):
-        raise InputError("multiplicities must be >= 1, one per centroid")
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (centroid_graph.n,) or not np.all(np.isin(y, (-1.0, 1.0))):
-        raise InputError("backbone CAD needs a fully labeled +-1 vector")
-    a = mass_laplacian(centroid_graph.dense(), v)
-    a[np.diag_indices_from(a)] += (cfg.gamma_g + cfg.c_l) * v
-    values = solve_spd(a, cfg.c_l * v * y, tol)
+    y = _pm1_labels(y, "backbone CAD")
+    values = solve_harmonic(centroid_graph.dense(), y, cfg.gamma_g, np.full(y.shape, cfg.c_l),
+                            multiplicities, tol)
     return np.abs(values - y)
 
 

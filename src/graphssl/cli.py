@@ -17,7 +17,7 @@ from .cad import (TaskScaling, fit_cad_model, rwcad_scores, rwcad_scores_loo,
 from .cuts import CutClassifier, KernelSpec, train_on_induced
 from .datasets import (CoreSpec, MixtureSpec, flip_labels, gen_core_dataset,
                        gen_gauss_mixture, load_dataset_spec, true_anomaly_scores)
-from .errors import InputError
+from .errors import DegenerateGraphError, InputError, SolverError
 from .graph import GraphConfig, PointSet, build_graph, resolve_sigma
 from .harmonic import SoftConfig, hard_harmonic, soft_harmonic
 from .joint import JointConfig, elastic_joint, infer_unlabeled
@@ -338,7 +338,7 @@ def main(argv=None) -> int:
         args.sigma_value = _sigma_arg(str(args.sigma))
     try:
         return args.func(args)
-    except (InputError, OSError) as exc:
+    except (InputError, DegenerateGraphError, SolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

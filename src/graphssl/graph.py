@@ -221,17 +221,6 @@ def laplacian(g: SimilarityGraph, normalized: bool = False) -> sp.csr_matrix:
     return (sp.identity(g.n, format="csr") - inv_sqrt @ g.weights @ inv_sqrt).tocsr()
 
 
-def mass_laplacian(weights: np.ndarray, multiplicities: np.ndarray) -> np.ndarray:
-    """Dense Laplacian D - W of W = V W~ V, where node i of the weight
-    matrix W~ stands for multiplicities[i] replicas.  The diagonal of W~
-    is ignored."""
-    v = np.asarray(multiplicities, dtype=np.float64)
-    lap = -(v[:, None] * np.asarray(weights, dtype=np.float64) * v[None, :])
-    np.fill_diagonal(lap, 0.0)
-    np.fill_diagonal(lap, -lap.sum(axis=1))
-    return lap
-
-
 def stationary_distribution(g: SimilarityGraph) -> np.ndarray:
     """Stationary distribution of the degree-proportional random walk,
     d / vol; fixed point of the transition matrix D^{-1} W."""

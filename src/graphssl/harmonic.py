@@ -1,23 +1,24 @@
-"""Label propagation on similarity graphs.
+"""Label propagation on similarity graphs: one harmonic system.
 
-Two flavors:
+``solve_harmonic`` gives the (regularized) harmonic solution on the graph
+W = V W~ V, whose node i stands for v_i replicas (v = 1 by default), with
+L = D - W, in one of two forms:
 
 * hard: labeled values are clamped and the unlabeled block is solved as
-  ``(L_uu + gamma_g I) l_u = W_ul l_l``.  With gamma_g == 0 every
+  ``(L_uu + gamma_g V_uu) l_u = -L_ul y_l``.  With gamma_g == 0 every
   unlabeled value is the degree-weighted average of its neighbors; with
   gamma_g > 0 a zero-labeled sink shrinks values toward 0 with distance
   from the labels.
-* soft: the fit to pseudo-targets y is a penalty, not a constraint.  The
-  quadratic ``(l - y)' C (l - y) + l' (L + gamma_g I) l`` is minimized by
-  solving the SPD system ``(K + C) l = C y`` (algebraically the same as
-  the textbook non-symmetric form ``(C^{-1} K + I) l = y``).
+* soft: the fit to pseudo-targets y is a penalty, not a constraint;
+  minimizing ``(l - y)' F V (l - y) + l' (L + gamma_g V) l`` gives the SPD
+  system ``(L + gamma_g V + F V) l = F V y``.
 
-Every system goes through ``solve_spd``.  A dense ``ndarray`` or a system of
-at most ``DENSE_MAX_N`` rows is factored by dense Cholesky; a larger sparse
-system is solved by conjugate gradients with a Jacobi (diagonal)
-preconditioner.  The preconditioner is needed: with a small sink gamma_g
-the hard systems are badly conditioned, and plain CG took most of the
-solve time on them.
+``hard_harmonic``, ``soft_harmonic``, ``online.compact_harmonic`` and
+``cad.backbone_cad`` wrap it.  Sparse weights give a sparse system, dense
+weights a dense one.  ``solve_spd`` factors a dense ``ndarray`` or a system
+of at most ``DENSE_MAX_N`` rows by Cholesky, and solves a larger sparse one
+by conjugate gradients with a Jacobi preconditioner, which the badly
+conditioned hard systems of a small sink gamma_g need.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.sparse.linalg import cg
 
 from .errors import DegenerateGraphError, InputError, SolverError
-from .graph import SimilarityGraph, component_labels, laplacian
+from .graph import SimilarityGraph, component_labels
 
 DEFAULT_TOL = 1e-10
 
@@ -39,6 +40,12 @@ DEFAULT_TOL = 1e-10
 # the same at about 400 rows (2.5-2.8 ms); Cholesky is 10x faster at 100
 # rows, PCG 5x faster at 2000.
 DENSE_MAX_N = 400
+
+
+def check_gamma_g(gamma_g: float) -> None:
+    """Raise unless the sink weight gamma_g is finite and >= 0."""
+    if not (np.isfinite(gamma_g) and gamma_g >= 0):
+        raise InputError("gamma_g must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -51,8 +58,7 @@ class SoftConfig:
     c_u: float = 0.1
 
     def __post_init__(self):
-        if not (np.isfinite(self.gamma_g) and self.gamma_g >= 0):
-            raise InputError("gamma_g must be finite and >= 0")
+        check_gamma_g(self.gamma_g)
         if not (self.c_l > 0 and self.c_u > 0):
             raise InputError("fit weights must be positive")
         if self.c_u > self.c_l:
@@ -110,41 +116,67 @@ def solve_spd(a, b: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return x
 
 
-def check_labeled_components(weights, labeled_mask: np.ndarray) -> None:
-    """Raise unless every component of the weight matrix (dense or sparse)
-    holds a labeled node: without a sink, a label-free component makes the
-    hard system singular."""
-    comp_of = component_labels(weights)
-    if comp_of.size and np.unique(comp_of[labeled_mask]).size <= comp_of.max():
-        raise DegenerateGraphError(
-            "gamma_g = 0 with a label-free component makes the system singular")
+def _laplacian(weights, v):
+    """D - W of W = V weights V (W = weights when v is None): sparse for
+    sparse weights, else dense.  A self-loop cancels in D - W."""
+    if sp.issparse(weights):
+        w = weights if v is None else sp.diags(v) @ weights @ sp.diags(v)
+        return (sp.diags(np.asarray(w.sum(axis=1)).ravel()) - w).tocsr()
+    w = np.asarray(weights, dtype=np.float64)
+    lap = -(w if v is None else v[:, None] * w * v[None, :])
+    np.fill_diagonal(lap, 0.0)
+    np.fill_diagonal(lap, -lap.sum(axis=1))
+    return lap
+
+
+def solve_harmonic(weights, y: np.ndarray, gamma_g: float, fit: np.ndarray | None = None,
+                   multiplicities: np.ndarray | None = None,
+                   tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Harmonic solution on W = V weights V, node i standing for
+    multiplicities[i] (default 1) replicas; sparse weights give a sparse
+    system, dense weights a dense one.  With fit None the nonzero entries
+    of y are clamped (hard), else every node is fitted with weight fit
+    (soft).  A hard solve at gamma_g == 0 raises ``DegenerateGraphError``
+    for a component without a label, whose system would be singular."""
+    y = np.asarray(y, dtype=np.float64)
+    n = y.shape[0] if y.ndim == 1 else -1
+    if np.shape(weights) != (n, n) or not np.all(np.isfinite(y)):
+        raise InputError("weights must be n x n and y a finite length-n vector")
+    check_gamma_g(gamma_g)
+    v = np.ones(n) if multiplicities is None else np.asarray(multiplicities, dtype=np.float64)
+    if v.shape != (n,) or not np.all(np.isfinite(v) & (v >= 1)):
+        raise InputError("multiplicities must be finite and >= 1, one per node")
+    lap = _laplacian(weights, None if multiplicities is None else v)
+    diag = sp.diags if sp.issparse(lap) else np.diag
+    values = y.copy()
+    if fit is None:
+        labeled = y != 0
+        if not labeled.any():
+            raise InputError("at least one labeled node required")
+        if labeled.all():
+            return values
+        if gamma_g == 0.0:
+            comp_of = component_labels(weights)
+            if np.unique(comp_of[labeled]).size <= comp_of.max():
+                raise DegenerateGraphError(
+                    "gamma_g = 0 with a label-free component makes the system singular")
+        u, l = np.flatnonzero(~labeled), np.flatnonzero(labeled)
+        a, b = lap[np.ix_(u, u)] + diag(gamma_g * v[u]), -lap[np.ix_(u, l)] @ y[l]
+    else:
+        fit = np.asarray(fit, dtype=np.float64)
+        if fit.shape != (n,) or not np.all(np.isfinite(fit) & (fit > 0)):
+            raise InputError("fit weights must be finite and > 0, one per node")
+        u = slice(None)
+        a, b = lap + diag(gamma_g * v) + diag(fit * v), fit * v * y
+    values[u] = solve_spd(a, b, tol)
+    return values
 
 
 def hard_harmonic(g: SimilarityGraph, labels: np.ndarray, gamma_g: float = 0.0,
                   tol: float = DEFAULT_TOL) -> SoftLabels:
     """Propagate clamped labels; unlabeled block solved against the
     (optionally sink-regularized) Laplacian."""
-    labels = np.asarray(labels, dtype=np.float64)
-    if labels.shape != (g.n,):
-        raise InputError("labels must be a length-n vector")
-    labeled = labels != 0
-    if not labeled.any():
-        raise InputError("at least one labeled node required")
-    if not (np.isfinite(gamma_g) and gamma_g >= 0):
-        raise InputError("gamma_g must be finite and >= 0")
-    values = labels.copy()
-    unlabeled = ~labeled
-    if not unlabeled.any():
-        return SoftLabels(values, "hard_hs")
-    if gamma_g == 0.0:
-        check_labeled_components(g.weights, labeled)
-    u_idx = np.flatnonzero(unlabeled)
-    l_idx = np.flatnonzero(labeled)
-    lap = laplacian(g)
-    a = lap[np.ix_(u_idx, u_idx)] + gamma_g * sp.identity(u_idx.size, format="csr")
-    b = np.asarray(g.weights[np.ix_(u_idx, l_idx)] @ labels[l_idx]).ravel()
-    values[u_idx] = solve_spd(a.tocsr(), b, tol)
-    return SoftLabels(values, "hard_hs")
+    return SoftLabels(solve_harmonic(g.weights, labels, gamma_g, tol=tol), "hard_hs")
 
 
 def soft_harmonic(g: SimilarityGraph, y: np.ndarray, cfg: SoftConfig,
@@ -154,14 +186,8 @@ def soft_harmonic(g: SimilarityGraph, y: np.ndarray, cfg: SoftConfig,
     Entries of y equal to 0 count as unlabeled and get fit weight c_u;
     nonzero entries get c_l.
     """
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (g.n,):
-        raise InputError("y must be a length-n vector")
-    c_diag = np.where(y != 0, cfg.c_l, cfg.c_u)
-    k = laplacian(g) + cfg.gamma_g * sp.identity(g.n, format="csr")
-    a = (k + sp.diags(c_diag)).tocsr()
-    values = solve_spd(a, c_diag * y, tol)
-    return SoftLabels(values, "soft_hs")
+    fit = np.where(np.asarray(y) != 0, cfg.c_l, cfg.c_u)
+    return SoftLabels(solve_harmonic(g.weights, y, cfg.gamma_g, fit, tol=tol), "soft_hs")
 
 
 def blockwise_harmonic(g: SimilarityGraph, y: np.ndarray, cfg: SoftConfig,

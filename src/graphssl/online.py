@@ -11,9 +11,10 @@ radius * growth / (growth - 1) of its (possibly re-merged) centroid.
 A graph whose nodes carry multiplicities v behaves exactly like the graph
 where node i is replicated v_i times: edge conductances add, so the full
 harmonic solution is recovered from the small system
-``(L_uu + gamma_g V_uu) l_u = W_ul l_l`` with W = V W~ V.  The centroid
-graph has at most ``capacity`` nodes, so it is kept as dense arrays and the
-system is factored densely.
+``(L_uu + gamma_g V_uu) l_u = W_ul l_l`` with W = V W~ V, which
+``harmonic.solve_harmonic`` solves.  The centroid graph has at most
+``capacity`` nodes, so it is kept as dense arrays and the system is
+factored densely.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import InputError
-from .graph import GraphConfig, mass_laplacian
-from .harmonic import DEFAULT_TOL, SoftLabels, check_labeled_components, solve_spd
+from .graph import GraphConfig
+from .harmonic import DEFAULT_TOL, SoftLabels, check_gamma_g, solve_harmonic
 
 ABSTAIN = 0
 
@@ -215,25 +216,8 @@ def compact_harmonic(cg: CompactGraph, centroid_labels: np.ndarray, gamma_g: flo
                      tol: float = DEFAULT_TOL) -> SoftLabels:
     """Harmonic solution over centroids that equals the full solve on the
     graph where centroid i is replicated multiplicities[i] times."""
-    labels = np.asarray(centroid_labels, dtype=np.float64)
-    if labels.shape != (cg.k,):
-        raise InputError("centroid_labels must have one entry per centroid")
-    labeled = labels != 0
-    if not labeled.any():
-        raise InputError("at least one labeled centroid required")
-    values = labels.copy()
-    unlabeled = ~labeled
-    if not unlabeled.any():
-        return SoftLabels(values, "compact_hs")
-    if gamma_g == 0.0:
-        check_labeled_components(cg.centroid_weights, labeled)
-    u_idx = np.flatnonzero(unlabeled)
-    l_idx = np.flatnonzero(labeled)
-    lap = mass_laplacian(cg.centroid_weights, cg.multiplicities)
-    a = lap[np.ix_(u_idx, u_idx)]
-    a[np.diag_indices_from(a)] += gamma_g * cg.multiplicities[u_idx]
-    b = -lap[np.ix_(u_idx, l_idx)] @ labels[l_idx]
-    values[u_idx] = solve_spd(a, b, tol)
+    values = solve_harmonic(cg.centroid_weights, centroid_labels, gamma_g,
+                            multiplicities=cg.multiplicities, tol=tol)
     return SoftLabels(values, "compact_hs")
 
 
@@ -279,8 +263,10 @@ def predict_online(state: QuantizerState, x: np.ndarray, label: int, gamma_g: fl
 
     Centroid similarities are cut at eps = 0.1 * gamma_g; a point whose
     centroid sits in a component with no labeled centroid is treated as
-    an outlier and the step abstains.
+    an outlier and the step abstains.  An invalid gamma_g raises before
+    the sketch changes.
     """
+    check_gamma_g(gamma_g)
     idx = state.observe(x, label)
     labels = np.asarray(state.centroid_labels, dtype=np.float64)
     if not np.any(labels != 0):

@@ -133,12 +133,7 @@ def _transductive_scores(method: str, params: dict, ps: PointSet,
                                 priors=str(params.get("priors", "empirical")))
     if method == "knn":
         return weighted_knn_scores_loo(ps, _sigma(params))
-    cfg = SoftConfig(gamma_g=float(params.get("gamma_g", 1.0)),
-                     c_l=float(params.get("c_l", 1.0)),
-                     c_u=float(params.get("c_l", 1.0)))
-    gcfg = GraphConfig(mode="knn", k_neighbors=int(params.get("knn", 10)),
-                       sigma=_sigma(params))
-    return softhad_score(build_graph(ps, gcfg), ps.labels, cfg)
+    return _softhad_scores(params, ps)
 
 
 def _train_test_scores(method: str, params: dict, train: PointSet,
@@ -149,16 +144,19 @@ def _train_test_scores(method: str, params: dict, train: PointSet,
         if method == "rwcad":
             return rwcad_scores(model, test.points, test.labels, lams)
         return weighted_knn_scores(model, test.points, test.labels)
-    cfg = SoftConfig(gamma_g=float(params.get("gamma_g", 1.0)),
-                     c_l=float(params.get("c_l", 1.0)),
-                     c_u=float(params.get("c_l", 1.0)))
     combined = PointSet(np.vstack([train.points, test.points]),
                         np.concatenate([train.labels, test.labels]),
                         train.feature_weights)
+    return _softhad_scores(params, combined)[train.n:]
+
+
+def _softhad_scores(params: dict, ps: PointSet) -> np.ndarray:
+    cfg = SoftConfig(gamma_g=float(params.get("gamma_g", 1.0)),
+                     c_l=float(params.get("c_l", 1.0)),
+                     c_u=float(params.get("c_l", 1.0)))
     gcfg = GraphConfig(mode="knn", k_neighbors=int(params.get("knn", 10)),
                        sigma=_sigma(params))
-    scores = softhad_score(build_graph(combined, gcfg), combined.labels, cfg)
-    return scores[train.n:]
+    return softhad_score(build_graph(ps, gcfg), ps.labels, cfg)
 
 
 @dataclass

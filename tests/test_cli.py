@@ -332,3 +332,24 @@ def test_unknown_input_path_reports_error(tmp_path, capsys):
                "--out", str(tmp_path / "e.txt")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_label_free_component_reports_error(tmp_path, capsys):
+    # knn:1 splits three far-apart pairs into components; the last pair has
+    # no label, so the hard system at gamma_g = 0 is singular
+    pts = np.array([[0.0, 0.0], [0.1, 0.0], [10.0, 0.0], [10.1, 0.0],
+                    [20.0, 0.0], [20.1, 0.0]])
+    data = tmp_path / "data.csv"
+    write_points_csv(data, PointSet(pts, np.array([1, 0, -1, 0, 0, 0])))
+    rc = main(["ssl", "--input", str(data), "--mode", "hard", "--gamma-g", "0",
+               "--graph", "knn:1", "--sigma", "1", "--out", str(tmp_path / "s.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "label-free component" in err
+
+
+def test_online_negative_gamma_reports_error(tmp_path, capsys):
+    rc = main(["online-ssl", "--input", str(_ssl_input(tmp_path)), "--k", "8",
+               "--gamma-g", "-1", "--sigma", "1", "--out", str(tmp_path / "o.csv")])
+    assert rc == 2
+    assert "gamma_g" in capsys.readouterr().err

@@ -165,6 +165,15 @@ class TestCompactHarmonic:
         with pytest.raises(InputError):
             compact_harmonic(cg, np.zeros(2), 1.0)
 
+    @pytest.mark.parametrize("gamma_g", [-0.01, np.nan, np.inf])
+    def test_invalid_gamma_rejected(self, gamma_g):
+        # on the 4-node path labeled [1, 0, 0, 0], gamma_g = -0.01 used to
+        # give values of 1.03 to 1.06, outside the label range
+        w = np.diag(np.ones(3), 1) + np.diag(np.ones(3), -1)
+        cg = CompactGraph(w, np.ones(4))
+        with pytest.raises(InputError, match="gamma_g"):
+            compact_harmonic(cg, np.array([1, 0, 0, 0]), gamma_g)
+
 
 class TestPredictOnline:
     CFG = GraphConfig(mode="epsilon", sigma=1.0)
@@ -212,6 +221,20 @@ class TestPredictOnline:
         state = QuantizerState(4)
         step = predict_online(state, np.array([0.0, 0.0]), 0, 0.1, self.CFG)
         assert step.abstained
+
+    @pytest.mark.parametrize("gamma_g", [-0.01, np.nan, np.inf])
+    def test_invalid_gamma_rejected_before_observing(self, gamma_g):
+        state = QuantizerState(4)
+        for x, lab in (([0.0, 0.0], 1), ([0.5, 0.0], 0), ([3.0, 0.0], -1)):
+            predict_online(state, np.array(x), lab, 0.1, self.CFG)
+        before = copy.deepcopy(state)
+        with pytest.raises(InputError, match="gamma_g"):
+            predict_online(state, np.array([0.2, 0.1]), 1, gamma_g, self.CFG)
+        assert state.observed == before.observed == 3
+        assert state.multiplicities == before.multiplicities
+        assert state.centroid_labels == before.centroid_labels
+        assert state.radius == before.radius
+        assert np.array_equal(state.centroids, before.centroids)
 
 
 # Test-only copies of the list-based quantizer and the sparse compact solve
