@@ -8,11 +8,14 @@ its weights are always mutually consistent.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components as _cc
+from scipy.spatial import cKDTree
 
 from . import _kernels
 from .errors import DegenerateGraphError, InputError
@@ -70,9 +73,12 @@ class GraphConfig:
     """How to sparsify and weight a similarity graph.
 
     mode "knn" keeps an edge when either endpoint ranks the other among
-    its k_neighbors nearest (union rule); mode "epsilon" keeps every
-    pairwise weight >= eps_cut.  sigma == None applies the heuristic
-    0.1 * mean of the per-feature standard deviations.
+    its k_neighbors nearest (union rule); neighbours are ranked by
+    (distance, index), so ties and duplicate points go to the lowest
+    index, and the graph is built in O(n * k_neighbors) memory.  mode
+    "epsilon" keeps every pairwise weight >= eps_cut from the dense n x n
+    weights.  sigma == None applies the heuristic 0.1 * mean of the
+    per-feature standard deviations.
     """
 
     mode: str = "knn"
@@ -84,25 +90,35 @@ class GraphConfig:
     def __post_init__(self):
         if self.mode not in ("knn", "epsilon"):
             raise InputError(f"unknown graph mode {self.mode!r}")
+        try:
+            object.__setattr__(self, "k_neighbors", operator.index(self.k_neighbors))
+        except TypeError:
+            raise InputError("k_neighbors must be an integer") from None
         if self.mode == "knn" and self.k_neighbors < 1:
             raise InputError("k_neighbors must be >= 1")
+        if not math.isfinite(self.eps_cut):
+            raise InputError("eps_cut must be finite")
         if self.mode == "epsilon" and self.eps_cut < 0:
             raise InputError("eps_cut must be >= 0")
-        if self.sigma is not None and not self.sigma > 0:
-            raise InputError("sigma must be positive when given")
+        if self.sigma is not None and not (self.sigma > 0 and math.isfinite(self.sigma)):
+            raise InputError("sigma must be positive and finite when given")
 
     @classmethod
     def parse(cls, text: str, sigma: float | None = None,
               normalize_by_p: bool = True) -> "GraphConfig":
         """Parse the CLI syntax ``knn:K`` or ``eps:E``."""
         kind, _, value = text.partition(":")
+        if kind not in ("knn", "eps"):
+            raise InputError(f"unknown graph spec {text!r}")
+        try:
+            number = int(value or 5) if kind == "knn" else float(value or 0.0)
+        except ValueError:
+            raise InputError(f"bad number in graph spec {text!r}") from None
         if kind == "knn":
-            return cls(mode="knn", k_neighbors=int(value or 5), sigma=sigma,
+            return cls(mode="knn", k_neighbors=number, sigma=sigma,
                        normalize_by_p=normalize_by_p)
-        if kind == "eps":
-            return cls(mode="epsilon", eps_cut=float(value or 0.0), sigma=sigma,
-                       normalize_by_p=normalize_by_p)
-        raise InputError(f"unknown graph spec {text!r}")
+        return cls(mode="epsilon", eps_cut=number, sigma=sigma,
+                   normalize_by_p=normalize_by_p)
 
 
 class SimilarityGraph:
@@ -180,34 +196,109 @@ def gaussian_weights_matrix(a: np.ndarray, b: np.ndarray, sigma: float, psi: np.
     return np.exp(-d / denom)
 
 
-def _knn_mask(dists: np.ndarray, k: int) -> np.ndarray:
-    n = dists.shape[0]
-    d = dists.copy()
-    np.fill_diagonal(d, np.inf)
-    order = np.argsort(d, axis=1, kind="stable")
-    mask = np.zeros((n, n), dtype=bool)
+# entries of one block of exact distances in _ranked_exactly (32 MB of float64)
+_EXACT_BLOCK = 1 << 22
+
+
+def _ranked_exactly(x: np.ndarray, psi: np.ndarray, k: int,
+                    idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows idx of the k-NN lists by a stable argsort of each exact distance
+    row, computed in blocks of at most _EXACT_BLOCK entries."""
+    nbrs, nd = np.empty((idx.size, k), dtype=np.intp), np.empty((idx.size, k))
+    step = max(1, _EXACT_BLOCK // len(x))
+    for start in range(0, idx.size, step):
+        part = idx[start:start + step]
+        block = _kernels.cross_sq_dists(x[part], x, psi)
+        block[np.arange(part.size), part] = np.inf
+        rows = slice(start, start + part.size)
+        nbrs[rows] = np.argsort(block, axis=1, kind="stable")[:, :k]
+        nd[rows] = np.take_along_axis(block, nbrs[rows], axis=1)
+    return nbrs, nd
+
+
+def _knn_lists(x: np.ndarray, psi: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's k nearest other points, ranked by (squared distance,
+    index), and those squared distances: two n x k arrays.
+
+    A KD-tree on the centred, sqrt(psi)-scaled points proposes 2k + 1
+    candidates per row (the point itself usually among them); their exact
+    distances are ranked.  A row stands only if every point outside its
+    candidates is provably farther than its k-th neighbour, with a slack
+    bounding the rounding of the scaled coordinates and of the tree's own
+    distances.  Other rows (ties at the candidate boundary, many duplicate
+    points) are ranked exactly against all n points.  The lists equal a
+    stable argsort of the dense distance rows.
+    """
+    n, p = x.shape
+    z = (x - x.mean(axis=0)) * np.sqrt(psi)
+    z_max = float(np.sqrt(np.max(np.einsum("ij,ij->i", z, z))))
+    if not z_max < 1e153:       # the tree's squared distances could overflow
+        return _ranked_exactly(x, psi, k, np.arange(n))
+    m = min(n, 2 * k + 1)
+    kd_dist, cand = cKDTree(z).query(z, k=m)
+    d = _kernels.pair_sq_dists(x, np.repeat(np.arange(n), m), cand.ravel(), psi).reshape(n, m)
+    d[cand == np.arange(n)[:, None]] = np.inf
+    order = np.lexsort((cand, d))[:, :k]
+    nbrs = np.take_along_axis(cand, order, axis=1)
+    nd = np.take_along_axis(d, order, axis=1)
+    if m == n:
+        return nbrs, nd
+    # Scaling moves a coordinate by a few u * |z|, and the tree's distances
+    # are off by a few u * (p + 2) * r: both bounded by the slack, in the
+    # norm domain.  The last term covers subnormal rounding.
+    u = np.finfo(np.float64).eps
+    r = kd_dist[:, -1]
+    slack = 8 * u * (p + 2) * (z_max + r) + np.sqrt((p + 2) * np.finfo(np.float64).tiny)
+    redo = np.flatnonzero(~(np.sqrt(nd[:, -1]) < r - slack))
+    nbrs[redo], nd[redo] = _ranked_exactly(x, psi, k, redo)
+    return nbrs, nd
+
+
+def _knn_weights(ps: PointSet, k: int, denom: float) -> sp.csr_matrix:
+    """Union-rule k-NN weight matrix in canonical CSR, zeros dropped."""
+    n = ps.n
+    nbrs, nd = _knn_lists(ps.points, ps.feature_weights, k)
     rows = np.repeat(np.arange(n), k)
-    mask[rows, order[:, :k].ravel()] = True
-    return mask | mask.T
+    key = np.concatenate([rows * n + nbrs.ravel(), nbrs.ravel() * n + rows])
+    # both directions of an edge carry the same distance bit for bit
+    key, first = np.unique(key, return_index=True)
+    w = np.exp(-nd.ravel()[first % rows.size] / denom)
+    keep = w != 0.0
+    key, w = key[keep], w[keep]
+    indptr = np.searchsorted(key, np.arange(n + 1) * n)
+    return sp.csr_matrix((w, key % n, indptr), shape=(n, n))
 
 
 def build_graph(ps: PointSet, cfg: GraphConfig) -> SimilarityGraph:
-    """Gaussian-weighted similarity graph, sparsified per ``cfg``."""
+    """Gaussian-weighted similarity graph, sparsified per ``cfg``.
+
+    k-NN mode ranks each point's neighbours by (squared distance, index):
+    ties, duplicate points included, go to the lowest index.  It needs
+    O(n*k) memory and never forms an n x n matrix.  Epsilon mode forms the
+    dense n x n weights.  Raises ``DegenerateGraphError`` when every weight
+    the graph would keep underflows to 0 (sigma too small for the data).
+    """
     n = ps.n
     if n < 2:
         raise InputError("graph construction needs at least 2 points")
     if cfg.mode == "knn" and cfg.k_neighbors >= n:
         raise InputError("k_neighbors must be smaller than the number of points")
     sigma = resolve_sigma(cfg, ps.points)
-    dists = _kernels.pairwise_sq_dists(ps.points, ps.feature_weights)
     denom = ps.p * sigma * sigma if cfg.normalize_by_p else sigma * sigma
-    w = np.exp(-dists / denom)
-    np.fill_diagonal(w, 0.0)
     if cfg.mode == "knn":
-        w[~_knn_mask(dists, cfg.k_neighbors)] = 0.0
+        w = _knn_weights(ps, cfg.k_neighbors, denom)
+        underflow = w.nnz == 0
     else:
+        dists = _kernels.pairwise_sq_dists(ps.points, ps.feature_weights)
+        w = np.exp(-dists / denom)
+        np.fill_diagonal(w, 0.0)
+        underflow = not w.any()
         w[w < cfg.eps_cut] = 0.0
-    return SimilarityGraph(sp.csr_matrix(w))
+        w = sp.csr_matrix(w)
+    if underflow:
+        raise DegenerateGraphError(
+            f"every {cfg.mode} edge weight underflows to 0 at sigma={sigma:.17g}")
+    return SimilarityGraph(w)
 
 
 def laplacian(g: SimilarityGraph, normalized: bool = False) -> sp.csr_matrix:

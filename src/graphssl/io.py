@@ -10,6 +10,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import InputError
 from .graph import PointSet, SimilarityGraph
@@ -59,12 +60,11 @@ def read_truth_csv(path: str | Path) -> dict[str, np.ndarray]:
 
 
 def write_edge_list(path: str | Path, g: SimilarityGraph) -> None:
-    """Upper-triangle edges as ``i,j,w`` with i < j."""
-    coo = g.weights.tocoo()
-    lines = []
-    for i, j, w in sorted(zip(coo.row, coo.col, coo.data)):
-        if i < j:
-            lines.append(f"{i},{j},{fmt17(w)}")
+    """Upper-triangle edges as ``i,j,w`` with i < j, in row-major order."""
+    upper = sp.triu(g.weights, 1, format="csr")     # canonical: sorted, summed
+    rows = np.repeat(np.arange(upper.shape[0]), np.diff(upper.indptr))
+    lines = [f"{i},{j},{fmt17(w)}" for i, j, w in
+             zip(rows.tolist(), upper.indices.tolist(), upper.data.tolist())]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -353,3 +353,14 @@ def test_online_negative_gamma_reports_error(tmp_path, capsys):
                "--gamma-g", "-1", "--sigma", "1", "--out", str(tmp_path / "o.csv")])
     assert rc == 2
     assert "gamma_g" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--graph", "knn:abc"], ["--graph", "knn:2.5"],
+                                   ["--graph", "eps:nan"], ["--sigma", "inf"],
+                                   ["--sigma", "1e-5"]])
+def test_bad_graph_settings_report_error(tmp_path, capsys, flags):
+    # the last case is valid syntax, but every weight underflows to 0
+    rc = main(["build-graph", "--input", str(_ssl_input(tmp_path)), "--graph", "knn:3",
+               "--sigma", "1.0", *flags, "--out", str(tmp_path / "e.txt")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")

@@ -134,6 +134,38 @@ class TestBuildGraph:
         assert np.allclose(w1, w3, rtol=1e-10)
 
 
+class TestGraphConfig:
+    @pytest.mark.parametrize("sigma", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_sigma_must_be_positive_and_finite(self, sigma):
+        with pytest.raises(InputError, match="sigma"):
+            GraphConfig(sigma=sigma)
+
+    @pytest.mark.parametrize("mode", ["knn", "epsilon"])
+    @pytest.mark.parametrize("eps_cut", [math.nan, math.inf, -math.inf])
+    def test_eps_cut_must_be_finite(self, mode, eps_cut):
+        with pytest.raises(InputError, match="eps_cut"):
+            GraphConfig(mode=mode, eps_cut=eps_cut)
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, "3", None])
+    def test_k_neighbors_must_be_an_integer(self, k):
+        with pytest.raises(InputError, match="k_neighbors"):
+            GraphConfig(k_neighbors=k)
+
+    def test_integer_like_k_neighbors_become_int(self):
+        assert type(GraphConfig(k_neighbors=np.int64(3)).k_neighbors) is int
+
+    @pytest.mark.parametrize("spec", ["knn:abc", "knn:2.5", "eps:x", "eps:nan", "eps:inf",
+                                      "ring:3"])
+    def test_parse_rejects_bad_specs_with_input_error(self, spec):
+        with pytest.raises(InputError):
+            GraphConfig.parse(spec)
+
+    def test_parse(self):
+        assert GraphConfig.parse("knn:7") == GraphConfig(mode="knn", k_neighbors=7)
+        assert GraphConfig.parse("eps:0.25", sigma=2.0) == GraphConfig(
+            mode="epsilon", eps_cut=0.25, sigma=2.0)
+
+
 class TestLaplacian:
     def test_two_node_unit_edge(self):
         g = SimilarityGraph(sp.csr_matrix(np.array([[0.0, 1], [1, 0]])))

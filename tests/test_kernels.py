@@ -88,6 +88,8 @@ def test_scipy_kernels_match_einsum_reference(inputs):
     assert np.array_equal(d, d.T)
     assert np.all(np.diag(d) == 0.0)
     assert np.array_equal(_kernels.cross_sq_dists(x, b, psi), _einsum_cross(x, b, psi))
+    i, j = np.indices(d.shape).reshape(2, -1)
+    assert np.array_equal(_kernels.pair_sq_dists(x, i, j, psi), d.ravel())
 
 
 def test_integer_input_upcast():

@@ -1,0 +1,148 @@
+"""The KD-tree k-NN builder against the dense construction it replaced."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from graphssl import (DegenerateGraphError, GraphConfig, PointSet, SimilarityGraph,
+                      build_graph)
+from graphssl import _kernels
+from graphssl.graph import _knn_lists, resolve_sigma
+
+
+def _knn_mask(dists, k):
+    n = dists.shape[0]
+    d = dists.copy()
+    np.fill_diagonal(d, np.inf)
+    order = np.argsort(d, axis=1, kind="stable")
+    mask = np.zeros((n, n), dtype=bool)
+    rows = np.repeat(np.arange(n), k)
+    mask[rows, order[:, :k].ravel()] = True
+    return mask | mask.T
+
+
+def dense_reference(ps, cfg):
+    """The dense k-NN construction: n x n distances and weights, a stable
+    argsort of every row, the union of the k-NN masks."""
+    sigma = resolve_sigma(cfg, ps.points)
+    dists = _kernels.pairwise_sq_dists(ps.points, ps.feature_weights)
+    denom = ps.p * sigma * sigma if cfg.normalize_by_p else sigma * sigma
+    w = np.exp(-dists / denom)
+    np.fill_diagonal(w, 0.0)
+    w[~_knn_mask(dists, cfg.k_neighbors)] = 0.0
+    return SimilarityGraph(sp.csr_matrix(w)).weights
+
+
+def assert_same_csr(got, want):
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, part), getattr(want, part)), part
+
+
+@st.composite
+def _knn_cases(draw):
+    n = draw(st.integers(2, 300))
+    k = draw(st.integers(1, n - 1))
+    p = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = 10.0 ** draw(st.integers(-9, 2))
+    x = rng.normal(size=(n, p)) * spread
+    layout = draw(st.sampled_from(["normal", "duplicated", "grid"]))
+    if layout == "duplicated":
+        x = x[rng.integers(0, max(1, n // 3), size=n)]
+    elif layout == "grid":
+        x = np.round(2 * x / spread) * spread / 2
+    offset = draw(st.sampled_from(["none", "shared", "split"]))
+    if offset == "shared":
+        x = x + 1e6
+    elif offset == "split":     # two far groups: the scaled coordinates dwarf the spread
+        x = x + 1e6 * (rng.random((n, 1)) < 0.5)
+    weights = draw(st.sampled_from(["ones", "random", "with zeros"]))
+    psi = np.ones(p) if weights == "ones" else rng.random(p)
+    if weights == "with zeros":
+        psi[rng.random(p) < 0.5] = 0.0
+    cfg = GraphConfig(mode="knn", k_neighbors=k, sigma=spread,
+                      normalize_by_p=draw(st.booleans()))
+    return PointSet(x, np.zeros(n, dtype=int), psi), cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(_knn_cases())
+def test_knn_graph_bit_identical_to_dense_reference(case):
+    ps, cfg = case
+    want = dense_reference(ps, cfg)
+    if want.nnz == 0:
+        with pytest.raises(DegenerateGraphError):
+            build_graph(ps, cfg)
+        return
+    assert_same_csr(build_graph(ps, cfg).weights, want)
+
+
+def test_ties_go_to_the_lowest_index():
+    # 3 and 4 duplicate 0; -1 and 1 tie at distance 1 from 0.  The far
+    # points make the tree propose candidates rather than every point.
+    pts = np.concatenate([[0.0, -1.0, 1.0, 0.0, 0.0], 100.0 + np.arange(20.0)])[:, None]
+    nbrs, dists = _knn_lists(pts, np.ones(1), 2)
+    assert nbrs[:5].tolist() == [[3, 4], [0, 3], [0, 3], [0, 4], [0, 3]]
+    assert dists[:5].tolist() == [[0, 0], [1, 1], [1, 1], [0, 0], [0, 0]]
+
+
+def test_many_duplicates_fall_back_to_exact_rows():
+    # 40 copies of one point outnumber the 2k + 1 tree candidates
+    rng = np.random.default_rng(5)
+    pts = np.vstack([np.zeros((40, 2)), rng.normal(size=(20, 2))])
+    ps = PointSet(pts, np.zeros(60, dtype=int))
+    cfg = GraphConfig(mode="knn", k_neighbors=3, sigma=1.0)
+    assert_same_csr(build_graph(ps, cfg).weights, dense_reference(ps, cfg))
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e200, 1e307])
+def test_huge_coordinates_rank_exactly(scale):
+    # squared distances overflow to inf; those pairs tie and weigh 0
+    rng = np.random.default_rng(2)
+    pts = rng.normal(size=(40, 2))
+    pts[:5] *= scale
+    ps = PointSet(pts, np.zeros(40, dtype=int))
+    cfg = GraphConfig(mode="knn", k_neighbors=3, sigma=1.0)
+    assert_same_csr(build_graph(ps, cfg).weights, dense_reference(ps, cfg))
+
+
+def test_knn_memory_is_linear_in_n():
+    n = 30_000
+    bound = n * n * 8 // 40       # one n x n float64 matrix / 40
+    rng = np.random.default_rng(0)
+    pts = rng.normal(size=(n, 2))
+    pts[: n // 2] += 3.0
+    ps = PointSet(pts, np.zeros(n, dtype=int))
+    tracemalloc.start()
+    try:
+        g = build_graph(ps, GraphConfig(mode="knn", k_neighbors=10, sigma=0.3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n == n and g.weights.nnz >= n * 10
+    assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
+
+
+class TestUnderflow:
+    def _points(self):
+        return PointSet(np.random.default_rng(0).normal(size=(30, 2)),
+                        np.zeros(30, dtype=int))
+
+    def test_knn_weights_all_underflow(self):
+        with pytest.raises(DegenerateGraphError, match="sigma=0.001"):
+            build_graph(self._points(), GraphConfig(mode="knn", k_neighbors=5, sigma=1e-3))
+
+    def test_epsilon_weights_all_underflow(self):
+        with pytest.raises(DegenerateGraphError, match="sigma=0.001"):
+            build_graph(self._points(), GraphConfig(mode="epsilon", sigma=1e-3))
+
+    def test_partial_underflow_keeps_the_rest(self):
+        # a far-away pair underflows, the near pairs do not
+        pts = np.array([[0.0], [0.1], [0.2], [1000.0]])
+        g = build_graph(PointSet(pts, np.zeros(4, dtype=int)),
+                        GraphConfig(mode="knn", k_neighbors=1, sigma=0.1))
+        assert g.weights.nnz == 4 and g.degrees[3] == 0.0
