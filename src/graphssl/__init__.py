@@ -22,7 +22,7 @@ from .joint import (BackboneState, JointConfig, elastic_joint, infer_unlabeled,
 from .metrics import auroc
 from .online import (CompactGraph, OnlineStep, QuantizerState, compact_harmonic,
                      max_distortion, observe, predict_online)
-from .plan import ExperimentPlan, grid_points, plan_from_config, run_plan
+from .plan import ExperimentPlan, cad_scores, grid_points, plan_from_config, run_plan
 from .rng import PortableRng
 
 __version__ = "0.1.0"

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import DegenerateGraphError, InputError
-from .graph import PointSet, SimilarityGraph, gaussian_weights_matrix, sigma_from_points
+from .graph import (PointSet, SimilarityGraph, gaussian_of_sq_dists,
+                    gaussian_weights_matrix, sigma_from_points)
 from .harmonic import DEFAULT_TOL, SoftConfig, soft_harmonic, solve_harmonic
 from .rng import PortableRng
 
@@ -94,9 +95,8 @@ def fit_cad_model(train: PointSet, lam: float = 0.0, sigma: float | None = None,
     def class_vol(pts):
         if pts.shape[0] < 2:
             return 0.0
-        d2 = _kernels.pairwise_sq_dists(pts, psi)
-        denom = pts.shape[1] * sigma * sigma if normalize_by_p else sigma * sigma
-        w = np.exp(-d2 / denom)
+        w = gaussian_of_sq_dists(_kernels.pairwise_sq_dists(pts, psi), pts.shape[1], sigma,
+                                 normalize_by_p)
         np.fill_diagonal(w, 0.0)
         return float(w.sum())
 
@@ -161,9 +161,8 @@ def weighted_knn_score(train: PointSet, x_e: np.ndarray, y_e: int,
 def _loo_masses(ps: PointSet, sigma: float, normalize_by_p: bool):
     """Per-example own/other-class kernel masses with the example's own
     contribution removed from its class."""
-    d2 = _kernels.pairwise_sq_dists(ps.points, ps.feature_weights)
-    denom = ps.p * sigma * sigma if normalize_by_p else sigma * sigma
-    k = np.exp(-d2 / denom)
+    k = gaussian_of_sq_dists(_kernels.pairwise_sq_dists(ps.points, ps.feature_weights),
+                             ps.p, sigma, normalize_by_p)
     np.fill_diagonal(k, 0.0)
     m_pos = k[:, ps.labels == 1].sum(axis=1)
     m_neg = k[:, ps.labels == -1].sum(axis=1)

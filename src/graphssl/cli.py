@@ -11,19 +11,17 @@ from pathlib import Path
 import numpy as np
 
 from . import io as gio
-from .cad import (TaskScaling, fit_cad_model, rwcad_scores, rwcad_scores_loo,
-                  scale_scores, softhad_score, weighted_knn_scores,
-                  weighted_knn_scores_loo)
+from .cad import TaskScaling, scale_scores
 from .cuts import CutClassifier, KernelSpec, train_on_induced
 from .datasets import (CoreSpec, MixtureSpec, flip_labels, gen_core_dataset,
                        gen_gauss_mixture, load_dataset_spec, true_anomaly_scores)
 from .errors import DegenerateGraphError, InputError, SolverError
-from .graph import GraphConfig, PointSet, build_graph, resolve_sigma
+from .graph import GraphConfig, build_graph, resolve_sigma
 from .harmonic import SoftConfig, hard_harmonic, soft_harmonic
 from .joint import JointConfig, elastic_joint, infer_unlabeled
 from .metrics import auroc
 from .online import QuantizerState, predict_online
-from .plan import plan_from_config, run_plan
+from .plan import cad_scores, plan_from_config, run_plan
 
 
 def _sigma_arg(value: str) -> float | None:
@@ -165,26 +163,11 @@ def cmd_mmgc_predict(args) -> int:
 def cmd_cad(args) -> int:
     train = gio.read_points_csv(args.train)
     test = gio.read_points_csv(args.test)
-    sigma = args.sigma_value
-    if args.method in ("rwcad", "knn"):
-        model = fit_cad_model(train, args.lam, sigma, priors=args.priors)
-        if args.method == "rwcad":
-            raw = rwcad_scores(model, test.points, test.labels)
-            train_raw = rwcad_scores_loo(train, args.lam, model.sigma, priors=args.priors)
-        else:
-            raw = weighted_knn_scores(model, test.points, test.labels)
-            train_raw = weighted_knn_scores_loo(train, model.sigma)
-    else:
-        cfg = SoftConfig(gamma_g=args.gamma_g, c_l=args.c_l, c_u=args.c_l)
-        combined = PointSet(np.vstack([train.points, test.points]),
-                            np.concatenate([train.labels, test.labels]))
-        g = build_graph(combined, GraphConfig.parse(args.graph, sigma=sigma))
-        scores = softhad_score(g, combined.labels, cfg)
-        train_raw, raw = scores[:train.n], scores[train.n:]
-    if args.scale == "minmax":
-        scaled = scale_scores(TaskScaling.fit(train_raw), raw)
-    else:
-        scaled = raw
+    scores = cad_scores(args.method, train, test, lam=args.lam, sigma=args.sigma_value,
+                        priors=args.priors, graph=GraphConfig.parse(args.graph),
+                        gamma_g=args.gamma_g, c_l=args.c_l)
+    train_raw, raw = scores[:train.n], scores[train.n:]
+    scaled = scale_scores(TaskScaling.fit(train_raw), raw) if args.scale == "minmax" else raw
     gio.write_scores_csv(args.out, raw, scaled)
     return 0
 

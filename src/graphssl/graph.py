@@ -184,16 +184,21 @@ def gaussian_weight(xi, xj, sigma: float, psi=None, normalize_by_p: bool = True)
     if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(xj)) and np.all(np.isfinite(psi))):
         raise InputError("non-finite input")
     sq = float(np.sum(psi * (xi - xj) ** 2))
-    denom = xi.size * sigma * sigma if normalize_by_p else sigma * sigma
-    return float(np.exp(-sq / denom))
+    return float(gaussian_of_sq_dists(sq, xi.size, sigma, normalize_by_p))
+
+
+def gaussian_of_sq_dists(d2, p: int, sigma: float, normalize_by_p: bool):
+    """exp(-d2 / (p sigma^2)), or exp(-d2 / sigma^2) when normalize_by_p is
+    off; the one place the divisor is formed, as (p * sigma) * sigma."""
+    denom = p * sigma * sigma if normalize_by_p else sigma * sigma
+    return np.exp(-d2 / denom)
 
 
 def gaussian_weights_matrix(a: np.ndarray, b: np.ndarray, sigma: float, psi: np.ndarray,
                             normalize_by_p: bool = True) -> np.ndarray:
     """Dense kernel block between two point arrays (rows of a vs rows of b)."""
-    d = _kernels.cross_sq_dists(a, b, psi)
-    denom = a.shape[1] * sigma * sigma if normalize_by_p else sigma * sigma
-    return np.exp(-d / denom)
+    return gaussian_of_sq_dists(_kernels.cross_sq_dists(a, b, psi), a.shape[1], sigma,
+                                normalize_by_p)
 
 
 # entries of one block of exact distances in _ranked_exactly (32 MB of float64)
@@ -254,7 +259,7 @@ def _knn_lists(x: np.ndarray, psi: np.ndarray, k: int) -> tuple[np.ndarray, np.n
     return nbrs, nd
 
 
-def _knn_weights(ps: PointSet, k: int, denom: float) -> sp.csr_matrix:
+def _knn_weights(ps: PointSet, k: int, sigma: float, normalize_by_p: bool) -> sp.csr_matrix:
     """Union-rule k-NN weight matrix in canonical CSR, zeros dropped."""
     n = ps.n
     nbrs, nd = _knn_lists(ps.points, ps.feature_weights, k)
@@ -262,7 +267,7 @@ def _knn_weights(ps: PointSet, k: int, denom: float) -> sp.csr_matrix:
     key = np.concatenate([rows * n + nbrs.ravel(), nbrs.ravel() * n + rows])
     # both directions of an edge carry the same distance bit for bit
     key, first = np.unique(key, return_index=True)
-    w = np.exp(-nd.ravel()[first % rows.size] / denom)
+    w = gaussian_of_sq_dists(nd.ravel()[first % rows.size], ps.p, sigma, normalize_by_p)
     keep = w != 0.0
     key, w = key[keep], w[keep]
     indptr = np.searchsorted(key, np.arange(n + 1) * n)
@@ -284,13 +289,12 @@ def build_graph(ps: PointSet, cfg: GraphConfig) -> SimilarityGraph:
     if cfg.mode == "knn" and cfg.k_neighbors >= n:
         raise InputError("k_neighbors must be smaller than the number of points")
     sigma = resolve_sigma(cfg, ps.points)
-    denom = ps.p * sigma * sigma if cfg.normalize_by_p else sigma * sigma
     if cfg.mode == "knn":
-        w = _knn_weights(ps, cfg.k_neighbors, denom)
+        w = _knn_weights(ps, cfg.k_neighbors, sigma, cfg.normalize_by_p)
         underflow = w.nnz == 0
     else:
         dists = _kernels.pairwise_sq_dists(ps.points, ps.feature_weights)
-        w = np.exp(-dists / denom)
+        w = gaussian_of_sq_dists(dists, ps.p, sigma, cfg.normalize_by_p)
         np.fill_diagonal(w, 0.0)
         underflow = not w.any()
         w[w < cfg.eps_cut] = 0.0

@@ -1,7 +1,8 @@
 """CSV / JSON / edge-list formats used by the CLI.
 
 All floats are written with 17 significant digits so outputs round-trip
-exactly and runs can be compared byte for byte.
+exactly and runs can be compared byte for byte (row writers format the
+Python floats of ``tolist()`` with ``:.17g``: fmt17's bytes, but faster).
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ def fmt17(x: float) -> str:
 
 def write_points_csv(path: str | Path, ps: PointSet) -> None:
     lines = [",".join([f"f{i}" for i in range(ps.p)] + ["label"])]
-    for row, label in zip(ps.points, ps.labels):
-        lines.append(",".join([fmt17(v) for v in row] + [str(int(label))]))
+    lines += [",".join([f"{v:.17g}" for v in row]) + f",{label}"
+              for row, label in zip(ps.points.tolist(), ps.labels.tolist())]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -44,8 +45,9 @@ def read_points_csv(path: str | Path) -> PointSet:
 def write_truth_csv(path: str | Path, true_labels: np.ndarray, flipped: np.ndarray,
                     true_scores: np.ndarray) -> None:
     lines = ["index,true_label,flipped,true_anomaly_score"]
-    for i, (lab, flip, score) in enumerate(zip(true_labels, flipped, true_scores)):
-        lines.append(f"{i},{int(lab)},{int(flip)},{fmt17(score)}")
+    rows = zip(np.asarray(true_labels).tolist(), np.asarray(flipped).tolist(),
+               np.asarray(true_scores, dtype=np.float64).tolist())
+    lines += [f"{i},{int(lab)},{int(flip)},{s:.17g}" for i, (lab, flip, s) in enumerate(rows)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -70,8 +72,9 @@ def write_edge_list(path: str | Path, g: SimilarityGraph) -> None:
 
 def write_soft_labels_csv(path: str | Path, values: np.ndarray) -> None:
     lines = ["index,soft_label,predicted_sign"]
-    for i, v in enumerate(values):
-        lines.append(f"{i},{fmt17(v)},{int(np.sign(v))}")
+    values = np.asarray(values, dtype=np.float64)
+    lines += [f"{i},{v:.17g},{int(s)}"
+              for i, (v, s) in enumerate(zip(values.tolist(), np.sign(values).tolist()))]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -84,12 +87,13 @@ def write_online_csv(path: str | Path, steps: list) -> None:
 
 def write_scores_csv(path: str | Path, raw: np.ndarray, scaled: np.ndarray) -> None:
     """Scores with a 1-based rank, rank 1 being the highest raw score."""
-    order = np.lexsort((np.arange(len(raw)), -np.asarray(raw)))
+    raw, scaled = np.asarray(raw, dtype=np.float64), np.asarray(scaled, dtype=np.float64)
+    order = np.lexsort((np.arange(len(raw)), -raw))
     rank = np.empty(len(raw), dtype=np.int64)
     rank[order] = np.arange(1, len(raw) + 1)
     lines = ["index,raw_score,scaled_score,rank"]
-    for i, (r, s) in enumerate(zip(raw, scaled)):
-        lines.append(f"{i},{fmt17(r)},{fmt17(s)},{rank[i]}")
+    lines += [f"{i},{r:.17g},{s:.17g},{k}" for i, (r, s, k) in
+              enumerate(zip(raw.tolist(), scaled.tolist(), rank.tolist()))]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -114,6 +118,6 @@ def write_metrics_json(path: str | Path, metrics: dict) -> None:
 
 def write_trace_csv(path: str | Path, values: list[float]) -> None:
     lines = ["iteration,objective"]
-    for i, v in enumerate(values):
-        lines.append(f"{i},{fmt17(v)}")
+    lines += [f"{i},{v:.17g}" for i, v in
+              enumerate(np.asarray(values, dtype=np.float64).tolist())]
     Path(path).write_text("\n".join(lines) + "\n")

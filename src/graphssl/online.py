@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InputError
-from .graph import GraphConfig
+from .graph import GraphConfig, gaussian_of_sq_dists
 from .harmonic import DEFAULT_TOL, SoftLabels, check_gamma_g, solve_harmonic
 
 ABSTAIN = 0
@@ -233,9 +233,8 @@ def _centroid_similarity(state: QuantizerState, cfg: GraphConfig, eps_cut: float
     if cfg.sigma is None:
         raise InputError("online prediction needs an explicit sigma")
     psi = np.ones(pts.shape[1])
-    d2 = _kernels.pairwise_sq_dists(pts, psi)
-    denom = pts.shape[1] * cfg.sigma ** 2 if cfg.normalize_by_p else cfg.sigma ** 2
-    w = np.exp(-d2 / denom)
+    w = gaussian_of_sq_dists(_kernels.pairwise_sq_dists(pts, psi), pts.shape[1], cfg.sigma,
+                             cfg.normalize_by_p)
     np.fill_diagonal(w, 0.0)
     w[w < eps_cut] = 0.0
     return w

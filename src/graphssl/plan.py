@@ -18,6 +18,7 @@ final division.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -98,6 +99,37 @@ def grid_hash(params: dict) -> str:
     return hashlib.sha1(canon.encode()).hexdigest()[:10]
 
 
+def cad_scores(method: str, train: PointSet, test: PointSet | None = None, *,
+               lam: float | np.ndarray = 0.01, sigma: float | None = None,
+               priors: str = "empirical",
+               graph: GraphConfig = GraphConfig(mode="knn", k_neighbors=10),
+               gamma_g: float = 1.0, c_l: float = 1.0) -> np.ndarray:
+    """One anomaly score per row of ``train``, then one per row of ``test``.
+
+    rwcad and knn score ``train`` leave-one-out and ``test`` against a
+    model fitted on ``train``; a 1-D ``lam`` gives rwcad one row of scores
+    per value.  softhad scores both from one soft solve (c_u = c_l) over
+    them stacked, on ``graph`` with kernel width ``sigma``.
+    """
+    if method not in METHODS:
+        raise InputError(f"method must be one of {METHODS}")
+    if method == "softhad":
+        cfg = SoftConfig(gamma_g=gamma_g, c_l=c_l, c_u=c_l)
+        ps = train if test is None else PointSet(
+            np.vstack([train.points, test.points]),
+            np.concatenate([train.labels, test.labels]), train.feature_weights)
+        g = build_graph(ps, dataclasses.replace(graph, sigma=sigma))
+        return softhad_score(g, ps.labels, cfg)
+    rwcad = method == "rwcad"
+    if test is not None:
+        model = fit_cad_model(train, lam, sigma, priors=priors)
+        test_scores = (rwcad_scores(model, test.points, test.labels, lam) if rwcad
+                       else weighted_knn_scores(model, test.points, test.labels))
+    scores = (rwcad_scores_loo(train, lam, sigma, priors=priors) if rwcad
+              else weighted_knn_scores_loo(train, sigma))
+    return scores if test is None else np.concatenate([scores, test_scores], axis=-1)
+
+
 def score_method(method: str, params: dict, spec, seed: int, n_samples: int,
                  flip_fraction: float,
                  lams: list[float] | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -108,55 +140,24 @@ def score_method(method: str, params: dict, spec, seed: int, n_samples: int,
     """
     if isinstance(spec, MixtureSpec):
         clean = gen_gauss_mixture(spec, n_samples, seed)
-        corrupted, mask = flip_labels(clean, flip_fraction, seed + 1_000_003)
-        scores = _transductive_scores(method, params, corrupted, lams)
-        return scores, mask
-    if isinstance(spec, CoreSpec):
-        train, test, truth = gen_core_dataset(spec, seed)
-        scores = _train_test_scores(method, params, train, test, lams)
-        return scores, truth.anomaly_mask
-    raise InputError(f"unsupported dataset spec {type(spec).__name__}")
-
-
-def _sigma(params: dict) -> float | None:
-    return float(params["sigma"]) if "sigma" in params else None
+        train, truth = flip_labels(clean, flip_fraction, seed + 1_000_003)
+        test = None
+    elif isinstance(spec, CoreSpec):
+        train, test, core_truth = gen_core_dataset(spec, seed)
+        truth = core_truth.anomaly_mask
+    else:
+        raise InputError(f"unsupported dataset spec {type(spec).__name__}")
+    scores = cad_scores(
+        method, train, test, lam=_lambda(params) if lams is None else lams,
+        sigma=float(params["sigma"]) if "sigma" in params else None,
+        priors=str(params.get("priors", "empirical")),
+        graph=GraphConfig(mode="knn", k_neighbors=params.get("knn", 10)),
+        gamma_g=float(params.get("gamma_g", 1.0)), c_l=float(params.get("c_l", 1.0)))
+    return (scores if test is None else scores[..., train.n:]), truth
 
 
 def _lambda(params: dict) -> float:
     return float(params.get("lambda", 0.01))
-
-
-def _transductive_scores(method: str, params: dict, ps: PointSet,
-                         lams: list[float] | None = None) -> np.ndarray:
-    if method == "rwcad":
-        return rwcad_scores_loo(ps, _lambda(params) if lams is None else lams, _sigma(params),
-                                priors=str(params.get("priors", "empirical")))
-    if method == "knn":
-        return weighted_knn_scores_loo(ps, _sigma(params))
-    return _softhad_scores(params, ps)
-
-
-def _train_test_scores(method: str, params: dict, train: PointSet,
-                       test: PointSet, lams: list[float] | None = None) -> np.ndarray:
-    if method in ("rwcad", "knn"):
-        model = fit_cad_model(train, _lambda(params), _sigma(params),
-                              priors=str(params.get("priors", "empirical")))
-        if method == "rwcad":
-            return rwcad_scores(model, test.points, test.labels, lams)
-        return weighted_knn_scores(model, test.points, test.labels)
-    combined = PointSet(np.vstack([train.points, test.points]),
-                        np.concatenate([train.labels, test.labels]),
-                        train.feature_weights)
-    return _softhad_scores(params, combined)[train.n:]
-
-
-def _softhad_scores(params: dict, ps: PointSet) -> np.ndarray:
-    cfg = SoftConfig(gamma_g=float(params.get("gamma_g", 1.0)),
-                     c_l=float(params.get("c_l", 1.0)),
-                     c_u=float(params.get("c_l", 1.0)))
-    gcfg = GraphConfig(mode="knn", k_neighbors=int(params.get("knn", 10)),
-                       sigma=_sigma(params))
-    return softhad_score(build_graph(ps, gcfg), ps.labels, cfg)
 
 
 @dataclass

@@ -5,7 +5,7 @@ from scipy.stats import spearmanr
 
 from graphssl import (DegenerateGraphError, GraphConfig, InputError,
                       PointSet, SimilarityGraph, SoftConfig, TaskScaling,
-                      backbone_cad, build_graph, fit_cad_model,
+                      backbone_cad, build_graph, cad_scores, fit_cad_model,
                       gaussian_weight, rwcad_score, rwcad_scores, rwcad_scores_loo,
                       scale_scores, softhad_score, weighted_knn_score,
                       weighted_knn_scores, weighted_knn_scores_loo)
@@ -81,6 +81,67 @@ class TestLooMasses:
         np.fill_diagonal(k, 0.0)
         assert np.array_equal(m_pos, k[:, ps.labels == 1].sum(axis=1))
         assert np.array_equal(m_neg, k[:, ps.labels == -1].sum(axis=1))
+
+
+class TestCadScores:
+    """The scoring front end of ``graphssl cad`` and ``run-plan`` equals the
+    scorers called directly: training rows first, then test rows."""
+
+    def _split(self):
+        train = _random_labeled_set(11, n=60)
+        rng = np.random.default_rng(12)
+        test = PointSet(rng.normal(size=(25, 3)), np.where(rng.random(25) < 0.5, 1, -1))
+        return train, test
+
+    @pytest.mark.parametrize("sigma", [None, 0.7])
+    @pytest.mark.parametrize("priors", ["empirical", "uniform"])
+    def test_rwcad(self, sigma, priors):
+        train, test = self._split()
+        kw = dict(sigma=sigma, priors=priors)
+        loo = rwcad_scores_loo(train, 0.05, sigma, priors=priors)
+        tail = rwcad_scores(fit_cad_model(train, 0.05, sigma, priors=priors),
+                            test.points, test.labels)
+        assert np.array_equal(cad_scores("rwcad", train, lam=0.05, **kw), loo)
+        got = cad_scores("rwcad", train, test, lam=0.05, **kw)
+        assert np.array_equal(got, np.concatenate([loo, tail]))
+        rows = cad_scores("rwcad", train, test, lam=LAMBDA_GRID, **kw)
+        assert rows.shape == (len(LAMBDA_GRID), train.n + test.n)
+        assert np.array_equal(cad_scores("rwcad", train, lam=LAMBDA_GRID, **kw),
+                              rwcad_scores_loo(train, LAMBDA_GRID, sigma, priors=priors))
+        for k, lam in enumerate(LAMBDA_GRID):
+            assert np.array_equal(rows[k], cad_scores("rwcad", train, test, lam=lam, **kw))
+
+    @pytest.mark.parametrize("sigma", [None, 0.7])
+    def test_knn(self, sigma):
+        train, test = self._split()
+        loo = weighted_knn_scores_loo(train, sigma)
+        tail = weighted_knn_scores(fit_cad_model(train, 0.0, sigma), test.points, test.labels)
+        assert np.array_equal(cad_scores("knn", train, sigma=sigma), loo)
+        assert np.array_equal(cad_scores("knn", train, test, sigma=sigma),
+                              np.concatenate([loo, tail]))
+
+    @pytest.mark.parametrize("graph", [GraphConfig(mode="knn", k_neighbors=7),
+                                       GraphConfig(mode="epsilon", eps_cut=0.01)])
+    @pytest.mark.parametrize("sigma", [None, 0.7])
+    def test_softhad_on_the_stacked_set(self, graph, sigma):
+        train, test = self._split()
+        cfg = SoftConfig(gamma_g=0.3, c_l=2.0, c_u=2.0)
+        kw = dict(sigma=sigma, graph=graph, gamma_g=0.3, c_l=2.0)
+        gcfg = GraphConfig(mode=graph.mode, k_neighbors=graph.k_neighbors,
+                           eps_cut=graph.eps_cut, sigma=sigma)
+        alone = softhad_score(build_graph(train, gcfg), train.labels, cfg)
+        assert np.array_equal(cad_scores("softhad", train, **kw), alone)
+        both = PointSet(np.vstack([train.points, test.points]),
+                        np.concatenate([train.labels, test.labels]), train.feature_weights)
+        joint = softhad_score(build_graph(both, gcfg), both.labels, cfg)
+        assert np.array_equal(cad_scores("softhad", train, test, **kw), joint)
+
+    def test_bad_arguments_rejected(self):
+        train, test = self._split()
+        with pytest.raises(InputError, match="method"):
+            cad_scores("parzen", train, test)
+        with pytest.raises(InputError, match="gamma_g"):
+            cad_scores("softhad", train, test, gamma_g=-1.0)
 
 
 class TestSigmaValidation:

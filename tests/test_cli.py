@@ -4,11 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphssl import PointSet
+from graphssl import (GraphConfig, PointSet, SoftConfig, TaskScaling, build_graph,
+                      fit_cad_model, rwcad_scores, rwcad_scores_loo, scale_scores,
+                      softhad_score, weighted_knn_scores, weighted_knn_scores_loo)
 from graphssl.cli import main
 from graphssl.datasets import load_dataset_spec
 from graphssl.io import (read_points_csv, read_scores_csv, read_truth_csv,
-                         write_points_csv)
+                         write_points_csv, write_scores_csv)
 from graphssl.plan import grid_hash, grid_points, plan_from_config, run_plan, score_method
 
 
@@ -175,6 +177,38 @@ class TestCad:
         assert np.all((0 <= scaled) & (scaled <= 1))
 
 
+    @staticmethod
+    def _direct_scores(method, train, test, sigma):
+        """(training, test) raw scores from the scorers called directly."""
+        if method == "softhad":
+            both = PointSet(np.vstack([train.points, test.points]),
+                            np.concatenate([train.labels, test.labels]))
+            g = build_graph(both, GraphConfig.parse("knn:10", sigma=sigma))
+            scores = softhad_score(g, both.labels, SoftConfig(1.0, 1.0, 1.0))
+            return scores[:train.n], scores[train.n:]
+        model = fit_cad_model(train, 0.01, sigma)
+        if method == "rwcad":
+            return (rwcad_scores_loo(train, 0.01, sigma),
+                    rwcad_scores(model, test.points, test.labels))
+        return (weighted_knn_scores_loo(train, sigma),
+                weighted_knn_scores(model, test.points, test.labels))
+
+    @pytest.mark.parametrize("sigma", ["auto", "0.7"])
+    @pytest.mark.parametrize("scale", ["none", "minmax"])
+    @pytest.mark.parametrize("method", ["rwcad", "knn", "softhad"])
+    def test_output_equals_direct_scorers(self, tmp_path, method, scale, sigma):
+        train, test = self._train_test(tmp_path)
+        out = tmp_path / "cad.csv"
+        assert main(["cad", "--train", str(train), "--test", str(test), "--method", method,
+                     "--scale", scale, "--sigma", sigma, "--out", str(out)]) == 0
+        train_raw, raw = self._direct_scores(method, read_points_csv(train),
+                                             read_points_csv(test),
+                                             None if sigma == "auto" else 0.7)
+        scaled = scale_scores(TaskScaling.fit(train_raw), raw) if scale == "minmax" else raw
+        write_scores_csv(tmp_path / "want.csv", raw, scaled)
+        assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
 class TestEval:
     def test_metrics_json(self, tmp_path):
         scores = tmp_path / "scores.csv"
@@ -312,6 +346,29 @@ class TestRunPlan:
                                         plan.n_samples, plan.flip_fraction)
                 cell = tmp_path / "out" / "rwcad" / grid_hash(params) / f"run{run}"
                 assert np.array_equal(read_scores_csv(cell / "scores.csv"), alone)
+
+
+    def test_non_integer_knn_fails_only_its_own_cell(self, tmp_path):
+        mix = _write_mixture_cfg(tmp_path)
+
+        def softhad_plan(name, knn):
+            path = tmp_path / name
+            path.write_text(f"method = softhad\ndataset = {mix.name}\nn_samples = 80\n"
+                            f"n_runs = 1\nbase_seed = 100\ngrid.sigma = [0.5]\n"
+                            f"grid.knn = {knn}\n")
+            return plan_from_config(path, outdir=str(tmp_path / name.split(".")[0]))
+
+        results = run_plan(softhad_plan("mixed.cfg", "[10, 10.0, 10.7]"))
+        assert [(r.params["knn"], r.status) for r in results] == [
+            (10, "ok"), (10.0, "failed"), (10.7, "failed")]
+        for res in results[1:]:
+            error = tmp_path / "mixed" / "softhad" / grid_hash(res.params) / "run0" / "error.txt"
+            assert "InputError" in error.read_text()
+        run_plan(softhad_plan("alone.cfg", "[10]"))
+        cell = Path("softhad") / grid_hash(results[0].params) / "run0"
+        for name in ("scores.csv", "metrics.json"):
+            assert ((tmp_path / "mixed" / cell / name).read_bytes()
+                    == (tmp_path / "alone" / cell / name).read_bytes())
 
 
 def test_global_config_supplies_defaults(tmp_path):

@@ -1,9 +1,11 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphssl import GraphConfig, PointSet, build_graph
-from graphssl.io import fmt17, write_edge_list
+from graphssl.io import (fmt17, write_edge_list, write_points_csv, write_scores_csv,
+                         write_soft_labels_csv, write_trace_csv, write_truth_csv)
 
 from _synth import random_graph
 
@@ -36,3 +38,80 @@ def test_knn_edge_list_matches_sorted_tuple_writer(tmp_path):
     write_edge_list(tmp_path / "new.txt", g)
     _sorted_tuple_edge_list(tmp_path / "old.txt", g)
     assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+
+
+# The row writers as they formatted each value with fmt17, kept as the
+# reference for the f-string writers.
+def _fmt17_points(path, ps):
+    lines = [",".join([f"f{i}" for i in range(ps.p)] + ["label"])]
+    for row, label in zip(ps.points, ps.labels):
+        lines.append(",".join([fmt17(v) for v in row] + [str(int(label))]))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _fmt17_truth(path, true_labels, flipped, true_scores):
+    lines = ["index,true_label,flipped,true_anomaly_score"]
+    for i, (lab, flip, score) in enumerate(zip(true_labels, flipped, true_scores)):
+        lines.append(f"{i},{int(lab)},{int(flip)},{fmt17(score)}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _fmt17_soft_labels(path, values):
+    lines = ["index,soft_label,predicted_sign"]
+    for i, v in enumerate(values):
+        lines.append(f"{i},{fmt17(v)},{int(np.sign(v))}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _fmt17_scores(path, raw, scaled):
+    order = np.lexsort((np.arange(len(raw)), -np.asarray(raw)))
+    rank = np.empty(len(raw), dtype=np.int64)
+    rank[order] = np.arange(1, len(raw) + 1)
+    lines = ["index,raw_score,scaled_score,rank"]
+    for i, (r, s) in enumerate(zip(raw, scaled)):
+        lines.append(f"{i},{fmt17(r)},{fmt17(s)},{rank[i]}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _fmt17_trace(path, values):
+    lines = ["iteration,objective"]
+    for i, v in enumerate(values):
+        lines.append(f"{i},{fmt17(v)}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -2.2250738585072014e-308 / 3, 1.0, -3.0, 2.0**60,
+            1e300, float("inf"), float("-inf"), float("nan")]
+_any_float = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=True, allow_infinity=True))
+_finite_float = st.one_of(st.sampled_from([v for v in _SPECIAL if np.isfinite(v)]),
+                          st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _same_output(tmp, write, reference, *args):
+    """Both writers give the same bytes, or both raise the same error."""
+    try:
+        reference(tmp / "want.csv", *args)
+    except ValueError:
+        with pytest.raises(ValueError):
+            write(tmp / "got.csv", *args)
+        return
+    write(tmp / "got.csv", *args)
+    assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(_any_float, _any_float, _any_float, st.sampled_from([-1, 0, 1]),
+                          st.booleans()), max_size=25),
+       st.lists(_finite_float, min_size=2, max_size=40))
+def test_row_writers_match_fmt17(tmp_path_factory, rows, coords):
+    tmp = tmp_path_factory.mktemp("rows")
+    a, b, c = (np.array([r[k] for r in rows], dtype=np.float64) for k in range(3))
+    labels = np.array([r[3] for r in rows], dtype=np.int64)
+    flipped = np.array([r[4] for r in rows], dtype=bool)
+    _same_output(tmp, write_scores_csv, _fmt17_scores, a, b)
+    _same_output(tmp, write_soft_labels_csv, _fmt17_soft_labels, c)
+    _same_output(tmp, write_truth_csv, _fmt17_truth, labels, flipped, a)
+    _same_output(tmp, write_trace_csv, _fmt17_trace, list(b))
+    pts = np.array(coords).reshape(-1, 2 if len(coords) % 2 == 0 else 1)
+    ps = PointSet(pts, np.resize([1, 0, -1], pts.shape[0]))
+    _same_output(tmp, write_points_csv, _fmt17_points, ps)
