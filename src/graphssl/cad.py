@@ -63,6 +63,14 @@ def _check_lam(lam) -> np.ndarray:
     return lam
 
 
+def check_cad_params(lam, priors: str) -> np.ndarray:
+    """Raise unless priors is "empirical" or "uniform" and lam a scalar or
+    1-D array of values >= 0; returns lam as an array."""
+    if priors not in ("empirical", "uniform"):
+        raise InputError("priors must be 'empirical' or 'uniform'")
+    return _check_lam(lam)
+
+
 def _resolve_sigma(sigma: float | None, points: np.ndarray) -> float:
     """The given kernel width, which must be finite and > 0, or else the
     width heuristic of the points."""
@@ -82,9 +90,7 @@ def fit_cad_model(train: PointSet, lam: float = 0.0, sigma: float | None = None,
     per class, so empirical priors cancel class-size information, which on
     strongly imbalanced data leaves the posterior uninformative).
     """
-    _check_lam(lam)
-    if priors not in ("empirical", "uniform"):
-        raise InputError("priors must be 'empirical' or 'uniform'")
+    check_cad_params(lam, priors)
     pos = train.points[train.labels == 1]
     neg = train.points[train.labels == -1]
     if pos.shape[0] == 0 or neg.shape[0] == 0:
@@ -175,8 +181,16 @@ def rwcad_scores_loo(ps: PointSet, lam: float | np.ndarray, sigma: float | None 
     set (its own node left out of its class graph).  A 1-D lam gives one
     row of scores per value from a single kernel-mass computation."""
     lam = _check_lam(lam)
-    model = fit_cad_model(ps, 0.0, sigma, normalize_by_p, priors)
-    m_pos, m_neg = _loo_masses(ps, model.sigma, normalize_by_p)
+    return rwcad_scores_loo_fitted(ps, fit_cad_model(ps, 0.0, sigma, normalize_by_p, priors),
+                                   lam)
+
+
+def rwcad_scores_loo_fitted(ps: PointSet, model: CadModel,
+                            lam: float | np.ndarray) -> np.ndarray:
+    """``rwcad_scores_loo`` with the model already fitted on ps: its sigma,
+    class volumes and priors are reused, and lam replaces its own."""
+    lam = _check_lam(lam)
+    m_pos, m_neg = _loo_masses(ps, model.sigma, model.normalize_by_p)
     own_is_pos = ps.labels == 1
     vol_pos = np.where(own_is_pos, model.vol_pos - 2.0 * m_pos, model.vol_pos)
     vol_neg = np.where(own_is_pos, model.vol_neg, model.vol_neg - 2.0 * m_neg)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.sparse.linalg import cg
 
 from .errors import DegenerateGraphError, InputError, SolverError
@@ -97,11 +97,13 @@ def solve_spd(a, b: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     if b_norm == 0.0:
         return np.zeros(n)
     if isinstance(a, np.ndarray) or n <= DENSE_MAX_N:
-        dense = a if isinstance(a, np.ndarray) else a.toarray()
-        try:
-            x = cho_solve(cho_factor(dense, check_finite=False), b, check_finite=False)
-        except LinAlgError:
-            raise SolverError("matrix is not positive definite", 1.0) from None
+        # LAPACK's Cholesky called directly, as cho_factor/cho_solve call it
+        # (upper factor, no cleaning), without their per-call batching layer
+        factor, info = dpotrf(a if isinstance(a, np.ndarray) else a.toarray(), clean=0)
+        if info == 0:
+            x, info = dpotrs(factor, b)
+        if info != 0:
+            raise SolverError("matrix is not positive definite", 1.0)
     else:
         a = a.tocsr()
         diag = a.diagonal()

@@ -109,7 +109,7 @@ def write_metrics_json(path: str | Path, metrics: dict) -> None:
         if isinstance(obj, (list, tuple)):
             return [convert(v) for v in obj]
         if isinstance(obj, (np.floating, float)):
-            return float(fmt17(float(obj)))
+            return float(obj)
         if isinstance(obj, (np.integer,)):
             return int(obj)
         return obj

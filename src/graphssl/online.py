@@ -15,6 +15,13 @@ harmonic solution is recovered from the small system
 ``harmonic.solve_harmonic`` solves.  The centroid graph has at most
 ``capacity`` nodes, so it is kept as dense arrays and the system is
 factored densely.
+
+The sketch owns the centroids' squared-distance matrix and their cut
+Gaussian graph, at O(k^2) memory for k centroids: the distances grow by
+doubling with the centroid rows, and the graph is rebuilt from them only
+when a centroid is added or the set is repartitioned, or when the kernel
+width or cut changes.  A point that merges into an existing centroid moves
+no centroid, so its prediction reuses the graph and costs one solve.
 """
 
 from __future__ import annotations
@@ -30,6 +37,12 @@ from .harmonic import DEFAULT_TOL, SoftLabels, check_gamma_g, solve_harmonic
 
 ABSTAIN = 0
 
+# An edge is also cut when it is below this fraction of the strongest edge
+# at either end.  Weaker edges leave the harmonic system too ill-conditioned
+# for the solver's 1e-10 residual check.  Gaussian weights are at most 1, so
+# this cut moves no weight once eps_cut = 0.1 gamma_g is at least 1e-4.
+RELATIVE_CUT = 1e-4
+
 
 class QuantizerState:
     """Sequential centroid sketch of a stream.
@@ -38,7 +51,12 @@ class QuantizerState:
     call the centroid count is at most ``capacity``, pairwise centroid
     distances are at least ``radius``, and multiplicities sum to the
     number of points observed.  The centroids are the first ``size`` rows
-    of one array that grows by doubling up to ``capacity + 1`` rows.
+    of one array that grows by doubling up to ``capacity + 1`` rows; their
+    squared distances are kept in a square array that grows with it, and
+    the cut Gaussian graph that ``graph()`` builds from them is kept until
+    a centroid is added or the set is repartitioned.  Both cost O(k^2)
+    memory for k centroids; nothing of size ``capacity`` is allocated up
+    front.
     """
 
     def __init__(self, capacity: int, growth: float = 1.5):
@@ -50,6 +68,8 @@ class QuantizerState:
         self.growth = growth
         self.radius: float | None = None
         self._rows: np.ndarray | None = None
+        self._sq_dists: np.ndarray | None = None
+        self._graph: CentroidGraph | None = None
         self.multiplicities: list[int] = []
         self.centroid_labels: list[int] = []
         self.label_conflicts = 0
@@ -71,6 +91,27 @@ class QuantizerState:
         view = self._rows[:self.size]
         view.flags.writeable = False
         return view
+
+    @property
+    def sq_dists(self) -> np.ndarray:
+        """Squared distances between the centroids, as a read-only view
+        equal to ``pairwise_sq_dists(centroids)``; the next observe() may
+        change it."""
+        if self._sq_dists is None:
+            return np.empty((0, 0))
+        view = self._sq_dists[:self.size, :self.size]
+        view.flags.writeable = False
+        return view
+
+    def graph(self, sigma: float, normalize_by_p: bool, eps_cut: float) -> CentroidGraph:
+        """The centroids' cut Gaussian graph, cached until a centroid is
+        added, the set is repartitioned or the arguments change."""
+        if self._rows is None:
+            raise InputError("the sketch has no centroids yet")
+        key = (sigma, normalize_by_p, eps_cut)
+        if self._graph is None or self._graph.key != key:
+            self._graph = CentroidGraph.build(self.sq_dists, self._rows.shape[1], *key)
+        return self._graph
 
     def centroid_matrix(self) -> np.ndarray:
         """A copy of the centroids, one per row."""
@@ -102,7 +143,7 @@ class QuantizerState:
 
     def _place(self, x: np.ndarray, label: int) -> int:
         if self._rows is None:
-            return self._append(x, label)
+            return self._append(x, label, np.empty(0))
         d2 = _kernels.cross_sq_dists(self.centroids, x[None, :],
                                      np.ones(x.size)).ravel()
         nearest = int(np.argmin(d2))
@@ -111,20 +152,27 @@ class QuantizerState:
                 return self._absorb(nearest, label)
             # first two distinct points set the initial radius
             self.radius = float(np.sqrt(d2[nearest]))
-            return self._append(x, label)
+            return self._append(x, label, d2)
         if d2[nearest] < self.radius * self.radius:
             return self._absorb(nearest, label)
-        return self._append(x, label)
+        return self._append(x, label, d2)
 
-    def _append(self, x: np.ndarray, label: int) -> int:
+    def _append(self, x: np.ndarray, label: int, d2: np.ndarray) -> int:
+        """Add x as a centroid; d2 holds its squared distances to the
+        current centroids (cdist and pdist give equal bits per pair)."""
         k = self.size
-        if self._rows is None:
-            self._rows = np.empty((min(16, self.capacity + 1), x.size))
-        elif k == self._rows.shape[0]:
-            grown = np.empty((min(2 * k, self.capacity + 1), x.size))
-            grown[:k] = self._rows[:k]
-            self._rows = grown
+        if self._rows is None or k == self._rows.shape[0]:
+            rows = min(max(16, 2 * k), self.capacity + 1)
+            grown, grown_d2 = np.empty((rows, x.size)), np.empty((rows, rows))
+            if k:
+                grown[:k] = self._rows[:k]
+                grown_d2[:k, :k] = self._sq_dists[:k, :k]
+            self._rows, self._sq_dists = grown, grown_d2
         self._rows[k] = x
+        self._sq_dists[k, :k] = d2
+        self._sq_dists[:k, k] = d2
+        self._sq_dists[k, k] = 0.0
+        self._graph = None
         self.multiplicities.append(1)
         self.centroid_labels.append(label)
         return self.size - 1
@@ -143,7 +191,7 @@ class QuantizerState:
         centroids, then merge each dropped centroid into its nearest
         survivor.  Returns the old->new index mapping."""
         n = self.size
-        d2 = _kernels.pairwise_sq_dists(self.centroids, np.ones(self._rows.shape[1]))
+        d2 = self._sq_dists[:n, :n]
         while True:
             self.radius *= self.growth
             r2 = self.radius * self.radius
@@ -175,6 +223,8 @@ class QuantizerState:
                 elif labels[target] != dropped:
                     self.label_conflicts += 1
         self._rows[:len(keep)] = self._rows[keep]
+        self._sq_dists[:len(keep), :len(keep)] = d2[np.ix_(keep, keep)]
+        self._graph = None
         self.multiplicities = mult
         self.centroid_labels = labels
         return mapping
@@ -228,31 +278,46 @@ class OnlineStep:
     centroid: int
 
 
-def _centroid_similarity(state: QuantizerState, cfg: GraphConfig, eps_cut: float) -> np.ndarray:
-    pts = state.centroids
-    if cfg.sigma is None:
-        raise InputError("online prediction needs an explicit sigma")
-    psi = np.ones(pts.shape[1])
-    w = gaussian_of_sq_dists(_kernels.pairwise_sq_dists(pts, psi), pts.shape[1], cfg.sigma,
-                             cfg.normalize_by_p)
-    np.fill_diagonal(w, 0.0)
-    w[w < eps_cut] = 0.0
-    return w
+class CentroidGraph:
+    """Cut Gaussian similarities of the centroids, with their connected
+    components found on demand.
 
+    An edge survives only if its weight is at least eps_cut and at least
+    ``RELATIVE_CUT`` times the strongest edge at either end; the diagonal is
+    0.  ``weights`` is read-only.
+    """
 
-def _component_of(w: np.ndarray, idx: int) -> np.ndarray:
-    """Sorted indices of the nodes joined to node idx by nonzero entries of
-    the dense weight matrix w, found breadth-first.  On centroid graphs of
-    about 75 nodes this takes a seventh of the time of csgraph's labelling,
-    most of which goes to building and validating a CSR copy."""
-    adj = w != 0
-    reach = np.zeros(w.shape[0], dtype=bool)
-    reach[idx] = True
-    frontier = reach.copy()
-    while frontier.any():
-        frontier = adj[frontier].any(axis=0) & ~reach
-        reach |= frontier
-    return np.flatnonzero(reach)
+    def __init__(self, key: tuple, weights: np.ndarray):
+        self.key = key
+        self.weights = weights
+        self.weights.flags.writeable = False
+        self._component = np.full(weights.shape[0], -1)
+
+    @classmethod
+    def build(cls, sq_dists: np.ndarray, p: int, sigma: float, normalize_by_p: bool,
+              eps_cut: float) -> CentroidGraph:
+        w = gaussian_of_sq_dists(sq_dists, p, sigma, normalize_by_p)
+        np.fill_diagonal(w, 0.0)
+        strongest = w.max(axis=1)
+        w[w < np.maximum(eps_cut, RELATIVE_CUT * np.maximum.outer(strongest, strongest))] = 0.0
+        return cls((sigma, normalize_by_p, eps_cut), w)
+
+    def component(self, idx: int) -> np.ndarray:
+        """Sorted indices of the nodes joined to node idx by nonzero edges,
+        found breadth-first the first time a node of the component is
+        asked for.  On centroid graphs of about 75 nodes this takes a
+        seventh of the time of csgraph's labelling, most of which goes to
+        building and validating a CSR copy."""
+        if self._component[idx] < 0:
+            adj = self.weights != 0
+            reach = np.zeros(adj.shape[0], dtype=bool)
+            reach[idx] = True
+            frontier = reach.copy()
+            while frontier.any():
+                frontier = adj[frontier].any(axis=0) & ~reach
+                reach |= frontier
+            self._component[reach] = idx
+        return np.flatnonzero(self._component == self._component[idx])
 
 
 def predict_online(state: QuantizerState, x: np.ndarray, label: int, gamma_g: float,
@@ -260,21 +325,25 @@ def predict_online(state: QuantizerState, x: np.ndarray, label: int, gamma_g: fl
     """Fold x into the sketch, then predict its label from the compact
     harmonic solution on the centroid graph.
 
-    Centroid similarities are cut at eps = 0.1 * gamma_g; a point whose
+    Centroid similarities are cut at eps = 0.1 * gamma_g and relative to
+    the strongest edge at each end (``CentroidGraph``); a point whose
     centroid sits in a component with no labeled centroid is treated as
-    an outlier and the step abstains.  An invalid gamma_g raises before
-    the sketch changes.
+    an outlier and the step abstains.  The graph is the sketch's cached
+    one, so a step that moves no centroid only solves.  An invalid gamma_g
+    raises before the sketch changes.
     """
     check_gamma_g(gamma_g)
     idx = state.observe(x, label)
     labels = np.asarray(state.centroid_labels, dtype=np.float64)
     if not np.any(labels != 0):
         return OnlineStep(ABSTAIN, True, idx)
-    w = _centroid_similarity(state, graph_cfg, eps_cut=0.1 * gamma_g)
-    comp = _component_of(w, idx)
+    if graph_cfg.sigma is None:
+        raise InputError("online prediction needs an explicit sigma")
+    graph = state.graph(graph_cfg.sigma, graph_cfg.normalize_by_p, 0.1 * gamma_g)
+    comp = graph.component(idx)
     if not np.any(labels[comp] != 0):
         return OnlineStep(ABSTAIN, True, idx)
-    cg = CompactGraph(w[np.ix_(comp, comp)], np.asarray(state.multiplicities)[comp])
+    cg = CompactGraph(graph.weights[np.ix_(comp, comp)], np.asarray(state.multiplicities)[comp])
     sol = compact_harmonic(cg, labels[comp], gamma_g)
     value = sol.values[int(np.searchsorted(comp, idx))]
     if value == 0.0:

@@ -31,9 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from . import io as gio
-from .cad import (TaskScaling, fit_cad_model, rwcad_scores, rwcad_scores_loo,
-                  scale_scores, softhad_score, weighted_knn_scores,
-                  weighted_knn_scores_loo)
+from .cad import (TaskScaling, check_cad_params, fit_cad_model, rwcad_scores,
+                  rwcad_scores_loo, rwcad_scores_loo_fitted, scale_scores, softhad_score,
+                  weighted_knn_scores, weighted_knn_scores_loo)
 from .datasets import (CoreSpec, MixtureSpec, flip_labels, gen_core_dataset,
                        gen_gauss_mixture, load_dataset_spec, parse_config_text)
 from .errors import InputError
@@ -109,10 +109,13 @@ def cad_scores(method: str, train: PointSet, test: PointSet | None = None, *,
     rwcad and knn score ``train`` leave-one-out and ``test`` against a
     model fitted on ``train``; a 1-D ``lam`` gives rwcad one row of scores
     per value.  softhad scores both from one soft solve (c_u = c_l) over
-    them stacked, on ``graph`` with kernel width ``sigma``.
+    them stacked, on ``graph`` with kernel width ``sigma``.  ``lam`` and
+    ``priors`` are checked for every method, including those that ignore
+    them.
     """
     if method not in METHODS:
         raise InputError(f"method must be one of {METHODS}")
+    check_cad_params(lam, priors)
     if method == "softhad":
         cfg = SoftConfig(gamma_g=gamma_g, c_l=c_l, c_u=c_l)
         ps = train if test is None else PointSet(
@@ -121,13 +124,17 @@ def cad_scores(method: str, train: PointSet, test: PointSet | None = None, *,
         g = build_graph(ps, dataclasses.replace(graph, sigma=sigma))
         return softhad_score(g, ps.labels, cfg)
     rwcad = method == "rwcad"
-    if test is not None:
-        model = fit_cad_model(train, lam, sigma, priors=priors)
-        test_scores = (rwcad_scores(model, test.points, test.labels, lam) if rwcad
-                       else weighted_knn_scores(model, test.points, test.labels))
-    scores = (rwcad_scores_loo(train, lam, sigma, priors=priors) if rwcad
-              else weighted_knn_scores_loo(train, sigma))
-    return scores if test is None else np.concatenate([scores, test_scores], axis=-1)
+    if test is None:
+        return (rwcad_scores_loo(train, lam, sigma, priors=priors) if rwcad
+                else weighted_knn_scores_loo(train, sigma))
+    model = fit_cad_model(train, lam, sigma, priors=priors)
+    if rwcad:
+        scores = (rwcad_scores_loo_fitted(train, model, lam),
+                  rwcad_scores(model, test.points, test.labels, lam))
+    else:
+        scores = (weighted_knn_scores_loo(train, sigma),
+                  weighted_knn_scores(model, test.points, test.labels))
+    return np.concatenate(scores, axis=-1)
 
 
 def score_method(method: str, params: dict, spec, seed: int, n_samples: int,

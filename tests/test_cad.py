@@ -9,7 +9,9 @@ from graphssl import (DegenerateGraphError, GraphConfig, InputError,
                       gaussian_weight, rwcad_score, rwcad_scores, rwcad_scores_loo,
                       scale_scores, softhad_score, weighted_knn_score,
                       weighted_knn_scores, weighted_knn_scores_loo)
-from graphssl.cad import LAMBDA_GRID, _loo_masses
+from graphssl import cad as cad_module
+from graphssl import plan as plan_module
+from graphssl.cad import LAMBDA_GRID, _loo_masses, rwcad_scores_loo_fitted
 from graphssl.graph import gaussian_weights_matrix
 
 
@@ -142,6 +144,42 @@ class TestCadScores:
             cad_scores("parzen", train, test)
         with pytest.raises(InputError, match="gamma_g"):
             cad_scores("softhad", train, test, gamma_g=-1.0)
+
+    @pytest.mark.parametrize("method", ["rwcad", "knn", "softhad"])
+    @pytest.mark.parametrize("with_test", [False, True])
+    def test_lam_and_priors_checked_for_every_method(self, method, with_test):
+        # knn and softhad ignore both, but a malformed value is still an error,
+        # with or without a test set
+        train, test = self._split()
+        test = test if with_test else None
+        for bad in (-1.0, float("nan"), [[0.1]]):
+            with pytest.raises(InputError, match="lam"):
+                cad_scores(method, train, test, lam=bad)
+        with pytest.raises(InputError, match="priors"):
+            cad_scores(method, train, test, priors="flat")
+
+    def test_rwcad_fits_the_training_model_once(self, monkeypatch):
+        train, test = self._split()
+        calls = []
+        fit = cad_module.fit_cad_model
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(cad_module, "fit_cad_model", counted)
+        monkeypatch.setattr(plan_module, "fit_cad_model", counted)
+        cad_scores("rwcad", train, test, lam=LAMBDA_GRID, sigma=0.7)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("priors", ["empirical", "uniform"])
+    def test_loo_from_fitted_model_equals_loo(self, priors):
+        train, _ = self._split()
+        model = fit_cad_model(train, 3.0, None, priors=priors)
+        assert np.array_equal(rwcad_scores_loo_fitted(train, model, LAMBDA_GRID),
+                              rwcad_scores_loo(train, LAMBDA_GRID, priors=priors))
+        with pytest.raises(InputError, match="lam"):
+            rwcad_scores_loo_fitted(train, model, -1.0)
 
 
 class TestSigmaValidation:

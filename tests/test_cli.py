@@ -209,6 +209,15 @@ class TestCad:
         assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
+    @pytest.mark.parametrize("method", ["rwcad", "knn", "softhad"])
+    def test_negative_lambda_exits_2(self, tmp_path, capsys, method):
+        train, test = self._train_test(tmp_path)
+        assert main(["cad", "--train", str(train), "--test", str(test), "--method", method,
+                     "--lambda", "-1", "--out", str(tmp_path / "cad.csv")]) == 2
+        assert "lam must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "cad.csv").exists()
+
+
 class TestEval:
     def test_metrics_json(self, tmp_path):
         scores = tmp_path / "scores.csv"
@@ -347,6 +356,24 @@ class TestRunPlan:
                 cell = tmp_path / "out" / "rwcad" / grid_hash(params) / f"run{run}"
                 assert np.array_equal(read_scores_csv(cell / "scores.csv"), alone)
 
+
+    @pytest.mark.parametrize("dataset", ["mixture", "core"])
+    def test_negative_lambda_fails_knn_cell(self, tmp_path, dataset):
+        # knn ignores lambda, but a malformed lambda fails its cell whether
+        # or not the data set has a test split
+        if dataset == "core":
+            cfg = tmp_path / "core.cfg"
+            cfg.write_text("type = core\n")
+        else:
+            cfg = _write_mixture_cfg(tmp_path)
+        path = tmp_path / "plan.cfg"
+        path.write_text(f"method = knn\ndataset = {cfg.name}\nn_samples = 80\n"
+                        "n_runs = 1\nbase_seed = 3\ngrid.lambda = [-1.0, 0.01]\n")
+        results = run_plan(plan_from_config(path, outdir=str(tmp_path / "out")))
+        assert [(r.params["lambda"], r.status) for r in results] == [
+            (-1.0, "failed"), (0.01, "ok")]
+        error = tmp_path / "out" / "knn" / grid_hash(results[0].params) / "run0" / "error.txt"
+        assert "InputError" in error.read_text() and "lam must be >= 0" in error.read_text()
 
     def test_non_integer_knn_fails_only_its_own_cell(self, tmp_path):
         mix = _write_mixture_cfg(tmp_path)

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from graphssl import (DegenerateGraphError, InputError, SimilarityGraph,
                       SoftConfig, SolverError, blockwise_harmonic, connected_components,
@@ -87,6 +88,22 @@ class TestSolveSpdPaths:
         assert np.allclose(x, want, rtol=1e-6, atol=1e-8)
         # the dense ndarray of the same system goes through Cholesky
         assert np.allclose(solve_spd(a.toarray(), b, 1e-10), want, rtol=1e-6, atol=1e-8)
+
+    @given(st.integers(1, 60), st.integers(0, 2**32 - 1), st.sampled_from([1e-6, 1.0]),
+           st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_dense_path_bit_identical_to_cho_solve(self, n, seed, shift, fortran):
+        # LAPACK's potrf/potrs called directly give cho_factor/cho_solve's bits
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(n, n))
+        a = m @ m.T / n + shift * np.eye(n)
+        a = np.asfortranarray(a) if fortran else a
+        b = rng.normal(size=n)
+        a_before, b_before = a.copy(), b.copy()
+        want = cho_solve(cho_factor(a, check_finite=False), b, check_finite=False)
+        assert np.array_equal(solve_spd(a, b), want)
+        assert np.array_equal(solve_spd(sp.csr_matrix(a), b), want)
+        assert np.array_equal(a, a_before) and np.array_equal(b, b_before)
 
     @pytest.mark.parametrize("n", [3, DENSE_MAX_N + 10])
     def test_indefinite_raises_solver_error(self, n):

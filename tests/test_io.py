@@ -1,11 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphssl import GraphConfig, PointSet, build_graph
-from graphssl.io import (fmt17, write_edge_list, write_points_csv, write_scores_csv,
-                         write_soft_labels_csv, write_trace_csv, write_truth_csv)
+from graphssl.io import (fmt17, write_edge_list, write_metrics_json, write_points_csv,
+                         write_scores_csv, write_soft_labels_csv, write_trace_csv,
+                         write_truth_csv)
 
 from _synth import random_graph
 
@@ -115,3 +118,33 @@ def test_row_writers_match_fmt17(tmp_path_factory, rows, coords):
     pts = np.array(coords).reshape(-1, 2 if len(coords) % 2 == 0 else 1)
     ps = PointSet(pts, np.resize([1, 0, -1], pts.shape[0]))
     _same_output(tmp, write_points_csv, _fmt17_points, ps)
+
+
+def _fmt17_metrics_json(path, metrics):
+    """write_metrics_json as it rounded every float through fmt17."""
+    def convert(obj):
+        if isinstance(obj, dict):
+            return {k: convert(v) for k, v in sorted(obj.items())}
+        if isinstance(obj, (list, tuple)):
+            return [convert(v) for v in obj]
+        if isinstance(obj, (np.floating, float)):
+            return float(fmt17(float(obj)))
+        if isinstance(obj, (np.integer,)):
+            return int(obj)
+        return obj
+    path.write_text(json.dumps(convert(metrics), sort_keys=True, indent=2) + "\n")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_any_float, max_size=8), _any_float, st.integers(-2**40, 2**40),
+       st.sampled_from([np.float64, float]))
+def test_metrics_json_matches_fmt17_round_trip(tmp_path_factory, floats, value, count, kind):
+    # 17 significant digits round-trip every double, so converting with
+    # float() alone writes the same bytes
+    tmp = tmp_path_factory.mktemp("metrics")
+    metrics = {"auroc": kind(value), "n": np.int64(count), "method": "rwcad",
+               "params": {"lambda": kind(value), "grid": [kind(v) for v in floats]},
+               "runs": tuple(kind(v) for v in floats), "flips_before_split": True}
+    write_metrics_json(tmp / "got.json", metrics)
+    _fmt17_metrics_json(tmp / "want.json", metrics)
+    assert (tmp / "got.json").read_bytes() == (tmp / "want.json").read_bytes()

@@ -1,5 +1,7 @@
 import copy
 import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from graphssl import (CompactGraph, DegenerateGraphError, GraphConfig, InputErro
                       compact_harmonic, hard_harmonic, laplacian, max_distortion,
                       observe, predict_online)
 from graphssl import _kernels
-from graphssl.online import _centroid_similarity
+from graphssl import online as online_module
+from graphssl.graph import gaussian_of_sq_dists
+from graphssl.online import RELATIVE_CUT
 
 
 def replay_assignments(stream, capacity, growth):
@@ -237,8 +241,73 @@ class TestPredictOnline:
         assert np.array_equal(state.centroids, before.centroids)
 
 
-# Test-only copies of the list-based quantizer and the sparse compact solve
-# that the dense online path replaced.
+# Test-only copies of the list-based quantizer, the sparse compact solve and
+# the per-step graph rebuild that the dense, cached online path replaced.
+
+def rebuilt_similarity(state, cfg, eps_cut):
+    """The centroid graph rebuilt from the centroids themselves: all
+    pairwise distances, their Gaussian weights, the cut at eps_cut and the
+    cut relative to the strongest edge at either end."""
+    pts = state.centroids
+    w = gaussian_of_sq_dists(_kernels.pairwise_sq_dists(pts, np.ones(pts.shape[1])),
+                             pts.shape[1], cfg.sigma, cfg.normalize_by_p)
+    np.fill_diagonal(w, 0.0)
+    strongest = w.max(axis=1)
+    w[(w < eps_cut) | (w < RELATIVE_CUT * np.maximum.outer(strongest, strongest))] = 0.0
+    return w
+
+
+def rebuilt_component(w, idx):
+    """Sorted nodes joined to idx by nonzero entries of w, breadth-first."""
+    adj = w != 0
+    reach = np.zeros(w.shape[0], dtype=bool)
+    reach[idx] = True
+    frontier = reach.copy()
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~reach
+        reach |= frontier
+    return np.flatnonzero(reach)
+
+
+def rebuilt_step(state, x, label, gamma_g, cfg):
+    """predict_online with the graph rebuilt at every step: (prediction,
+    abstained, centroid, solved values of the component or None)."""
+    idx = state.observe(x, label)
+    labels = np.asarray(state.centroid_labels, dtype=np.float64)
+    if not np.any(labels != 0):
+        return 0, True, idx, None
+    w = rebuilt_similarity(state, cfg, 0.1 * gamma_g)
+    comp = rebuilt_component(w, idx)
+    if not np.any(labels[comp] != 0):
+        return 0, True, idx, None
+    cg = CompactGraph(w[np.ix_(comp, comp)], np.asarray(state.multiplicities)[comp])
+    values = compact_harmonic(cg, labels[comp], gamma_g).values
+    value = values[int(np.searchsorted(comp, idx))]
+    return (0 if value == 0.0 else int(np.sign(value))), value == 0.0, idx, values
+
+
+def cached_step(state, x, label, gamma_g, cfg):
+    """predict_online's step in rebuilt_step's form, its solved values taken
+    from the compact_harmonic call it makes."""
+    solved = []
+
+    def spy(*args, **kwargs):
+        sol = compact_harmonic(*args, **kwargs)
+        solved.append(sol.values)
+        return sol
+
+    with mock.patch.object(online_module, "compact_harmonic", spy):
+        step = predict_online(state, x, label, gamma_g, cfg)
+    assert len(solved) <= 1
+    return step.prediction, step.abstained, step.centroid, solved[0] if solved else None
+
+
+def assert_same_steps(got, want):
+    assert got[:3] == want[:3]
+    assert (got[3] is None) == (want[3] is None)
+    if want[3] is not None:
+        assert np.array_equal(got[3], want[3])
+
 
 class ListQuantizer:
     """The quantizer with one array per centroid and the pairwise greedy
@@ -343,8 +412,8 @@ def sparse_compact_values(w, mult, labels, gamma_g):
     the tolerance another backward-stable solve must match it to.
 
     The tolerance is 1e-10, or 1e-13 cond(A) max|x| where that is larger:
-    the forward error a backward-stable solve may make.  Weights that
-    underflow toward 1e-20 (gamma_g <= 1e-8 keeps them) can make A nearly
+    the forward error a backward-stable solve may make.  Weights far below
+    those beside them (gamma_g <= 1e-8 cuts little) can make A nearly
     singular; once the tolerance exceeds 1e-6 no float64 solver pins the
     values down, and it is returned as None.
     """
@@ -367,7 +436,7 @@ def sparse_online_system(state, idx, gamma_g, cfg):
     labels = np.asarray(state.centroid_labels, dtype=np.float64)
     if not np.any(labels != 0):
         return None
-    w = _centroid_similarity(state, cfg, eps_cut=0.1 * gamma_g)
+    w = rebuilt_similarity(state, cfg, eps_cut=0.1 * gamma_g)
     _, comp_of = csgraph_components(SimilarityGraph(sp.csr_matrix(w)).weights, directed=False)
     groups = {}
     for node, lab in enumerate(comp_of):
@@ -419,7 +488,8 @@ class TestDenseOnlineMatchesSparse:
                 # Only a system too ill-conditioned for the 1e-10 residual
                 # check may fail: Cholesky's backward error keeps the relative
                 # residual below about 10 eps cond(A).  With gamma_g <= 1e-8
-                # a component can hang on weights near 1e-20.
+                # only the relative cut keeps a component off weights near
+                # 1e-20.
                 w, mult, comp_labels, _ = sparse_online_system(state, idx, gamma_g, cfg)
                 a, _, _ = sparse_compact_system(w, mult, comp_labels, gamma_g)
                 assert gamma_g <= 1e-8 and np.linalg.cond(a.toarray()) > 1e4
@@ -460,6 +530,127 @@ class TestDenseOnlineMatchesSparse:
         copy = state.centroid_matrix()
         copy[0, 0] = -1.0
         assert state.centroids[0, 0] == 0.0
+
+
+class TestCachedGraph:
+    """The sketch's stored distances and cached centroid graph against the
+    per-step rebuild they replaced."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 60), st.integers(1, 3),
+           st.sampled_from([1.3, 2.0]), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_sq_dists_equal_pairwise_after_every_observe(self, seed, capacity, p, growth,
+                                                         rounded):
+        points, _ = _random_stream(seed, 120, p)
+        if rounded:                     # many duplicates
+            points = np.round(points)
+        state = QuantizerState(capacity, growth)
+        for x in points:
+            state.observe(x)
+            assert np.array_equal(state.sq_dists,
+                                  _kernels.pairwise_sq_dists(state.centroids, np.ones(p)))
+        assert not state.sq_dists.flags.writeable
+
+    @pytest.mark.parametrize("capacity", [20, 50])
+    def test_sq_dists_through_growth_duplicates_and_repartitions(self, capacity):
+        line = np.arange(40.0)[:, None] * np.array([[1.0, 0.5]])
+        points = np.vstack([line[:2], line[:2], line[2:]])
+        state = QuantizerState(capacity)
+        sizes, repartitions = [], 0
+        for x in points:
+            state.observe(x)
+            sizes.append(state.size)
+            repartitions += state.last_repartition is not None
+            assert np.array_equal(state.sq_dists,
+                                  _kernels.pairwise_sq_dists(state.centroids, np.ones(2)))
+        assert sizes[3] == 2 and max(sizes) > 16
+        assert repartitions == (1 if capacity == 20 else 0)
+
+    def test_graph_of_an_empty_sketch_rejected(self):
+        with pytest.raises(InputError, match="no centroids"):
+            QuantizerState(4).graph(1.0, True, 0.0)
+
+    def test_large_capacity_allocates_nothing_up_front(self):
+        tracemalloc.start()
+        try:
+            state = QuantizerState(capacity=10**5)
+            for x in np.arange(6.0).reshape(3, 2):
+                state.observe(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a 16-row block of centroids and distances; one float per unit of
+        # capacity would already be 800 kB
+        assert peak < 64 * 1024
+
+    @given(st.integers(0, 2**32 - 1), st.integers(4, 30), st.integers(1, 3),
+           st.sampled_from([0.0, 1e-8, 1e-4, 0.01, 0.5]))
+    @settings(max_examples=40, deadline=None)
+    def test_predictions_match_per_step_rebuild(self, seed, capacity, p, gamma_g):
+        points, labels = _random_stream(seed, 80, p)
+        cfg = GraphConfig(mode="epsilon", sigma=1.0)
+        state, ref = QuantizerState(capacity, 1.5), QuantizerState(capacity, 1.5)
+        for x, lab in zip(points, labels):
+            assert_same_steps(cached_step(state, x, int(lab), gamma_g, cfg),
+                              rebuilt_step(ref, x, int(lab), gamma_g, cfg))
+
+    def test_changing_sigma_scaling_or_gamma_between_calls(self):
+        # mostly merges, so the graph is often reused and the key alone must
+        # tell that it is stale
+        points, labels = _random_stream(21, 150, 2)
+        settings_cycle = [(1.0, True, 0.01), (0.4, True, 0.01), (0.4, False, 0.01),
+                          (0.4, False, 1e-6), (0.4, False, 0.5), (1.0, True, 0.01)]
+        state, ref = QuantizerState(12, 1.5), QuantizerState(12, 1.5)
+        reused = 0
+        for t, (x, lab) in enumerate(zip(points, labels)):
+            sigma, normalize_by_p, gamma_g = settings_cycle[(t // 3) % len(settings_cycle)]
+            cfg = GraphConfig(mode="epsilon", sigma=sigma, normalize_by_p=normalize_by_p)
+            before = state._graph
+            assert_same_steps(cached_step(state, x, int(lab), gamma_g, cfg),
+                              rebuilt_step(ref, x, int(lab), gamma_g, cfg))
+            reused += before is not None and state._graph is before
+        assert reused > 50
+
+    def test_no_pairwise_distances_after_the_sketch_is_built(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("pairwise_sq_dists called")
+
+        monkeypatch.setattr(_kernels, "pairwise_sq_dists", forbidden)
+        points, labels = _random_stream(4, 200, 3)
+        state = QuantizerState(10, 1.5)
+        cfg = GraphConfig(mode="epsilon", sigma=1.0)
+        for x, lab in zip(points, labels):
+            predict_online(state, x, int(lab), 0.01, cfg)
+        assert state.radius is not None and state.size <= 10
+
+    @given(st.integers(0, 2**32 - 1), st.integers(4, 40), st.integers(1, 3),
+           st.sampled_from([0.3, 1.0]))
+    @settings(max_examples=20, deadline=None)
+    def test_relative_cut_moves_no_weight_at_gamma_1e_2(self, seed, capacity, p, sigma):
+        points, _ = _random_stream(seed, 100, p)
+        state = QuantizerState(capacity, 1.5)
+        for x in points:
+            state.observe(x)
+        w = gaussian_of_sq_dists(_kernels.pairwise_sq_dists(state.centroids, np.ones(p)), p,
+                                 sigma, True)
+        np.fill_diagonal(w, 0.0)
+        w[w < 1e-3] = 0.0
+        assert np.array_equal(state.graph(sigma, True, 0.1 * 0.01).weights, w)
+
+    # Streams of the _random_stream family (capacity 4-30 and dimension 1-3
+    # drawn from seed 10000 + s) on which the absolute cut alone raised
+    # SolverError at gamma_g 0 or 1e-8: their components hung on weights of
+    # 1e-86 to 1e-11 beside weights near 1.
+    @pytest.mark.parametrize("gamma_g", [0.0, 1e-8])
+    def test_small_gamma_streams_do_not_raise(self, gamma_g):
+        cfg = GraphConfig(mode="epsilon", sigma=1.0)
+        for s in (6, 37, 58, 59, 85, 96, 112, 116, 123, 127, 140, 149, 193, 198):
+            rng = np.random.default_rng(10_000 + s)
+            capacity, p = int(rng.integers(4, 31)), int(rng.integers(1, 4))
+            points, labels = _random_stream(s, 40, p)
+            state = QuantizerState(capacity, 1.5)
+            for x, lab in zip(points, labels):
+                predict_online(state, x, int(lab), gamma_g, cfg)
 
 
 def test_per_step_cost_stays_flat():
