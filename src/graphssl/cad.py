@@ -10,22 +10,48 @@ Three scorers:
 * soft harmonic scoring — propagate all (fully labeled) targets softly
   and score each example by |propagated - actual|, optionally on a
   multiplicity-weighted backbone graph.
+
+rwcad and k-NN share one kernel-mass routine: the row sums of the Gaussian
+kernel between query rows and a class's training points, formed in row
+blocks of at most ``graph._EXACT_BLOCK`` entries, so memory is O(block + n)
+and no n x n matrix is formed.  Leave-one-out (LOO) masses zero the point's
+own column, and a class volume is the sum of its points' LOO masses; both
+sum in another order than one dense kernel, within a relative 1e-14, while
+test-row masses are bit-identical to it.  Both scorers fit the model, so a
+training set with one class raises ``DegenerateGraphError`` in every path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, graph
 from .errors import DegenerateGraphError, InputError
-from .graph import (PointSet, SimilarityGraph, gaussian_of_sq_dists,
-                    gaussian_weights_matrix, sigma_from_points)
+from .graph import PointSet, SimilarityGraph, gaussian_weights_matrix, sigma_from_points
 from .harmonic import DEFAULT_TOL, SoftConfig, soft_harmonic, solve_harmonic
 from .rng import PortableRng
 
 LAMBDA_GRID = tuple(10.0 ** e for e in range(-5, 6))
+
+
+def _kernel_mass(x: np.ndarray, points: np.ndarray, sigma: float, psi: np.ndarray,
+                 normalize_by_p: bool, own: np.ndarray | None = None) -> np.ndarray:
+    """Row sums of the Gaussian kernel between the rows of x and points,
+    formed in row blocks of at most graph._EXACT_BLOCK entries; own[i],
+    when given, is a column zeroed in row i before the sum."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.shape[1] != points.shape[1]:
+        raise InputError(f"query rows have {x.shape[1]} features, training {points.shape[1]}")
+    out = np.empty(x.shape[0])
+    step = max(1, graph._EXACT_BLOCK // max(1, points.shape[0]))
+    for start in range(0, x.shape[0], step):
+        w = gaussian_weights_matrix(x[start:start + step], points, sigma, psi, normalize_by_p)
+        if own is not None:
+            w[np.arange(w.shape[0]), own[start:start + step]] = 0.0
+        out[start:start + step] = w.sum(axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -43,42 +69,28 @@ class CadModel:
     sigma: float
     psi: np.ndarray
     normalize_by_p: bool = True
+    # each class's LOO masses of its own points, set by fit_cad_model
+    _own_masses: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def masses(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Kernel mass of each query row against each class."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        kw = dict(sigma=self.sigma, psi=self.psi, normalize_by_p=self.normalize_by_p)
-        m_pos = gaussian_weights_matrix(x, self.points_pos, **kw).sum(axis=1)
-        m_neg = gaussian_weights_matrix(x, self.points_neg, **kw).sum(axis=1)
-        return m_pos, m_neg
+        return self._mass(x, self.points_pos), self._mass(x, self.points_neg)
+
+    def _mass(self, x, points) -> np.ndarray:
+        return _kernel_mass(x, points, self.sigma, self.psi, self.normalize_by_p)
 
 
-def _check_lam(lam) -> np.ndarray:
-    """lam as a scalar or 1-D array, every value >= 0."""
+def check_cad_params(lam, priors: str = "empirical") -> np.ndarray:
+    """Raise unless priors is "empirical" or "uniform" and lam a scalar or
+    1-D array of values >= 0; returns lam as an array."""
+    if priors not in ("empirical", "uniform"):
+        raise InputError("priors must be 'empirical' or 'uniform'")
     lam = np.asarray(lam, dtype=np.float64)
     if lam.ndim > 1:
         raise InputError("lam must be a scalar or a 1-D sequence")
     if not np.all(lam >= 0):
         raise InputError("lam must be >= 0 (and not NaN)")
     return lam
-
-
-def check_cad_params(lam, priors: str) -> np.ndarray:
-    """Raise unless priors is "empirical" or "uniform" and lam a scalar or
-    1-D array of values >= 0; returns lam as an array."""
-    if priors not in ("empirical", "uniform"):
-        raise InputError("priors must be 'empirical' or 'uniform'")
-    return _check_lam(lam)
-
-
-def _resolve_sigma(sigma: float | None, points: np.ndarray) -> float:
-    """The given kernel width, which must be finite and > 0, or else the
-    width heuristic of the points."""
-    if sigma is None:
-        return sigma_from_points(points)
-    if not (np.isfinite(sigma) and sigma > 0):
-        raise InputError("sigma must be finite and positive when given")
-    return sigma
 
 
 def fit_cad_model(train: PointSet, lam: float = 0.0, sigma: float | None = None,
@@ -95,39 +107,59 @@ def fit_cad_model(train: PointSet, lam: float = 0.0, sigma: float | None = None,
     neg = train.points[train.labels == -1]
     if pos.shape[0] == 0 or neg.shape[0] == 0:
         raise DegenerateGraphError("both classes need at least one training point")
-    sigma = _resolve_sigma(sigma, train.points)
-    psi = train.feature_weights
-
-    def class_vol(pts):
-        if pts.shape[0] < 2:
-            return 0.0
-        w = gaussian_of_sq_dists(_kernels.pairwise_sq_dists(pts, psi), pts.shape[1], sigma,
-                                 normalize_by_p)
-        np.fill_diagonal(w, 0.0)
-        return float(w.sum())
-
+    if sigma is None:
+        sigma = sigma_from_points(train.points)
+    elif not (np.isfinite(sigma) and sigma > 0):
+        raise InputError("sigma must be finite and positive when given")
+    own = tuple(_kernel_mass(pts, pts, sigma, train.feature_weights, normalize_by_p,
+                             np.arange(pts.shape[0])) for pts in (pos, neg))
     n_lab = pos.shape[0] + neg.shape[0]
     prior_pos = pos.shape[0] / n_lab if priors == "empirical" else 0.5
-    return CadModel(
+    model = CadModel(
         points_pos=pos, points_neg=neg,
-        vol_pos=class_vol(pos), vol_neg=class_vol(neg),
+        vol_pos=float(own[0].sum()), vol_neg=float(own[1].sum()),
         prior_pos=prior_pos, prior_neg=1.0 - prior_pos,
-        lam=lam, sigma=sigma, psi=psi, normalize_by_p=normalize_by_p,
+        lam=lam, sigma=sigma, psi=train.feature_weights, normalize_by_p=normalize_by_p,
     )
+    object.__setattr__(model, "_own_masses", own)
+    return model
 
 
-def _rwcad_posterior(model: CadModel, m_pos, m_neg, own_is_pos, lam,
-                     vol_pos, vol_neg) -> np.ndarray:
-    """Posterior of the opposite label with the lam-padded denominator.
-
-    lam only enters the final division, so a 1-D lam scores every value
-    from the same masses: the result has one row per lam, and the shape of
-    the masses for a scalar lam.
-    """
+def _score_rows(method: str, model: CadModel, x: np.ndarray, y: np.ndarray,
+                lam: float | np.ndarray | None = None, n_loo: int = 0) -> np.ndarray:
+    """rwcad or knn scores of the query rows x labeled y.  The first n_loo
+    rows are the model's training set, in order, scored LOO: their mass
+    against their own class is the one fit_cad_model kept, and their class
+    volume drops by twice that mass.  knn is 1 - the Parzen posterior of the
+    observed label; rwcad the posterior of the opposite label with lam
+    (default: the model's; a 1-D lam gives one row per value) added to its
+    denominator."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    y = np.atleast_1d(np.asarray(y))
+    if y.shape != (x.shape[0],):
+        raise InputError(f"{y.size} labels for {x.shape[0]} query rows")
+    loo = np.arange(y.size) < n_loo
+    masses = []
+    for k, (label, points) in enumerate(((1, model.points_pos), (-1, model.points_neg))):
+        m, kept = np.empty(y.size), loo & (y == label)
+        if n_loo:
+            m[kept] = model._own_masses[k]
+        m[~kept] = model._mass(x[~kept], points)
+        masses.append(m)
+    m_pos, m_neg = masses
+    is_pos = y == 1
+    if method == "knn":
+        total = m_pos + m_neg
+        if np.any(total <= 0):
+            raise DegenerateGraphError("zero kernel mass at a query point")
+        return 1.0 - np.where(is_pos, m_pos, m_neg) / total
+    lam = model.lam if lam is None else check_cad_params(lam)
+    vol_pos = np.where(loo & is_pos, model.vol_pos - 2.0 * m_pos, model.vol_pos)
+    vol_neg = np.where(loo & (y == -1), model.vol_neg - 2.0 * m_neg, model.vol_neg)
     like_pos = m_pos / (vol_pos + 2.0 * m_pos)
     like_neg = m_neg / (vol_neg + 2.0 * m_neg)
     total = like_pos * model.prior_pos + like_neg * model.prior_neg
-    opposite = np.where(own_is_pos, like_neg * model.prior_neg, like_pos * model.prior_pos)
+    opposite = np.where(is_pos, like_neg * model.prior_neg, like_pos * model.prior_pos)
     denom = np.asarray(lam)[..., None] + total
     return np.divide(opposite, denom, out=np.zeros(denom.shape), where=denom > 0)
 
@@ -137,10 +169,7 @@ def rwcad_scores(model: CadModel, x: np.ndarray, y: np.ndarray,
     """Posterior of the opposite label with the lam-padded denominator,
     one score in [0, 1) per query row; a 1-D lam (default: the model's)
     gives one row of scores per value."""
-    y = np.atleast_1d(np.asarray(y))
-    lam = model.lam if lam is None else _check_lam(lam)
-    m_pos, m_neg = model.masses(x)
-    return _rwcad_posterior(model, m_pos, m_neg, y == 1, lam, model.vol_pos, model.vol_neg)
+    return _score_rows("rwcad", model, x, y, lam)
 
 
 def rwcad_score(model: CadModel, x_e: np.ndarray, y_e: int) -> float:
@@ -149,13 +178,7 @@ def rwcad_score(model: CadModel, x_e: np.ndarray, y_e: int) -> float:
 
 def weighted_knn_scores(model: CadModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """1 - Parzen posterior of the observed label."""
-    y = np.atleast_1d(np.asarray(y))
-    m_pos, m_neg = model.masses(x)
-    total = m_pos + m_neg
-    if np.any(total <= 0):
-        raise DegenerateGraphError("zero kernel mass at a query point")
-    own = np.where(y == 1, m_pos, m_neg)
-    return 1.0 - own / total
+    return _score_rows("knn", model, x, y)
 
 
 def weighted_knn_score(train: PointSet, x_e: np.ndarray, y_e: int,
@@ -164,47 +187,19 @@ def weighted_knn_score(train: PointSet, x_e: np.ndarray, y_e: int,
     return float(weighted_knn_scores(model, np.atleast_2d(x_e), np.array([y_e]))[0])
 
 
-def _loo_masses(ps: PointSet, sigma: float, normalize_by_p: bool):
-    """Per-example own/other-class kernel masses with the example's own
-    contribution removed from its class."""
-    k = gaussian_of_sq_dists(_kernels.pairwise_sq_dists(ps.points, ps.feature_weights),
-                             ps.p, sigma, normalize_by_p)
-    np.fill_diagonal(k, 0.0)
-    m_pos = k[:, ps.labels == 1].sum(axis=1)
-    m_neg = k[:, ps.labels == -1].sum(axis=1)
-    return m_pos, m_neg
-
-
 def rwcad_scores_loo(ps: PointSet, lam: float | np.ndarray, sigma: float | None = None,
                      normalize_by_p: bool = True, priors: str = "empirical") -> np.ndarray:
     """Score every example of a fully labeled set against the rest of the
     set (its own node left out of its class graph).  A 1-D lam gives one
     row of scores per value from a single kernel-mass computation."""
-    lam = _check_lam(lam)
-    return rwcad_scores_loo_fitted(ps, fit_cad_model(ps, 0.0, sigma, normalize_by_p, priors),
-                                   lam)
-
-
-def rwcad_scores_loo_fitted(ps: PointSet, model: CadModel,
-                            lam: float | np.ndarray) -> np.ndarray:
-    """``rwcad_scores_loo`` with the model already fitted on ps: its sigma,
-    class volumes and priors are reused, and lam replaces its own."""
-    lam = _check_lam(lam)
-    m_pos, m_neg = _loo_masses(ps, model.sigma, model.normalize_by_p)
-    own_is_pos = ps.labels == 1
-    vol_pos = np.where(own_is_pos, model.vol_pos - 2.0 * m_pos, model.vol_pos)
-    vol_neg = np.where(own_is_pos, model.vol_neg, model.vol_neg - 2.0 * m_neg)
-    return _rwcad_posterior(model, m_pos, m_neg, own_is_pos, lam, vol_pos, vol_neg)
+    model = fit_cad_model(ps, lam, sigma, normalize_by_p, priors)
+    return _score_rows("rwcad", model, ps.points, ps.labels, n_loo=ps.n)
 
 
 def weighted_knn_scores_loo(ps: PointSet, sigma: float | None = None,
                             normalize_by_p: bool = True) -> np.ndarray:
-    m_pos, m_neg = _loo_masses(ps, _resolve_sigma(sigma, ps.points), normalize_by_p)
-    total = m_pos + m_neg
-    if np.any(total <= 0):
-        raise DegenerateGraphError("zero leave-one-out kernel mass")
-    own = np.where(ps.labels == 1, m_pos, m_neg)
-    return 1.0 - own / total
+    model = fit_cad_model(ps, 0.0, sigma, normalize_by_p)
+    return _score_rows("knn", model, ps.points, ps.labels, n_loo=ps.n)
 
 
 def _pm1_labels(y: np.ndarray, method: str) -> np.ndarray:

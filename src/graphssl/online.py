@@ -32,7 +32,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InputError
-from .graph import GraphConfig, gaussian_of_sq_dists
+from .graph import GraphConfig, dense_component, gaussian_of_sq_dists
 from .harmonic import DEFAULT_TOL, SoftLabels, check_gamma_g, solve_harmonic
 
 ABSTAIN = 0
@@ -304,19 +304,9 @@ class CentroidGraph:
 
     def component(self, idx: int) -> np.ndarray:
         """Sorted indices of the nodes joined to node idx by nonzero edges,
-        found breadth-first the first time a node of the component is
-        asked for.  On centroid graphs of about 75 nodes this takes a
-        seventh of the time of csgraph's labelling, most of which goes to
-        building and validating a CSR copy."""
+        found the first time a node of the component is asked for."""
         if self._component[idx] < 0:
-            adj = self.weights != 0
-            reach = np.zeros(adj.shape[0], dtype=bool)
-            reach[idx] = True
-            frontier = reach.copy()
-            while frontier.any():
-                frontier = adj[frontier].any(axis=0) & ~reach
-                reach |= frontier
-            self._component[reach] = idx
+            self._component[dense_component(self.weights != 0, idx)] = idx
         return np.flatnonzero(self._component == self._component[idx])
 
 

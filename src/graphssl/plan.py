@@ -31,9 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from . import io as gio
-from .cad import (TaskScaling, check_cad_params, fit_cad_model, rwcad_scores,
-                  rwcad_scores_loo, rwcad_scores_loo_fitted, scale_scores, softhad_score,
-                  weighted_knn_scores, weighted_knn_scores_loo)
+from .cad import (TaskScaling, _score_rows, check_cad_params, fit_cad_model,
+                  rwcad_scores_loo, scale_scores, softhad_score, weighted_knn_scores_loo)
 from .datasets import (CoreSpec, MixtureSpec, flip_labels, gen_core_dataset,
                        gen_gauss_mixture, load_dataset_spec, parse_config_text)
 from .errors import InputError
@@ -116,25 +115,20 @@ def cad_scores(method: str, train: PointSet, test: PointSet | None = None, *,
     if method not in METHODS:
         raise InputError(f"method must be one of {METHODS}")
     check_cad_params(lam, priors)
+    if test is not None and test.p != train.p:
+        raise InputError(f"test rows have {test.p} features, training rows {train.p}")
+    both = train if test is None else PointSet(
+        np.vstack([train.points, test.points]),
+        np.concatenate([train.labels, test.labels]), train.feature_weights)
     if method == "softhad":
         cfg = SoftConfig(gamma_g=gamma_g, c_l=c_l, c_u=c_l)
-        ps = train if test is None else PointSet(
-            np.vstack([train.points, test.points]),
-            np.concatenate([train.labels, test.labels]), train.feature_weights)
-        g = build_graph(ps, dataclasses.replace(graph, sigma=sigma))
-        return softhad_score(g, ps.labels, cfg)
-    rwcad = method == "rwcad"
+        return softhad_score(build_graph(both, dataclasses.replace(graph, sigma=sigma)),
+                             both.labels, cfg)
     if test is None:
-        return (rwcad_scores_loo(train, lam, sigma, priors=priors) if rwcad
+        return (rwcad_scores_loo(train, lam, sigma, priors=priors) if method == "rwcad"
                 else weighted_knn_scores_loo(train, sigma))
     model = fit_cad_model(train, lam, sigma, priors=priors)
-    if rwcad:
-        scores = (rwcad_scores_loo_fitted(train, model, lam),
-                  rwcad_scores(model, test.points, test.labels, lam))
-    else:
-        scores = (weighted_knn_scores_loo(train, sigma),
-                  weighted_knn_scores(model, test.points, test.labels))
-    return np.concatenate(scores, axis=-1)
+    return _score_rows(method, model, both.points, both.labels, lam, n_loo=train.n)
 
 
 def score_method(method: str, params: dict, spec, seed: int, n_samples: int,

@@ -1,6 +1,11 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from graphssl import (DegenerateGraphError, GraphConfig, InputError,
@@ -11,8 +16,10 @@ from graphssl import (DegenerateGraphError, GraphConfig, InputError,
                       weighted_knn_scores, weighted_knn_scores_loo)
 from graphssl import cad as cad_module
 from graphssl import plan as plan_module
-from graphssl.cad import LAMBDA_GRID, _loo_masses, rwcad_scores_loo_fitted
-from graphssl.graph import gaussian_weights_matrix
+from graphssl import graph as graph_module
+from graphssl._kernels import pairwise_sq_dists
+from graphssl.cad import LAMBDA_GRID, _kernel_mass
+from graphssl.graph import gaussian_of_sq_dists, gaussian_weights_matrix
 
 
 def _mirror_training_set():
@@ -22,6 +29,28 @@ def _mirror_training_set():
     pts = np.vstack([pos, neg])
     labels = np.array([1, 1, 1, -1, -1, -1])
     return PointSet(pts, labels)
+
+
+def _dense_kernel(ps, sigma, normalize_by_p):
+    """The n x n pdist kernel of ps with a zero diagonal."""
+    k = gaussian_of_sq_dists(pairwise_sq_dists(ps.points, ps.feature_weights), ps.p, sigma,
+                             normalize_by_p)
+    np.fill_diagonal(k, 0.0)
+    return k
+
+
+def _dense_reference(ps, sigma, normalize_by_p, x):
+    """Test-only copies of the dense CAD masses that the blocked routine
+    replaced: leave-one-out masses as column sums of one n x n kernel,
+    each class volume as the sum of one n_c x n_c kernel, and the masses
+    of the query rows x as row sums of one cross kernel per class."""
+    k = _dense_kernel(ps, sigma, normalize_by_p)
+    loo = tuple(k[:, ps.labels == c].sum(axis=1) for c in (1, -1))
+    vols = tuple(float(k[np.ix_(ps.labels == c, ps.labels == c)].sum()) for c in (1, -1))
+    test = tuple(gaussian_weights_matrix(x, ps.points[ps.labels == c], sigma,
+                                         ps.feature_weights, normalize_by_p).sum(axis=1)
+                 for c in (1, -1))
+    return loo, vols, test
 
 
 def _random_labeled_set(seed, n=50):
@@ -73,16 +102,161 @@ class TestLambdaBatch:
             fit_cad_model(ps, nan, sigma=0.5)
 
 
+# LOO masses and class volumes add the dense reference's nonnegative terms in
+# another order; numpy's pairwise sums of at most 30 x 30 terms bound each
+# side's rounding by a few tens of u (2.2e-16), under this relative bound
+REL_TOL = 1e-14
+
+
+@st.composite
+def _cad_case(draw):
+    """A labeled set with both classes, duplicate points likely (coordinates
+    on a half-unit grid), n >= 2, and query rows of the same width."""
+    n, p = draw(st.integers(2, 30)), draw(st.integers(1, 3))
+    grid = st.integers(-3, 3).map(lambda v: v / 2)
+    pts = np.array(draw(st.lists(st.lists(grid, min_size=p, max_size=p),
+                                 min_size=n, max_size=n)))
+    labels = np.array([1, -1] + draw(st.lists(st.sampled_from([1, -1]),
+                                              min_size=n - 2, max_size=n - 2)))
+    psi = np.array(draw(st.lists(st.floats(0.0, 1.5), min_size=p, max_size=p)))
+    m = draw(st.integers(0, 8))
+    x = np.array(draw(st.lists(st.lists(grid, min_size=p, max_size=p),
+                               min_size=m, max_size=m))).reshape(m, p)
+    y = np.array(draw(st.lists(st.sampled_from([1, -1]), min_size=m, max_size=m)), dtype=int)
+    return PointSet(pts, labels, psi), x, y
+
+
 class TestLooMasses:
     @pytest.mark.parametrize("normalize_by_p", [True, False])
     def test_pdist_kernel_bit_identical_to_cross_kernel(self, normalize_by_p):
+        # the blocked routine's kernel entries are the pdist kernel's bits:
+        # summed over the same contiguous class columns, the dense kernel
+        # gives the model's leave-one-out masses exactly
         ps = _random_labeled_set(10, n=80)
-        m_pos, m_neg = _loo_masses(ps, 0.7, normalize_by_p)
-        k = gaussian_weights_matrix(ps.points, ps.points, 0.7, ps.feature_weights,
-                                    normalize_by_p)
-        np.fill_diagonal(k, 0.0)
-        assert np.array_equal(m_pos, k[:, ps.labels == 1].sum(axis=1))
-        assert np.array_equal(m_neg, k[:, ps.labels == -1].sum(axis=1))
+        k = _dense_kernel(ps, 0.7, normalize_by_p)
+        model = fit_cad_model(ps, 0.0, 0.7, normalize_by_p)
+        for c, own, points in ((1, model._own_masses[0], model.points_pos),
+                               (-1, model._own_masses[1], model.points_neg)):
+            cols = np.ascontiguousarray(k[:, ps.labels == c])
+            assert np.array_equal(own, cols[ps.labels == c].sum(axis=1))
+            other = _kernel_mass(ps.points[ps.labels == -c], points, 0.7,
+                                 ps.feature_weights, normalize_by_p)
+            assert np.array_equal(other, cols[ps.labels == -c].sum(axis=1))
+
+    @given(_cad_case(), st.floats(0.3, 3.0), st.booleans(), st.integers(1, 7))
+    @settings(max_examples=80, deadline=None)
+    def test_blocked_masses_match_dense_reference(self, case, sigma, normalize_by_p, rows):
+        ps, x, y = case
+        (ref_pos, ref_neg), ref_vols, ref_test = _dense_reference(ps, sigma, normalize_by_p, x)
+        # a one-point class has LOO mass and volume 0: 0 / 0, which scores 0
+        with mock.patch.object(graph_module, "_EXACT_BLOCK", rows * ps.n), \
+                np.errstate(invalid="ignore"):
+            model = fit_cad_model(ps, 0.0, sigma, normalize_by_p)
+            test = model.masses(x)
+            loo_knn = weighted_knn_scores_loo(ps, sigma, normalize_by_p)
+            loo_rwcad = rwcad_scores_loo(ps, 0.01, sigma, normalize_by_p)
+        # test-row masses are a dense kernel's row sums, bit for bit
+        assert all(np.array_equal(got, want) for got, want in zip(test, ref_test))
+        # LOO masses: own class from the fit, other class from model.masses
+        is_pos = ps.labels == 1
+        m_pos, m_neg = model.masses(ps.points)
+        m_pos[is_pos], m_neg[~is_pos] = model._own_masses
+        for got, want in ((m_pos, ref_pos), (m_neg, ref_neg),
+                          (model.vol_pos, ref_vols[0]), (model.vol_neg, ref_vols[1])):
+            assert np.all(np.abs(got - want) <= REL_TOL * np.abs(want))
+        # so the LOO scores barely move from those of the dense masses
+        own = np.where(is_pos, ref_pos, ref_neg)
+        assert np.allclose(loo_knn, 1.0 - own / (ref_pos + ref_neg), rtol=0, atol=1e-14)
+        vol_pos = np.where(is_pos, ref_vols[0] - 2.0 * ref_pos, ref_vols[0])
+        vol_neg = np.where(is_pos, ref_vols[1], ref_vols[1] - 2.0 * ref_neg)
+        with np.errstate(invalid="ignore"):
+            like_pos = ref_pos / (vol_pos + 2.0 * ref_pos) * model.prior_pos
+            like_neg = ref_neg / (vol_neg + 2.0 * ref_neg) * model.prior_neg
+        denom = 0.01 + (like_pos + like_neg)
+        want = np.divide(np.where(is_pos, like_neg, like_pos), denom,
+                         out=np.zeros(ps.n), where=denom > 0)
+        assert np.allclose(loo_rwcad, want, rtol=0, atol=1e-14)
+        assert rwcad_scores(model, x, y).shape == (len(y),)
+
+    def test_row_blocks_change_no_bits(self, monkeypatch):
+        ps = _random_labeled_set(13, n=120)
+        x = np.random.default_rng(14).normal(size=(45, 3))
+        whole = fit_cad_model(ps, 0.0, 0.7)
+        for rows in (7, 37, 11):
+            monkeypatch.setattr(graph_module, "_EXACT_BLOCK", rows * ps.n)
+            model = fit_cad_model(ps, 0.0, 0.7)
+            assert all(np.array_equal(a, b) for a, b in zip(model.masses(x), whole.masses(x)))
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(model._own_masses, whole._own_masses))
+            assert (model.vol_pos, model.vol_neg) == (whole.vol_pos, whole.vol_neg)
+
+    def test_empty_query_set(self):
+        model = fit_cad_model(_random_labeled_set(15, n=20), 0.0, 0.7)
+        empty = np.zeros((0, 3))
+        assert all(m.shape == (0,) for m in model.masses(empty))
+        assert rwcad_scores(model, empty, np.zeros(0)).shape == (0,)
+        assert weighted_knn_scores(model, empty, np.zeros(0)).shape == (0,)
+
+
+@pytest.mark.parametrize("scorer", [rwcad_scores_loo, weighted_knn_scores_loo])
+def test_loo_memory_is_linear_in_n(scorer):
+    n = 10_000
+    bound = n * n * 8 // 4        # one n x n float64 matrix / 4
+    rng = np.random.default_rng(0)
+    ps = PointSet(rng.normal(size=(n, 2)), np.where(rng.random(n) < 0.5, 1, -1))
+    args = (ps, 0.01, 0.3) if scorer is rwcad_scores_loo else (ps, 0.3)
+    tracemalloc.start()
+    try:
+        scores = scorer(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scores.shape == (n,) and np.all(np.isfinite(scores))
+    assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
+
+
+class TestMismatchedInputs:
+    def _wide(self, train):
+        rng = np.random.default_rng(16)
+        return PointSet(rng.normal(size=(5, train.p + 1)), np.array([1, -1, 1, -1, 1]))
+
+    @pytest.mark.parametrize("method", ["rwcad", "knn", "softhad"])
+    def test_cad_scores_rejects_a_test_set_of_another_width(self, method):
+        train = _random_labeled_set(17, n=20)
+        with pytest.raises(InputError, match="features"):
+            cad_scores(method, train, self._wide(train), sigma=0.7)
+
+    def test_scorers_reject_query_rows_of_another_width(self):
+        train = _random_labeled_set(17, n=20)
+        model, wide = fit_cad_model(train, 0.0, 0.7), self._wide(train)
+        for scorer in (rwcad_scores, weighted_knn_scores):
+            with pytest.raises(InputError, match="features"):
+                scorer(model, wide.points, wide.labels)
+        with pytest.raises(InputError, match="features"):
+            model.masses(wide.points)
+
+    def test_scorers_reject_one_label_per_row_mismatch(self):
+        train = _random_labeled_set(17, n=20)
+        model = fit_cad_model(train, 0.0, 0.7)
+        for scorer in (rwcad_scores, weighted_knn_scores):
+            with pytest.raises(InputError, match="labels"):
+                scorer(model, train.points[:4], train.labels[:3])
+
+
+class TestSingleClassTraining:
+    """knn fits the same model as rwcad, so a training set with one class
+    raises in every path instead of scoring all zeros leave-one-out."""
+
+    @pytest.mark.parametrize("method", ["rwcad", "knn"])
+    @pytest.mark.parametrize("with_test", [False, True])
+    def test_raises_with_and_without_test_set(self, method, with_test):
+        train = PointSet(np.random.default_rng(18).normal(size=(12, 2)), np.ones(12, dtype=int))
+        test = _random_labeled_set(19, n=6) if with_test else None
+        test = None if test is None else PointSet(test.points[:, :2], test.labels)
+        with pytest.raises(DegenerateGraphError, match="both classes"):
+            cad_scores(method, train, test, sigma=0.7)
+        with pytest.raises(DegenerateGraphError, match="both classes"):
+            weighted_knn_scores_loo(train, 0.7)
 
 
 class TestCadScores:
@@ -174,12 +348,16 @@ class TestCadScores:
 
     @pytest.mark.parametrize("priors", ["empirical", "uniform"])
     def test_loo_from_fitted_model_equals_loo(self, priors):
-        train, _ = self._split()
-        model = fit_cad_model(train, 3.0, None, priors=priors)
-        assert np.array_equal(rwcad_scores_loo_fitted(train, model, LAMBDA_GRID),
+        # with a test set the training rows are scored leave-one-out from the
+        # one fitted model; they equal the scorers that fit their own model
+        train, test = self._split()
+        rows = cad_scores("rwcad", train, test, lam=LAMBDA_GRID, priors=priors)
+        assert np.array_equal(rows[:, :train.n],
                               rwcad_scores_loo(train, LAMBDA_GRID, priors=priors))
+        assert np.array_equal(cad_scores("knn", train, test)[:train.n],
+                              weighted_knn_scores_loo(train))
         with pytest.raises(InputError, match="lam"):
-            rwcad_scores_loo_fitted(train, model, -1.0)
+            cad_scores("rwcad", train, test, lam=-1.0)
 
 
 class TestSigmaValidation:

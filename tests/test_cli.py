@@ -217,6 +217,18 @@ class TestCad:
         assert "lam must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "cad.csv").exists()
 
+    @pytest.mark.parametrize("method", ["rwcad", "knn", "softhad"])
+    def test_test_set_of_another_width_exits_2(self, tmp_path, capsys, method):
+        train, _ = self._train_test(tmp_path)
+        wide = tmp_path / "wide.csv"
+        write_points_csv(wide, PointSet(np.random.default_rng(6).normal(size=(4, 3)),
+                                        np.array([1, -1, 1, -1])))
+        assert main(["cad", "--train", str(train), "--test", str(wide), "--method", method,
+                     "--out", str(tmp_path / "cad.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "3 features" in err
+        assert not (tmp_path / "cad.csv").exists()
+
 
 class TestEval:
     def test_metrics_json(self, tmp_path):

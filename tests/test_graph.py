@@ -10,6 +10,7 @@ from scipy.sparse.csgraph import connected_components as csgraph_components
 from graphssl import (DegenerateGraphError, GraphConfig, InputError, PointSet,
                       SimilarityGraph, build_graph, connected_components,
                       gaussian_weight, laplacian, stationary_distribution)
+from graphssl.graph import component_labels, dense_component
 
 from _synth import random_graph
 
@@ -272,6 +273,21 @@ class TestConnectedComponents:
         got = connected_components(g)
         assert [c.tolist() for c in got] == want
         assert all(c.dtype == np.int64 for c in got)
+
+    @given(st.integers(0, 40), st.integers(0, 2**32 - 1), st.floats(0.0, 0.3))
+    @settings(max_examples=80, deadline=None)
+    def test_dense_labels_equal_csgraph(self, n, seed, density):
+        # sparse random weights give many components and isolated nodes
+        rng = np.random.default_rng(seed)
+        upper = np.triu(np.where(rng.random((n, n)) < density, rng.random((n, n)), 0.0), 1)
+        w = upper + upper.T
+        want = csgraph_components(sp.csr_matrix(w), directed=False)[1]
+        assert np.array_equal(component_labels(w), want)
+        # one-sided entries are undirected edges, as for csgraph
+        assert np.array_equal(component_labels(upper), want)
+        assert np.array_equal(component_labels(sp.csr_matrix(w)), want)
+        for node in range(n):
+            assert np.array_equal(dense_component(w != 0, node), want == want[node])
 
 
 def test_similarity_graph_validate_passes_for_built_graphs():
