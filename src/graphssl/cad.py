@@ -12,13 +12,13 @@ Three scorers:
   multiplicity-weighted backbone graph.
 
 rwcad and k-NN share one kernel-mass routine: the row sums of the Gaussian
-kernel between query rows and a class's training points, formed in row
-blocks of at most ``graph._EXACT_BLOCK`` entries, so memory is O(block + n)
-and no n x n matrix is formed.  Leave-one-out (LOO) masses zero the point's
-own column, and a class volume is the sum of its points' LOO masses; both
-sum in another order than one dense kernel, within a relative 1e-14, while
-test-row masses are bit-identical to it.  Both scorers fit the model, so a
-training set with one class raises ``DegenerateGraphError`` in every path.
+kernel between query rows and a class's training points, formed in place,
+one row block of at most ``graph._EXACT_BLOCK`` entries at a time, so memory
+is O(block + n).  Leave-one-out (LOO) masses zero the point's own column,
+and a class volume is the sum of its points' LOO masses; both sum in another
+order than one dense kernel, within a relative 1e-14, while test-row masses
+are bit-identical to it.  Both scorers fit the model, so a training set
+with one class raises ``DegenerateGraphError`` in every path.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from . import _kernels, graph
 from .errors import DegenerateGraphError, InputError
 from .graph import PointSet, SimilarityGraph, gaussian_weights_matrix, sigma_from_points
-from .harmonic import DEFAULT_TOL, SoftConfig, soft_harmonic, solve_harmonic
+from .harmonic import SoftConfig, soft_harmonic, solve_harmonic
 from .rng import PortableRng
 
 LAMBDA_GRID = tuple(10.0 ** e for e in range(-5, 6))
@@ -51,6 +51,7 @@ def _kernel_mass(x: np.ndarray, points: np.ndarray, sigma: float, psi: np.ndarra
         if own is not None:
             w[np.arange(w.shape[0]), own[start:start + step]] = 0.0
         out[start:start + step] = w.sum(axis=1)
+        del w                   # before the next block is formed
     return out
 
 
@@ -133,7 +134,11 @@ def _score_rows(method: str, model: CadModel, x: np.ndarray, y: np.ndarray,
     volume drops by twice that mass.  knn is 1 - the Parzen posterior of the
     observed label; rwcad the posterior of the opposite label with lam
     (default: the model's; a 1-D lam gives one row per value) added to its
-    denominator."""
+    denominator.
+
+    A class likelihood m / (vol + 2m) with denominator 0 is 0: a one-point
+    class's LOO row leaves it no points, so the row is scored from the other
+    class alone, opposite / (lam + opposite) (1 at lam = 0, as knn)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_1d(np.asarray(y))
     if y.shape != (x.shape[0],):
@@ -156,8 +161,9 @@ def _score_rows(method: str, model: CadModel, x: np.ndarray, y: np.ndarray,
     lam = model.lam if lam is None else check_cad_params(lam)
     vol_pos = np.where(loo & is_pos, model.vol_pos - 2.0 * m_pos, model.vol_pos)
     vol_neg = np.where(loo & (y == -1), model.vol_neg - 2.0 * m_neg, model.vol_neg)
-    like_pos = m_pos / (vol_pos + 2.0 * m_pos)
-    like_neg = m_neg / (vol_neg + 2.0 * m_neg)
+    den_pos, den_neg = vol_pos + 2.0 * m_pos, vol_neg + 2.0 * m_neg
+    like_pos = np.divide(m_pos, den_pos, out=np.zeros(y.size), where=den_pos > 0)
+    like_neg = np.divide(m_neg, den_neg, out=np.zeros(y.size), where=den_neg > 0)
     total = like_pos * model.prior_pos + like_neg * model.prior_neg
     opposite = np.where(is_pos, like_neg * model.prior_neg, like_pos * model.prior_pos)
     denom = np.asarray(lam)[..., None] + total
@@ -209,16 +215,15 @@ def _pm1_labels(y: np.ndarray, method: str) -> np.ndarray:
     return y
 
 
-def softhad_score(g: SimilarityGraph, y: np.ndarray, cfg: SoftConfig,
-                  tol: float = DEFAULT_TOL) -> np.ndarray:
+def softhad_score(g: SimilarityGraph, y: np.ndarray, cfg: SoftConfig) -> np.ndarray:
     """|soft harmonic solution - actual label| over a fully labeled graph;
     scores live in [0, 2], higher is more anomalous."""
     y = _pm1_labels(y, "softhad")
-    return np.abs(soft_harmonic(g, y, cfg, tol).values - y)
+    return np.abs(soft_harmonic(g, y, cfg).values - y)
 
 
 def backbone_cad(centroid_graph: SimilarityGraph, multiplicities: np.ndarray,
-                 y: np.ndarray, cfg: SoftConfig, tol: float = DEFAULT_TOL) -> np.ndarray:
+                 y: np.ndarray, cfg: SoftConfig) -> np.ndarray:
     """Soft harmonic scoring on a backbone whose node i stands for
     multiplicities[i] collapsed examples.
 
@@ -228,7 +233,7 @@ def backbone_cad(centroid_graph: SimilarityGraph, multiplicities: np.ndarray,
     """
     y = _pm1_labels(y, "backbone CAD")
     values = solve_harmonic(centroid_graph.dense(), y, cfg.gamma_g, np.full(y.shape, cfg.c_l),
-                            multiplicities, tol)
+                            multiplicities)
     return np.abs(values - y)
 
 

@@ -13,10 +13,9 @@ import numpy as np
 from . import io as gio
 from .cad import TaskScaling, scale_scores
 from .cuts import CutClassifier, KernelSpec, train_on_induced
-from .datasets import (CoreSpec, MixtureSpec, flip_labels, gen_core_dataset,
-                       gen_gauss_mixture, load_dataset_spec, true_anomaly_scores)
+from .datasets import draw_dataset, load_dataset_spec, true_anomaly_scores
 from .errors import DegenerateGraphError, InputError, SolverError
-from .graph import GraphConfig, build_graph, resolve_sigma
+from .graph import GraphConfig, build_graph, sigma_from_points
 from .harmonic import SoftConfig, hard_harmonic, soft_harmonic
 from .joint import JointConfig, elastic_joint, infer_unlabeled
 from .metrics import auroc
@@ -24,32 +23,29 @@ from .online import QuantizerState, predict_online
 from .plan import cad_scores, plan_from_config, run_plan
 
 
-def _sigma_arg(value: str) -> float | None:
-    return None if value == "auto" else float(value)
+def _sigma_value(text) -> float | None:
+    try:
+        return None if str(text) == "auto" else float(text)
+    except ValueError:
+        raise InputError(f"--sigma must be 'auto' or a number, got {text!r}") from None
 
 
 def _graph_cfg(args) -> GraphConfig:
-    return GraphConfig.parse(args.graph, sigma=_sigma_arg(args.sigma))
+    return GraphConfig.parse(args.graph, sigma=args.sigma_value)
 
 
 def cmd_gen_data(args) -> int:
     spec = load_dataset_spec(args.config)
-    if isinstance(spec, MixtureSpec):
-        clean = gen_gauss_mixture(spec, args.n, args.seed)
-        corrupted, mask = flip_labels(clean, args.flip, args.seed + 1_000_003)
-        gio.write_points_csv(args.out, corrupted)
-        if args.truth:
-            scores = true_anomaly_scores(spec, corrupted.points, corrupted.labels)
-            gio.write_truth_csv(args.truth, clean.labels, mask, scores)
-    elif isinstance(spec, CoreSpec):
-        train, test, truth = gen_core_dataset(spec, args.seed)
-        gio.write_points_csv(args.out, train)
-        if not args.out_test:
-            raise InputError("core datasets need --out-test for the test split")
+    train, test, labels, anomalies = draw_dataset(spec, args.n, args.seed, args.flip)
+    if test is not None and not args.out_test:
+        raise InputError("core datasets need --out-test for the test split")
+    gio.write_points_csv(args.out, train)
+    if test is not None:
         gio.write_points_csv(args.out_test, test)
-        if args.truth:
-            gio.write_truth_csv(args.truth, test.labels, truth.anomaly_mask,
-                                truth.true_scores)
+    if args.truth:
+        scored = train if test is None else test
+        gio.write_truth_csv(args.truth, labels, anomalies,
+                            true_anomaly_scores(spec, scored.points, scored.labels))
     return 0
 
 
@@ -74,8 +70,7 @@ def cmd_ssl(args) -> int:
 
 def cmd_online_ssl(args) -> int:
     ps = gio.read_points_csv(args.input)
-    sigma = args.sigma_value if args.sigma_value is not None else resolve_sigma(
-        GraphConfig(sigma=None), ps.points)
+    sigma = args.sigma_value if args.sigma_value is not None else sigma_from_points(ps.points)
     cfg = GraphConfig(mode="epsilon", eps_cut=0.0, sigma=sigma)
     state = QuantizerState(capacity=args.k, growth=args.m)
     steps = []
@@ -173,12 +168,15 @@ def cmd_cad(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    try:
+        params = json.loads(args.params)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"--params is not valid JSON: {exc}") from None
     scores = gio.read_scores_csv(args.scores)
     truth = gio.read_truth_csv(args.truth)[args.truth_col]
     value = auroc(scores, truth)
     gio.write_metrics_json(args.out, {
-        "auroc": value, "n": int(scores.size), "method": args.method,
-        "params": json.loads(args.params),
+        "auroc": value, "n": int(scores.size), "method": args.method, "params": params,
     })
     print(f"auroc={gio.fmt17(value)}")
     return 0
@@ -201,14 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="key=value file supplying defaults for any "
                              "subcommand option (keys use underscores)")
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.subcommand_parsers = []
-    _add = sub.add_parser
-
-    def add_parser(*a, **kw):
-        p = _add(*a, **kw)
-        parser.subcommand_parsers.append(p)
-        return p
-    sub.add_parser = add_parser
+    parser.subcommand_parsers = sub.choices
 
     p = sub.add_parser("gen-data", help="generate a dataset from a config file")
     p.add_argument("--config", required=True)
@@ -313,13 +304,13 @@ def main(argv=None) -> int:
         from .datasets import parse_config_text
         raw = parse_config_text(Path(probe.global_config).read_text())
         defaults = {k.replace("-", "_"): v for k, v in raw.items()}
-        for sub_parser in parser.subcommand_parsers:
+        for sub_parser in parser.subcommand_parsers.values():
             known = {a.dest for a in sub_parser._actions}
             sub_parser.set_defaults(**{k: v for k, v in defaults.items() if k in known})
     args = parser.parse_args(argv)
-    if hasattr(args, "sigma") and not hasattr(args, "sigma_value"):
-        args.sigma_value = _sigma_arg(str(args.sigma))
     try:
+        if hasattr(args, "sigma"):
+            args.sigma_value = _sigma_value(args.sigma)
         return args.func(args)
     except (InputError, DegenerateGraphError, SolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

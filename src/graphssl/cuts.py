@@ -14,6 +14,7 @@ rule, so any exact convex-QP solver would produce the same classifier.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,8 @@ import numpy as np
 from .errors import InputError, SolverError
 from .graph import SimilarityGraph
 from .harmonic import hard_harmonic
+
+GAP_TOL = 1e-6      # duality gap, relative to the objective, at which training stops
 
 
 @dataclass(frozen=True)
@@ -45,7 +48,11 @@ class KernelSpec:
             return cls("cubic")
         if text.startswith("rbf"):
             _, _, width = text.partition(":")
-            return cls("rbf", float(width or 1.0))
+            try:
+                value = float(width or 1.0)
+            except ValueError:
+                raise InputError(f"bad rbf width in kernel spec {text!r}") from None
+            return cls("rbf", value)
         raise InputError(f"unknown kernel spec {text!r}")
 
 
@@ -100,14 +107,20 @@ def induce_labels(g: SimilarityGraph, labels: np.ndarray, gamma_g: float,
     return idx, signs
 
 
+def _working_sets(alpha, y, c_box):
+    """Masks of the dual variables that may move up / down within [0, c_box]."""
+    up = ((alpha < c_box) & (y > 0)) | ((alpha > 0) & (y < 0))
+    low = ((alpha < c_box) & (y < 0)) | ((alpha > 0) & (y > 0))
+    return up, low
+
+
 def _duality_gap(alpha, grad, q, y, gamma, c_box):
     """Primal-minus-dual gap of the hinge objective at the current dual
     point, using the midpoint bias estimate."""
     g_vals = (q @ alpha) * y          # sum_j alpha_j y_j K_ij
     quad = float(alpha @ (q @ alpha))
     y_grad = -y * grad
-    up = (alpha < c_box) & (y > 0) | (alpha > 0) & (y < 0)
-    low = (alpha < c_box) & (y < 0) | (alpha > 0) & (y > 0)
+    up, low = _working_sets(alpha, y, c_box)
     m_up = y_grad[up].max() if up.any() else -np.inf
     m_low = y_grad[low].min() if low.any() else np.inf
     bias = 0.5 * (m_up + m_low) if np.isfinite(m_up) and np.isfinite(m_low) else 0.0
@@ -118,11 +131,10 @@ def _duality_gap(alpha, grad, q, y, gamma, c_box):
 
 
 def train_maxmargin(points: np.ndarray, y: np.ndarray, kernel: KernelSpec,
-                    gamma: float, tol: float = 1e-6,
-                    init_alpha: np.ndarray | None = None) -> CutClassifier:
+                    gamma: float, init_alpha: np.ndarray | None = None) -> CutClassifier:
     """Hinge-loss kernel classifier on (points, y) at regularizer gamma.
 
-    Stops when the duality gap falls below tol relative to the objective.
+    Stops when the duality gap falls below GAP_TOL relative to the objective.
     The bias is unregularized and recovered from the free support vectors.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -153,8 +165,7 @@ def train_maxmargin(points: np.ndarray, y: np.ndarray, kernel: KernelSpec,
     gap = np.inf
     for it in range(max_iter):
         y_grad = -y * grad
-        up = ((alpha < c_box) & (y > 0)) | ((alpha > 0) & (y < 0))
-        low = ((alpha < c_box) & (y < 0)) | ((alpha > 0) & (y > 0))
+        up, low = _working_sets(alpha, y, c_box)
         if not up.any() or not low.any():
             break
         masked_up = np.where(up, y_grad, -np.inf)
@@ -166,7 +177,7 @@ def train_maxmargin(points: np.ndarray, y: np.ndarray, kernel: KernelSpec,
             break
         if it % check_every == 0:
             gap, primal, _ = _duality_gap(alpha, grad, q, y, gamma, c_box)
-            if gap <= tol * max(1.0, abs(primal)):
+            if gap <= GAP_TOL * max(1.0, abs(primal)):
                 break
         a = q[i, i] + q[j, j] - 2.0 * y[i] * y[j] * q[i, j]
         a = max(a, 1e-12)
@@ -182,7 +193,7 @@ def train_maxmargin(points: np.ndarray, y: np.ndarray, kernel: KernelSpec,
         grad += q[:, i] * d_i + q[:, j] * d_j
 
     gap, primal, bias = _duality_gap(alpha, grad, q, y, gamma, c_box)
-    if gap > tol * max(1.0, abs(primal)) * 10.0:
+    if gap > GAP_TOL * max(1.0, abs(primal)) * 10.0:
         raise SolverError("max-margin trainer did not reach its gap tolerance",
                           gap / max(1.0, abs(primal)))
     free = (alpha > 1e-12 * c_box) & (alpha < c_box * (1 - 1e-12))
@@ -200,16 +211,10 @@ def train_maxmargin(points: np.ndarray, y: np.ndarray, kernel: KernelSpec,
 
 def train_on_induced(ps_points: np.ndarray, g: SimilarityGraph, labels: np.ndarray,
                      gamma: float, gamma_g: float, epsilon: float,
-                     kernel: KernelSpec, tol: float = 1e-6) -> CutClassifier:
+                     kernel: KernelSpec) -> CutClassifier:
     """Full pipeline: induce confident labels, then train on them."""
     idx, signs = induce_labels(g, labels, gamma_g, epsilon)
     if len(np.unique(signs)) < 2:
         raise InputError("induced training set must contain both classes")
-    clf = train_maxmargin(ps_points[idx], signs.astype(np.float64), kernel, gamma, tol)
-    return CutClassifier(
-        support_points=clf.support_points,
-        coefficients=clf.coefficients,
-        bias=clf.bias,
-        kernel=clf.kernel,
-        retained_indices=idx,
-    )
+    clf = train_maxmargin(ps_points[idx], signs.astype(np.float64), kernel, gamma)
+    return dataclasses.replace(clf, retained_indices=idx)

@@ -117,17 +117,26 @@ def gen_gauss_mixture(spec: MixtureSpec, n: int, seed: int) -> PointSet:
     return PointSet(points, labels)
 
 
-def true_anomaly_scores(spec: MixtureSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Exact Bayes posterior of the opposite class at each (x, y)."""
+def _opposite_posterior(d_pos: np.ndarray, d_neg: np.ndarray, y: np.ndarray,
+                        fallback) -> np.ndarray:
+    """Opposite-class posterior from prior-weighted densities; fallback at 0/0."""
+    total = d_pos + d_neg
+    opposite = np.where(y == 1, d_neg, d_pos)
+    return np.where(total > 0, np.divide(opposite, total, out=np.zeros_like(total),
+                                         where=total > 0), fallback)
+
+
+def true_anomaly_scores(spec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Exact Bayes posterior of the opposite class at each (x, y) under a
+    ``MixtureSpec`` (its prior where both densities are 0) or a ``CoreSpec``."""
+    if isinstance(spec, CoreSpec):
+        return core_true_scores(spec, x, y)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_1d(np.asarray(y))
     d_pos = spec.pos.density(x) * spec.prior_pos
     d_neg = spec.neg.density(x) * (1.0 - spec.prior_pos)
-    total = d_pos + d_neg
-    opposite = np.where(y == 1, d_neg, d_pos)
-    opposite_prior = np.where(y == 1, 1.0 - spec.prior_pos, spec.prior_pos)
-    return np.where(total > 0, np.divide(opposite, total, out=np.zeros_like(total),
-                                         where=total > 0), opposite_prior)
+    return _opposite_posterior(d_pos, d_neg, y,
+                               np.where(y == 1, 1.0 - spec.prior_pos, spec.prior_pos))
 
 
 def true_anomaly_score(spec: MixtureSpec, x: np.ndarray, y: int) -> float:
@@ -199,25 +208,19 @@ class CoreSpec:
         if self.tiny1_label not in (-1, 1) or self.tiny2_label not in (-1, 1):
             raise InputError("tiny square labels must be +-1")
 
-    def tiny_rects(self) -> tuple[Rect, Rect]:
-        return self.tiny1, self.tiny2
-
     def in_tiny(self, x: np.ndarray) -> np.ndarray:
         return _in_rect(x, self.tiny1) | _in_rect(x, self.tiny2)
 
 
-def _uniform_rect(rng: PortableRng, r: Rect, n: int) -> np.ndarray:
-    xs = rng.uniform(r[0], r[1], n)
-    ys = rng.uniform(r[2], r[3], n)
-    return np.column_stack([xs, ys])
-
-
-def _uniform_rect_excluding(rng: PortableRng, r: Rect, hole: Rect, n: int) -> np.ndarray:
+def _uniform_rect(rng: PortableRng, r: Rect, n: int, hole: Rect | None = None) -> np.ndarray:
+    """n uniform points in r; those in hole, if given, are drawn again from
+    the same stream until none is left."""
     out = np.empty((n, 2))
     have = 0
     while have < n:
-        cand = _uniform_rect(rng, r, n - have)
-        good = cand[~_in_rect(cand, hole)]
+        cand = np.column_stack([rng.uniform(r[0], r[1], n - have),
+                                rng.uniform(r[2], r[3], n - have)])
+        good = cand if hole is None else cand[~_in_rect(cand, hole)]
         out[have:have + good.shape[0]] = good
         have += good.shape[0]
     return out
@@ -229,27 +232,35 @@ class CoreTruth:
     true_scores: np.ndarray
 
 
+def _core_layout(spec: CoreSpec) -> list[tuple[Rect, int, int]]:
+    """(square, training count, label) of each square, in drawing order."""
+    return [(spec.big, spec.big_count, -1), (spec.inner, spec.inner_count, 1),
+            (spec.tiny1, spec.tiny1_count, spec.tiny1_label),
+            (spec.tiny2, spec.tiny2_count, spec.tiny2_label)]
+
+
 def core_true_scores(spec: CoreSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Bayes posterior of the opposite class under the piecewise-uniform
-    generative model implied by the training counts."""
+    generative model implied by the training counts (0.5 outside every
+    square)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_1d(np.asarray(y))
-    rects = {1: [], -1: []}
-    rects[-1].append((spec.big, spec.big_count))
-    rects[1].append((spec.inner, spec.inner_count))
-    rects[spec.tiny1_label].append((spec.tiny1, spec.tiny1_count))
-    rects[spec.tiny2_label].append((spec.tiny2, spec.tiny2_count))
-    total_count = spec.big_count + spec.inner_count + spec.tiny1_count + spec.tiny2_count
-    dens = {}
-    for cls in (1, -1):
-        d = np.zeros(x.shape[0])
-        for rect, count in rects[cls]:
-            d += (count / total_count) / _rect_area(rect) * _in_rect(x, rect)
-        dens[cls] = d
-    total = dens[1] + dens[-1]
-    opposite = np.where(y == 1, dens[-1], dens[1])
-    return np.where(total > 0, np.divide(opposite, total, out=np.zeros_like(total),
-                                         where=total > 0), 0.5)
+    layout = _core_layout(spec)
+    total_count = sum(count for _, count, _ in layout)
+    dens = {1: np.zeros(x.shape[0]), -1: np.zeros(x.shape[0])}
+    for rect, count, label in layout:
+        dens[label] += (count / total_count) / _rect_area(rect) * _in_rect(x, rect)
+    return _opposite_posterior(dens[1], dens[-1], y, 0.5)
+
+
+def _draw_squares(rng: PortableRng, first_tag: int, parts: list[tuple[Rect, int, int]],
+                  hole: Rect | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform points and labels of (square, count, label) parts, part t from
+    stream rng.derive(first_tag + t); the first part avoids hole if given."""
+    points = [_uniform_rect(rng.derive(first_tag + t), rect, count, None if t else hole)
+              for t, (rect, count, _) in enumerate(parts)]
+    labels = np.concatenate([np.full(count, label) for _, count, label in parts])
+    return np.vstack(points), labels.astype(np.int64)
 
 
 def gen_core_dataset(spec: CoreSpec, seed: int) -> tuple[PointSet, PointSet, CoreTruth]:
@@ -258,37 +269,33 @@ def gen_core_dataset(spec: CoreSpec, seed: int) -> tuple[PointSet, PointSet, Cor
     exact), and the ``anomaly_count`` injected -1 points in the inner
     square marked as ground truth."""
     rng = PortableRng(seed)
-    tr_pts = np.vstack([
-        _uniform_rect(rng.derive(1), spec.big, spec.big_count),
-        _uniform_rect(rng.derive(2), spec.inner, spec.inner_count),
-        _uniform_rect(rng.derive(3), spec.tiny1, spec.tiny1_count),
-        _uniform_rect(rng.derive(4), spec.tiny2, spec.tiny2_count),
-    ])
-    tr_labels = np.concatenate([
-        np.full(spec.big_count, -1), np.full(spec.inner_count, 1),
-        np.full(spec.tiny1_count, spec.tiny1_label),
-        np.full(spec.tiny2_count, spec.tiny2_label),
-    ]).astype(np.int64)
-    train = PointSet(tr_pts, tr_labels)
-
-    te_pts = np.vstack([
-        _uniform_rect_excluding(rng.derive(5), spec.big, spec.inner, 2 * spec.big_count),
-        _uniform_rect(rng.derive(6), spec.inner, 2 * spec.inner_count),
-        _uniform_rect(rng.derive(7), spec.tiny1, 2 * spec.tiny1_count),
-        _uniform_rect(rng.derive(8), spec.tiny2, 2 * spec.tiny2_count),
-        _uniform_rect(rng.derive(9), spec.inner, spec.anomaly_count),
-    ])
-    te_labels = np.concatenate([
-        np.full(2 * spec.big_count, -1), np.full(2 * spec.inner_count, 1),
-        np.full(2 * spec.tiny1_count, spec.tiny1_label),
-        np.full(2 * spec.tiny2_count, spec.tiny2_label),
-        np.full(spec.anomaly_count, -1),
-    ]).astype(np.int64)
+    layout = _core_layout(spec)
+    train = PointSet(*_draw_squares(rng, 1, layout))
+    te_pts, te_labels = _draw_squares(
+        rng, 1 + len(layout), [(rect, 2 * count, label) for rect, count, label in layout]
+        + [(spec.inner, spec.anomaly_count, -1)], hole=spec.inner)
     mask = np.zeros(te_labels.size, dtype=bool)
     mask[-spec.anomaly_count:] = True
     test = PointSet(te_pts, te_labels)
     truth = CoreTruth(mask, core_true_scores(spec, te_pts, te_labels))
     return train, test, truth
+
+
+def draw_dataset(spec, n: int, seed: int,
+                 flip: float) -> tuple[PointSet, PointSet | None, np.ndarray, np.ndarray]:
+    """One seeded draw: (train, test, true labels, anomaly mask).  A mixture
+    draws n points and flips a fraction flip of their labels (flip seed
+    seed + 1_000_003): test is None, and the labels and mask are the clean
+    labels and flips of the training rows.  A core split ignores n and flip:
+    the labels and mask are the test rows' labels and injected anomalies."""
+    if isinstance(spec, MixtureSpec):
+        clean = gen_gauss_mixture(spec, n, seed)
+        train, mask = flip_labels(clean, flip, seed + 1_000_003)
+        return train, None, clean.labels, mask
+    if isinstance(spec, CoreSpec):
+        train, test, truth = gen_core_dataset(spec, seed)
+        return train, test, test.labels, truth.anomaly_mask
+    raise InputError(f"unsupported dataset spec {type(spec).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +341,8 @@ def _core_from_config(cfg: dict) -> CoreSpec:
     return CoreSpec(**kwargs)
 
 
-def load_dataset_spec(path: str | Path):
-    """Read a dataset config file; its ``type`` key picks the family."""
-    cfg = parse_config_text(Path(path).read_text())
+def _spec_from_text(text: str):
+    cfg = parse_config_text(text)
     kind = cfg.get("type")
     if kind == "mixture":
         return _mixture_from_config(cfg)
@@ -345,10 +351,13 @@ def load_dataset_spec(path: str | Path):
     raise InputError(f"config type must be 'mixture' or 'core', got {kind!r}")
 
 
+def load_dataset_spec(path: str | Path):
+    """Read a dataset config file; its ``type`` key picks the family."""
+    return _spec_from_text(Path(path).read_text())
+
+
 def _load_packaged(name: str):
-    text = resources.files("graphssl").joinpath(f"configs/{name}").read_text()
-    cfg = parse_config_text(text)
-    return _mixture_from_config(cfg) if cfg.get("type") == "mixture" else _core_from_config(cfg)
+    return _spec_from_text(resources.files("graphssl").joinpath(f"configs/{name}").read_text())
 
 
 def default_mixtures() -> dict[str, MixtureSpec]:

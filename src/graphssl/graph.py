@@ -63,10 +63,6 @@ class PointSet:
     def p(self) -> int:
         return self.points.shape[1]
 
-    @property
-    def labeled_mask(self) -> np.ndarray:
-        return self.labels != 0
-
 
 @dataclass(frozen=True)
 class GraphConfig:
@@ -104,8 +100,7 @@ class GraphConfig:
             raise InputError("sigma must be positive and finite when given")
 
     @classmethod
-    def parse(cls, text: str, sigma: float | None = None,
-              normalize_by_p: bool = True) -> "GraphConfig":
+    def parse(cls, text: str, sigma: float | None = None) -> "GraphConfig":
         """Parse the CLI syntax ``knn:K`` or ``eps:E``."""
         kind, _, value = text.partition(":")
         if kind not in ("knn", "eps"):
@@ -115,10 +110,8 @@ class GraphConfig:
         except ValueError:
             raise InputError(f"bad number in graph spec {text!r}") from None
         if kind == "knn":
-            return cls(mode="knn", k_neighbors=number, sigma=sigma,
-                       normalize_by_p=normalize_by_p)
-        return cls(mode="epsilon", eps_cut=number, sigma=sigma,
-                   normalize_by_p=normalize_by_p)
+            return cls(mode="knn", k_neighbors=number, sigma=sigma)
+        return cls(mode="epsilon", eps_cut=number, sigma=sigma)
 
 
 class SimilarityGraph:
@@ -187,18 +180,26 @@ def gaussian_weight(xi, xj, sigma: float, psi=None, normalize_by_p: bool = True)
     return float(gaussian_of_sq_dists(sq, xi.size, sigma, normalize_by_p))
 
 
+def _gaussian_in_place(d2: np.ndarray, p: int, sigma: float, normalize_by_p: bool):
+    """exp(-d2 / (p sigma^2)), or exp(-d2 / sigma^2) when normalize_by_p is
+    off, written over the float64 array d2; the one place the divisor is
+    formed, as (p * sigma) * sigma.  d2 / -denom has the bits of -d2 / denom."""
+    denom = p * sigma * sigma if normalize_by_p else sigma * sigma
+    np.divide(d2, -denom, out=d2)
+    return np.exp(d2, out=d2)
+
+
 def gaussian_of_sq_dists(d2, p: int, sigma: float, normalize_by_p: bool):
     """exp(-d2 / (p sigma^2)), or exp(-d2 / sigma^2) when normalize_by_p is
-    off; the one place the divisor is formed, as (p * sigma) * sigma."""
-    denom = p * sigma * sigma if normalize_by_p else sigma * sigma
-    return np.exp(-d2 / denom)
+    off, as a new array; d2 is left as it is."""
+    return _gaussian_in_place(np.array(d2, dtype=np.float64), p, sigma, normalize_by_p)
 
 
 def gaussian_weights_matrix(a: np.ndarray, b: np.ndarray, sigma: float, psi: np.ndarray,
                             normalize_by_p: bool = True) -> np.ndarray:
-    """Dense kernel block between two point arrays (rows of a vs rows of b)."""
-    return gaussian_of_sq_dists(_kernels.cross_sq_dists(a, b, psi), a.shape[1], sigma,
-                                normalize_by_p)
+    """Dense kernel block between rows of a and rows of b, formed in place."""
+    return _gaussian_in_place(_kernels.cross_sq_dists(a, b, psi), a.shape[1], sigma,
+                              normalize_by_p)
 
 
 # entries of one block of exact distances in _ranked_exactly (32 MB of float64)

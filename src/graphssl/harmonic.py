@@ -14,11 +14,11 @@ L = D - W, in one of two forms:
   system ``(L + gamma_g V + F V) l = F V y``.
 
 ``hard_harmonic``, ``soft_harmonic``, ``online.compact_harmonic`` and
-``cad.backbone_cad`` wrap it.  Sparse weights give a sparse system, dense
-weights a dense one.  ``solve_spd`` factors a dense ``ndarray`` or a system
-of at most ``DENSE_MAX_N`` rows by Cholesky, and solves a larger sparse one
-by conjugate gradients with a Jacobi preconditioner, which the badly
-conditioned hard systems of a small sink gamma_g need.
+``cad.backbone_cad`` wrap it, and every solve meets the relative residual
+``DEFAULT_TOL``.  ``solve_spd`` factors a dense system (dense weights) or a
+sparse one (sparse weights) of at most ``DENSE_MAX_N`` rows by Cholesky, and
+a larger sparse one by Jacobi-preconditioned conjugate gradients, which the
+badly conditioned hard systems of a small sink gamma_g need.
 """
 
 from __future__ import annotations
@@ -70,10 +70,6 @@ class SoftLabels:
     """Propagated label values; |values[i]| is the labeling confidence."""
 
     values: np.ndarray
-    origin: str
-
-    def signs(self) -> np.ndarray:
-        return np.sign(self.values).astype(np.int64)
 
 
 def solve_spd(a, b: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -132,8 +128,7 @@ def _laplacian(weights, v):
 
 
 def solve_harmonic(weights, y: np.ndarray, gamma_g: float, fit: np.ndarray | None = None,
-                   multiplicities: np.ndarray | None = None,
-                   tol: float = DEFAULT_TOL) -> np.ndarray:
+                   multiplicities: np.ndarray | None = None) -> np.ndarray:
     """Harmonic solution on W = V weights V, node i standing for
     multiplicities[i] (default 1) replicas; sparse weights give a sparse
     system, dense weights a dense one.  With fit None the nonzero entries
@@ -170,30 +165,28 @@ def solve_harmonic(weights, y: np.ndarray, gamma_g: float, fit: np.ndarray | Non
             raise InputError("fit weights must be finite and > 0, one per node")
         u = slice(None)
         a, b = lap + diag(gamma_g * v) + diag(fit * v), fit * v * y
-    values[u] = solve_spd(a, b, tol)
+    values[u] = solve_spd(a, b)
     return values
 
 
-def hard_harmonic(g: SimilarityGraph, labels: np.ndarray, gamma_g: float = 0.0,
-                  tol: float = DEFAULT_TOL) -> SoftLabels:
+def hard_harmonic(g: SimilarityGraph, labels: np.ndarray, gamma_g: float = 0.0) -> SoftLabels:
     """Propagate clamped labels; unlabeled block solved against the
     (optionally sink-regularized) Laplacian."""
-    return SoftLabels(solve_harmonic(g.weights, labels, gamma_g, tol=tol), "hard_hs")
+    return SoftLabels(solve_harmonic(g.weights, labels, gamma_g))
 
 
-def soft_harmonic(g: SimilarityGraph, y: np.ndarray, cfg: SoftConfig,
-                  tol: float = DEFAULT_TOL) -> SoftLabels:
+def soft_harmonic(g: SimilarityGraph, y: np.ndarray, cfg: SoftConfig) -> SoftLabels:
     """Minimize (l - y)' C (l - y) + l' (L + gamma_g I) l.
 
     Entries of y equal to 0 count as unlabeled and get fit weight c_u;
     nonzero entries get c_l.
     """
     fit = np.where(np.asarray(y) != 0, cfg.c_l, cfg.c_u)
-    return SoftLabels(solve_harmonic(g.weights, y, cfg.gamma_g, fit, tol=tol), "soft_hs")
+    return SoftLabels(solve_harmonic(g.weights, y, cfg.gamma_g, fit))
 
 
 def blockwise_harmonic(g: SimilarityGraph, y: np.ndarray, cfg: SoftConfig,
-                       partition: list[np.ndarray], tol: float = DEFAULT_TOL) -> SoftLabels:
+                       partition: list[np.ndarray]) -> SoftLabels:
     """Soft solve run independently per block (cross-block edges dropped),
     results concatenated in node order.
 
@@ -219,5 +212,5 @@ def blockwise_harmonic(g: SimilarityGraph, y: np.ndarray, cfg: SoftConfig,
         if block.size == 0:
             continue
         sub = g.subgraph(block)
-        values[block] = soft_harmonic(sub, y[block], cfg, tol).values
-    return SoftLabels(values, "soft_hs")
+        values[block] = soft_harmonic(sub, y[block], cfg).values
+    return SoftLabels(values)

@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InputError
-from .graph import PointSet, SimilarityGraph
+from .graph import LABEL_VALUES, PointSet, SimilarityGraph
 
 
 def fmt17(x: float) -> str:
@@ -29,16 +29,26 @@ def write_points_csv(path: str | Path, ps: PointSet) -> None:
 
 
 def read_points_csv(path: str | Path) -> PointSet:
-    text = Path(path).read_text().strip()
-    if not text:
+    """Points and labels of a CSV whose last column is ``label``; a bad row or
+    label (1.0 reads as 1) raises ``InputError`` naming the file and line."""
+    lines = [(no, line.split(",")) for no, line in
+             enumerate(Path(path).read_text().splitlines(), 1) if line.strip()]
+    if not lines:
         raise InputError(f"{path}: empty file")
-    rows = [line.split(",") for line in text.splitlines()]
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in lines[0][1]]
     if header[-1] != "label":
         raise InputError(f"{path}: final column must be 'label'")
-    data = np.array([[float(v) for v in row] for row in rows[1:]], dtype=np.float64)
-    if data.ndim != 2 or data.shape[1] != len(header):
-        raise InputError(f"{path}: ragged rows")
+    data = np.empty((len(lines) - 1, len(header)))
+    for i, (no, row) in enumerate(lines[1:]):
+        try:
+            values = [float(v) for v in row]
+        except ValueError:
+            values = []
+        if len(values) != len(header):      # a one-value row would broadcast
+            raise InputError(f"{path}, line {no}: expected {len(header)} numbers")
+        data[i] = values
+        if data[i, -1] not in LABEL_VALUES:
+            raise InputError(f"{path}, line {no}: label {row[-1].strip()!r} is not -1, 0 or 1")
     return PointSet(data[:, :-1], data[:, -1].astype(np.int64))
 
 

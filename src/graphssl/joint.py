@@ -10,7 +10,9 @@ labeled points (pinned) and whose remaining k nodes are free centroids:
    label-difference term (the Gaussian similarity linearized around the
    current positions) pushing differently-labeled centroids apart.
 
-Points are finally labeled by their nearest centroid (1-NN).
+Points are finally labeled by their nearest centroid (1-NN).  The backbone
+graph's degree, the outer stopping tolerance and the inner step cap are the
+constants BACKBONE_KNN, CONV_TOL and INNER_CAP.
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ from .errors import InputError
 from .graph import GraphConfig, PointSet, build_graph, sigma_from_points
 from .harmonic import SoftConfig, soft_harmonic
 from .rng import PortableRng
+
+BACKBONE_KNN = 3    # neighbours per node of the backbone's k-NN graph
+CONV_TOL = 1e-6     # relative objective change that ends the outer loop
+INNER_CAP = 30      # quantization steps per outer iteration, at most
 
 
 @dataclass(frozen=True)
@@ -41,10 +47,7 @@ class JointConfig:
     f_l: float = 10.0
     f_u: float = 0.1
     sigma: float | None = None
-    knn: int = 3
     max_outer: int = 10
-    conv_tol: float = 1e-6
-    inner_cap: int = 30
     kmeans_init: bool = False
 
     def __post_init__(self):
@@ -92,7 +95,7 @@ def _assign(points: np.ndarray, centroids: np.ndarray, psi: np.ndarray) -> np.nd
 
 def _backbone_graph(state: BackboneState, cfg: JointConfig):
     ps = PointSet(state.centroids, state.node_labels(), state.feature_weights)
-    gcfg = GraphConfig(mode="knn", k_neighbors=min(cfg.knn, state.n_nodes - 1),
+    gcfg = GraphConfig(mode="knn", k_neighbors=min(BACKBONE_KNN, state.n_nodes - 1),
                        sigma=state.sigma)
     return build_graph(ps, gcfg)
 
@@ -145,27 +148,17 @@ def quantization_step(state: BackboneState, cfg: JointConfig, points: np.ndarray
         return new
     except np.linalg.LinAlgError:
         pass
-    counts = np.bincount(state.assignment, minlength=total)
     reseeded = state.centroids.copy()
-    d2 = _kernels.cross_sq_dists(points, reseeded, psi)
-    nearest = d2.min(axis=1)
-    for j in free:
-        if counts[j] == 0:
-            far = int(np.argmax(nearest))
-            reseeded[j] = points[far]
-            nearest = np.minimum(
-                nearest,
-                _kernels.cross_sq_dists(points, reseeded[j][None, :], psi).ravel())
+    _reseed_empty(reseeded, m, state.assignment, points, psi)
     retry = BackboneState(reseeded, state.pinned_labels, state.soft_labels,
                           _assign(points, reseeded, psi), state.sigma,
                           feature_weights=state.feature_weights)
     a, rhs = _centroid_system(retry, cfg, points)
-    new = reseeded
     try:
-        new[free] = np.linalg.solve(a, rhs)
+        reseeded[free] = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:
-        new[free] = np.linalg.lstsq(a, rhs, rcond=None)[0]
-    return new
+        reseeded[free] = np.linalg.lstsq(a, rhs, rcond=None)[0]
+    return reseeded
 
 
 def quantization_surrogate(state: BackboneState, cfg: JointConfig,
@@ -212,8 +205,9 @@ def elastic_joint(ps: PointSet, cfg: JointConfig, seed: int) -> BackboneState:
     sigma = cfg.sigma if cfg.sigma is not None else sigma_from_points(ps.points)
     rng = PortableRng(seed)
     unlabeled_idx = np.flatnonzero(ps.labels == 0)
+    pool = ps.points[unlabeled_idx]
     if cfg.kmeans_init:
-        seeds = _kmeans_seed(ps.points[unlabeled_idx], cfg.k, rng, ps.feature_weights)
+        seeds = _kmeans_seed(pool, cfg.k, rng, ps.feature_weights)
     else:
         seeds = ps.points[unlabeled_idx[rng.choice(unlabeled_idx.size, cfg.k)]]
     centroids = np.vstack([ps.points[labeled_idx], seeds])
@@ -233,17 +227,17 @@ def elastic_joint(ps: PointSet, cfg: JointConfig, seed: int) -> BackboneState:
         state.soft_labels = propagate_on_backbone(state, cfg)
         obj = joint_objective(state, cfg, ps.points)
         state.objective_trace.append(obj)
-        for _ in range(cfg.inner_cap):
+        for _ in range(INNER_CAP):
             state.centroids = quantization_step(state, cfg, ps.points, ps.feature_weights)
             new_assign = _assign(ps.points, state.centroids, ps.feature_weights)
-            reseeded = _reseed_empty(state, ps, new_assign, unlabeled_idx)
+            reseeded = _reseed_empty(state.centroids, m, new_assign, pool, ps.feature_weights)
             if reseeded:
                 new_assign = _assign(ps.points, state.centroids, ps.feature_weights)
             changed = bool(np.any(new_assign != state.assignment)) or reseeded
             state.assignment = new_assign
             if not changed:
                 break
-        if prev_obj is not None and abs(prev_obj - obj) <= cfg.conv_tol * max(abs(prev_obj), 1.0):
+        if prev_obj is not None and abs(prev_obj - obj) <= CONV_TOL * max(abs(prev_obj), 1.0):
             break
         prev_obj = obj
     state.soft_labels = propagate_on_backbone(state, cfg)
@@ -251,22 +245,22 @@ def elastic_joint(ps: PointSet, cfg: JointConfig, seed: int) -> BackboneState:
     return state
 
 
-def _reseed_empty(state: BackboneState, ps: PointSet, assignment: np.ndarray,
-                  pool: np.ndarray) -> bool:
-    """Move any free centroid that lost all its points to the pool point
-    farthest from the current backbone; a dead centroid otherwise drifts
-    on the tiny label terms alone and wastes its capacity."""
-    counts = np.bincount(assignment, minlength=state.n_nodes)
-    empty = [j for j in range(state.n_labeled, state.n_nodes) if counts[j] == 0]
+def _reseed_empty(centroids: np.ndarray, n_labeled: int, assignment: np.ndarray,
+                  pool: np.ndarray, psi: np.ndarray) -> bool:
+    """Move each free centroid (row n_labeled on) that no point is assigned
+    to, in index order, to the pool row farthest from the current
+    centroids; returns whether any moved.  A dead centroid otherwise
+    drifts on the tiny label terms alone and wastes its capacity."""
+    counts = np.bincount(assignment, minlength=centroids.shape[0])
+    empty = [j for j in range(n_labeled, centroids.shape[0]) if counts[j] == 0]
     if not empty:
         return False
-    nearest = _kernels.cross_sq_dists(ps.points[pool], state.centroids,
-                                      ps.feature_weights).min(axis=1)
+    nearest = _kernels.cross_sq_dists(pool, centroids, psi).min(axis=1)
     for j in empty:
         far = int(np.argmax(nearest))
-        state.centroids[j] = ps.points[pool[far]]
+        centroids[j] = pool[far]
         nearest = np.minimum(nearest, _kernels.cross_sq_dists(
-            ps.points[pool], state.centroids[j][None, :], ps.feature_weights).ravel())
+            pool, centroids[j][None, :], psi).ravel())
     return True
 
 

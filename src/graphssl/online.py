@@ -33,7 +33,7 @@ import numpy as np
 from . import _kernels
 from .errors import InputError
 from .graph import GraphConfig, dense_component, gaussian_of_sq_dists
-from .harmonic import DEFAULT_TOL, SoftLabels, check_gamma_g, solve_harmonic
+from .harmonic import SoftLabels, check_gamma_g, solve_harmonic
 
 ABSTAIN = 0
 
@@ -179,12 +179,16 @@ class QuantizerState:
 
     def _absorb(self, idx: int, label: int) -> int:
         self.multiplicities[idx] += 1
-        if label != 0:
-            if self.centroid_labels[idx] == 0:
-                self.centroid_labels[idx] = label
-            elif self.centroid_labels[idx] != label:
-                self.label_conflicts += 1
+        self._merge_label(self.centroid_labels, idx, label)
         return idx
+
+    def _merge_label(self, labels: list[int], idx: int, label: int) -> None:
+        """An unlabeled labels[idx] takes label; another nonzero one conflicts."""
+        if label != 0:
+            if labels[idx] == 0:
+                labels[idx] = label
+            elif labels[idx] != label:
+                self.label_conflicts += 1
 
     def _repartition(self) -> list[int]:
         """Grow the radius until a greedy scan keeps at most ``capacity``
@@ -216,12 +220,7 @@ class QuantizerState:
             target = int(np.argmin(d2[i, keep]))
             mapping[i] = target
             mult[target] += self.multiplicities[i]
-            dropped = self.centroid_labels[i]
-            if dropped != 0:
-                if labels[target] == 0:
-                    labels[target] = dropped
-                elif labels[target] != dropped:
-                    self.label_conflicts += 1
+            self._merge_label(labels, target, self.centroid_labels[i])
         self._rows[:len(keep)] = self._rows[keep]
         self._sq_dists[:len(keep), :len(keep)] = d2[np.ix_(keep, keep)]
         self._graph = None
@@ -257,18 +256,13 @@ class CompactGraph:
         object.__setattr__(self, "centroid_weights", w)
         object.__setattr__(self, "multiplicities", v)
 
-    @property
-    def k(self) -> int:
-        return self.centroid_weights.shape[0]
 
-
-def compact_harmonic(cg: CompactGraph, centroid_labels: np.ndarray, gamma_g: float = 0.0,
-                     tol: float = DEFAULT_TOL) -> SoftLabels:
+def compact_harmonic(cg: CompactGraph, centroid_labels: np.ndarray,
+                     gamma_g: float = 0.0) -> SoftLabels:
     """Harmonic solution over centroids that equals the full solve on the
     graph where centroid i is replicated multiplicities[i] times."""
-    values = solve_harmonic(cg.centroid_weights, centroid_labels, gamma_g,
-                            multiplicities=cg.multiplicities, tol=tol)
-    return SoftLabels(values, "compact_hs")
+    return SoftLabels(solve_harmonic(cg.centroid_weights, centroid_labels, gamma_g,
+                                     multiplicities=cg.multiplicities))
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import operator
 import os
 import traceback
 from concurrent.futures import ThreadPoolExecutor
@@ -33,8 +34,7 @@ import numpy as np
 from . import io as gio
 from .cad import (TaskScaling, _score_rows, check_cad_params, fit_cad_model,
                   rwcad_scores_loo, scale_scores, softhad_score, weighted_knn_scores_loo)
-from .datasets import (CoreSpec, MixtureSpec, flip_labels, gen_core_dataset,
-                       gen_gauss_mixture, load_dataset_spec, parse_config_text)
+from .datasets import draw_dataset, load_dataset_spec, parse_config_text
 from .errors import InputError
 from .graph import GraphConfig, PointSet, build_graph
 from .harmonic import SoftConfig
@@ -57,6 +57,11 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.method not in METHODS:
             raise InputError(f"method must be one of {METHODS}")
+        for name in ("n_samples", "n_runs", "base_seed"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise InputError(f"{name} must be an integer") from None
         if self.n_runs < 1:
             raise InputError("n_runs must be >= 1")
         if not self.grid:
@@ -80,10 +85,10 @@ def plan_from_config(path: str | Path, outdir: str | None = None) -> ExperimentP
         method=cfg.get("method", "rwcad"),
         grid=grid,
         dataset=str(dataset_path),
-        n_samples=int(cfg.get("n_samples", 1000)),
+        n_samples=cfg.get("n_samples", 1000),
         flip_fraction=float(cfg.get("flip_fraction", 0.03)),
-        n_runs=int(cfg.get("n_runs", 1)),
-        base_seed=int(cfg.get("base_seed", 0)),
+        n_runs=cfg.get("n_runs", 1),
+        base_seed=cfg.get("base_seed", 0),
         outdir=str(outdir if outdir is not None else cfg.get("outdir", "plan-out")),
     )
 
@@ -139,15 +144,7 @@ def score_method(method: str, params: dict, spec, seed: int, n_samples: int,
     ``lams`` (rwcad only) scores each of several lambdas in place of
     ``params["lambda"]``, one row of scores per lambda.
     """
-    if isinstance(spec, MixtureSpec):
-        clean = gen_gauss_mixture(spec, n_samples, seed)
-        train, truth = flip_labels(clean, flip_fraction, seed + 1_000_003)
-        test = None
-    elif isinstance(spec, CoreSpec):
-        train, test, core_truth = gen_core_dataset(spec, seed)
-        truth = core_truth.anomaly_mask
-    else:
-        raise InputError(f"unsupported dataset spec {type(spec).__name__}")
+    train, test, _, truth = draw_dataset(spec, n_samples, seed, flip_fraction)
     scores = cad_scores(
         method, train, test, lam=_lambda(params) if lams is None else lams,
         sigma=float(params["sigma"]) if "sigma" in params else None,

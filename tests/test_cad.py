@@ -148,9 +148,7 @@ class TestLooMasses:
     def test_blocked_masses_match_dense_reference(self, case, sigma, normalize_by_p, rows):
         ps, x, y = case
         (ref_pos, ref_neg), ref_vols, ref_test = _dense_reference(ps, sigma, normalize_by_p, x)
-        # a one-point class has LOO mass and volume 0: 0 / 0, which scores 0
-        with mock.patch.object(graph_module, "_EXACT_BLOCK", rows * ps.n), \
-                np.errstate(invalid="ignore"):
+        with mock.patch.object(graph_module, "_EXACT_BLOCK", rows * ps.n):
             model = fit_cad_model(ps, 0.0, sigma, normalize_by_p)
             test = model.masses(x)
             loo_knn = weighted_knn_scores_loo(ps, sigma, normalize_by_p)
@@ -169,9 +167,13 @@ class TestLooMasses:
         assert np.allclose(loo_knn, 1.0 - own / (ref_pos + ref_neg), rtol=0, atol=1e-14)
         vol_pos = np.where(is_pos, ref_vols[0] - 2.0 * ref_pos, ref_vols[0])
         vol_neg = np.where(is_pos, ref_vols[1], ref_vols[1] - 2.0 * ref_neg)
-        with np.errstate(invalid="ignore"):
-            like_pos = ref_pos / (vol_pos + 2.0 * ref_pos) * model.prior_pos
-            like_neg = ref_neg / (vol_neg + 2.0 * ref_neg) * model.prior_neg
+        # a class left with no points (a one-point class's LOO row) has
+        # mass and volume 0 and likelihood 0
+        den_pos, den_neg = vol_pos + 2.0 * ref_pos, vol_neg + 2.0 * ref_neg
+        like_pos = np.divide(ref_pos, den_pos, out=np.zeros(ps.n),
+                             where=den_pos > 0) * model.prior_pos
+        like_neg = np.divide(ref_neg, den_neg, out=np.zeros(ps.n),
+                             where=den_neg > 0) * model.prior_neg
         denom = 0.01 + (like_pos + like_neg)
         want = np.divide(np.where(is_pos, like_neg, like_pos), denom,
                          out=np.zeros(ps.n), where=denom > 0)
@@ -198,10 +200,41 @@ class TestLooMasses:
         assert weighted_knn_scores(model, empty, np.zeros(0)).shape == (0,)
 
 
+class TestOnePointClass:
+    """The LOO row of a class's only point leaves that class with no
+    points: its own-class likelihood is 0, and the row is scored from the
+    other class alone, opposite / (lam + opposite)."""
+
+    def _set(self):
+        pts = np.array([[0.0, 0.0], [0.3, 0.0], [0.0, 0.3], [1.5, 1.5]])
+        return PointSet(pts, np.array([1, 1, 1, -1]))
+
+    def test_isolated_row_scored_from_the_other_class(self):
+        ps = self._set()
+        lams = np.array([0.0, 0.01, 1.0])
+        scores = rwcad_scores_loo(ps, lams, sigma=1.0)
+        model = fit_cad_model(ps, 0.0, sigma=1.0)
+        m_pos = model.masses(ps.points[3:])[0][0]
+        opposite = m_pos / (model.vol_pos + 2.0 * m_pos) * model.prior_pos
+        assert opposite > 0
+        assert np.array_equal(scores[:, 3], opposite / (lams + opposite))
+        assert scores[0, 3] == 1.0
+        assert weighted_knn_scores_loo(ps, sigma=1.0)[3] == 1.0
+        # the other rows keep the two-class posterior
+        assert np.all((scores[:, :3] > 0) & (scores[:, :3] < 1))
+
+    def test_one_point_per_class(self):
+        ps = PointSet(np.array([[0.0], [1.0]]), np.array([1, -1]))
+        assert np.array_equal(rwcad_scores_loo(ps, 0.0, sigma=1.0), [1.0, 1.0])
+
+
 @pytest.mark.parametrize("scorer", [rwcad_scores_loo, weighted_knn_scores_loo])
 def test_loo_memory_is_linear_in_n(scorer):
     n = 10_000
     bound = n * n * 8 // 4        # one n x n float64 matrix / 4
+    # the Gaussian is formed in the distance block's memory, one block of at
+    # most graph._EXACT_BLOCK float64 entries at a time, plus O(n) vectors
+    block_bound = int(2.5 * 8 * graph_module._EXACT_BLOCK) + 64 * 8 * n
     rng = np.random.default_rng(0)
     ps = PointSet(rng.normal(size=(n, 2)), np.where(rng.random(n) < 0.5, 1, -1))
     args = (ps, 0.01, 0.3) if scorer is rwcad_scores_loo else (ps, 0.3)
@@ -213,6 +246,7 @@ def test_loo_memory_is_linear_in_n(scorer):
         tracemalloc.stop()
     assert scores.shape == (n,) and np.all(np.isfinite(scores))
     assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
+    assert peak < block_bound, f"peak {peak / 1e6:.1f} MB, bound {block_bound / 1e6:.1f} MB"
 
 
 class TestMismatchedInputs:

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphssl import (GraphConfig, PointSet, SoftConfig, TaskScaling, build_graph,
+from graphssl import (GraphConfig, InputError, PointSet, SoftConfig, TaskScaling, build_graph,
                       fit_cad_model, rwcad_scores, rwcad_scores_loo, scale_scores,
                       softhad_score, weighted_knn_scores, weighted_knn_scores_loo)
 from graphssl.cli import main
@@ -408,6 +408,60 @@ class TestRunPlan:
         for name in ("scores.csv", "metrics.json"):
             assert ((tmp_path / "mixed" / cell / name).read_bytes()
                     == (tmp_path / "alone" / cell / name).read_bytes())
+
+
+@pytest.mark.parametrize("key,value", [("n_samples", "abc"), ("n_runs", "1.5"),
+                                       ("base_seed", "2.5"), ("n_samples", "1e3")])
+def test_plan_counts_must_be_integers(tmp_path, key, value):
+    mix = _write_mixture_cfg(tmp_path)
+    path = tmp_path / "plan.cfg"
+    path.write_text(f"method = knn\ndataset = {mix.name}\n{key} = {value}\n")
+    with pytest.raises(InputError, match=f"{key} must be an integer"):
+        plan_from_config(path)
+
+
+def _malformed_points(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"f0,f1,label\n0,0,1\n1,1,-1\n2,{cell}\n")
+    return path
+
+
+def _bad_plan(tmp_path, line):
+    mix = _write_mixture_cfg(tmp_path)
+    path = tmp_path / "bad.plan"
+    path.write_text(f"method = knn\ndataset = {mix.name}\n{line}\n")
+    return path
+
+
+@pytest.mark.parametrize("case", ["label", "cell", "kernel", "params", "n_samples", "n_runs",
+                                  "sigma"])
+def test_malformed_input_exits_2(tmp_path, capsys, case):
+    data = _ssl_input(tmp_path)
+    out = str(tmp_path / "out")
+    scores, truth = tmp_path / "scores.csv", tmp_path / "truth.csv"
+    write_scores_csv(scores, np.array([0.1, 0.9]), np.array([0.0, 1.0]))
+    truth.write_text("index,true_label,flipped,true_anomaly_score\n0,1,0,0.2\n1,-1,1,0.8\n")
+    argv = {
+        "label": lambda: ["ssl", "--input", str(_malformed_points(tmp_path, "2,1.7")),
+                          "--out", out],
+        "cell": lambda: ["ssl", "--input", str(_malformed_points(tmp_path, "x,0")),
+                         "--out", out],
+        "kernel": lambda: ["mmgc", "--train", str(data), "--gamma", "0.1",
+                           "--kernel", "rbf:abc", "--out", out],
+        "params": lambda: ["eval", "--scores", str(scores), "--truth", str(truth),
+                           "--params", "{bad", "--out", out],
+        "n_samples": lambda: ["run-plan", "--config",
+                              str(_bad_plan(tmp_path, "n_samples = abc"))],
+        "n_runs": lambda: ["run-plan", "--config", str(_bad_plan(tmp_path, "n_runs = 1.5"))],
+        "sigma": lambda: ["ssl", "--input", str(data), "--sigma", "abc", "--out", out],
+    }[case]()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    want = {"label": "bad.csv, line 4: label '1.7'", "cell": "bad.csv, line 4: expected 3",
+            "kernel": "rbf:abc", "params": "--params", "n_samples": "n_samples must be",
+            "n_runs": "n_runs must be", "sigma": "--sigma"}[case]
+    assert want in err
 
 
 def test_global_config_supplies_defaults(tmp_path):

@@ -39,6 +39,12 @@ class TestKernels:
         with pytest.raises(InputError):
             KernelSpec.parse("quartic")
 
+    def test_parse_rejects_a_non_numeric_width(self):
+        with pytest.raises(InputError, match="rbf:abc"):
+            KernelSpec.parse("rbf:abc")
+        with pytest.raises(InputError, match="positive"):
+            KernelSpec.parse("rbf:-1")
+
 
 class TestInduceLabels:
     def _graph(self):

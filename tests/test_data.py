@@ -7,7 +7,9 @@ from graphssl import (ClassMixture, CoreSpec, InputError, MixtureSpec, auroc,
                       core_true_scores, default_core, default_mixtures,
                       flip_labels, gen_core_dataset, gen_gauss_mixture,
                       load_dataset_spec, true_anomaly_score, true_anomaly_scores)
-from graphssl.datasets import parse_config_text
+from graphssl.datasets import (_in_rect, _rect_area, _uniform_rect,
+                               draw_dataset, parse_config_text)
+from graphssl.rng import PortableRng
 
 
 def _simple_spec(dim=2):
@@ -155,6 +157,107 @@ class TestCoreDataset:
         dens_pos = (50 / 156) / 4.0
         dens_neg = (100 / 156) / 100.0
         assert s == pytest.approx(dens_pos / (dens_pos + dens_neg), rel=1e-12)
+
+
+# Test-only copies of the core layout's generator and true scores as they
+# listed the four squares one by one, before one (square, count, label)
+# list served both.
+def _core_true_scores_reference(spec, x, y):
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    y = np.atleast_1d(np.asarray(y))
+    rects = {1: [], -1: []}
+    rects[-1].append((spec.big, spec.big_count))
+    rects[1].append((spec.inner, spec.inner_count))
+    rects[spec.tiny1_label].append((spec.tiny1, spec.tiny1_count))
+    rects[spec.tiny2_label].append((spec.tiny2, spec.tiny2_count))
+    total_count = spec.big_count + spec.inner_count + spec.tiny1_count + spec.tiny2_count
+    dens = {}
+    for cls in (1, -1):
+        d = np.zeros(x.shape[0])
+        for rect, count in rects[cls]:
+            d += (count / total_count) / _rect_area(rect) * _in_rect(x, rect)
+        dens[cls] = d
+    total = dens[1] + dens[-1]
+    opposite = np.where(y == 1, dens[-1], dens[1])
+    return np.where(total > 0, np.divide(opposite, total, out=np.zeros_like(total),
+                                         where=total > 0), 0.5)
+
+
+def _gen_core_dataset_reference(spec, seed):
+    rng = PortableRng(seed)
+    tr_pts = np.vstack([
+        _uniform_rect(rng.derive(1), spec.big, spec.big_count),
+        _uniform_rect(rng.derive(2), spec.inner, spec.inner_count),
+        _uniform_rect(rng.derive(3), spec.tiny1, spec.tiny1_count),
+        _uniform_rect(rng.derive(4), spec.tiny2, spec.tiny2_count),
+    ])
+    tr_labels = np.concatenate([
+        np.full(spec.big_count, -1), np.full(spec.inner_count, 1),
+        np.full(spec.tiny1_count, spec.tiny1_label),
+        np.full(spec.tiny2_count, spec.tiny2_label),
+    ]).astype(np.int64)
+    te_pts = np.vstack([
+        _uniform_rect(rng.derive(5), spec.big, 2 * spec.big_count, spec.inner),
+        _uniform_rect(rng.derive(6), spec.inner, 2 * spec.inner_count),
+        _uniform_rect(rng.derive(7), spec.tiny1, 2 * spec.tiny1_count),
+        _uniform_rect(rng.derive(8), spec.tiny2, 2 * spec.tiny2_count),
+        _uniform_rect(rng.derive(9), spec.inner, spec.anomaly_count),
+    ])
+    te_labels = np.concatenate([
+        np.full(2 * spec.big_count, -1), np.full(2 * spec.inner_count, 1),
+        np.full(2 * spec.tiny1_count, spec.tiny1_label),
+        np.full(2 * spec.tiny2_count, spec.tiny2_label),
+        np.full(spec.anomaly_count, -1),
+    ]).astype(np.int64)
+    mask = np.zeros(te_labels.size, dtype=bool)
+    mask[-spec.anomaly_count:] = True
+    return (tr_pts, tr_labels, te_pts, te_labels, mask,
+            _core_true_scores_reference(spec, te_pts, te_labels))
+
+
+_CORE_SPECS = [CoreSpec(), CoreSpec(tiny1_label=-1, tiny2_label=-1)]
+
+
+class TestCoreLayoutMatchesReference:
+    @pytest.mark.parametrize("spec", _CORE_SPECS)
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    def test_gen_core_dataset(self, spec, seed):
+        train, test, truth = gen_core_dataset(spec, seed)
+        got = (train.points, train.labels, test.points, test.labels, truth.anomaly_mask,
+               truth.true_scores)
+        for a, b in zip(got, _gen_core_dataset_reference(spec, seed)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("spec", _CORE_SPECS)
+    def test_core_true_scores(self, spec):
+        # a grid over every square, their overlaps and the empty space
+        # around them, with both labels
+        xs = np.linspace(-1.0, 15.0, 65)
+        x = np.array([[a, b] for a in xs for b in xs])
+        for label in (1, -1):
+            y = np.full(len(x), label)
+            assert np.array_equal(core_true_scores(spec, x, y),
+                                  _core_true_scores_reference(spec, x, y))
+
+
+class TestDrawDataset:
+    def test_mixture_draw_is_the_flipped_sample(self):
+        spec = _simple_spec()
+        train, test, labels, mask = draw_dataset(spec, 200, 5, 0.1)
+        clean = gen_gauss_mixture(spec, 200, 5)
+        flipped, want_mask = flip_labels(clean, 0.1, 5 + 1_000_003)
+        assert test is None and mask.sum() == 20
+        assert np.array_equal(train.points, clean.points)
+        assert np.array_equal(train.labels, flipped.labels)
+        assert np.array_equal(labels, clean.labels) and np.array_equal(mask, want_mask)
+
+    def test_core_draw_is_the_split(self):
+        train, test, labels, mask = draw_dataset(CoreSpec(), 999, 4, 0.5)
+        want = gen_core_dataset(CoreSpec(), 4)
+        assert np.array_equal(train.points, want[0].points)
+        assert np.array_equal(test.points, want[1].points)
+        assert np.array_equal(labels, want[1].labels)
+        assert np.array_equal(mask, want[2].anomaly_mask)
 
 
 class TestConfigs:

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphssl import GraphConfig, PointSet, build_graph
-from graphssl.io import (fmt17, write_edge_list, write_metrics_json, write_points_csv,
-                         write_scores_csv, write_soft_labels_csv, write_trace_csv,
-                         write_truth_csv)
+from graphssl import GraphConfig, InputError, PointSet, build_graph
+from graphssl.io import (fmt17, read_points_csv, write_edge_list, write_metrics_json,
+                         write_points_csv, write_scores_csv, write_soft_labels_csv,
+                         write_trace_csv, write_truth_csv)
 
 from _synth import random_graph
 
@@ -148,3 +148,28 @@ def test_metrics_json_matches_fmt17_round_trip(tmp_path_factory, floats, value, 
     write_metrics_json(tmp / "got.json", metrics)
     _fmt17_metrics_json(tmp / "want.json", metrics)
     assert (tmp / "got.json").read_bytes() == (tmp / "want.json").read_bytes()
+
+
+class TestReadPointsCsv:
+    def _read(self, tmp_path, text):
+        path = tmp_path / "pts.csv"
+        path.write_text(text)
+        return read_points_csv(path)
+
+    def test_integral_float_labels_read_as_integers(self, tmp_path):
+        ps = self._read(tmp_path, "f0,label\n0.5,1.0\n\n1.5,-1\n2.5,0.0\n")
+        assert ps.labels.tolist() == [1, -1, 0] and ps.points[:, 0].tolist() == [0.5, 1.5, 2.5]
+
+    @pytest.mark.parametrize("label,line", [("-0.5", 3), ("1.7", 3), ("2", 3), ("nan", 3)])
+    def test_non_label_value_rejected_with_its_line(self, tmp_path, label, line):
+        with pytest.raises(InputError, match=rf"pts.csv, line {line}: label '{label}'"):
+            self._read(tmp_path, f"f0,label\n0.5,1\n1.5,{label}\n")
+
+    def test_non_numeric_cell_names_file_and_line(self, tmp_path):
+        with pytest.raises(InputError, match=r"pts.csv, line 4: expected 3 numbers"):
+            self._read(tmp_path, "f0,f1,label\n0,1,1\n2,3,-1\n4,x,0\n")
+
+    @pytest.mark.parametrize("row", ["1", "0,1", "0,1,1,1"])
+    def test_ragged_row_names_its_line(self, tmp_path, row):
+        with pytest.raises(InputError, match=r"pts.csv, line 2: expected 3 numbers"):
+            self._read(tmp_path, f"f0,f1,label\n{row}\n")

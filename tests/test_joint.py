@@ -5,7 +5,8 @@ from graphssl import (BackboneState, GraphConfig, InputError, JointConfig,
                       PointSet, SoftConfig, build_graph, elastic_joint,
                       infer_unlabeled, joint_objective, propagate_on_backbone,
                       quantization_step, quantization_surrogate, soft_harmonic)
-from graphssl.joint import _assign
+from graphssl._kernels import cross_sq_dists
+from graphssl.joint import _assign, _centroid_system, _reseed_empty
 
 from _synth import two_arcs
 
@@ -242,3 +243,101 @@ class TestInferUnlabeled:
         full_signs = np.sign(full.values)
         agree = np.mean(signs == full_signs)
         assert agree >= 0.9
+
+
+# Test-only copies of the two farthest-point reseeds as each was written
+# before they shared one routine: quantization_step with its own loop in the
+# singular-system fallback, and elastic_joint's reseed of the free centroids
+# that lost every point, over a pool of point indices.
+def _quantization_step_reference(state, cfg, points, psi):
+    m, total = state.n_labeled, state.n_nodes
+    free = np.arange(m, total)
+    a, rhs = _centroid_system(state, cfg, points)
+    new = state.centroids.copy()
+    try:
+        new[free] = np.linalg.solve(a, rhs)
+        return new
+    except np.linalg.LinAlgError:
+        pass
+    counts = np.bincount(state.assignment, minlength=total)
+    reseeded = state.centroids.copy()
+    d2 = cross_sq_dists(points, reseeded, psi)
+    nearest = d2.min(axis=1)
+    for j in free:
+        if counts[j] == 0:
+            far = int(np.argmax(nearest))
+            reseeded[j] = points[far]
+            nearest = np.minimum(
+                nearest, cross_sq_dists(points, reseeded[j][None, :], psi).ravel())
+    retry = BackboneState(reseeded, state.pinned_labels, state.soft_labels,
+                          _assign(points, reseeded, psi), state.sigma,
+                          feature_weights=state.feature_weights)
+    a, rhs = _centroid_system(retry, cfg, points)
+    new = reseeded
+    try:
+        new[free] = np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError:
+        new[free] = np.linalg.lstsq(a, rhs, rcond=None)[0]
+    return new
+
+
+def _reseed_empty_reference(state, ps, assignment, pool):
+    counts = np.bincount(assignment, minlength=state.n_nodes)
+    empty = [j for j in range(state.n_labeled, state.n_nodes) if counts[j] == 0]
+    if not empty:
+        return False
+    nearest = cross_sq_dists(ps.points[pool], state.centroids,
+                             ps.feature_weights).min(axis=1)
+    for j in empty:
+        far = int(np.argmax(nearest))
+        state.centroids[j] = ps.points[pool[far]]
+        nearest = np.minimum(nearest, cross_sq_dists(
+            ps.points[pool], state.centroids[j][None, :], ps.feature_weights).ravel())
+    return True
+
+
+def _state_with_dead_centroids(seed, n_dead):
+    """Two pinned labeled points, five free centroids on data points and
+    n_dead free centroids far from every point, so no point is assigned to
+    them; uniform soft labels and random feature weights."""
+    rng = np.random.default_rng(seed)
+    ps = PointSet(rng.normal(size=(60, 3)), np.r_[1, -1, np.zeros(58, dtype=int)],
+                  rng.uniform(0.5, 2.0, 3))
+    free = np.vstack([ps.points[2 + rng.choice(58, 5, replace=False)],
+                      50.0 + rng.normal(size=(n_dead, 3))])
+    centroids = np.vstack([ps.points[:2], free])
+    state = BackboneState(centroids, np.array([1, -1]), np.full(len(centroids), 0.25),
+                          _assign(ps.points, centroids, ps.feature_weights), sigma=0.5,
+                          feature_weights=ps.feature_weights)
+    return ps, state
+
+
+class TestReseed:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n_dead", [1, 2])
+    def test_singular_fallback_equals_reference(self, seed, n_dead):
+        ps, state = _state_with_dead_centroids(seed, n_dead)
+        cfg = JointConfig(k=5 + n_dead, sigma=0.5)
+        assert np.bincount(state.assignment, minlength=state.n_nodes)[-1] == 0
+        # uniform labels leave a zero row for each dead centroid: the
+        # fallback runs
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(*_centroid_system(state, cfg, ps.points))
+        got = quantization_step(state, cfg, ps.points, ps.feature_weights)
+        want = _quantization_step_reference(state, cfg, ps.points, ps.feature_weights)
+        assert np.array_equal(got, want)
+        assert np.all(np.abs(got[-n_dead:]) < 10)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n_dead", [0, 1, 2])
+    def test_empty_centroid_reseed_equals_reference(self, seed, n_dead):
+        ps, state = _state_with_dead_centroids(seed, n_dead)
+        pool = np.flatnonzero(ps.labels == 0)
+        want_state = BackboneState(state.centroids.copy(), state.pinned_labels,
+                                   state.soft_labels, state.assignment, state.sigma)
+        want = _reseed_empty_reference(want_state, ps, state.assignment, pool)
+        centroids = state.centroids.copy()
+        got = _reseed_empty(centroids, state.n_labeled, state.assignment, ps.points[pool],
+                            ps.feature_weights)
+        assert got == want == (n_dead > 0)
+        assert np.array_equal(centroids, want_state.centroids)
