@@ -12,12 +12,12 @@ Three scorers:
   multiplicity-weighted backbone graph.
 
 rwcad and k-NN share one kernel-mass routine: the row sums of the Gaussian
-kernel between query rows and a class's training points, formed in place,
-one row block of at most ``graph._EXACT_BLOCK`` entries at a time, so memory
-is O(block + n).  Leave-one-out (LOO) masses zero the point's own column,
-and a class volume is the sum of its points' LOO masses; both sum in another
-order than one dense kernel, within a relative 1e-14, while test-row masses
-are bit-identical to it.  Both scorers fit the model, so a training set
+kernel between query rows and a class's training points, formed in place on
+each distance block of ``graph.sq_dist_blocks``, so memory is O(block + n).
+Leave-one-out (LOO) masses zero the point's own column, and a class volume
+is the sum of its points' LOO masses; both sum in another order than one
+dense kernel, within a relative 1e-14, while test-row masses are
+bit-identical to it.  Both scorers fit the model, so a training set
 with one class raises ``DegenerateGraphError`` in every path.
 """
 
@@ -27,9 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels, graph
+from . import _kernels
 from .errors import DegenerateGraphError, InputError
-from .graph import PointSet, SimilarityGraph, gaussian_weights_matrix, sigma_from_points
+from .graph import (PointSet, SimilarityGraph, gaussian_in_place, sigma_from_points,
+                    sq_dist_blocks)
 from .harmonic import SoftConfig, soft_harmonic, solve_harmonic
 from .rng import PortableRng
 
@@ -39,18 +40,17 @@ LAMBDA_GRID = tuple(10.0 ** e for e in range(-5, 6))
 def _kernel_mass(x: np.ndarray, points: np.ndarray, sigma: float, psi: np.ndarray,
                  normalize_by_p: bool, own: np.ndarray | None = None) -> np.ndarray:
     """Row sums of the Gaussian kernel between the rows of x and points,
-    formed in row blocks of at most graph._EXACT_BLOCK entries; own[i],
-    when given, is a column zeroed in row i before the sum."""
+    formed in place on each graph.sq_dist_blocks block; own[i], when given,
+    is a column zeroed in row i before the sum."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != points.shape[1]:
         raise InputError(f"query rows have {x.shape[1]} features, training {points.shape[1]}")
     out = np.empty(x.shape[0])
-    step = max(1, graph._EXACT_BLOCK // max(1, points.shape[0]))
-    for start in range(0, x.shape[0], step):
-        w = gaussian_weights_matrix(x[start:start + step], points, sigma, psi, normalize_by_p)
+    for rows, w in sq_dist_blocks(x, points, psi):
+        gaussian_in_place(w, x.shape[1], sigma, normalize_by_p)
         if own is not None:
-            w[np.arange(w.shape[0]), own[start:start + step]] = 0.0
-        out[start:start + step] = w.sum(axis=1)
+            w[np.arange(w.shape[0]), own[rows]] = 0.0
+        out[rows] = w.sum(axis=1)
         del w                   # before the next block is formed
     return out
 

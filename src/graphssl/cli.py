@@ -117,6 +117,9 @@ def _dump_model(path: str, clf: CutClassifier) -> None:
 
 
 def _load_model(path: str) -> CutClassifier:
+    """A model file written by _dump_model; a missing field, a bad number or
+    a support block, coefficient or retained list of the wrong size raises
+    InputError."""
     lines = Path(path).read_text().strip().splitlines()
     fields = {}
     i = 0
@@ -126,14 +129,28 @@ def _load_model(path: str) -> CutClassifier:
         i += 1
         if key == "support":
             break
-    n, _p = (int(v) for v in fields["support"].split(","))
-    pts = np.array([[float(v) for v in lines[i + r].split(",")] for r in range(n)])
+    missing = [key for key in ("kernel", "bias", "retained", "coef", "support")
+               if key not in fields]
+    if missing:
+        raise InputError(f"{path}: model file lacks {', '.join(missing)}")
+    try:
+        n, p = (int(v) for v in fields["support"].split(","))
+        rows = [[float(v) for v in line.split(",")] for line in lines[i:]]
+        coef = np.array([float(v) for v in fields["coef"].split(",")])
+        retained = np.array([int(v) for v in fields["retained"].split(",")])
+        bias = float(fields["bias"])
+    except ValueError:
+        raise InputError(f"{path}: bad number in model file") from None
+    if len(rows) != n or any(len(row) != p for row in rows) or coef.size != n \
+            or retained.size != n:
+        raise InputError(f"{path}: model file needs {n} support rows of {p} numbers "
+                         f"and {n} coefficients and retained indices")
     return CutClassifier(
-        support_points=pts,
-        coefficients=np.array([float(v) for v in fields["coef"].split(",")]),
-        bias=float(fields["bias"]),
+        support_points=np.array(rows).reshape(n, p),
+        coefficients=coef,
+        bias=bias,
         kernel=KernelSpec.parse(fields["kernel"]),
-        retained_indices=np.array([int(v) for v in fields["retained"].split(",")]),
+        retained_indices=retained,
     )
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .errors import InputError, SolverError
 from .graph import SimilarityGraph
 from .harmonic import hard_harmonic
@@ -63,10 +64,9 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a @ b.T
     if spec.kind == "cubic":
         return (1.0 + a @ b.T) ** 3
-    d2 = (np.einsum("ij,ij->i", a, a)[:, None]
-          + np.einsum("ij,ij->i", b, b)[None, :] - 2.0 * (a @ b.T))
-    np.maximum(d2, 0.0, out=d2)
-    return np.exp(-d2 / (2.0 * spec.rbf_width ** 2))
+    d2 = _kernels.cross_sq_dists(a, b, np.ones(a.shape[1]))
+    np.divide(d2, -2.0 * spec.rbf_width ** 2, out=d2)
+    return np.exp(d2, out=d2)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ points.  Everything is generated by the package's counter-based RNG, so a
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -318,26 +319,37 @@ def parse_config_text(text: str) -> dict:
     return cfg
 
 
+def _config_value(cfg: dict, key: str, convert, what: str):
+    """convert(cfg[key]); a missing key or a value convert rejects raises
+    ``InputError`` naming the key."""
+    if key not in cfg:
+        raise InputError(f"dataset config needs a {key!r} key")
+    try:
+        return convert(cfg[key])
+    except (TypeError, ValueError):
+        raise InputError(f"dataset config {key!r} must be {what}") from None
+
+
 def _mixture_from_config(cfg: dict) -> MixtureSpec:
     def side(prefix):
-        return ClassMixture(
-            weights=np.asarray(cfg[f"{prefix}.weights"], dtype=np.float64),
-            means=np.asarray(cfg[f"{prefix}.means"], dtype=np.float64),
-            covs=np.asarray(cfg[f"{prefix}.covs"], dtype=np.float64),
-        )
-    return MixtureSpec(pos=side("pos"), neg=side("neg"),
-                       prior_pos=float(cfg.get("prior_pos", 0.5)))
+        return ClassMixture(*(_config_value(cfg, f"{prefix}.{part}",
+                                            lambda v: np.asarray(v, dtype=np.float64),
+                                            "numbers")
+                              for part in ("weights", "means", "covs")))
+    prior_pos = _config_value(cfg, "prior_pos", float, "a number") if "prior_pos" in cfg else 0.5
+    return MixtureSpec(pos=side("pos"), neg=side("neg"), prior_pos=prior_pos)
 
 
 def _core_from_config(cfg: dict) -> CoreSpec:
     kwargs = {}
     for key in ("big", "inner", "tiny1", "tiny2"):
         if key in cfg:
-            kwargs[key] = tuple(float(v) for v in cfg[key])
+            kwargs[key] = _config_value(cfg, key, lambda v: tuple(float(x) for x in v),
+                                        "a list of numbers")
     for key in ("big_count", "inner_count", "tiny1_count", "tiny2_count",
                 "tiny1_label", "tiny2_label", "anomaly_count"):
         if key in cfg:
-            kwargs[key] = int(cfg[key])
+            kwargs[key] = _config_value(cfg, key, operator.index, "an integer")
     return CoreSpec(**kwargs)
 
 

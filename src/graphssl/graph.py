@@ -72,9 +72,9 @@ class GraphConfig:
     its k_neighbors nearest (union rule); neighbours are ranked by
     (distance, index), so ties and duplicate points go to the lowest
     index, and the graph is built in O(n * k_neighbors) memory.  mode
-    "epsilon" keeps every pairwise weight >= eps_cut from the dense n x n
-    weights.  sigma == None applies the heuristic 0.1 * mean of the
-    per-feature standard deviations.
+    "epsilon" keeps every pairwise weight >= eps_cut, found by an exact
+    scan of all pairs in row blocks without an n x n matrix.  sigma == None
+    applies the heuristic 0.1 * mean of the per-feature standard deviations.
     """
 
     mode: str = "knn"
@@ -180,7 +180,7 @@ def gaussian_weight(xi, xj, sigma: float, psi=None, normalize_by_p: bool = True)
     return float(gaussian_of_sq_dists(sq, xi.size, sigma, normalize_by_p))
 
 
-def _gaussian_in_place(d2: np.ndarray, p: int, sigma: float, normalize_by_p: bool):
+def gaussian_in_place(d2: np.ndarray, p: int, sigma: float, normalize_by_p: bool):
     """exp(-d2 / (p sigma^2)), or exp(-d2 / sigma^2) when normalize_by_p is
     off, written over the float64 array d2; the one place the divisor is
     formed, as (p * sigma) * sigma.  d2 / -denom has the bits of -d2 / denom."""
@@ -192,33 +192,35 @@ def _gaussian_in_place(d2: np.ndarray, p: int, sigma: float, normalize_by_p: boo
 def gaussian_of_sq_dists(d2, p: int, sigma: float, normalize_by_p: bool):
     """exp(-d2 / (p sigma^2)), or exp(-d2 / sigma^2) when normalize_by_p is
     off, as a new array; d2 is left as it is."""
-    return _gaussian_in_place(np.array(d2, dtype=np.float64), p, sigma, normalize_by_p)
+    return gaussian_in_place(np.array(d2, dtype=np.float64), p, sigma, normalize_by_p)
 
 
-def gaussian_weights_matrix(a: np.ndarray, b: np.ndarray, sigma: float, psi: np.ndarray,
-                            normalize_by_p: bool = True) -> np.ndarray:
-    """Dense kernel block between rows of a and rows of b, formed in place."""
-    return _gaussian_in_place(_kernels.cross_sq_dists(a, b, psi), a.shape[1], sigma,
-                              normalize_by_p)
-
-
-# entries of one block of exact distances in _ranked_exactly (32 MB of float64)
+# entries of one block of exact distances from sq_dist_blocks (32 MB of float64)
 _EXACT_BLOCK = 1 << 22
+
+
+def sq_dist_blocks(a: np.ndarray, b: np.ndarray, psi: np.ndarray):
+    """Feature-weighted squared distances between the rows of a and b as
+    (rows, d2) pairs: d2 is ``cross_sq_dists(a[rows], b, psi)`` for a slice
+    rows of at least one row and at most _EXACT_BLOCK entries.  The caller
+    may overwrite each d2 and must drop it before the next is formed, so
+    memory stays at one block."""
+    step = max(1, _EXACT_BLOCK // max(1, len(b)))
+    for start in range(0, len(a), step):
+        rows = slice(start, min(start + step, len(a)))
+        yield rows, _kernels.cross_sq_dists(a[rows], b, psi)
 
 
 def _ranked_exactly(x: np.ndarray, psi: np.ndarray, k: int,
                     idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows idx of the k-NN lists by a stable argsort of each exact distance
-    row, computed in blocks of at most _EXACT_BLOCK entries."""
+    row, one sq_dist_blocks block at a time."""
     nbrs, nd = np.empty((idx.size, k), dtype=np.intp), np.empty((idx.size, k))
-    step = max(1, _EXACT_BLOCK // len(x))
-    for start in range(0, idx.size, step):
-        part = idx[start:start + step]
-        block = _kernels.cross_sq_dists(x[part], x, psi)
-        block[np.arange(part.size), part] = np.inf
-        rows = slice(start, start + part.size)
-        nbrs[rows] = np.argsort(block, axis=1, kind="stable")[:, :k]
-        nd[rows] = np.take_along_axis(block, nbrs[rows], axis=1)
+    for rows, d2 in sq_dist_blocks(x[idx], x, psi):
+        d2[np.arange(d2.shape[0]), idx[rows]] = np.inf
+        nbrs[rows] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        nd[rows] = np.take_along_axis(d2, nbrs[rows], axis=1)
+        del d2                  # before the next block is formed
     return nbrs, nd
 
 
@@ -275,14 +277,33 @@ def _knn_weights(ps: PointSet, k: int, sigma: float, normalize_by_p: bool) -> sp
     return sp.csr_matrix((w, key % n, indptr), shape=(n, n))
 
 
+def _epsilon_weights(ps: PointSet, eps_cut: float, sigma: float,
+                     normalize_by_p: bool) -> tuple[sp.csr_matrix, bool]:
+    """Every off-diagonal weight >= eps_cut, in canonical CSR, and whether
+    every off-diagonal weight underflows to 0 before the cut.  Each row
+    block's Gaussian is formed in its distance block and kept as CSR, so
+    memory is one block plus O(n + nnz)."""
+    parts, underflow = [], True
+    for rows, w in sq_dist_blocks(ps.points, ps.points, ps.feature_weights):
+        gaussian_in_place(w, ps.p, sigma, normalize_by_p)
+        w[np.arange(w.shape[0]), np.arange(rows.start, rows.stop)] = 0.0
+        underflow = underflow and not w.any()
+        w[w < eps_cut] = 0.0
+        parts.append(sp.csr_matrix(w))
+        del w                   # before the next block is formed
+    return sp.vstack(parts, format="csr"), underflow
+
+
 def build_graph(ps: PointSet, cfg: GraphConfig) -> SimilarityGraph:
     """Gaussian-weighted similarity graph, sparsified per ``cfg``.
 
     k-NN mode ranks each point's neighbours by (squared distance, index):
     ties, duplicate points included, go to the lowest index.  It needs
-    O(n*k) memory and never forms an n x n matrix.  Epsilon mode forms the
-    dense n x n weights.  Raises ``DegenerateGraphError`` when every weight
-    the graph would keep underflows to 0 (sigma too small for the data).
+    O(n*k) memory and never forms an n x n matrix.  Epsilon mode scans all
+    pairs exactly, one row block of distances at a time, in memory of one
+    block plus O(n + nnz); eps_cut = 0 gives the complete graph.  Raises
+    ``DegenerateGraphError`` when every weight the graph would keep
+    underflows to 0 (sigma too small for the data).
     """
     n = ps.n
     if n < 2:
@@ -294,12 +315,7 @@ def build_graph(ps: PointSet, cfg: GraphConfig) -> SimilarityGraph:
         w = _knn_weights(ps, cfg.k_neighbors, sigma, cfg.normalize_by_p)
         underflow = w.nnz == 0
     else:
-        dists = _kernels.pairwise_sq_dists(ps.points, ps.feature_weights)
-        w = gaussian_of_sq_dists(dists, ps.p, sigma, cfg.normalize_by_p)
-        np.fill_diagonal(w, 0.0)
-        underflow = not w.any()
-        w[w < cfg.eps_cut] = 0.0
-        w = sp.csr_matrix(w)
+        w, underflow = _epsilon_weights(ps, cfg.eps_cut, sigma, cfg.normalize_by_p)
     if underflow:
         raise DegenerateGraphError(
             f"every {cfg.mode} edge weight underflows to 0 at sigma={sigma:.17g}")

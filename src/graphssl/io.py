@@ -28,16 +28,15 @@ def write_points_csv(path: str | Path, ps: PointSet) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_points_csv(path: str | Path) -> PointSet:
-    """Points and labels of a CSV whose last column is ``label``; a bad row or
-    label (1.0 reads as 1) raises ``InputError`` naming the file and line."""
+def _read_numeric_csv(path: str | Path) -> tuple[list[str], np.ndarray, list]:
+    """Header names, the rows of a CSV of numbers, and each row's line number
+    and text cells; blank lines are skipped, and a short, long or
+    non-numeric row raises ``InputError`` naming the file and line."""
     lines = [(no, line.split(",")) for no, line in
              enumerate(Path(path).read_text().splitlines(), 1) if line.strip()]
     if not lines:
         raise InputError(f"{path}: empty file")
     header = [h.strip() for h in lines[0][1]]
-    if header[-1] != "label":
-        raise InputError(f"{path}: final column must be 'label'")
     data = np.empty((len(lines) - 1, len(header)))
     for i, (no, row) in enumerate(lines[1:]):
         try:
@@ -47,8 +46,28 @@ def read_points_csv(path: str | Path) -> PointSet:
         if len(values) != len(header):      # a one-value row would broadcast
             raise InputError(f"{path}, line {no}: expected {len(header)} numbers")
         data[i] = values
-        if data[i, -1] not in LABEL_VALUES:
-            raise InputError(f"{path}, line {no}: label {row[-1].strip()!r} is not -1, 0 or 1")
+    return header, data, lines[1:]
+
+
+def _columns(path: str | Path, names: tuple[str, ...]) -> list[np.ndarray]:
+    """The named columns of a numeric CSV, found by header name."""
+    header, data, _ = _read_numeric_csv(path)
+    missing = [name for name in names if name not in header]
+    if missing:
+        raise InputError(f"{path}: no column {', '.join(map(repr, missing))}")
+    return [data[:, header.index(name)] for name in names]
+
+
+def read_points_csv(path: str | Path) -> PointSet:
+    """Points and labels of a CSV whose last column is ``label``; a bad row or
+    label (1.0 reads as 1) raises ``InputError`` naming the file and line."""
+    header, data, rows = _read_numeric_csv(path)
+    if header[-1] != "label":
+        raise InputError(f"{path}: final column must be 'label'")
+    bad = np.flatnonzero(~np.isin(data[:, -1], LABEL_VALUES))
+    if bad.size:
+        no, cells = rows[bad[0]]
+        raise InputError(f"{path}, line {no}: label {cells[-1].strip()!r} is not -1, 0 or 1")
     return PointSet(data[:, :-1], data[:, -1].astype(np.int64))
 
 
@@ -62,12 +81,13 @@ def write_truth_csv(path: str | Path, true_labels: np.ndarray, flipped: np.ndarr
 
 
 def read_truth_csv(path: str | Path) -> dict[str, np.ndarray]:
-    rows = [line.split(",") for line in Path(path).read_text().strip().splitlines()[1:]]
-    arr = np.array([[float(v) for v in row] for row in rows])
+    """The true labels, flip mask and true anomaly scores of a truth
+    sidecar, by column name."""
+    label, flipped, score = _columns(path, ("true_label", "flipped", "true_anomaly_score"))
     return {
-        "true_label": arr[:, 1].astype(np.int64),
-        "flipped": arr[:, 2].astype(bool),
-        "true_anomaly_score": arr[:, 3],
+        "true_label": label.astype(np.int64),
+        "flipped": flipped.astype(bool),
+        "true_anomaly_score": score,
     }
 
 
@@ -108,8 +128,8 @@ def write_scores_csv(path: str | Path, raw: np.ndarray, scaled: np.ndarray) -> N
 
 
 def read_scores_csv(path: str | Path) -> np.ndarray:
-    rows = [line.split(",") for line in Path(path).read_text().strip().splitlines()[1:]]
-    return np.array([float(row[1]) for row in rows])
+    """The raw_score column of a scores file."""
+    return _columns(path, ("raw_score",))[0]
 
 
 def write_metrics_json(path: str | Path, metrics: dict) -> None:

@@ -93,7 +93,7 @@ def _assign(points: np.ndarray, centroids: np.ndarray, psi: np.ndarray) -> np.nd
     return np.argmin(d2, axis=1).astype(np.int64)
 
 
-def _backbone_graph(state: BackboneState, cfg: JointConfig):
+def _backbone_graph(state: BackboneState):
     ps = PointSet(state.centroids, state.node_labels(), state.feature_weights)
     gcfg = GraphConfig(mode="knn", k_neighbors=min(BACKBONE_KNN, state.n_nodes - 1),
                        sigma=state.sigma)
@@ -104,7 +104,7 @@ def propagate_on_backbone(state: BackboneState, cfg: JointConfig) -> np.ndarray:
     """Soft labels on the current backbone graph: fit weight f_l on the
     labeled nodes, f_u on the free ones, smoothness from the
     sink-regularized backbone Laplacian."""
-    g = _backbone_graph(state, cfg)
+    g = _backbone_graph(state)
     y = state.node_labels().astype(np.float64)
     soft = soft_harmonic(g, y, SoftConfig(gamma_g=cfg.gamma_g, c_l=cfg.f_l, c_u=cfg.f_u))
     return soft.values
@@ -179,7 +179,7 @@ def quantization_surrogate(state: BackboneState, cfg: JointConfig,
 def joint_objective(state: BackboneState, cfg: JointConfig, points: np.ndarray) -> float:
     """Full objective: soft fit + smoothness on the backbone graph +
     scaled quantization penalty."""
-    g = _backbone_graph(state, cfg)
+    g = _backbone_graph(state)
     lab = state.soft_labels
     y = state.node_labels().astype(np.float64)
     f_diag = np.where(y != 0, cfg.f_l, cfg.f_u)

@@ -81,12 +81,16 @@ def plan_from_config(path: str | Path, outdir: str | None = None) -> ExperimentP
     if dataset is None:
         raise InputError("plan config needs a 'dataset' key")
     dataset_path = (path.parent / dataset).resolve()
+    try:
+        flip_fraction = float(cfg.get("flip_fraction", 0.03))
+    except (TypeError, ValueError):
+        raise InputError("flip_fraction must be a number") from None
     return ExperimentPlan(
         method=cfg.get("method", "rwcad"),
         grid=grid,
         dataset=str(dataset_path),
         n_samples=cfg.get("n_samples", 1000),
-        flip_fraction=float(cfg.get("flip_fraction", 0.03)),
+        flip_fraction=flip_fraction,
         n_runs=cfg.get("n_runs", 1),
         base_seed=cfg.get("base_seed", 0),
         outdir=str(outdir if outdir is not None else cfg.get("outdir", "plan-out")),

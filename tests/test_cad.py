@@ -17,9 +17,9 @@ from graphssl import (DegenerateGraphError, GraphConfig, InputError,
 from graphssl import cad as cad_module
 from graphssl import plan as plan_module
 from graphssl import graph as graph_module
-from graphssl._kernels import pairwise_sq_dists
+from graphssl._kernels import cross_sq_dists, pairwise_sq_dists
 from graphssl.cad import LAMBDA_GRID, _kernel_mass
-from graphssl.graph import gaussian_of_sq_dists, gaussian_weights_matrix
+from graphssl.graph import gaussian_of_sq_dists
 
 
 def _mirror_training_set():
@@ -39,6 +39,11 @@ def _dense_kernel(ps, sigma, normalize_by_p):
     return k
 
 
+def _cross_kernel(a, b, sigma, psi, normalize_by_p):
+    """The dense Gaussian kernel between the rows of a and b, in one piece."""
+    return gaussian_of_sq_dists(cross_sq_dists(a, b, psi), a.shape[1], sigma, normalize_by_p)
+
+
 def _dense_reference(ps, sigma, normalize_by_p, x):
     """Test-only copies of the dense CAD masses that the blocked routine
     replaced: leave-one-out masses as column sums of one n x n kernel,
@@ -47,8 +52,8 @@ def _dense_reference(ps, sigma, normalize_by_p, x):
     k = _dense_kernel(ps, sigma, normalize_by_p)
     loo = tuple(k[:, ps.labels == c].sum(axis=1) for c in (1, -1))
     vols = tuple(float(k[np.ix_(ps.labels == c, ps.labels == c)].sum()) for c in (1, -1))
-    test = tuple(gaussian_weights_matrix(x, ps.points[ps.labels == c], sigma,
-                                         ps.feature_weights, normalize_by_p).sum(axis=1)
+    test = tuple(_cross_kernel(x, ps.points[ps.labels == c], sigma,
+                               ps.feature_weights, normalize_by_p).sum(axis=1)
                  for c in (1, -1))
     return loo, vols, test
 

@@ -433,14 +433,27 @@ def _bad_plan(tmp_path, line):
     return path
 
 
+def _bad_file(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+_MIXTURE_WITHOUT_POS_MEANS = ("type = mixture\npos.weights = [1.0]\n"
+                              "pos.covs = [[[1.0]]]\nneg.weights = [1.0]\n"
+                              "neg.means = [[0.0]]\nneg.covs = [[[1.0]]]\n")
+
+
 @pytest.mark.parametrize("case", ["label", "cell", "kernel", "params", "n_samples", "n_runs",
-                                  "sigma"])
+                                  "sigma", "truth_header", "raw_score", "model_fields",
+                                  "support_rows", "pos_means", "count", "flip_fraction"])
 def test_malformed_input_exits_2(tmp_path, capsys, case):
     data = _ssl_input(tmp_path)
     out = str(tmp_path / "out")
     scores, truth = tmp_path / "scores.csv", tmp_path / "truth.csv"
     write_scores_csv(scores, np.array([0.1, 0.9]), np.array([0.0, 1.0]))
     truth.write_text("index,true_label,flipped,true_anomaly_score\n0,1,0,0.2\n1,-1,1,0.8\n")
+    model = "kernel=linear\nbias=0.1\nretained=0,1\ncoef=1,-1\nsupport=2,2\n0,0\n"
     argv = {
         "label": lambda: ["ssl", "--input", str(_malformed_points(tmp_path, "2,1.7")),
                           "--out", out],
@@ -454,13 +467,36 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
                               str(_bad_plan(tmp_path, "n_samples = abc"))],
         "n_runs": lambda: ["run-plan", "--config", str(_bad_plan(tmp_path, "n_runs = 1.5"))],
         "sigma": lambda: ["ssl", "--input", str(data), "--sigma", "abc", "--out", out],
+        "truth_header": lambda: ["eval", "--scores", str(scores), "--truth",
+                                 _bad_file(tmp_path, "t.csv", "f0,label\n0.2,1\n0.8,-1\n"),
+                                 "--out", out],
+        "raw_score": lambda: ["eval", "--truth", str(truth), "--scores",
+                              _bad_file(tmp_path, "s.csv", "index,raw_score,scaled_score,rank\n"
+                                                           "0,abc,0,1\n1,0.9,1,2\n"),
+                              "--out", out],
+        "model_fields": lambda: ["mmgc-predict", "--input", str(data), "--out", out, "--model",
+                                 _bad_file(tmp_path, "m.txt", "kernel=linear\nbias=0.1\n")],
+        "support_rows": lambda: ["mmgc-predict", "--input", str(data), "--out", out,
+                                 "--model", _bad_file(tmp_path, "m.txt", model)],
+        "pos_means": lambda: ["gen-data", "--out", out, "--config",
+                              _bad_file(tmp_path, "mix.cfg", _MIXTURE_WITHOUT_POS_MEANS)],
+        "count": lambda: ["gen-data", "--out", out, "--out-test", out + "-test", "--config",
+                          _bad_file(tmp_path, "core.cfg", "type = core\nbig_count = abc\n")],
+        "flip_fraction": lambda: ["run-plan", "--config",
+                                  str(_bad_plan(tmp_path, "flip_fraction = abc"))],
     }[case]()
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     want = {"label": "bad.csv, line 4: label '1.7'", "cell": "bad.csv, line 4: expected 3",
             "kernel": "rbf:abc", "params": "--params", "n_samples": "n_samples must be",
-            "n_runs": "n_runs must be", "sigma": "--sigma"}[case]
+            "n_runs": "n_runs must be", "sigma": "--sigma",
+            "truth_header": "t.csv: no column 'true_label', 'flipped'",
+            "raw_score": "s.csv, line 2: expected 4 numbers",
+            "model_fields": "m.txt: model file lacks retained, coef, support",
+            "support_rows": "m.txt: model file needs 2 support rows",
+            "pos_means": "'pos.means'", "count": "'big_count' must be an integer",
+            "flip_fraction": "flip_fraction must be a number"}[case]
     assert want in err
 
 

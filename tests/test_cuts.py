@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
+
+from graphssl import cuts
 
 from graphssl import (GraphConfig, InputError, KernelSpec,
                       PointSet, build_graph, induce_labels, kernel_matrix,
@@ -32,6 +35,18 @@ class TestKernels:
         b = np.array([[2.0]])
         got = kernel_matrix(KernelSpec("rbf", rbf_width=1.0), a, b)[0, 0]
         assert got == pytest.approx(np.exp(-2.0))
+
+    def test_rbf_is_the_gaussian_of_exact_distances(self):
+        # the expanded |a|^2 + |b|^2 - 2 a.b loses the small distances of
+        # points far from the origin; cdist's sum of squared differences
+        # gives exactly 0 at a == b
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(40, 3)) * 0.1 + 50.0
+        b = rng.normal(size=(25, 3)) * 0.1 + 50.0
+        spec = KernelSpec("rbf", rbf_width=0.7)
+        want = np.exp(-cdist(a, b, "sqeuclidean") / (2.0 * 0.7 ** 2))
+        assert np.array_equal(kernel_matrix(spec, a, b), want)
+        assert np.all(np.diag(kernel_matrix(spec, a, a)) == 1.0)
 
     def test_parse(self):
         assert KernelSpec.parse("rbf:2.5").rbf_width == 2.5
@@ -158,6 +173,33 @@ class TestTrainMaxMargin:
         objectives = np.array(objectives)
         spread = objectives.max() - objectives.min()
         assert spread <= 1e-5 * max(1.0, abs(objectives.mean()))
+
+    @pytest.mark.parametrize("seed", [4, 7])
+    def test_rbf_decisions_move_within_the_gap_tolerance(self, monkeypatch, seed):
+        # the rbf kernel once expanded |a|^2 + |b|^2 - 2 a.b; its rounding
+        # moves where the trainer stops, within GAP_TOL of the objective
+        # (decision values moved by at most 3.6e-4 over seeds 0-11)
+        def expanded_kernel(spec, a, b):
+            d2 = (np.einsum("ij,ij->i", a, a)[:, None]
+                  + np.einsum("ij,ij->i", b, b)[None, :] - 2.0 * (a @ b.T))
+            return np.exp(-np.maximum(d2, 0.0) / (2.0 * spec.rbf_width ** 2))
+
+        rng = np.random.default_rng(seed)
+        pts = np.vstack([rng.normal(0.0, 1.0, (150, 2)), rng.normal(1.5, 1.0, (150, 2))])
+        y = np.concatenate([np.ones(150), -np.ones(150)])
+        grid = rng.normal(0.75, 2.0, (200, 2))
+        spec = KernelSpec("rbf", 1.0)
+        got = train_maxmargin(pts, y, spec, gamma=0.05)
+        monkeypatch.setattr(cuts, "kernel_matrix", expanded_kernel)
+        want = train_maxmargin(pts, y, spec, gamma=0.05)
+        want_values = want.decision_values(grid)
+        monkeypatch.undo()
+        got_values = got.decision_values(grid)
+        want_objective = _hinge_objective(want, pts, y, 0.05)
+        assert abs(_hinge_objective(got, pts, y, 0.05) - want_objective) \
+            <= cuts.GAP_TOL * want_objective
+        assert np.max(np.abs(got_values - want_values)) <= 1e-3
+        assert np.array_equal(np.sign(got_values), np.sign(want_values))
 
     def test_single_class_rejected(self):
         with pytest.raises(InputError):

@@ -1,6 +1,8 @@
-"""The KD-tree k-NN builder against the dense construction it replaced."""
+"""The KD-tree k-NN builder and the blocked epsilon builder against the
+dense constructions they replaced."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from hypothesis import strategies as st
 from graphssl import (DegenerateGraphError, GraphConfig, PointSet, SimilarityGraph,
                       build_graph)
 from graphssl import _kernels
-from graphssl.graph import _knn_lists, resolve_sigma
+from graphssl import graph as graph_module
+from graphssl.graph import _knn_lists, gaussian_of_sq_dists, resolve_sigma
 
 
 def _knn_mask(dists, k):
@@ -125,6 +128,68 @@ def test_knn_memory_is_linear_in_n():
         tracemalloc.stop()
     assert g.n == n and g.weights.nnz >= n * 10
     assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
+
+
+def dense_epsilon_reference(ps, cfg):
+    """The dense epsilon construction: the n x n pdist Gaussian with a zero
+    diagonal and every weight below eps_cut cut; None when every
+    off-diagonal weight underflows to 0."""
+    w = gaussian_of_sq_dists(_kernels.pairwise_sq_dists(ps.points, ps.feature_weights), ps.p,
+                             resolve_sigma(cfg, ps.points), cfg.normalize_by_p)
+    np.fill_diagonal(w, 0.0)
+    if not w.any():
+        return None
+    w[w < cfg.eps_cut] = 0.0
+    return SimilarityGraph(sp.csr_matrix(w)).weights
+
+
+@st.composite
+def _epsilon_cases(draw):
+    n = draw(st.integers(2, 120))
+    p = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n, p))
+    if draw(st.booleans()):                     # duplicate points
+        x = x[rng.integers(0, max(1, n // 3), size=n)]
+    psi = draw(st.sampled_from([np.ones(p), rng.random(p), rng.random(p) * (rng.random(p) < 0.5)]))
+    cfg = GraphConfig(mode="epsilon", eps_cut=draw(st.sampled_from([0.0, 1e-6, 0.01, 0.3])),
+                      sigma=draw(st.sampled_from([0.05, 0.4, 2.0])),
+                      normalize_by_p=draw(st.booleans()))
+    block = draw(st.sampled_from([1, 7, n, 3 * n + 1, 1 << 22]))
+    return PointSet(x, np.zeros(n, dtype=int), psi), cfg, block
+
+
+@settings(max_examples=200, deadline=None)
+@given(_epsilon_cases())
+def test_epsilon_graph_bit_identical_to_dense_reference(case):
+    ps, cfg, block = case
+    want = dense_epsilon_reference(ps, cfg)
+    with mock.patch.object(graph_module, "_EXACT_BLOCK", block):
+        if want is None:
+            with pytest.raises(DegenerateGraphError):
+                build_graph(ps, cfg)
+            return
+        assert_same_csr(build_graph(ps, cfg).weights, want)
+
+
+def test_epsilon_memory_is_linear_in_n():
+    n = 10_000
+    bound = n * n * 8 // 4        # one n x n float64 matrix / 4
+    rng = np.random.default_rng(0)
+    ps = PointSet(rng.normal(size=(n, 2)), np.zeros(n, dtype=int))
+    tracemalloc.start()
+    try:
+        g = build_graph(ps, GraphConfig(mode="epsilon", eps_cut=0.01, sigma=0.05))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one distance block of at most graph._EXACT_BLOCK float64 entries, its
+    # Gaussian formed in place, plus O(n) vectors and a few CSR copies
+    # (12 bytes an entry) of the kept edges
+    block_bound = int(2.5 * 8 * graph_module._EXACT_BLOCK) + 64 * 8 * n + 48 * g.weights.nnz
+    assert g.n == n and g.weights.nnz >= 10 * n
+    assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
+    assert peak < block_bound, f"peak {peak / 1e6:.1f} MB, bound {block_bound / 1e6:.1f} MB"
 
 
 class TestUnderflow:
