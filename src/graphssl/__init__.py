@@ -21,7 +21,7 @@ from .joint import (BackboneState, JointConfig, elastic_joint, infer_unlabeled,
                     quantization_surrogate)
 from .metrics import auroc
 from .online import (CompactGraph, OnlineStep, QuantizerState, compact_harmonic,
-                     max_distortion, observe, predict_online)
+                     max_distortion, predict_online)
 from .plan import ExperimentPlan, cad_scores, grid_points, plan_from_config, run_plan
 from .rng import PortableRng
 

@@ -81,7 +81,12 @@ class CutClassifier:
     retained_indices: np.ndarray
 
     def decision_values(self, x: np.ndarray) -> np.ndarray:
-        k = kernel_matrix(self.kernel, np.atleast_2d(x), self.support_points)
+        x = np.atleast_2d(x)
+        width = self.support_points.shape[1]
+        if x.shape[1] != width:
+            raise InputError(f"points have {x.shape[1]} features, the model's support "
+                             f"points {width}")
+        k = kernel_matrix(self.kernel, x, self.support_points)
         return k @ self.coefficients + self.bias
 
 

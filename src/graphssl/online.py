@@ -12,16 +12,20 @@ A graph whose nodes carry multiplicities v behaves exactly like the graph
 where node i is replicated v_i times: edge conductances add, so the full
 harmonic solution is recovered from the small system
 ``(L_uu + gamma_g V_uu) l_u = W_ul l_l`` with W = V W~ V, which
-``harmonic.solve_harmonic`` solves.  The centroid graph has at most
+``harmonic.solve_clamped`` solves.  The centroid graph has at most
 ``capacity`` nodes, so it is kept as dense arrays and the system is
 factored densely.
 
 The sketch owns the centroids' squared-distance matrix and their cut
 Gaussian graph, at O(k^2) memory for k centroids: the distances grow by
-doubling with the centroid rows, and the graph is rebuilt from them only
-when a centroid is added or the set is repartitioned, or when the kernel
-width or cut changes.  A point that merges into an existing centroid moves
-no centroid, so its prediction reuses the graph and costs one solve.
+doubling with the centroid rows.  An added centroid updates the graph in
+place: one new row and column of weights, and the cut redone only in the
+rows whose strongest edge it raised.  The graph is rebuilt from the
+distances only when the set is repartitioned or the kernel width or cut
+changes.  A prediction assembles its system from the weight block of its
+centroid's component alone, which the graph keeps until that component
+changes; a point that merges into an existing centroid moves no centroid,
+so its prediction costs one solve.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import InputError
-from .graph import GraphConfig, dense_component, gaussian_of_sq_dists
-from .harmonic import SoftLabels, check_gamma_g, solve_harmonic
+from .graph import GraphConfig, component_labels, gaussian_of_sq_dists
+from .harmonic import SoftLabels, check_gamma_g, solve_clamped, solve_harmonic
 
 ABSTAIN = 0
 
@@ -53,10 +57,10 @@ class QuantizerState:
     number of points observed.  The centroids are the first ``size`` rows
     of one array that grows by doubling up to ``capacity + 1`` rows; their
     squared distances are kept in a square array that grows with it, and
-    the cut Gaussian graph that ``graph()`` builds from them is kept until
-    a centroid is added or the set is repartitioned.  Both cost O(k^2)
-    memory for k centroids; nothing of size ``capacity`` is allocated up
-    front.
+    the cut Gaussian graph that ``graph()`` builds from them grows with
+    each added centroid and is dropped when the set is repartitioned.  Both
+    cost O(k^2) memory for k centroids; nothing of size ``capacity`` is
+    allocated up front.
     """
 
     def __init__(self, capacity: int, growth: float = 1.5):
@@ -104,12 +108,15 @@ class QuantizerState:
         return view
 
     def graph(self, sigma: float, normalize_by_p: bool, eps_cut: float) -> CentroidGraph:
-        """The centroids' cut Gaussian graph, cached until a centroid is
-        added, the set is repartitioned or the arguments change."""
+        """The centroids' cut Gaussian graph, cached and grown with each
+        added centroid until the set is repartitioned or the arguments
+        change, which rebuild it."""
         if self._rows is None:
             raise InputError("the sketch has no centroids yet")
         key = (sigma, normalize_by_p, eps_cut)
         if self._graph is None or self._graph.key != key:
+            if not (np.isfinite(sigma) and sigma > 0 and np.isfinite(eps_cut) and eps_cut >= 0):
+                raise InputError("sigma must be finite and > 0, eps_cut finite and >= 0")
             self._graph = CentroidGraph.build(self.sq_dists, self._rows.shape[1], *key)
         return self._graph
 
@@ -172,7 +179,8 @@ class QuantizerState:
         self._sq_dists[k, :k] = d2
         self._sq_dists[:k, k] = d2
         self._sq_dists[k, k] = 0.0
-        self._graph = None
+        if self._graph is not None:
+            self._graph.append(d2)
         self.multiplicities.append(1)
         self.centroid_labels.append(label)
         return self.size - 1
@@ -229,11 +237,6 @@ class QuantizerState:
         return mapping
 
 
-def observe(state: QuantizerState, x: np.ndarray, label: int = 0) -> tuple[QuantizerState, int]:
-    idx = state.observe(x, label)
-    return state, idx
-
-
 def max_distortion(state: QuantizerState) -> float:
     return state.max_distortion()
 
@@ -273,35 +276,102 @@ class OnlineStep:
 
 
 class CentroidGraph:
-    """Cut Gaussian similarities of the centroids, with their connected
-    components found on demand.
+    """Cut Gaussian similarities of the centroids, grown one centroid at a
+    time, with every node's connected component kept current and each
+    component's weight block cut out when it is first asked for.
 
     An edge survives only if its weight is at least eps_cut and at least
     ``RELATIVE_CUT`` times the strongest edge at either end; the diagonal is
-    0.  ``weights`` is read-only.
+    0.  Next to the cut weights the graph keeps the uncut Gaussian weights
+    and each node's strongest edge, so ``append`` recomputes the cut only in
+    the new node's row and in the rows whose strongest edge it raised; the
+    result has the bits of ``build`` on the grown distances.  The arrays
+    grow by doubling.  ``weights`` is a read-only view.
     """
 
-    def __init__(self, key: tuple, weights: np.ndarray):
+    def __init__(self, key: tuple, p: int, gauss: np.ndarray):
+        """gauss: the uncut Gaussian weights with a zero diagonal, owned."""
         self.key = key
-        self.weights = weights
-        self.weights.flags.writeable = False
-        self._component = np.full(weights.shape[0], -1)
+        self._p = p
+        self._size = gauss.shape[0]
+        self._gauss = gauss
+        self._strongest = gauss.max(axis=1)
+        self._cut = gauss.copy()
+        self._cut[gauss < self._threshold(slice(None))] = 0.0
+        self._label_components()
 
     @classmethod
     def build(cls, sq_dists: np.ndarray, p: int, sigma: float, normalize_by_p: bool,
               eps_cut: float) -> CentroidGraph:
-        w = gaussian_of_sq_dists(sq_dists, p, sigma, normalize_by_p)
-        np.fill_diagonal(w, 0.0)
-        strongest = w.max(axis=1)
-        w[w < np.maximum(eps_cut, RELATIVE_CUT * np.maximum.outer(strongest, strongest))] = 0.0
-        return cls((sigma, normalize_by_p, eps_cut), w)
+        gauss = gaussian_of_sq_dists(sq_dists, p, sigma, normalize_by_p)
+        np.fill_diagonal(gauss, 0.0)
+        return cls((sigma, normalize_by_p, eps_cut), p, gauss)
 
-    def component(self, idx: int) -> np.ndarray:
+    @property
+    def weights(self) -> np.ndarray:
+        view = self._cut[:self._size, :self._size]
+        view.flags.writeable = False
+        return view
+
+    def _threshold(self, rows) -> np.ndarray:
+        """Cut level of the edges in the given rows: eps_cut, or RELATIVE_CUT
+        times the stronger of the two ends' strongest edges."""
+        s = self._strongest[:self._size]
+        return np.maximum(self.key[2], RELATIVE_CUT * np.maximum.outer(s[rows], s))
+
+    def append(self, d2: np.ndarray) -> None:
+        """Add a node whose squared distances to the current nodes are d2."""
+        n = self._size
+        if n == self._gauss.shape[0]:
+            rows = max(16, 2 * n)
+            for name in ("_gauss", "_cut"):
+                grown = np.empty((rows, rows))
+                grown[:n, :n] = getattr(self, name)[:n, :n]
+                setattr(self, name, grown)
+            self._strongest = np.resize(self._strongest, rows)
+        sigma, normalize_by_p, _ = self.key
+        row = gaussian_of_sq_dists(d2, self._p, sigma, normalize_by_p)
+        self._gauss[n, :n] = row
+        self._gauss[:n, n] = row
+        self._gauss[n, n] = 0.0
+        raised = np.flatnonzero(row > self._strongest[:n])
+        self._strongest[raised] = row[raised]
+        self._strongest[n] = self._gauss[n, :n + 1].max()
+        self._size = n + 1
+        # strongest edges only grow, so no other entry's cut level moves
+        redo = np.append(raised, n)
+        kept = self._cut[raised, :n] != 0
+        gauss = self._gauss[redo, :n + 1]
+        cut = np.where(gauss < self._threshold(redo), 0.0, gauss)
+        self._cut[redo, :n + 1] = cut
+        self._cut[:n + 1, redo] = cut.T
+        if np.any(kept & (cut[:-1, :n] == 0)):
+            self._label_components()    # an older edge was cut
+            return
+        # the new node joins its neighbours' components into one
+        joined = np.unique(self._component[cut[-1, :n] != 0])
+        label = joined[0] if joined.size else self._component.max() + 1
+        self._component = np.append(self._component, label)
+        for old in joined:
+            self._component[self._component == old] = label
+            self._blocks.pop(int(old), None)
+
+    def _label_components(self) -> None:
+        """Number each node's component afresh and drop the cached blocks."""
+        self._component = component_labels(self.weights)
+        self._blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def block(self, idx: int) -> tuple[np.ndarray, np.ndarray]:
         """Sorted indices of the nodes joined to node idx by nonzero edges,
-        found the first time a node of the component is asked for."""
-        if self._component[idx] < 0:
-            self._component[dense_component(self.weights != 0, idx)] = idx
-        return np.flatnonzero(self._component == self._component[idx])
+        and their contiguous weight block, kept from the first time a node
+        of the component is asked for until the component changes."""
+        label = int(self._component[idx])
+        if label not in self._blocks:
+            comp = np.flatnonzero(self._component == label)
+            # C-ordered, as np.ix_ gives it (the solve's bits depend on the
+            # layout), in 40% of np.ix_'s time
+            self._blocks[label] = comp, self._cut[comp].take(comp, axis=1)
+        return self._blocks[label]
 
 
 def predict_online(state: QuantizerState, x: np.ndarray, label: int, gamma_g: float,
@@ -312,9 +382,10 @@ def predict_online(state: QuantizerState, x: np.ndarray, label: int, gamma_g: fl
     Centroid similarities are cut at eps = 0.1 * gamma_g and relative to
     the strongest edge at each end (``CentroidGraph``); a point whose
     centroid sits in a component with no labeled centroid is treated as
-    an outlier and the step abstains.  The graph is the sketch's cached
-    one, so a step that moves no centroid only solves.  An invalid gamma_g
-    raises before the sketch changes.
+    an outlier and the step abstains.  The graph and the component's
+    weight block are the sketch's cached ones, so a step that moves no
+    centroid only solves.  An invalid gamma_g raises before the sketch
+    changes.
     """
     check_gamma_g(gamma_g)
     idx = state.observe(x, label)
@@ -324,12 +395,12 @@ def predict_online(state: QuantizerState, x: np.ndarray, label: int, gamma_g: fl
     if graph_cfg.sigma is None:
         raise InputError("online prediction needs an explicit sigma")
     graph = state.graph(graph_cfg.sigma, graph_cfg.normalize_by_p, 0.1 * gamma_g)
-    comp = graph.component(idx)
-    if not np.any(labels[comp] != 0):
+    comp, weights = graph.block(idx)
+    y = labels[comp]
+    if not np.any(y != 0):
         return OnlineStep(ABSTAIN, True, idx)
-    cg = CompactGraph(graph.weights[np.ix_(comp, comp)], np.asarray(state.multiplicities)[comp])
-    sol = compact_harmonic(cg, labels[comp], gamma_g)
-    value = sol.values[int(np.searchsorted(comp, idx))]
+    mult = np.asarray(state.multiplicities, dtype=np.float64)[comp]
+    value = solve_clamped(weights, y, gamma_g, mult)[int(np.searchsorted(comp, idx))]
     if value == 0.0:
         return OnlineStep(ABSTAIN, True, idx)
     return OnlineStep(int(np.sign(value)), False, idx)

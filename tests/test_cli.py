@@ -446,7 +446,8 @@ _MIXTURE_WITHOUT_POS_MEANS = ("type = mixture\npos.weights = [1.0]\n"
 
 @pytest.mark.parametrize("case", ["label", "cell", "kernel", "params", "n_samples", "n_runs",
                                   "sigma", "truth_header", "raw_score", "model_fields",
-                                  "support_rows", "pos_means", "count", "flip_fraction"])
+                                  "support_rows", "pos_means", "count", "flip_fraction",
+                                  "model_width", "negative_count"])
 def test_malformed_input_exits_2(tmp_path, capsys, case):
     data = _ssl_input(tmp_path)
     out = str(tmp_path / "out")
@@ -454,6 +455,7 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
     write_scores_csv(scores, np.array([0.1, 0.9]), np.array([0.0, 1.0]))
     truth.write_text("index,true_label,flipped,true_anomaly_score\n0,1,0,0.2\n1,-1,1,0.8\n")
     model = "kernel=linear\nbias=0.1\nretained=0,1\ncoef=1,-1\nsupport=2,2\n0,0\n"
+    model_3d = "kernel=rbf:1\nbias=0.1\nretained=0\ncoef=1\nsupport=1,3\n0,0,0\n"
     argv = {
         "label": lambda: ["ssl", "--input", str(_malformed_points(tmp_path, "2,1.7")),
                           "--out", out],
@@ -484,6 +486,11 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
                           _bad_file(tmp_path, "core.cfg", "type = core\nbig_count = abc\n")],
         "flip_fraction": lambda: ["run-plan", "--config",
                                   str(_bad_plan(tmp_path, "flip_fraction = abc"))],
+        "model_width": lambda: ["mmgc-predict", "--input", str(data), "--out", out,
+                                "--model", _bad_file(tmp_path, "m.txt", model_3d)],
+        "negative_count": lambda: ["gen-data", "--out", out, "--out-test", out + "-test",
+                                   "--config", _bad_file(tmp_path, "core.cfg",
+                                                         "type = core\nbig_count = -5\n")],
     }[case]()
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -496,7 +503,9 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
             "model_fields": "m.txt: model file lacks retained, coef, support",
             "support_rows": "m.txt: model file needs 2 support rows",
             "pos_means": "'pos.means'", "count": "'big_count' must be an integer",
-            "flip_fraction": "flip_fraction must be a number"}[case]
+            "flip_fraction": "flip_fraction must be a number",
+            "model_width": "points have 2 features, the model's support points 3",
+            "negative_count": "big_count must be >= 0"}[case]
     assert want in err
 
 

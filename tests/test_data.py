@@ -150,6 +150,17 @@ class TestCoreDataset:
         with pytest.raises(InputError):
             CoreSpec(tiny1=(5.0, 5.5, 5.0, 5.5))
 
+    @pytest.mark.parametrize("field", ["big_count", "inner_count", "tiny1_count",
+                                       "tiny2_count", "anomaly_count"])
+    def test_negative_count_rejected(self, field):
+        with pytest.raises(InputError, match=f"{field} must be >= 0"):
+            CoreSpec(**{field: -5})
+
+    def test_zero_anomalies_mark_no_row(self):
+        _, test, truth = gen_core_dataset(CoreSpec(anomaly_count=0), seed=0)
+        assert test.n == 2 * (100 + 50 + 3 + 3)
+        assert not truth.anomaly_mask.any()
+
     def test_core_true_scores_piecewise_uniform(self):
         spec = CoreSpec()
         # deep inside the inner square: -1 label is anomalous

@@ -14,11 +14,12 @@ from scipy.sparse.linalg import spsolve
 from graphssl import (CompactGraph, DegenerateGraphError, GraphConfig, InputError,
                       PointSet, QuantizerState, SimilarityGraph, SolverError, build_graph,
                       compact_harmonic, hard_harmonic, laplacian, max_distortion,
-                      observe, predict_online)
+                      predict_online)
 from graphssl import _kernels
 from graphssl import online as online_module
 from graphssl.graph import gaussian_of_sq_dists
-from graphssl.online import RELATIVE_CUT
+from graphssl.harmonic import solve_clamped
+from graphssl.online import RELATIVE_CUT, CentroidGraph
 
 
 def replay_assignments(stream, capacity, growth):
@@ -103,10 +104,10 @@ class TestQuantizer:
         assert state.label_conflicts == 1
         assert state.centroid_labels == [1]
 
-    def test_observe_wrapper(self):
+    def test_observe_labels_a_new_centroid(self):
         state = QuantizerState(3)
-        state2, idx = observe(state, np.array([1.0, 1.0]), 1)
-        assert state2 is state and idx == 0
+        assert state.observe(np.array([1.0, 1.0]), 1) == 0
+        assert state.centroid_labels == [1] and state.observed == 1
 
 
 class TestMaxDistortion:
@@ -288,15 +289,15 @@ def rebuilt_step(state, x, label, gamma_g, cfg):
 
 def cached_step(state, x, label, gamma_g, cfg):
     """predict_online's step in rebuilt_step's form, its solved values taken
-    from the compact_harmonic call it makes."""
+    from the solve_clamped call it makes."""
     solved = []
 
     def spy(*args, **kwargs):
-        sol = compact_harmonic(*args, **kwargs)
-        solved.append(sol.values)
-        return sol
+        values = solve_clamped(*args, **kwargs)
+        solved.append(values)
+        return values
 
-    with mock.patch.object(online_module, "compact_harmonic", spy):
+    with mock.patch.object(online_module, "solve_clamped", spy):
         step = predict_online(state, x, label, gamma_g, cfg)
     assert len(solved) <= 1
     return step.prediction, step.abstained, step.centroid, solved[0] if solved else None
@@ -610,6 +611,58 @@ class TestCachedGraph:
                               rebuilt_step(ref, x, int(lab), gamma_g, cfg))
             reused += before is not None and state._graph is before
         assert reused > 50
+
+    # (sigma, normalize_by_p, eps_cut); at eps_cut = 0 only the relative cut
+    # acts, which an append can move in older rows
+    KEYS = [(1.0, True, 0.0), (0.5, False, 0.0), (0.5, True, 1e-3), (2.0, False, 0.05)]
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(1, 5), st.booleans(),
+           st.sampled_from([1.0, 5.0]), st.lists(st.integers(0, 3), min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_appended_graph_equals_a_rebuild(self, seed, capacity, p, rounded, spread,
+                                             key_order):
+        # spread 5 leaves early centroids with weak strongest edges that
+        # later, nearer centroids raise
+        points = spread * _random_stream(seed, 150, p)[0]
+        if rounded:                     # many duplicates
+            points = np.round(points)
+        state = QuantizerState(capacity, 1.5)
+        appended = 0
+        for t, x in enumerate(points):
+            key = self.KEYS[key_order[(t // 10) % len(key_order)]]
+            before, size = state._graph, state.size
+            idx = state.observe(x)
+            graph = state.graph(*key)
+            appended += (graph is before and state.size > size)
+            want = CentroidGraph.build(state.sq_dists, p, *key).weights
+            assert np.array_equal(graph.weights, want)
+            for node in (idx, t % state.size):
+                comp, block = graph.block(node)
+                assert np.array_equal(comp, rebuilt_component(want, node))
+                assert np.array_equal(block, want[np.ix_(comp, comp)])
+        assert appended > 0 or state.size <= 2
+
+    def test_append_cuts_an_edge_below_a_raised_strongest_edge(self):
+        state = QuantizerState(10)
+        for x in (0.0, 0.01, 10.0, 13.5):
+            state.observe(np.array([x]))
+        graph = state.graph(1.0, True, 0.0)
+        # nodes 2 and 3 are each other's strongest edge, exp(-12.25)
+        assert graph.weights[2, 3] > 0 and graph.block(2)[0].tolist() == [2, 3]
+        state.observe(np.array([10.1]))
+        assert state.graph(1.0, True, 0.0) is graph
+        # node 2's strongest edge is now exp(-0.01) to node 4
+        assert graph.weights[2, 3] == 0.0 and graph.block(2)[0].tolist() == [2, 4]
+        assert np.array_equal(graph.weights,
+                              CentroidGraph.build(state.sq_dists, 1, 1.0, True, 0.0).weights)
+
+    @pytest.mark.parametrize("sigma, eps_cut", [(0.0, 0.0), (np.nan, 0.0), (1.0, -1.0),
+                                                (1.0, np.inf)])
+    def test_graph_rejects_a_bad_key(self, sigma, eps_cut):
+        state = QuantizerState(4)
+        state.observe(np.zeros(2))
+        with pytest.raises(InputError, match="sigma"):
+            state.graph(sigma, True, eps_cut)
 
     def test_no_pairwise_distances_after_the_sketch_is_built(self, monkeypatch):
         def forbidden(*args):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from graphssl import (CompactGraph, DegenerateGraphError, InputError, SoftConfig,
                       backbone_cad, compact_harmonic, hard_harmonic, laplacian,
                       soft_harmonic, solve_harmonic, solve_spd)
-from graphssl.harmonic import DENSE_MAX_N
+from graphssl.harmonic import DENSE_MAX_N, solve_clamped
 
 from _synth import random_graph, random_labels
 
@@ -112,7 +112,10 @@ class TestCoreMatchesOldAssemblies:
         v = rng.integers(1, 8, n).astype(float)
         labels = random_labels(n, 1 + seed % n, seed)
         got = compact_harmonic(CompactGraph(w, v), labels, gamma_g).values
-        assert np.array_equal(got, reference_compact(w, v, labels, gamma_g))
+        want = reference_compact(w, v, labels, gamma_g)
+        assert np.array_equal(got, want)
+        # online prediction's call, without solve_harmonic's checks
+        assert np.array_equal(solve_clamped(w, labels.astype(float), gamma_g, v), want)
 
     @given(st.integers(2, 60), st.integers(0, 2**32 - 1), GAMMAS,
            st.sampled_from([0.5, 1.0, 10.0]))
