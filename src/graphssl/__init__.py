@@ -14,8 +14,8 @@ from .errors import DegenerateGraphError, InputError, SolverError
 from .graph import (GraphConfig, PointSet, SimilarityGraph, build_graph,
                     connected_components, gaussian_weight, laplacian,
                     resolve_sigma, sigma_from_points, stationary_distribution)
-from .harmonic import (SoftConfig, SoftLabels, blockwise_harmonic, hard_harmonic,
-                       soft_harmonic, solve_harmonic, solve_spd)
+from .harmonic import (SoftConfig, SoftLabels, hard_harmonic, soft_harmonic,
+                       solve_harmonic, solve_spd)
 from .joint import (BackboneState, JointConfig, elastic_joint, infer_unlabeled,
                     joint_objective, propagate_on_backbone, quantization_step,
                     quantization_surrogate)

@@ -144,10 +144,6 @@ class SimilarityGraph:
         if np.max(np.abs(row_sums - self.degrees) / scale) > 1e-12:
             raise InputError("stored degrees disagree with row sums")
 
-    def subgraph(self, idx: np.ndarray) -> "SimilarityGraph":
-        idx = np.asarray(idx, dtype=np.int64)
-        return SimilarityGraph(self.weights[np.ix_(idx, idx)])
-
     def dense(self) -> np.ndarray:
         return self.weights.toarray()
 

@@ -21,7 +21,8 @@ relative residual ``DEFAULT_TOL``.  ``solve_spd`` factors a dense system
 (dense weights) or a sparse one (sparse weights) of at most ``DENSE_MAX_N``
 rows by Cholesky, and a larger sparse one by Jacobi-preconditioned conjugate
 gradients, which the badly conditioned hard systems of a small sink gamma_g
-need.
+need.  Its conjugate-gradient loop is its own, with scipy ``cg``'s
+arithmetic and bits but without its per-step operator dispatch.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.sparse.linalg import cg
 
 from .errors import DegenerateGraphError, InputError, SolverError
 from .graph import SimilarityGraph, component_labels
@@ -110,10 +110,36 @@ def solve_spd(a, b: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
             raise SolverError("matrix has a non-positive diagonal entry", 1.0)
         # a margin below tol: the final check uses the true residual, not
         # the recurrence CG stops on
-        x, _ = cg(a, b, rtol=0.5 * tol, atol=0.0, maxiter=10 * n, M=sp.diags(1.0 / diag))
+        x = _jacobi_pcg(a, b, 1.0 / diag, 0.5 * tol * b_norm)
     residual = float(np.linalg.norm(a @ x - b))
     if not residual <= tol * b_norm:
         raise SolverError("solution misses the residual tolerance", residual / b_norm)
+    return x
+
+
+def _jacobi_pcg(a, b: np.ndarray, inv_diag: np.ndarray, stop: float) -> np.ndarray:
+    """Conjugate gradients from x = 0, preconditioned by inv_diag, until
+    ||r|| < stop or 10n steps: step for step the arithmetic of scipy's
+    ``cg(a, b, rtol, atol=0, M=diags(inv_diag), maxiter=10n)`` with stop =
+    rtol ||b||, so x has its bits, without its per-step operator dispatch."""
+    x = np.zeros(b.shape[0])
+    r = b.copy()
+    p = rho_prev = None
+    for _ in range(10 * b.shape[0]):
+        if np.linalg.norm(r) < stop:
+            break
+        z = inv_diag * r
+        rho = np.dot(r, z)
+        if p is None:
+            p = z
+        else:
+            p *= rho / rho_prev
+            p += z
+        q = a @ p
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
     return x
 
 
@@ -205,34 +231,3 @@ def soft_harmonic(g: SimilarityGraph, y: np.ndarray, cfg: SoftConfig) -> SoftLab
     """
     fit = np.where(np.asarray(y) != 0, cfg.c_l, cfg.c_u)
     return SoftLabels(solve_harmonic(g.weights, y, cfg.gamma_g, fit))
-
-
-def blockwise_harmonic(g: SimilarityGraph, y: np.ndarray, cfg: SoftConfig,
-                       partition: list[np.ndarray]) -> SoftLabels:
-    """Soft solve run independently per block (cross-block edges dropped),
-    results concatenated in node order.
-
-    With partition == connected_components(g) this equals the whole-graph
-    solve: the system is block-diagonal.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (g.n,):
-        raise InputError("y must be a length-n vector")
-    seen = np.zeros(g.n, dtype=bool)
-    for block in partition:
-        block = np.asarray(block, dtype=np.int64)
-        if block.size and (block.min() < 0 or block.max() >= g.n):
-            raise InputError("partition indices out of range")
-        if seen[block].any():
-            raise InputError("partition blocks overlap")
-        seen[block] = True
-    if not seen.all():
-        raise InputError("partition does not cover all nodes")
-    values = np.empty(g.n)
-    for block in partition:
-        block = np.asarray(block, dtype=np.int64)
-        if block.size == 0:
-            continue
-        sub = g.subgraph(block)
-        values[block] = soft_harmonic(sub, y[block], cfg).values
-    return SoftLabels(values)

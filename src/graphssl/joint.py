@@ -104,7 +104,10 @@ def propagate_on_backbone(state: BackboneState, cfg: JointConfig) -> np.ndarray:
     """Soft labels on the current backbone graph: fit weight f_l on the
     labeled nodes, f_u on the free ones, smoothness from the
     sink-regularized backbone Laplacian."""
-    g = _backbone_graph(state)
+    return _propagate(state, cfg, _backbone_graph(state))
+
+
+def _propagate(state: BackboneState, cfg: JointConfig, g) -> np.ndarray:
     y = state.node_labels().astype(np.float64)
     soft = soft_harmonic(g, y, SoftConfig(gamma_g=cfg.gamma_g, c_l=cfg.f_l, c_u=cfg.f_u))
     return soft.values
@@ -179,7 +182,10 @@ def quantization_surrogate(state: BackboneState, cfg: JointConfig,
 def joint_objective(state: BackboneState, cfg: JointConfig, points: np.ndarray) -> float:
     """Full objective: soft fit + smoothness on the backbone graph +
     scaled quantization penalty."""
-    g = _backbone_graph(state)
+    return _objective(state, cfg, points, _backbone_graph(state))
+
+
+def _objective(state: BackboneState, cfg: JointConfig, points: np.ndarray, g) -> float:
     lab = state.soft_labels
     y = state.node_labels().astype(np.float64)
     f_diag = np.where(y != 0, cfg.f_l, cfg.f_u)
@@ -190,6 +196,15 @@ def joint_objective(state: BackboneState, cfg: JointConfig, points: np.ndarray) 
     quant = cfg.gamma_q * (state.n_nodes ** 2) / points.shape[0] * float(
         ((points - state.centroids[state.assignment]) ** 2).sum())
     return fit + smooth + quant
+
+
+def _propagate_and_score(state: BackboneState, cfg: JointConfig, points: np.ndarray) -> float:
+    """Propagate labels on the current backbone and return the objective
+    there; the backbone graph depends on the centroids only, so one build
+    serves both."""
+    g = _backbone_graph(state)
+    state.soft_labels = _propagate(state, cfg, g)
+    return _objective(state, cfg, points, g)
 
 
 def elastic_joint(ps: PointSet, cfg: JointConfig, seed: int) -> BackboneState:
@@ -224,8 +239,7 @@ def elastic_joint(ps: PointSet, cfg: JointConfig, seed: int) -> BackboneState:
 
     prev_obj = None
     for _ in range(cfg.max_outer):
-        state.soft_labels = propagate_on_backbone(state, cfg)
-        obj = joint_objective(state, cfg, ps.points)
+        obj = _propagate_and_score(state, cfg, ps.points)
         state.objective_trace.append(obj)
         for _ in range(INNER_CAP):
             state.centroids = quantization_step(state, cfg, ps.points, ps.feature_weights)
@@ -240,8 +254,7 @@ def elastic_joint(ps: PointSet, cfg: JointConfig, seed: int) -> BackboneState:
         if prev_obj is not None and abs(prev_obj - obj) <= CONV_TOL * max(abs(prev_obj), 1.0):
             break
         prev_obj = obj
-    state.soft_labels = propagate_on_backbone(state, cfg)
-    state.objective_trace.append(joint_objective(state, cfg, ps.points))
+    state.objective_trace.append(_propagate_and_score(state, cfg, ps.points))
     return state
 
 

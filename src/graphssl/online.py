@@ -179,7 +179,9 @@ class QuantizerState:
         self._sq_dists[k, :k] = d2
         self._sq_dists[:k, k] = d2
         self._sq_dists[k, k] = 0.0
-        if self._graph is not None:
+        if k == self.capacity:
+            self._graph = None          # observe() repartitions next
+        elif self._graph is not None:
             self._graph.append(d2)
         self.multiplicities.append(1)
         self.centroid_labels.append(label)

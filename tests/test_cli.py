@@ -8,7 +8,7 @@ from graphssl import (GraphConfig, InputError, PointSet, SoftConfig, TaskScaling
                       fit_cad_model, rwcad_scores, rwcad_scores_loo, scale_scores,
                       softhad_score, weighted_knn_scores, weighted_knn_scores_loo)
 from graphssl.cli import main
-from graphssl.datasets import load_dataset_spec
+from graphssl.datasets import default_mixtures, flip_labels, gen_gauss_mixture, load_dataset_spec
 from graphssl.io import (read_points_csv, read_scores_csv, read_truth_csv,
                          write_points_csv, write_scores_csv)
 from graphssl.plan import grid_hash, grid_points, plan_from_config, run_plan, score_method
@@ -146,6 +146,19 @@ class TestMmgc:
         rows = preds.read_text().strip().splitlines()[1:]
         signs = np.array([int(r.split(",")[2]) for r in rows])
         assert np.all(signs[:20] == 1) and np.all(signs[20:] == -1)
+
+
+    def test_cubic_kernel_converges(self, tmp_path):
+        # the maximal-violating-pair trainer ran out of steps on this set at
+        # a relative gap of 0.03
+        clean = gen_gauss_mixture(default_mixtures()["d1"], 150, 0)
+        train, _ = flip_labels(clean, 0.05, 1_000_003)
+        labels = np.where(np.arange(150) % 15 == 0, train.labels, 0)
+        data, model = tmp_path / "ssl.csv", tmp_path / "model.txt"
+        write_points_csv(data, PointSet(train.points, labels))
+        rc = main(["mmgc", "--train", str(data), "--gamma", "0.5", "--kernel", "cubic",
+                   "--out", str(model)])
+        assert rc == 0 and model.exists()
 
 
 class TestCad:

@@ -4,7 +4,7 @@ from scipy.spatial.distance import cdist
 
 from graphssl import cuts
 
-from graphssl import (GraphConfig, InputError, KernelSpec,
+from graphssl import (CutClassifier, GraphConfig, InputError, KernelSpec,
                       PointSet, build_graph, induce_labels, kernel_matrix,
                       predict, train_maxmargin, train_on_induced)
 
@@ -17,6 +17,67 @@ def _hinge_objective(clf, points, y, gamma):
     k = kernel_matrix(clf.kernel, clf.support_points, clf.support_points)
     norm_sq = float(clf.coefficients @ k @ clf.coefficients)
     return hinge + gamma * norm_sq
+
+
+def _gap_by_product(alpha, q, y, gamma, c_box):
+    """Duality gap, primal and midpoint bias from Q alpha, an r x r product:
+    the reference for the trainer's O(r) gap."""
+    grad = q @ alpha - 1.0
+    g_vals = (q @ alpha) * y
+    quad = float(alpha @ (q @ alpha))
+    y_grad = -y * grad
+    up, low = cuts._working_sets(alpha, y, c_box)
+    m_up = y_grad[up].max() if up.any() else -np.inf
+    m_low = y_grad[low].min() if low.any() else np.inf
+    bias = 0.5 * (m_up + m_low) if np.isfinite(m_up) and np.isfinite(m_low) else 0.0
+    hinge = np.maximum(0.0, 1.0 - y * (g_vals + bias)).sum()
+    primal = gamma * quad + float(hinge)
+    dual = 2.0 * gamma * (float(alpha.sum()) - 0.5 * quad)
+    return primal - dual, primal, bias
+
+
+def _first_order_reference(points, y, kernel, gamma):
+    """Maximal-violating-pair SMO with the gap checked by an r x r product
+    every max(10, r) steps: the trainer the second-order one replaced."""
+    n = y.size
+    c_box = 1.0 / (2.0 * gamma)
+    k = kernel_matrix(kernel, points, points)
+    q = (y[:, None] * k) * y[None, :]
+    alpha, grad = np.zeros(n), -np.ones(n)
+    for it in range(max(100_000, 500 * n)):
+        y_grad = -y * grad
+        up, low = cuts._working_sets(alpha, y, c_box)
+        if not up.any() or not low.any():
+            break
+        masked_up = np.where(up, y_grad, -np.inf)
+        masked_low = np.where(low, y_grad, np.inf)
+        i, j = int(np.argmax(masked_up)), int(np.argmin(masked_low))
+        violation = masked_up[i] - masked_low[j]
+        if violation <= 1e-12:
+            break
+        if it % max(10, n) == 0:
+            gap, primal, _ = _gap_by_product(alpha, q, y, gamma, c_box)
+            if gap <= cuts.GAP_TOL * max(1.0, abs(primal)):
+                break
+        a = max(q[i, i] + q[j, j] - 2.0 * y[i] * y[j] * q[i, j], 1e-12)
+        delta = min(violation / a, c_box - alpha[i] if y[i] > 0 else alpha[i],
+                    alpha[j] if y[j] > 0 else c_box - alpha[j])
+        if delta <= 0:
+            break
+        alpha[i] += y[i] * delta
+        alpha[j] -= y[j] * delta
+        grad += q[:, i] * (y[i] * delta) - q[:, j] * (y[j] * delta)
+    _, _, bias = _gap_by_product(alpha, q, y, gamma, c_box)
+    free = (alpha > 1e-12 * c_box) & (alpha < c_box * (1 - 1e-12))
+    if free.any():
+        bias = float(np.mean(y[free] - ((q @ alpha) * y)[free]))
+    return CutClassifier(points, alpha * y, float(bias), kernel, np.arange(n))
+
+
+def _two_blobs(seed, n, shift):
+    rng = np.random.default_rng(seed)
+    pts = np.vstack([rng.normal(0.0, 1.0, (n, 2)), rng.normal(shift, 1.0, (n, 2))])
+    return pts, np.concatenate([np.ones(n), -np.ones(n)]), rng.normal(shift / 2, 2.0, (200, 2))
 
 
 class TestKernels:
@@ -200,6 +261,51 @@ class TestTrainMaxMargin:
             <= cuts.GAP_TOL * want_objective
         assert np.max(np.abs(got_values - want_values)) <= 1e-3
         assert np.array_equal(np.sign(got_values), np.sign(want_values))
+
+    @pytest.mark.parametrize("kernel, gamma, seed", [
+        (KernelSpec("rbf", 1.0), 0.05, 0), (KernelSpec("rbf", 0.5), 0.5, 1),
+        (KernelSpec("rbf", 2.0), 0.01, 2), (KernelSpec("linear"), 0.05, 3),
+        (KernelSpec("linear"), 0.5, 4), (KernelSpec("linear"), 0.01, 5)])
+    def test_second_order_trainer_matches_first_order_reference(self, kernel, gamma, seed):
+        pts, y, grid = _two_blobs(seed, 120, 1.5)
+        got = train_maxmargin(pts, y, kernel, gamma)
+        want = _first_order_reference(pts, y, kernel, gamma)
+        want_objective = _hinge_objective(want, pts, y, gamma)
+        assert abs(_hinge_objective(got, pts, y, gamma) - want_objective) \
+            <= cuts.GAP_TOL * want_objective
+        got_values, want_values = got.decision_values(grid), want.decision_values(grid)
+        assert np.max(np.abs(got_values - want_values)) <= 1e-3
+        assert np.array_equal(np.sign(got_values), np.sign(want_values))
+
+    @pytest.mark.parametrize("kernel", [KernelSpec("rbf", 1.0), KernelSpec("linear"),
+                                        KernelSpec("cubic")])
+    def test_gap_from_the_gradient_equals_the_gap_by_product(self, kernel):
+        pts, y, _ = _two_blobs(6, 60, 1.0)
+        gamma = 0.05
+        c_box = 1.0 / (2.0 * gamma)
+        k = kernel_matrix(kernel, pts, pts)
+        alpha, y_grad = np.zeros(y.size), y.copy()
+        cuts._smo(k, y, c_box, gamma, alpha, y_grad)
+        up, low = cuts._working_sets(alpha, y, c_box)
+        gap, primal, bias = cuts._duality_gap(
+            alpha, y, y_grad, gamma, np.max(y_grad, where=up, initial=-np.inf),
+            np.min(y_grad, where=low, initial=np.inf))
+        want_gap, want_primal, want_bias = _gap_by_product(
+            alpha, (y[:, None] * k) * y[None, :], y, gamma, c_box)
+        scale = max(1.0, abs(want_primal))
+        assert abs(gap - want_gap) <= 1e-9 * scale
+        assert abs(primal - want_primal) <= 1e-9 * scale
+        assert bias == pytest.approx(want_bias, abs=1e-9)
+
+    def test_kernel_above_the_budget_rejected_before_it_is_formed(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("kernel formed")
+
+        monkeypatch.setattr(cuts, "KERNEL_MAX_BYTES", 8 * 30 * 30 - 1)
+        monkeypatch.setattr(cuts, "kernel_matrix", forbidden)
+        pts, y, _ = _two_blobs(0, 15, 3.0)
+        with pytest.raises(InputError, match=r"30 training points takes 7200 bytes"):
+            train_maxmargin(pts, y, KernelSpec("rbf", 1.0), 0.1)
 
     def test_single_class_rejected(self):
         with pytest.raises(InputError):

@@ -5,9 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
-from graphssl import (DegenerateGraphError, InputError, SimilarityGraph,
-                      SoftConfig, SolverError, blockwise_harmonic, connected_components,
+from scipy.sparse.linalg import cg
+
+from graphssl import (DegenerateGraphError, GraphConfig, InputError, PointSet,
+                      SimilarityGraph, SoftConfig, SolverError, build_graph,
                       hard_harmonic, laplacian, soft_harmonic, solve_spd)
+from graphssl import harmonic
 from graphssl.harmonic import DENSE_MAX_N
 
 from _synth import random_graph, random_labels
@@ -133,6 +136,67 @@ class TestSolveSpdPaths:
         with pytest.raises(InputError):
             solve_spd(np.eye(3), np.ones(4))
 
+
+
+def _scipy_cg(a, b, tol):
+    """The sparse path's reference: scipy's cg with the arguments solve_spd
+    once passed it, and its exit code (the iteration count at the cap)."""
+    a = a.tocsr()
+    return cg(a, b, rtol=0.5 * tol, atol=0.0, maxiter=10 * b.size,
+              M=sp.diags(1.0 / a.diagonal()))
+
+
+def _knn_system(seed, n, k, gamma_g, soft):
+    """A hard (unlabeled block) or soft harmonic system of a random k-NN
+    graph on n points, with 10 labels."""
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, 2)) * rng.uniform(0.5, 2.0, 2)
+    labels = np.zeros(n, dtype=np.int64)
+    labels[rng.choice(n, 10, replace=False)] = rng.choice([-1, 1], 10)
+    g = build_graph(PointSet(points, labels), GraphConfig(mode="knn", k_neighbors=k))
+    lap = laplacian(g)
+    if soft:
+        fit = np.where(labels != 0, 10.0, 0.1)
+        return (lap + sp.diags(gamma_g + fit)).tocsr(), fit * labels
+    u, l = np.flatnonzero(labels == 0), np.flatnonzero(labels != 0)
+    return ((lap[np.ix_(u, u)] + gamma_g * sp.identity(u.size)).tocsr(),
+            -lap[np.ix_(u, l)] @ labels[l])
+
+
+class TestSparsePcgMatchesScipyCg:
+    """The sparse path's own Jacobi-PCG loop gives scipy cg's bits."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300), st.integers(3, 12),
+           st.sampled_from([1e-8, 1e-6, 1e-4, 1e-2]), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_knn_laplacian_systems_bit_identical(self, seed, extra, k, gamma_g, soft):
+        a, b = _knn_system(seed, DENSE_MAX_N + 10 + extra, k, gamma_g, soft)
+        assert b.size > DENSE_MAX_N
+        want, _ = _scipy_cg(a, b, harmonic.DEFAULT_TOL)
+        try:
+            got = solve_spd(a, b)
+        except SolverError:
+            # only where scipy's answer misses the residual check as well
+            assert np.linalg.norm(a @ want - b) > harmonic.DEFAULT_TOL * np.linalg.norm(b)
+        else:
+            assert np.array_equal(got, want)
+
+    def test_iteration_cap_bit_identical_and_raises(self):
+        # a chain whose edge weights span six decades, clamped at one end
+        # with a 1e-12 sink: both loops run their 10n steps and stop far
+        # from the tolerance
+        n = DENSE_MAX_N + 10
+        w = 10.0 ** np.random.default_rng(0).uniform(-3.0, 3.0, n)
+        chain = SimilarityGraph(sp.diags(w[1:], 1) + sp.diags(w[1:], -1))
+        lap = laplacian(chain)
+        a = (lap[1:, 1:] + 1e-12 * sp.identity(n - 1)).tocsr()
+        b = -lap[1:, 0].toarray().ravel()
+        want, steps = _scipy_cg(a, b, harmonic.DEFAULT_TOL)
+        assert steps == 10 * b.size
+        stop = 0.5 * harmonic.DEFAULT_TOL * np.linalg.norm(b)
+        assert np.array_equal(harmonic._jacobi_pcg(a, b, 1.0 / a.diagonal(), stop), want)
+        with pytest.raises(SolverError, match="residual"):
+            solve_spd(a, b)
 
 class TestHardHarmonic:
     def test_balanced_neighbors_give_zero(self):
@@ -295,55 +359,3 @@ class TestSoftHarmonic:
             sol = soft_harmonic(g, y, SoftConfig(gamma, 3.0, 0.3))
             norms.append(np.linalg.norm(sol.values))
         assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
-
-
-class TestBlockwiseHarmonic:
-    def _disjoint_cliques(self):
-        w = np.zeros((8, 8))
-        w[np.ix_(range(4), range(4))] = 0.8
-        w[np.ix_(range(4, 8), range(4, 8))] = 0.6
-        np.fill_diagonal(w, 0.0)
-        return SimilarityGraph(sp.csr_matrix(w))
-
-    def test_component_partition_equals_full_solve(self):
-        g = self._disjoint_cliques()
-        y = np.array([1.0, 0, 0, 0, -1.0, 0, 0, 0])
-        cfg = SoftConfig(0.2, 2.0, 0.3)
-        whole = soft_harmonic(g, y, cfg)
-        split = blockwise_harmonic(g, y, cfg, connected_components(g))
-        assert np.allclose(split.values, whole.values, atol=1e-8)
-
-    def test_single_block_is_identity(self):
-        g = random_graph(12, 4)
-        y = random_labels(12, 4, 4).astype(float)
-        cfg = SoftConfig(0.1, 2.0, 0.2)
-        whole = soft_harmonic(g, y, cfg)
-        split = blockwise_harmonic(g, y, cfg, [np.arange(12)])
-        assert np.allclose(split.values, whole.values, atol=1e-12)
-
-    def test_weak_coupling_deviation_shrinks(self):
-        cfg = SoftConfig(0.05, 2.0, 0.2)
-        y = np.array([1.0, 0, 0, 0, -1.0, 0, 0, 0])
-        blocks = [np.arange(4), np.arange(4, 8)]
-        deviations = []
-        for w_max in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-            w = np.zeros((8, 8))
-            w[np.ix_(range(4), range(4))] = 0.8
-            w[np.ix_(range(4, 8), range(4, 8))] = 0.6
-            np.fill_diagonal(w, 0.0)
-            w[0, 4] = w[4, 0] = w_max
-            g = SimilarityGraph(sp.csr_matrix(w))
-            full = soft_harmonic(g, y, cfg)
-            split = blockwise_harmonic(g, y, cfg, blocks)
-            deviations.append(np.max(np.abs(split.values - full.values)))
-        assert all(b <= a for a, b in zip(deviations, deviations[1:]))
-        assert deviations[-1] < 1e-5
-
-    def test_partition_validation(self):
-        g = random_graph(6, 0)
-        y = np.zeros(6)
-        cfg = SoftConfig()
-        with pytest.raises(InputError):
-            blockwise_harmonic(g, y, cfg, [np.array([0, 1])])
-        with pytest.raises(InputError):
-            blockwise_harmonic(g, y, cfg, [np.arange(6), np.array([0])])

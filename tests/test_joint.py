@@ -5,6 +5,7 @@ from graphssl import (BackboneState, GraphConfig, InputError, JointConfig,
                       PointSet, SoftConfig, build_graph, elastic_joint,
                       infer_unlabeled, joint_objective, propagate_on_backbone,
                       quantization_step, quantization_surrogate, soft_harmonic)
+from graphssl import joint
 from graphssl._kernels import cross_sq_dists
 from graphssl.joint import _assign, _centroid_system, _reseed_empty
 
@@ -161,6 +162,27 @@ class TestElasticJoint:
         b = elastic_joint(ps, cfg, seed=7)
         assert np.array_equal(a.centroids, b.centroids)
         assert a.objective_trace == b.objective_trace
+
+    def test_trace_equals_the_objective_of_each_recorded_state(self, monkeypatch):
+        # each outer step builds the backbone graph once for the propagation
+        # and the objective; the public form builds its own
+        snapshots = []
+        objective = joint._objective
+
+        def spy(state, cfg, points, g):
+            snapshots.append(BackboneState(
+                state.centroids.copy(), state.pinned_labels.copy(), state.soft_labels.copy(),
+                state.assignment.copy(), state.sigma, feature_weights=state.feature_weights))
+            return objective(state, cfg, points, g)
+
+        monkeypatch.setattr(joint, "_objective", spy)
+        ps, _ = two_arcs(120, seed=6, labeled_per_class=3)
+        cfg = JointConfig(k=10, sigma=0.4)
+        state = elastic_joint(ps, cfg, seed=2)
+        monkeypatch.undo()
+        assert len(snapshots) == len(state.objective_trace) >= 3
+        for recorded, value in zip(snapshots, state.objective_trace):
+            assert joint_objective(recorded, cfg, ps.points) == value
 
     def test_huge_quantization_weight_reaches_kmeans_fixed_point(self):
         ps, _ = two_arcs(100, seed=3, labeled_per_class=2)

@@ -656,6 +656,28 @@ class TestCachedGraph:
         assert np.array_equal(graph.weights,
                               CentroidGraph.build(state.sq_dists, 1, 1.0, True, 0.0).weights)
 
+    def test_no_append_on_the_step_that_repartitions(self, monkeypatch):
+        appended_at = []
+        append = CentroidGraph.append
+
+        def spy(graph, d2):
+            appended_at.append(state.observed)
+            append(graph, d2)
+
+        monkeypatch.setattr(CentroidGraph, "append", spy)
+        # a small first radius: many appends, several repartitions
+        points = np.vstack([[0.0, 0.0], [0.01, 0.0],
+                            np.random.default_rng(8).normal(0.0, 3.0, (200, 2))])
+        state = QuantizerState(8, 1.5)
+        repartitioned_at = []
+        for x in points:
+            state.observe(x)
+            if state.last_repartition is not None:
+                repartitioned_at.append(state.observed)
+            state.graph(1.0, True, 0.0)
+        assert appended_at and repartitioned_at
+        assert not set(appended_at) & set(repartitioned_at)
+
     @pytest.mark.parametrize("sigma, eps_cut", [(0.0, 0.0), (np.nan, 0.0), (1.0, -1.0),
                                                 (1.0, np.inf)])
     def test_graph_rejects_a_bad_key(self, sigma, eps_cut):
