@@ -29,7 +29,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DegenerateGraphError, InputError
-from .graph import (PointSet, SimilarityGraph, gaussian_in_place, sigma_from_points,
+from .graph import (PointSet, SimilarityGraph, gaussian_in_place, resolve_sigma,
                     sq_dist_blocks)
 from .harmonic import SoftConfig, soft_harmonic, solve_harmonic
 from .rng import PortableRng
@@ -108,10 +108,7 @@ def fit_cad_model(train: PointSet, lam: float = 0.0, sigma: float | None = None,
     neg = train.points[train.labels == -1]
     if pos.shape[0] == 0 or neg.shape[0] == 0:
         raise DegenerateGraphError("both classes need at least one training point")
-    if sigma is None:
-        sigma = sigma_from_points(train.points)
-    elif not (np.isfinite(sigma) and sigma > 0):
-        raise InputError("sigma must be finite and positive when given")
+    sigma = resolve_sigma(sigma, train.points)
     own = tuple(_kernel_mass(pts, pts, sigma, train.feature_weights, normalize_by_p,
                              np.arange(pts.shape[0])) for pts in (pos, neg))
     n_lab = pos.shape[0] + neg.shape[0]
@@ -178,19 +175,9 @@ def rwcad_scores(model: CadModel, x: np.ndarray, y: np.ndarray,
     return _score_rows("rwcad", model, x, y, lam)
 
 
-def rwcad_score(model: CadModel, x_e: np.ndarray, y_e: int) -> float:
-    return float(rwcad_scores(model, np.atleast_2d(x_e), np.array([y_e]))[0])
-
-
 def weighted_knn_scores(model: CadModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """1 - Parzen posterior of the observed label."""
     return _score_rows("knn", model, x, y)
-
-
-def weighted_knn_score(train: PointSet, x_e: np.ndarray, y_e: int,
-                       sigma: float | None = None, normalize_by_p: bool = True) -> float:
-    model = fit_cad_model(train, 0.0, sigma, normalize_by_p)
-    return float(weighted_knn_scores(model, np.atleast_2d(x_e), np.array([y_e]))[0])
 
 
 def rwcad_scores_loo(ps: PointSet, lam: float | np.ndarray, sigma: float | None = None,
@@ -232,7 +219,7 @@ def backbone_cad(centroid_graph: SimilarityGraph, multiplicities: np.ndarray,
     from collapsing duplicate rows.
     """
     y = _pm1_labels(y, "backbone CAD")
-    values = solve_harmonic(centroid_graph.dense(), y, cfg.gamma_g, np.full(y.shape, cfg.c_l),
+    values = solve_harmonic(centroid_graph.weights, y, cfg.gamma_g, np.full(y.shape, cfg.c_l),
                             multiplicities)
     return np.abs(values - y)
 
@@ -252,28 +239,13 @@ def backbone_from_sample(ps: PointSet, k: int, seed: int) -> tuple[PointSet, np.
     return PointSet(centroids, ps.labels[idx], ps.feature_weights), mult
 
 
-@dataclass(frozen=True)
-class TaskScaling:
-    """Per-task linear score normalization fitted on training scores."""
-
-    min_score: float
-    max_score: float
-
-    def __post_init__(self):
-        if self.min_score > self.max_score:
-            raise InputError("min_score must not exceed max_score")
-
-    @classmethod
-    def fit(cls, train_scores: np.ndarray) -> "TaskScaling":
-        s = np.asarray(train_scores, dtype=np.float64)
-        return cls(float(s.min()), float(s.max()))
-
-
-def scale_scores(scaling: TaskScaling, raw: np.ndarray) -> np.ndarray:
-    """(s - min) / (max - min) clamped to [0, 1]; a degenerate fitted
-    range maps everything to 0.5."""
+def scale_scores(train_scores: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """(s - min) / (max - min) over the range of train_scores, clamped to
+    [0, 1]; a degenerate range maps everything to 0.5."""
+    train_scores = np.asarray(train_scores, dtype=np.float64)
+    low, high = float(train_scores.min()), float(train_scores.max())
     raw = np.asarray(raw, dtype=np.float64)
-    span = scaling.max_score - scaling.min_score
+    span = high - low
     if span == 0:
         return np.full(raw.shape, 0.5)
-    return np.clip((raw - scaling.min_score) / span, 0.0, 1.0)
+    return np.clip((raw - low) / span, 0.0, 1.0)

@@ -11,11 +11,11 @@ from pathlib import Path
 import numpy as np
 
 from . import io as gio
-from .cad import TaskScaling, scale_scores
+from .cad import scale_scores
 from .cuts import CutClassifier, KernelSpec, train_on_induced
 from .datasets import draw_dataset, load_dataset_spec, true_anomaly_scores
 from .errors import DegenerateGraphError, InputError, SolverError
-from .graph import GraphConfig, build_graph, sigma_from_points
+from .graph import GraphConfig, build_graph, resolve_sigma
 from .harmonic import SoftConfig, hard_harmonic, soft_harmonic
 from .joint import JointConfig, elastic_joint, infer_unlabeled
 from .metrics import auroc
@@ -70,8 +70,8 @@ def cmd_ssl(args) -> int:
 
 def cmd_online_ssl(args) -> int:
     ps = gio.read_points_csv(args.input)
-    sigma = args.sigma_value if args.sigma_value is not None else sigma_from_points(ps.points)
-    cfg = GraphConfig(mode="epsilon", eps_cut=0.0, sigma=sigma)
+    cfg = GraphConfig(mode="epsilon", eps_cut=0.0,
+                      sigma=resolve_sigma(args.sigma_value, ps.points))
     state = QuantizerState(capacity=args.k, growth=args.m)
     steps = []
     for i in range(ps.n):
@@ -117,9 +117,9 @@ def _dump_model(path: str, clf: CutClassifier) -> None:
 
 
 def _load_model(path: str) -> CutClassifier:
-    """A model file written by _dump_model; a missing field, a bad number or
-    a support block, coefficient or retained list of the wrong size raises
-    InputError."""
+    """A model file written by _dump_model; a missing field, a bad or
+    non-finite number or a support block, coefficient or retained list of
+    the wrong size raises InputError."""
     lines = Path(path).read_text().strip().splitlines()
     fields = {}
     i = 0
@@ -145,8 +145,11 @@ def _load_model(path: str) -> CutClassifier:
             or retained.size != n:
         raise InputError(f"{path}: model file needs {n} support rows of {p} numbers "
                          f"and {n} coefficients and retained indices")
+    support = np.array(rows).reshape(n, p)
+    if not (np.isfinite(bias) and np.all(np.isfinite(coef)) and np.all(np.isfinite(support))):
+        raise InputError(f"{path}: non-finite number in model file")
     return CutClassifier(
-        support_points=np.array(rows).reshape(n, p),
+        support_points=support,
         coefficients=coef,
         bias=bias,
         kernel=KernelSpec.parse(fields["kernel"]),
@@ -179,7 +182,7 @@ def cmd_cad(args) -> int:
                         priors=args.priors, graph=GraphConfig.parse(args.graph),
                         gamma_g=args.gamma_g, c_l=args.c_l)
     train_raw, raw = scores[:train.n], scores[train.n:]
-    scaled = scale_scores(TaskScaling.fit(train_raw), raw) if args.scale == "minmax" else raw
+    scaled = scale_scores(train_raw, raw) if args.scale == "minmax" else raw
     gio.write_scores_csv(args.out, raw, scaled)
     return 0
 

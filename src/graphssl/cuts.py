@@ -35,7 +35,7 @@ KERNEL_MAX_BYTES = 2 ** 30
 @dataclass(frozen=True)
 class KernelSpec:
     """Mercer kernel: 'linear', 'cubic' ((1 + x.z)^3), or 'rbf' with
-    exp(-||x - z||^2 / (2 width^2))."""
+    exp(-||x - z||^2 / (2 width^2)), whose divisor must be finite and > 0."""
 
     kind: str = "linear"
     rbf_width: float = 1.0
@@ -43,8 +43,9 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "cubic", "rbf"):
             raise InputError(f"unknown kernel {self.kind!r}")
-        if self.kind == "rbf" and not self.rbf_width > 0:
-            raise InputError("rbf width must be positive")
+        w = self.rbf_width
+        if self.kind == "rbf" and not (w > 0 and 0 < 2.0 * w * w < np.inf):
+            raise InputError(f"rbf width {w!r} must be positive with 2 width^2 finite and > 0")
 
     @classmethod
     def parse(cls, text: str) -> "KernelSpec":
@@ -93,12 +94,6 @@ class CutClassifier:
                              f"points {width}")
         k = kernel_matrix(self.kernel, x, self.support_points)
         return k @ self.coefficients + self.bias
-
-
-def predict(classifier: CutClassifier, x: np.ndarray) -> tuple[float, int]:
-    """Decision value and its sign for a single point."""
-    value = float(classifier.decision_values(np.atleast_2d(x))[0])
-    return value, int(np.sign(value)) if value != 0 else 0
 
 
 def induce_labels(g: SimilarityGraph, labels: np.ndarray, gamma_g: float,

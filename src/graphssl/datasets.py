@@ -140,10 +140,6 @@ def true_anomaly_scores(spec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
                                np.where(y == 1, 1.0 - spec.prior_pos, spec.prior_pos))
 
 
-def true_anomaly_score(spec: MixtureSpec, x: np.ndarray, y: int) -> float:
-    return float(true_anomaly_scores(spec, np.atleast_2d(x), np.array([y]))[0])
-
-
 def flip_labels(ps: PointSet, fraction: float, seed: int) -> tuple[PointSet, np.ndarray]:
     """Negate the labels of floor(fraction * n) distinct uniformly chosen
     examples; returns the corrupted set and the flip mask."""

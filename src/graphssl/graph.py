@@ -96,8 +96,8 @@ class GraphConfig:
             raise InputError("eps_cut must be finite")
         if self.mode == "epsilon" and self.eps_cut < 0:
             raise InputError("eps_cut must be >= 0")
-        if self.sigma is not None and not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise InputError("sigma must be positive and finite when given")
+        if self.sigma is not None:
+            check_sigma(self.sigma)
 
     @classmethod
     def parse(cls, text: str, sigma: float | None = None) -> "GraphConfig":
@@ -156,31 +156,28 @@ def sigma_from_points(points: np.ndarray) -> float:
     return sigma
 
 
-def resolve_sigma(cfg: GraphConfig, points: np.ndarray) -> float:
-    return cfg.sigma if cfg.sigma is not None else sigma_from_points(points)
+def check_sigma(sigma: float) -> None:
+    """Raise unless the kernel width sigma is finite and > 0."""
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise InputError(f"sigma must be finite and > 0, got {sigma!r}")
 
 
-def gaussian_weight(xi, xj, sigma: float, psi=None, normalize_by_p: bool = True) -> float:
-    """exp(-sum_k psi_k (xi_k - xj_k)^2 / (p sigma^2)); divisor sigma^2 when
-    normalize_by_p is off.  Symmetric in its arguments, 1.0 at xi == xj."""
-    xi = np.asarray(xi, dtype=np.float64)
-    xj = np.asarray(xj, dtype=np.float64)
-    if xi.shape != xj.shape or xi.ndim != 1:
-        raise InputError("xi and xj must be vectors of equal length")
-    if not sigma > 0:
-        raise InputError("sigma must be positive")
-    psi = np.ones(xi.size) if psi is None else np.asarray(psi, dtype=np.float64)
-    if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(xj)) and np.all(np.isfinite(psi))):
-        raise InputError("non-finite input")
-    sq = float(np.sum(psi * (xi - xj) ** 2))
-    return float(gaussian_of_sq_dists(sq, xi.size, sigma, normalize_by_p))
+def resolve_sigma(sigma: float | None, points: np.ndarray) -> float:
+    """The given kernel width, checked, or sigma_from_points when None."""
+    if sigma is None:
+        return sigma_from_points(points)
+    check_sigma(sigma)
+    return sigma
 
 
 def gaussian_in_place(d2: np.ndarray, p: int, sigma: float, normalize_by_p: bool):
     """exp(-d2 / (p sigma^2)), or exp(-d2 / sigma^2) when normalize_by_p is
     off, written over the float64 array d2; the one place the divisor is
-    formed, as (p * sigma) * sigma.  d2 / -denom has the bits of -d2 / denom."""
+    formed, as (p * sigma) * sigma.  d2 / -denom has the bits of -d2 / denom.
+    A divisor that underflows to 0 (0/0 = NaN at d2 = 0) raises InputError."""
     denom = p * sigma * sigma if normalize_by_p else sigma * sigma
+    if denom == 0:
+        raise InputError(f"sigma={sigma!r} makes the kernel divisor underflow to 0")
     np.divide(d2, -denom, out=d2)
     return np.exp(d2, out=d2)
 
@@ -306,7 +303,7 @@ def build_graph(ps: PointSet, cfg: GraphConfig) -> SimilarityGraph:
         raise InputError("graph construction needs at least 2 points")
     if cfg.mode == "knn" and cfg.k_neighbors >= n:
         raise InputError("k_neighbors must be smaller than the number of points")
-    sigma = resolve_sigma(cfg, ps.points)
+    sigma = resolve_sigma(cfg.sigma, ps.points)
     if cfg.mode == "knn":
         w = _knn_weights(ps, cfg.k_neighbors, sigma, cfg.normalize_by_p)
         underflow = w.nnz == 0

@@ -75,18 +75,16 @@ class SoftLabels:
     values: np.ndarray
 
 
-def solve_spd(a, b: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def solve_spd(a, b: np.ndarray) -> np.ndarray:
     """Solve the symmetric positive-definite system Ax = b.
 
     A dense ``ndarray`` or a system of at most ``DENSE_MAX_N`` rows is
     solved by dense Cholesky; a larger sparse one by conjugate gradients
     preconditioned with 1/diag(A), capped at 10n iterations.  Either way
-    the result must satisfy ||Ax - b|| <= tol * ||b||; otherwise, and for a
-    matrix that is not positive definite, ``SolverError`` is raised.
+    ||Ax - b|| <= DEFAULT_TOL * ||b|| must hold; otherwise, and for a matrix
+    that is not positive definite, ``SolverError`` is raised.
     """
     b = np.asarray(b, dtype=np.float64)
-    if not tol > 0:
-        raise InputError("tol must be positive")
     if not sp.issparse(a):
         a = np.asarray(a, dtype=np.float64)
     n = b.shape[0]
@@ -108,11 +106,11 @@ def solve_spd(a, b: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         diag = a.diagonal()
         if not np.all(diag > 0):
             raise SolverError("matrix has a non-positive diagonal entry", 1.0)
-        # a margin below tol: the final check uses the true residual, not
-        # the recurrence CG stops on
-        x = _jacobi_pcg(a, b, 1.0 / diag, 0.5 * tol * b_norm)
+        # a margin below the tolerance: the final check uses the true
+        # residual, not the recurrence CG stops on
+        x = _jacobi_pcg(a, b, 1.0 / diag, 0.5 * DEFAULT_TOL * b_norm)
     residual = float(np.linalg.norm(a @ x - b))
-    if not residual <= tol * b_norm:
+    if not residual <= DEFAULT_TOL * b_norm:
         raise SolverError("solution misses the residual tolerance", residual / b_norm)
     return x
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InputError
-from .graph import GraphConfig, PointSet, build_graph, sigma_from_points
+from .graph import GraphConfig, PointSet, build_graph, resolve_sigma
 from .harmonic import SoftConfig, soft_harmonic
 from .rng import PortableRng
 
@@ -217,7 +217,7 @@ def elastic_joint(ps: PointSet, cfg: JointConfig, seed: int) -> BackboneState:
         raise InputError("at least one labeled point required")
     if ps.n <= m + cfg.k:
         raise InputError("need more points than backbone nodes")
-    sigma = cfg.sigma if cfg.sigma is not None else sigma_from_points(ps.points)
+    sigma = resolve_sigma(cfg.sigma, ps.points)
     rng = PortableRng(seed)
     unlabeled_idx = np.flatnonzero(ps.labels == 0)
     pool = ps.points[unlabeled_idx]

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InputError
-from .graph import GraphConfig, component_labels, gaussian_of_sq_dists
+from .graph import GraphConfig, check_sigma, component_labels, gaussian_of_sq_dists
 from .harmonic import SoftLabels, check_gamma_g, solve_clamped, solve_harmonic
 
 ABSTAIN = 0
@@ -115,8 +115,9 @@ class QuantizerState:
             raise InputError("the sketch has no centroids yet")
         key = (sigma, normalize_by_p, eps_cut)
         if self._graph is None or self._graph.key != key:
-            if not (np.isfinite(sigma) and sigma > 0 and np.isfinite(eps_cut) and eps_cut >= 0):
-                raise InputError("sigma must be finite and > 0, eps_cut finite and >= 0")
+            check_sigma(sigma)
+            if not (np.isfinite(eps_cut) and eps_cut >= 0):
+                raise InputError(f"eps_cut={eps_cut!r} (sigma={sigma!r}) must be finite and >= 0")
             self._graph = CentroidGraph.build(self.sq_dists, self._rows.shape[1], *key)
         return self._graph
 
@@ -284,22 +285,24 @@ class CentroidGraph:
 
     An edge survives only if its weight is at least eps_cut and at least
     ``RELATIVE_CUT`` times the strongest edge at either end; the diagonal is
-    0.  Next to the cut weights the graph keeps the uncut Gaussian weights
-    and each node's strongest edge, so ``append`` recomputes the cut only in
-    the new node's row and in the rows whose strongest edge it raised; the
-    result has the bits of ``build`` on the grown distances.  The arrays
-    grow by doubling.  ``weights`` is a read-only view.
+    0.  The graph keeps only the cut weights and each node's strongest edge.
+    Strongest edges only grow, so cut levels only rise: a cut entry stays
+    cut and a kept one still holds its Gaussian weight.  ``append`` thus
+    redoes the cut from the cut weights, in the new node's row and in the
+    rows whose strongest edge it raised, with the bits of ``build`` on the
+    grown distances.  The weights grow by doubling.  ``weights`` is a
+    read-only view.
     """
 
     def __init__(self, key: tuple, p: int, gauss: np.ndarray):
-        """gauss: the uncut Gaussian weights with a zero diagonal, owned."""
+        """gauss: the uncut Gaussian weights with a zero diagonal, owned
+        and cut in place."""
         self.key = key
         self._p = p
         self._size = gauss.shape[0]
-        self._gauss = gauss
         self._strongest = gauss.max(axis=1)
-        self._cut = gauss.copy()
-        self._cut[gauss < self._threshold(slice(None))] = 0.0
+        gauss[gauss < self._threshold(slice(None))] = 0.0
+        self._cut = gauss
         self._label_components()
 
     @classmethod
@@ -324,30 +327,27 @@ class CentroidGraph:
     def append(self, d2: np.ndarray) -> None:
         """Add a node whose squared distances to the current nodes are d2."""
         n = self._size
-        if n == self._gauss.shape[0]:
-            rows = max(16, 2 * n)
-            for name in ("_gauss", "_cut"):
-                grown = np.empty((rows, rows))
-                grown[:n, :n] = getattr(self, name)[:n, :n]
-                setattr(self, name, grown)
-            self._strongest = np.resize(self._strongest, rows)
+        if n == self._cut.shape[0]:
+            grown = np.empty((max(16, 2 * n),) * 2)
+            grown[:n, :n] = self._cut[:n, :n]
+            self._cut = grown
+            self._strongest = np.resize(self._strongest, grown.shape[0])
         sigma, normalize_by_p, _ = self.key
         row = gaussian_of_sq_dists(d2, self._p, sigma, normalize_by_p)
-        self._gauss[n, :n] = row
-        self._gauss[:n, n] = row
-        self._gauss[n, n] = 0.0
+        self._cut[n, :n] = row
+        self._cut[:n, n] = row
+        self._cut[n, n] = 0.0
         raised = np.flatnonzero(row > self._strongest[:n])
         self._strongest[raised] = row[raised]
-        self._strongest[n] = self._gauss[n, :n + 1].max()
+        self._strongest[n] = row.max()
         self._size = n + 1
-        # strongest edges only grow, so no other entry's cut level moves
+        # no other entry's cut level moves
         redo = np.append(raised, n)
-        kept = self._cut[raised, :n] != 0
-        gauss = self._gauss[redo, :n + 1]
-        cut = np.where(gauss < self._threshold(redo), 0.0, gauss)
+        before = self._cut[redo, :n + 1]
+        cut = np.where(before < self._threshold(redo), 0.0, before)
         self._cut[redo, :n + 1] = cut
         self._cut[:n + 1, redo] = cut.T
-        if np.any(kept & (cut[:-1, :n] == 0)):
+        if np.any((before[:-1, :n] != 0) & (cut[:-1, :n] == 0)):
             self._label_components()    # an older edge was cut
             return
         # the new node joins its neighbours' components into one

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as gio
-from .cad import (TaskScaling, _score_rows, check_cad_params, fit_cad_model,
+from .cad import (_score_rows, check_cad_params, fit_cad_model,
                   rwcad_scores_loo, scale_scores, softhad_score, weighted_knn_scores_loo)
 from .datasets import draw_dataset, load_dataset_spec, parse_config_text
 from .errors import InputError
@@ -218,9 +218,8 @@ def _write_cell(plan: ExperimentPlan, params: dict, run: int, seed: int, outdir:
     cell_dir.mkdir(parents=True, exist_ok=True)
     if error is None:
         try:
-            scaling = TaskScaling.fit(scores)
             gio.write_scores_csv(cell_dir / "scores.csv", scores,
-                                 scale_scores(scaling, scores))
+                                 scale_scores(scores, scores))
             value = auroc(scores, truth)
             gio.write_metrics_json(cell_dir / "metrics.json", {
                 "auroc": value, "n": int(scores.size), "method": plan.method,

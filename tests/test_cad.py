@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from graphssl import (DegenerateGraphError, GraphConfig, InputError,
-                      PointSet, SimilarityGraph, SoftConfig, TaskScaling,
+                      PointSet, SimilarityGraph, SoftConfig,
                       backbone_cad, build_graph, cad_scores, fit_cad_model,
-                      gaussian_weight, rwcad_score, rwcad_scores, rwcad_scores_loo,
-                      scale_scores, softhad_score, weighted_knn_score,
+                      rwcad_scores, rwcad_scores_loo, scale_scores, softhad_score,
                       weighted_knn_scores, weighted_knn_scores_loo)
 from graphssl import cad as cad_module
 from graphssl import plan as plan_module
@@ -20,6 +19,14 @@ from graphssl import graph as graph_module
 from graphssl._kernels import cross_sq_dists, pairwise_sq_dists
 from graphssl.cad import LAMBDA_GRID, _kernel_mass
 from graphssl.graph import gaussian_of_sq_dists
+
+
+def _gaussian(xi, xj, sigma):
+    return np.exp(-np.sum((xi - xj) ** 2) / (xi.size * sigma * sigma))
+
+
+def _rwcad_one(model, x, y):
+    return rwcad_scores(model, x[None], np.array([y]))[0]
 
 
 def _mirror_training_set():
@@ -410,13 +417,25 @@ class TestSigmaValidation:
         with pytest.raises(InputError, match="sigma"):
             weighted_knn_scores_loo(ps, sigma=sigma)
 
+    def test_sigma_whose_square_underflows_is_rejected(self):
+        # at sigma = 1e-200 the divisor p sigma^2 is 0: a duplicate point
+        # would get a NaN kernel weight, every other point weight 0
+        ps = PointSet(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]),
+                      np.array([1, 1, -1, -1]))
+        for score in (lambda: fit_cad_model(ps, 0.0, sigma=1e-200),
+                      lambda: weighted_knn_scores_loo(ps, sigma=1e-200),
+                      lambda: rwcad_scores_loo(ps, 0.01, sigma=1e-200),
+                      lambda: cad_scores("knn", ps, ps, sigma=1e-200)):
+            with pytest.raises(InputError, match="sigma=1e-200"):
+                score()
+
 
 class TestRwcad:
     def test_symmetry_point_scores_half(self):
         ps = _mirror_training_set()
         model = fit_cad_model(ps, lam=0.0, sigma=1.0)
-        assert rwcad_score(model, np.zeros(2), 1) == pytest.approx(0.5, abs=1e-12)
-        assert rwcad_score(model, np.zeros(2), -1) == pytest.approx(0.5, abs=1e-12)
+        assert _rwcad_one(model, np.zeros(2), 1) == pytest.approx(0.5, abs=1e-12)
+        assert _rwcad_one(model, np.zeros(2), -1) == pytest.approx(0.5, abs=1e-12)
 
     def test_large_lambda_drives_scores_to_zero(self):
         ps = _mirror_training_set()
@@ -424,7 +443,7 @@ class TestRwcad:
             prev = 1.0
             for lam in (0.0, 0.1, 10.0, 1e6):
                 model = fit_cad_model(ps, lam=lam, sigma=1.0)
-                score = rwcad_score(model, x, 1)
+                score = _rwcad_one(model, x, 1)
                 assert score <= prev
                 prev = score
             assert prev < 1e-5
@@ -445,7 +464,7 @@ class TestRwcad:
         x = rng.normal(size=2)
         scores = []
         for lam in (0.0, 0.01, 0.1, 1.0, 10.0):
-            scores.append(rwcad_score(fit_cad_model(ps, lam, sigma=0.8), x, 1))
+            scores.append(_rwcad_one(fit_cad_model(ps, lam, sigma=0.8), x, 1))
         assert all(b < a for a, b in zip(scores, scores[1:]))
 
     def test_identity_with_knn_ratio_at_lambda_zero(self):
@@ -459,13 +478,13 @@ class TestRwcad:
         model = fit_cad_model(ps, lam=0.0, sigma=sigma)
         for trial in range(10):
             x = rng.normal(size=3)
-            k_all = np.array([gaussian_weight(pts[i], x, sigma) for i in range(25)])
+            k_all = np.array([_gaussian(pts[i], x, sigma) for i in range(25)])
             mass_pos = k_all[labels == 1].sum()
             mass_neg = k_all[labels == -1].sum()
-            vol_pos = sum(gaussian_weight(pts[i], pts[j], sigma)
+            vol_pos = sum(_gaussian(pts[i], pts[j], sigma)
                           for i in range(25) for j in range(25)
                           if i != j and labels[i] == 1 and labels[j] == 1)
-            vol_neg = sum(gaussian_weight(pts[i], pts[j], sigma)
+            vol_neg = sum(_gaussian(pts[i], pts[j], sigma)
                           for i in range(25) for j in range(25)
                           if i != j and labels[i] == -1 and labels[j] == -1)
             t_pos = vol_pos + 2 * mass_pos
@@ -476,7 +495,7 @@ class TestRwcad:
             want = (mass_pos / mass_neg) * (t_neg / t_pos)
             assert like_pos / like_neg == pytest.approx(want, rel=1e-10)
             # and the model reproduces the same posteriors
-            score = rwcad_score(model, x, 1)
+            score = _rwcad_one(model, x, 1)
             prior_pos, prior_neg = model.prior_pos, model.prior_neg
             expect = like_neg * prior_neg / (like_pos * prior_pos + like_neg * prior_neg)
             assert score == pytest.approx(expect, rel=1e-10)
@@ -491,12 +510,14 @@ class TestWeightedKnn:
     def test_coincides_with_own_class_scores_near_zero(self):
         pts = np.array([[0.0, 0.0], [10.0, 10.0]])
         ps = PointSet(pts, np.array([1, -1]))
-        score = weighted_knn_score(ps, np.array([0.0, 0.0]), 1, sigma=0.5)
+        model = fit_cad_model(ps, 0.0, sigma=0.5)
+        score = weighted_knn_scores(model, np.zeros((1, 2)), np.array([1]))[0]
         assert score < 1e-10
 
     def test_balanced_neighborhood_scores_half(self):
         ps = _mirror_training_set()
-        score = weighted_knn_score(ps, np.zeros(2), 1, sigma=1.0)
+        model = fit_cad_model(ps, 0.0, sigma=1.0)
+        score = weighted_knn_scores(model, np.zeros((1, 2)), np.array([1]))[0]
         assert score == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_mass_ratio_form(self):
@@ -507,7 +528,7 @@ class TestWeightedKnn:
         model = fit_cad_model(ps, 0.0, sigma=0.7)
         for _ in range(10):
             x = rng.normal(size=2)
-            k_all = np.array([gaussian_weight(pts[i], x, 0.7) for i in range(20)])
+            k_all = np.array([_gaussian(pts[i], x, 0.7) for i in range(20)])
             ratio = k_all[labels == 1].sum() / k_all[labels == -1].sum()
             got = weighted_knn_scores(model, x[None, :], np.array([1]))[0]
             assert got == pytest.approx(1.0 - ratio / (1.0 + ratio), rel=1e-10)
@@ -689,21 +710,20 @@ class TestBackboneFromSample:
 
 class TestScaleScores:
     def test_endpoints_and_clamp(self):
-        scaling = TaskScaling.fit(np.array([2.0, 4.0, 3.0]))
-        assert scale_scores(scaling, np.array([2.0]))[0] == 0.0
-        assert scale_scores(scaling, np.array([4.0]))[0] == 1.0
-        assert scale_scores(scaling, np.array([-5.0]))[0] == 0.0
-        assert scale_scores(scaling, np.array([9.0]))[0] == 1.0
+        train = np.array([2.0, 4.0, 3.0])
+        assert scale_scores(train, np.array([2.0]))[0] == 0.0
+        assert scale_scores(train, np.array([4.0]))[0] == 1.0
+        assert scale_scores(train, np.array([-5.0]))[0] == 0.0
+        assert scale_scores(train, np.array([9.0]))[0] == 1.0
 
     def test_degenerate_range_maps_to_half(self):
-        scaling = TaskScaling.fit(np.array([1.0, 1.0]))
-        assert np.all(scale_scores(scaling, np.array([0.0, 1.0, 2.0])) == 0.5)
+        assert np.all(scale_scores(np.array([1.0, 1.0]), np.array([0.0, 1.0, 2.0])) == 0.5)
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(10)
         train = rng.random(50)
         test = rng.random(20)
         a, b = 3.7, -1.2
-        base = scale_scores(TaskScaling.fit(train), test)
-        shifted = scale_scores(TaskScaling.fit(a * train + b), a * test + b)
+        base = scale_scores(train, test)
+        shifted = scale_scores(a * train + b, a * test + b)
         assert np.allclose(base, shifted, atol=1e-12)

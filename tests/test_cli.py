@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from graphssl import (GraphConfig, InputError, PointSet, SoftConfig, TaskScaling, build_graph,
+from graphssl import (GraphConfig, InputError, PointSet, SoftConfig, build_graph,
                       fit_cad_model, rwcad_scores, rwcad_scores_loo, scale_scores,
                       softhad_score, weighted_knn_scores, weighted_knn_scores_loo)
 from graphssl.cli import main
@@ -217,7 +217,7 @@ class TestCad:
         train_raw, raw = self._direct_scores(method, read_points_csv(train),
                                              read_points_csv(test),
                                              None if sigma == "auto" else 0.7)
-        scaled = scale_scores(TaskScaling.fit(train_raw), raw) if scale == "minmax" else raw
+        scaled = scale_scores(train_raw, raw) if scale == "minmax" else raw
         write_scores_csv(tmp_path / "want.csv", raw, scaled)
         assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
@@ -460,7 +460,8 @@ _MIXTURE_WITHOUT_POS_MEANS = ("type = mixture\npos.weights = [1.0]\n"
 @pytest.mark.parametrize("case", ["label", "cell", "kernel", "params", "n_samples", "n_runs",
                                   "sigma", "truth_header", "raw_score", "model_fields",
                                   "support_rows", "pos_means", "count", "flip_fraction",
-                                  "model_width", "negative_count"])
+                                  "model_width", "negative_count", "rbf_width",
+                                  "model_coef", "sigma_underflow"])
 def test_malformed_input_exits_2(tmp_path, capsys, case):
     data = _ssl_input(tmp_path)
     out = str(tmp_path / "out")
@@ -504,6 +505,14 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
         "negative_count": lambda: ["gen-data", "--out", out, "--out-test", out + "-test",
                                    "--config", _bad_file(tmp_path, "core.cfg",
                                                          "type = core\nbig_count = -5\n")],
+        "rbf_width": lambda: ["mmgc", "--train", str(data), "--gamma", "0.1",
+                              "--kernel", "rbf:1e-200", "--out", out],
+        "model_coef": lambda: ["mmgc-predict", "--input", str(data), "--out", out, "--model",
+                               _bad_file(tmp_path, "m.txt", model.replace("coef=1,-1",
+                                                                          "coef=nan,-1")
+                                         + "1,1\n")],
+        "sigma_underflow": lambda: ["ssl", "--input", str(data), "--sigma", "1e-200",
+                                    "--out", out],
     }[case]()
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -518,7 +527,8 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
             "pos_means": "'pos.means'", "count": "'big_count' must be an integer",
             "flip_fraction": "flip_fraction must be a number",
             "model_width": "points have 2 features, the model's support points 3",
-            "negative_count": "big_count must be >= 0"}[case]
+            "negative_count": "big_count must be >= 0", "rbf_width": "rbf width 1e-200",
+            "model_coef": "m.txt: non-finite number", "sigma_underflow": "sigma=1e-200"}[case]
     assert want in err
 
 

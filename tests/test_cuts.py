@@ -6,7 +6,7 @@ from graphssl import cuts
 
 from graphssl import (CutClassifier, GraphConfig, InputError, KernelSpec,
                       PointSet, build_graph, induce_labels, kernel_matrix,
-                      predict, train_maxmargin, train_on_induced)
+                      train_maxmargin, train_on_induced)
 
 from _synth import two_grid_squares
 
@@ -120,6 +120,12 @@ class TestKernels:
             KernelSpec.parse("rbf:abc")
         with pytest.raises(InputError, match="positive"):
             KernelSpec.parse("rbf:-1")
+
+    @pytest.mark.parametrize("width", [1e-200, 1e200, float("inf")])
+    def test_rbf_width_whose_divisor_is_zero_or_not_finite_rejected(self, width):
+        # 2 width^2 underflows to 0 at 1e-200 and overflows at 1e200
+        with pytest.raises(InputError, match="rbf width"):
+            KernelSpec("rbf", width)
 
 
 class TestInduceLabels:
@@ -317,8 +323,7 @@ class TestPredict:
         pts = np.array([[0.0, 0.0], [2.0, 0.0]])
         y = np.array([1.0, -1.0])
         clf = train_maxmargin(pts, y, KernelSpec("linear"), gamma=0.01)
-        value, sign = predict(clf, pts[0])
-        assert abs(value) >= 1 - 1e-6 and sign == 1
+        assert clf.decision_values(pts[:1])[0] >= 1 - 1e-6
 
     def test_linear_kernel_decision_is_affine(self):
         rng = np.random.default_rng(4)
@@ -330,8 +335,9 @@ class TestPredict:
         a, b = rng.normal(size=2), rng.normal(size=2)
         for lam in (0.0, 0.3, 0.7, 1.0):
             mix = lam * a + (1 - lam) * b
-            want = lam * predict(clf, a)[0] + (1 - lam) * predict(clf, b)[0]
-            assert predict(clf, mix)[0] == pytest.approx(want, abs=1e-10)
+            value_a, value_b, value_mix = clf.decision_values(np.array([a, b, mix]))
+            want = lam * value_a + (1 - lam) * value_b
+            assert value_mix == pytest.approx(want, abs=1e-10)
 
 
 class TestTwoSquares:

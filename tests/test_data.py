@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from graphssl import (ClassMixture, CoreSpec, InputError, MixtureSpec, auroc,
                       core_true_scores, default_core, default_mixtures,
                       flip_labels, gen_core_dataset, gen_gauss_mixture,
-                      load_dataset_spec, true_anomaly_score, true_anomaly_scores)
+                      load_dataset_spec, true_anomaly_scores)
 from graphssl.datasets import (_in_rect, _rect_area, _uniform_rect,
                                draw_dataset, parse_config_text)
 from graphssl.rng import PortableRng
@@ -58,13 +58,13 @@ class TestGenGaussMixture:
 class TestTrueAnomalyScore:
     def test_symmetry_point_is_half(self):
         spec = _simple_spec()
-        assert true_anomaly_score(spec, np.zeros(2), 1) == pytest.approx(0.5)
-        assert true_anomaly_score(spec, np.zeros(2), -1) == pytest.approx(0.5)
+        s = true_anomaly_scores(spec, np.zeros((2, 2)), np.array([1, -1]))
+        assert s == pytest.approx([0.5, 0.5])
 
     def test_deep_inside_own_class_near_zero(self):
         spec = _simple_spec()
-        assert true_anomaly_score(spec, np.array([2.0, 2.0]), 1) < 1e-3
-        assert true_anomaly_score(spec, np.array([2.0, 2.0]), -1) > 1 - 1e-3
+        s = true_anomaly_scores(spec, np.full((2, 2), 2.0), np.array([1, -1]))
+        assert s[0] < 1e-3 and s[1] > 1 - 1e-3
 
     def test_scores_in_unit_interval(self):
         spec = _simple_spec()

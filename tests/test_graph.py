@@ -9,10 +9,21 @@ from scipy.sparse.csgraph import connected_components as csgraph_components
 
 from graphssl import (DegenerateGraphError, GraphConfig, InputError, PointSet,
                       SimilarityGraph, build_graph, connected_components,
-                      gaussian_weight, laplacian, stationary_distribution)
-from graphssl.graph import component_labels, dense_component
+                      laplacian, stationary_distribution)
+from graphssl._kernels import cross_sq_dists
+from graphssl.graph import (check_sigma, component_labels, dense_component,
+                            gaussian_of_sq_dists, resolve_sigma, sigma_from_points)
 
 from _synth import random_graph
+
+
+def gaussian_weight(xi, xj, sigma, psi=None, normalize_by_p=True):
+    """The Gaussian weight of one pair of points, as the graph builders and
+    the CAD kernel masses form it: gaussian_of_sq_dists of cross_sq_dists."""
+    xi, xj = np.atleast_2d(xi), np.atleast_2d(xj)
+    psi = np.ones(xi.shape[1]) if psi is None else psi
+    return gaussian_of_sq_dists(cross_sq_dists(xi, xj, psi), xi.shape[1], sigma,
+                                normalize_by_p)[0, 0]
 
 
 class TestGaussianWeight:
@@ -44,10 +55,6 @@ class TestGaussianWeight:
         without = gaussian_weight(xi, xj, 1.0, normalize_by_p=False)
         assert with_p == pytest.approx(math.exp(-1.0))
         assert without == pytest.approx(math.exp(-2.0))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(InputError):
-            gaussian_weight(np.array([np.nan]), np.array([0.0]), 1.0)
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=6),
            st.lists(st.floats(-50, 50), min_size=1, max_size=6),
@@ -140,6 +147,15 @@ class TestGraphConfig:
     def test_sigma_must_be_positive_and_finite(self, sigma):
         with pytest.raises(InputError, match="sigma"):
             GraphConfig(sigma=sigma)
+
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan, 0.0, -1.0])
+    def test_one_sigma_rule(self, sigma):
+        pts = np.arange(6.0).reshape(3, 2)
+        assert resolve_sigma(None, pts) == sigma_from_points(pts)
+        assert resolve_sigma(0.5, pts) == 0.5
+        for check in (lambda: check_sigma(sigma), lambda: resolve_sigma(sigma, pts)):
+            with pytest.raises(InputError, match="sigma"):
+                check()
 
     @pytest.mark.parametrize("mode", ["knn", "epsilon"])
     @pytest.mark.parametrize("eps_cut", [math.nan, math.inf, -math.inf])

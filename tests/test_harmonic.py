@@ -19,12 +19,12 @@ from _synth import random_graph, random_labels
 class TestSolveSpd:
     def test_identity(self):
         b = np.array([1.0, -2.0, 3.5])
-        assert np.allclose(solve_spd(np.eye(3), b, 1e-12), b)
+        assert np.allclose(solve_spd(np.eye(3), b), b)
 
     def test_diagonal(self):
         a = np.diag([2.0, 4.0, 8.0])
         b = np.array([2.0, 2.0, 2.0])
-        assert np.allclose(solve_spd(a, b, 1e-12), [1.0, 0.5, 0.25])
+        assert np.allclose(solve_spd(a, b), [1.0, 0.5, 0.25])
 
     def test_random_spd_matches_dense_solve(self):
         rng = np.random.default_rng(0)
@@ -32,18 +32,18 @@ class TestSolveSpd:
             m = rng.normal(size=(40, 40))
             a = m @ m.T + 40 * np.eye(40)
             b = rng.normal(size=40)
-            x = solve_spd(a, b, 1e-12)
+            x = solve_spd(a, b)
             assert np.allclose(x, np.linalg.solve(a, b), atol=1e-8)
 
     def test_zero_rhs(self):
-        assert np.array_equal(solve_spd(np.eye(4), np.zeros(4), 1e-10), np.zeros(4))
+        assert np.array_equal(solve_spd(np.eye(4), np.zeros(4)), np.zeros(4))
 
     def test_residual_contract(self):
         rng = np.random.default_rng(1)
         m = rng.normal(size=(25, 25))
         a = m @ m.T + 25 * np.eye(25)
         b = rng.normal(size=25)
-        x = solve_spd(a, b, 1e-10)
+        x = solve_spd(a, b)
         assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b) * 1.001
 
 
@@ -69,7 +69,7 @@ class TestSolveSpdPaths:
         b = rng.normal(size=n)
         want = np.linalg.solve(a, b)
         for system in (a, sp.csr_matrix(a)):
-            x = solve_spd(system, b, 1e-10)
+            x = solve_spd(system, b)
             assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
             assert np.allclose(x, want, rtol=1e-6, atol=1e-8 * np.abs(want).max())
 
@@ -85,12 +85,12 @@ class TestSolveSpdPaths:
         assert (u.size <= DENSE_MAX_N) == (side == "dense")
         a = (laplacian(g)[np.ix_(u, u)] + gamma * sp.identity(u.size)).tocsr()
         b = np.asarray(g.weights[np.ix_(u, l)] @ labels[l]).ravel()
-        x = solve_spd(a, b, 1e-10)
+        x = solve_spd(a, b)
         assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
         want = np.linalg.solve(a.toarray(), b)
         assert np.allclose(x, want, rtol=1e-6, atol=1e-8)
         # the dense ndarray of the same system goes through Cholesky
-        assert np.allclose(solve_spd(a.toarray(), b, 1e-10), want, rtol=1e-6, atol=1e-8)
+        assert np.allclose(solve_spd(a.toarray(), b), want, rtol=1e-6, atol=1e-8)
 
     @given(st.integers(1, 60), st.integers(0, 2**32 - 1), st.sampled_from([1e-6, 1.0]),
            st.booleans())

@@ -10,8 +10,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphssl import (DegenerateGraphError, GraphConfig, PointSet, SimilarityGraph,
-                      build_graph)
+from graphssl import (DegenerateGraphError, GraphConfig, InputError, PointSet,
+                      SimilarityGraph, build_graph)
 from graphssl import _kernels
 from graphssl import graph as graph_module
 from graphssl.graph import _knn_lists, gaussian_of_sq_dists, resolve_sigma
@@ -31,7 +31,7 @@ def _knn_mask(dists, k):
 def dense_reference(ps, cfg):
     """The dense k-NN construction: n x n distances and weights, a stable
     argsort of every row, the union of the k-NN masks."""
-    sigma = resolve_sigma(cfg, ps.points)
+    sigma = resolve_sigma(cfg.sigma, ps.points)
     dists = _kernels.pairwise_sq_dists(ps.points, ps.feature_weights)
     denom = ps.p * sigma * sigma if cfg.normalize_by_p else sigma * sigma
     w = np.exp(-dists / denom)
@@ -135,7 +135,7 @@ def dense_epsilon_reference(ps, cfg):
     diagonal and every weight below eps_cut cut; None when every
     off-diagonal weight underflows to 0."""
     w = gaussian_of_sq_dists(_kernels.pairwise_sq_dists(ps.points, ps.feature_weights), ps.p,
-                             resolve_sigma(cfg, ps.points), cfg.normalize_by_p)
+                             resolve_sigma(cfg.sigma, ps.points), cfg.normalize_by_p)
     np.fill_diagonal(w, 0.0)
     if not w.any():
         return None
@@ -211,3 +211,15 @@ class TestUnderflow:
         g = build_graph(PointSet(pts, np.zeros(4, dtype=int)),
                         GraphConfig(mode="knn", k_neighbors=1, sigma=0.1))
         assert g.weights.nnz == 4 and g.degrees[3] == 0.0
+
+    @pytest.mark.parametrize("mode", ["knn", "epsilon"])
+    @pytest.mark.parametrize("normalize_by_p", [True, False])
+    def test_divisor_underflow_rejected(self, mode, normalize_by_p):
+        # sigma^2 underflows to 0: duplicate points would get 0/0 = NaN
+        pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+        cfg = GraphConfig(mode=mode, k_neighbors=1, sigma=1e-200,
+                          normalize_by_p=normalize_by_p)
+        with pytest.raises(InputError, match="sigma=1e-200"):
+            build_graph(PointSet(pts, np.zeros(3, dtype=int)), cfg)
+        with pytest.raises(InputError, match="sigma=1e-200"):
+            gaussian_of_sq_dists(np.zeros(2), 2, 1e-200, normalize_by_p)

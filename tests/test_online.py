@@ -679,7 +679,7 @@ class TestCachedGraph:
         assert not set(appended_at) & set(repartitioned_at)
 
     @pytest.mark.parametrize("sigma, eps_cut", [(0.0, 0.0), (np.nan, 0.0), (1.0, -1.0),
-                                                (1.0, np.inf)])
+                                                (1.0, np.inf), (1e-200, 0.0)])
     def test_graph_rejects_a_bad_key(self, sigma, eps_cut):
         state = QuantizerState(4)
         state.observe(np.zeros(2))

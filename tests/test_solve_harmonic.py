@@ -1,11 +1,15 @@
 """The one harmonic core against test-only copies of the four systems it
 replaced: hard_harmonic and soft_harmonic on sparse graphs,
-online.compact_harmonic and cad.backbone_cad on dense centroid weights.
+online.compact_harmonic on dense centroid weights and cad.backbone_cad.
 
 The hard, soft and compact outputs must be bit-identical to the copies.
-backbone_cad used to add its diagonal as (gamma_g + c_l) v; the core adds
-gamma_g v and then c_l v, so its scores may differ in the last bits.
+backbone_cad used to add its diagonal as (gamma_g + c_l) v on dense
+weights; the core adds gamma_g v and then c_l v on the graph's sparse
+weights, so its scores may differ in the last bits, and above
+DENSE_MAX_N nodes by what the conjugate-gradient solve leaves.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,8 +17,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphssl import (CompactGraph, DegenerateGraphError, InputError, SoftConfig,
-                      backbone_cad, compact_harmonic, hard_harmonic, laplacian,
+from graphssl import (CompactGraph, DegenerateGraphError, InputError, SimilarityGraph,
+                      SoftConfig, backbone_cad, compact_harmonic, hard_harmonic, laplacian,
                       soft_harmonic, solve_harmonic, solve_spd)
 from graphssl.harmonic import DENSE_MAX_N, solve_clamped
 
@@ -23,7 +27,7 @@ from _synth import random_graph, random_labels
 GAMMAS = st.sampled_from([0.0, 1e-8, 1e-4, 0.3, 2.0])
 
 
-def reference_hard(g, labels, gamma_g, tol=1e-10):
+def reference_hard(g, labels, gamma_g):
     """The sparse hard system as hard_harmonic assembled it before the core."""
     labels = np.asarray(labels, dtype=np.float64)
     values = labels.copy()
@@ -32,16 +36,16 @@ def reference_hard(g, labels, gamma_g, tol=1e-10):
         return values
     a = laplacian(g)[np.ix_(u, u)] + gamma_g * sp.identity(u.size, format="csr")
     b = np.asarray(g.weights[np.ix_(u, l)] @ labels[l]).ravel()
-    values[u] = solve_spd(a.tocsr(), b, tol)
+    values[u] = solve_spd(a.tocsr(), b)
     return values
 
 
-def reference_soft(g, y, cfg, tol=1e-10):
+def reference_soft(g, y, cfg):
     """The sparse soft system as soft_harmonic assembled it before the core."""
     y = np.asarray(y, dtype=np.float64)
     c_diag = np.where(y != 0, cfg.c_l, cfg.c_u)
     k = laplacian(g) + cfg.gamma_g * sp.identity(g.n, format="csr")
-    return solve_spd((k + sp.diags(c_diag)).tocsr(), c_diag * y, tol)
+    return solve_spd((k + sp.diags(c_diag)).tocsr(), c_diag * y)
 
 
 def reference_mass_laplacian(w, v):
@@ -52,7 +56,7 @@ def reference_mass_laplacian(w, v):
     return lap
 
 
-def reference_compact(w, v, labels, gamma_g, tol=1e-10):
+def reference_compact(w, v, labels, gamma_g):
     """The dense compact system as compact_harmonic assembled it before the core."""
     labels = np.asarray(labels, dtype=np.float64)
     values = labels.copy()
@@ -62,15 +66,15 @@ def reference_compact(w, v, labels, gamma_g, tol=1e-10):
     lap = reference_mass_laplacian(w, v)
     a = lap[np.ix_(u, u)]
     a[np.diag_indices_from(a)] += gamma_g * v[u]
-    values[u] = solve_spd(a, -lap[np.ix_(u, l)] @ labels[l], tol)
+    values[u] = solve_spd(a, -lap[np.ix_(u, l)] @ labels[l])
     return values
 
 
-def reference_backbone(g, v, y, cfg, tol=1e-10):
+def reference_backbone(g, v, y, cfg):
     """The dense backbone system as backbone_cad assembled it before the core."""
     a = reference_mass_laplacian(g.dense(), v)
     a[np.diag_indices_from(a)] += (cfg.gamma_g + cfg.c_l) * v
-    return np.abs(solve_spd(a, cfg.c_l * v * y, tol) - y)
+    return np.abs(solve_spd(a, cfg.c_l * v * y) - y)
 
 
 def _size(side, extra):
@@ -130,6 +134,20 @@ class TestCoreMatchesOldAssemblies:
         cfg = SoftConfig(gamma_g, c_l, c_l)
         got = backbone_cad(g, v, y, cfg)
         assert np.max(np.abs(got - reference_backbone(g, v, y, cfg))) <= 1e-12
+
+    def test_backbone_forms_no_dense_weights(self):
+        # above DENSE_MAX_N the sparse system is solved by Jacobi-PCG to
+        # a relative residual of DEFAULT_TOL, not to the last bits
+        n = DENSE_MAX_N + 50
+        rng = np.random.default_rng(3)
+        g = random_graph(n, 3, density=8 / n)
+        v = rng.integers(1, 8, n).astype(float)
+        y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        cfg = SoftConfig(1e-2, 1.0, 1.0)
+        want = reference_backbone(g, v, y, cfg)
+        with mock.patch.object(SimilarityGraph, "dense", side_effect=AssertionError("dense")):
+            got = backbone_cad(g, v, y, cfg)
+        assert np.max(np.abs(got - want)) <= 1e-9
 
 
 class TestCore:
