@@ -192,7 +192,7 @@ def _smo(k, y, c_box, gamma, alpha, y_grad) -> None:
 
 
 def train_maxmargin(points: np.ndarray, y: np.ndarray, kernel: KernelSpec,
-                    gamma: float, init_alpha: np.ndarray | None = None) -> CutClassifier:
+                    gamma: float) -> CutClassifier:
     """Hinge-loss kernel classifier on (points, y) at regularizer gamma.
 
     Stops when the duality gap falls below GAP_TOL relative to the objective.
@@ -213,15 +213,9 @@ def train_maxmargin(points: np.ndarray, y: np.ndarray, kernel: KernelSpec,
         raise InputError(f"the kernel of {n} training points takes {8 * n * n} bytes, "
                          f"above the {KERNEL_MAX_BYTES} the trainer allows")
     c_box = 1.0 / (2.0 * gamma)
-    if init_alpha is None:
-        alpha = np.zeros(n)
-    else:
-        alpha = np.asarray(init_alpha, dtype=np.float64).copy()
-        if alpha.shape != (n,) or np.any(alpha < 0) or np.any(alpha > c_box) \
-                or abs(float(alpha @ y)) > 1e-9 * max(1.0, float(np.abs(alpha).sum())):
-            raise InputError("init_alpha must be feasible for the dual")
+    alpha = np.zeros(n)
     k = kernel_matrix(kernel, points, points)
-    y_grad = y - k @ (alpha * y)
+    y_grad = y.copy()                   # y - K(alpha y) at alpha = 0
     _smo(k, y, c_box, gamma, alpha, y_grad)
 
     # the steps' updates of y_grad drift; accept on the exact values

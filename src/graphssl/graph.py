@@ -311,7 +311,7 @@ def build_graph(ps: PointSet, cfg: GraphConfig) -> SimilarityGraph:
         w, underflow = _epsilon_weights(ps, cfg.eps_cut, sigma, cfg.normalize_by_p)
     if underflow:
         raise DegenerateGraphError(
-            f"every {cfg.mode} edge weight underflows to 0 at sigma={sigma:.17g}")
+            f"every {cfg.mode} edge weight underflows to 0 at sigma={sigma!r}")
     return SimilarityGraph(w)
 
 

@@ -11,8 +11,9 @@ labeled points (pinned) and whose remaining k nodes are free centroids:
    current positions) pushing differently-labeled centroids apart.
 
 Points are finally labeled by their nearest centroid (1-NN).  The backbone
-graph's degree, the outer stopping tolerance and the inner step cap are the
-constants BACKBONE_KNN, CONV_TOL and INNER_CAP.
+graph's degree, the outer iteration cap, the outer stopping tolerance and
+the inner step cap are the constants BACKBONE_KNN, MAX_OUTER, CONV_TOL and
+INNER_CAP.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .harmonic import SoftConfig, soft_harmonic
 from .rng import PortableRng
 
 BACKBONE_KNN = 3    # neighbours per node of the backbone's k-NN graph
+MAX_OUTER = 10      # outer iterations, at most
 CONV_TOL = 1e-6     # relative objective change that ends the outer loop
 INNER_CAP = 30      # quantization steps per outer iteration, at most
 
@@ -47,7 +49,6 @@ class JointConfig:
     f_l: float = 10.0
     f_u: float = 0.1
     sigma: float | None = None
-    max_outer: int = 10
     kmeans_init: bool = False
 
     def __post_init__(self):
@@ -238,7 +239,7 @@ def elastic_joint(ps: PointSet, cfg: JointConfig, seed: int) -> BackboneState:
     )
 
     prev_obj = None
-    for _ in range(cfg.max_outer):
+    for _ in range(MAX_OUTER):
         obj = _propagate_and_score(state, cfg, ps.points)
         state.objective_trace.append(obj)
         for _ in range(INNER_CAP):

@@ -16,16 +16,16 @@ harmonic solution is recovered from the small system
 ``capacity`` nodes, so it is kept as dense arrays and the system is
 factored densely.
 
-The sketch owns the centroids' squared-distance matrix and their cut
-Gaussian graph, at O(k^2) memory for k centroids: the distances grow by
-doubling with the centroid rows.  An added centroid updates the graph in
-place: one new row and column of weights, and the cut redone only in the
-rows whose strongest edge it raised.  The graph is rebuilt from the
-distances only when the set is repartitioned or the kernel width or cut
-changes.  A prediction assembles its system from the weight block of its
-centroid's component alone, which the graph keeps until that component
-changes; a point that merges into an existing centroid moves no centroid,
-so its prediction costs one solve.
+The sketch owns the centroids' cut Gaussian graph, its one O(k^2) array
+for k centroids.  An added centroid updates the graph in place from the
+distances its placement computed: one new row and column of weights, and
+the cut redone only in the rows whose strongest edge it raised.  The graph
+is rebuilt from the centroids' pairwise distances only when the set is
+repartitioned or the kernel width or cut changes; a repartition computes
+those distances once for its scan.  A prediction assembles its system
+from the weight block of its centroid's component alone, which the graph
+keeps until that component changes; a point that merges into an existing
+centroid moves no centroid, so its prediction costs one solve.
 """
 
 from __future__ import annotations
@@ -55,12 +55,11 @@ class QuantizerState:
     call the centroid count is at most ``capacity``, pairwise centroid
     distances are at least ``radius``, and multiplicities sum to the
     number of points observed.  The centroids are the first ``size`` rows
-    of one array that grows by doubling up to ``capacity + 1`` rows; their
-    squared distances are kept in a square array that grows with it, and
-    the cut Gaussian graph that ``graph()`` builds from them grows with
-    each added centroid and is dropped when the set is repartitioned.  Both
-    cost O(k^2) memory for k centroids; nothing of size ``capacity`` is
-    allocated up front.
+    of one array that grows by doubling up to ``capacity + 1`` rows.  The
+    cut Gaussian graph that ``graph()`` builds from them grows with each
+    added centroid and is dropped when the set is repartitioned; it is the
+    sketch's one O(k^2) array for k centroids.  Nothing of size
+    ``capacity`` is allocated up front.
     """
 
     def __init__(self, capacity: int, growth: float = 1.5):
@@ -72,7 +71,6 @@ class QuantizerState:
         self.growth = growth
         self.radius: float | None = None
         self._rows: np.ndarray | None = None
-        self._sq_dists: np.ndarray | None = None
         self._graph: CentroidGraph | None = None
         self.multiplicities: list[int] = []
         self.centroid_labels: list[int] = []
@@ -96,17 +94,6 @@ class QuantizerState:
         view.flags.writeable = False
         return view
 
-    @property
-    def sq_dists(self) -> np.ndarray:
-        """Squared distances between the centroids, as a read-only view
-        equal to ``pairwise_sq_dists(centroids)``; the next observe() may
-        change it."""
-        if self._sq_dists is None:
-            return np.empty((0, 0))
-        view = self._sq_dists[:self.size, :self.size]
-        view.flags.writeable = False
-        return view
-
     def graph(self, sigma: float, normalize_by_p: bool, eps_cut: float) -> CentroidGraph:
         """The centroids' cut Gaussian graph, cached and grown with each
         added centroid until the set is repartitioned or the arguments
@@ -118,7 +105,7 @@ class QuantizerState:
             check_sigma(sigma)
             if not (np.isfinite(eps_cut) and eps_cut >= 0):
                 raise InputError(f"eps_cut={eps_cut!r} (sigma={sigma!r}) must be finite and >= 0")
-            self._graph = CentroidGraph.build(self.sq_dists, self._rows.shape[1], *key)
+            self._graph = CentroidGraph.build(self.centroids, *key)
         return self._graph
 
     def centroid_matrix(self) -> np.ndarray:
@@ -170,16 +157,11 @@ class QuantizerState:
         current centroids (cdist and pdist give equal bits per pair)."""
         k = self.size
         if self._rows is None or k == self._rows.shape[0]:
-            rows = min(max(16, 2 * k), self.capacity + 1)
-            grown, grown_d2 = np.empty((rows, x.size)), np.empty((rows, rows))
+            grown = np.empty((min(max(16, 2 * k), self.capacity + 1), x.size))
             if k:
                 grown[:k] = self._rows[:k]
-                grown_d2[:k, :k] = self._sq_dists[:k, :k]
-            self._rows, self._sq_dists = grown, grown_d2
+            self._rows = grown
         self._rows[k] = x
-        self._sq_dists[k, :k] = d2
-        self._sq_dists[:k, k] = d2
-        self._sq_dists[k, k] = 0.0
         if k == self.capacity:
             self._graph = None          # observe() repartitions next
         elif self._graph is not None:
@@ -206,7 +188,7 @@ class QuantizerState:
         centroids, then merge each dropped centroid into its nearest
         survivor.  Returns the old->new index mapping."""
         n = self.size
-        d2 = self._sq_dists[:n, :n]
+        d2 = _kernels.pairwise_sq_dists(self.centroids, np.ones(self._rows.shape[1]))
         while True:
             self.radius *= self.growth
             r2 = self.radius * self.radius
@@ -233,7 +215,6 @@ class QuantizerState:
             mult[target] += self.multiplicities[i]
             self._merge_label(labels, target, self.centroid_labels[i])
         self._rows[:len(keep)] = self._rows[keep]
-        self._sq_dists[:len(keep), :len(keep)] = d2[np.ix_(keep, keep)]
         self._graph = None
         self.multiplicities = mult
         self.centroid_labels = labels
@@ -290,7 +271,7 @@ class CentroidGraph:
     cut and a kept one still holds its Gaussian weight.  ``append`` thus
     redoes the cut from the cut weights, in the new node's row and in the
     rows whose strongest edge it raised, with the bits of ``build`` on the
-    grown distances.  The weights grow by doubling.  ``weights`` is a
+    grown centroid set.  The weights grow by doubling.  ``weights`` is a
     read-only view.
     """
 
@@ -306,9 +287,12 @@ class CentroidGraph:
         self._label_components()
 
     @classmethod
-    def build(cls, sq_dists: np.ndarray, p: int, sigma: float, normalize_by_p: bool,
+    def build(cls, centroids: np.ndarray, sigma: float, normalize_by_p: bool,
               eps_cut: float) -> CentroidGraph:
-        gauss = gaussian_of_sq_dists(sq_dists, p, sigma, normalize_by_p)
+        """The graph of the centroids, one per row."""
+        p = centroids.shape[1]
+        gauss = gaussian_of_sq_dists(_kernels.pairwise_sq_dists(centroids, np.ones(p)), p,
+                                     sigma, normalize_by_p)
         np.fill_diagonal(gauss, 0.0)
         return cls((sigma, normalize_by_p, eps_cut), p, gauss)
 

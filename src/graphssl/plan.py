@@ -66,6 +66,14 @@ class ExperimentPlan:
             raise InputError("n_runs must be >= 1")
         if not self.grid:
             raise InputError("parameter grid must be non-empty")
+        for name, values in self.grid.items():
+            # two equal values would share one cell directory and summary row
+            seen = set()
+            for value in values:
+                canon = json.dumps(value, sort_keys=True)
+                if canon in seen:
+                    raise InputError(f"grid.{name} lists {canon} twice")
+                seen.add(canon)
 
 
 def plan_from_config(path: str | Path, outdir: str | None = None) -> ExperimentPlan:

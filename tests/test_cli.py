@@ -461,7 +461,7 @@ _MIXTURE_WITHOUT_POS_MEANS = ("type = mixture\npos.weights = [1.0]\n"
                                   "sigma", "truth_header", "raw_score", "model_fields",
                                   "support_rows", "pos_means", "count", "flip_fraction",
                                   "model_width", "negative_count", "rbf_width",
-                                  "model_coef", "sigma_underflow"])
+                                  "model_coef", "sigma_underflow", "duplicate_grid"])
 def test_malformed_input_exits_2(tmp_path, capsys, case):
     data = _ssl_input(tmp_path)
     out = str(tmp_path / "out")
@@ -513,6 +513,8 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
                                          + "1,1\n")],
         "sigma_underflow": lambda: ["ssl", "--input", str(data), "--sigma", "1e-200",
                                     "--out", out],
+        "duplicate_grid": lambda: ["run-plan", "--config", str(_bad_plan(
+            tmp_path, "n_runs = 2\ngrid.lambda = [0.1, 0.1]"))],
     }[case]()
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -528,7 +530,8 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
             "flip_fraction": "flip_fraction must be a number",
             "model_width": "points have 2 features, the model's support points 3",
             "negative_count": "big_count must be >= 0", "rbf_width": "rbf width 1e-200",
-            "model_coef": "m.txt: non-finite number", "sigma_underflow": "sigma=1e-200"}[case]
+            "model_coef": "m.txt: non-finite number", "sigma_underflow": "sigma=1e-200",
+            "duplicate_grid": "grid.lambda lists 0.1 twice"}[case]
     assert want in err
 
 

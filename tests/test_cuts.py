@@ -218,29 +218,6 @@ class TestTrainMaxMargin:
             best = max(best, margin)
         assert achieved >= best - 0.05
 
-    def test_convexity_symptom_multiple_inits_agree(self):
-        rng = np.random.default_rng(3)
-        pts = rng.normal(size=(20, 2))
-        y = np.where(rng.random(20) < 0.5, 1.0, -1.0)
-        y[:2] = [1.0, -1.0]
-        gamma = 0.1
-        c_box = 1.0 / (2 * gamma)
-        objectives = []
-        for trial in range(10):
-            alpha = np.zeros(20)
-            pos_idx = np.flatnonzero(y > 0)
-            neg_idx = np.flatnonzero(y < 0)
-            n_pairs = min(len(pos_idx), len(neg_idx))
-            vals = rng.random(n_pairs) * c_box
-            alpha[pos_idx[:n_pairs]] = vals
-            alpha[neg_idx[:n_pairs]] = vals
-            clf = train_maxmargin(pts, y, KernelSpec("rbf", 1.0), gamma,
-                                  init_alpha=alpha)
-            objectives.append(_hinge_objective(clf, pts, y, gamma))
-        objectives = np.array(objectives)
-        spread = objectives.max() - objectives.min()
-        assert spread <= 1e-5 * max(1.0, abs(objectives.mean()))
-
     @pytest.mark.parametrize("seed", [4, 7])
     def test_rbf_decisions_move_within_the_gap_tolerance(self, monkeypatch, seed):
         # the rbf kernel once expanded |a|^2 + |b|^2 - 2 a.b; its rounding

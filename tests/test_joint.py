@@ -186,7 +186,7 @@ class TestElasticJoint:
 
     def test_huge_quantization_weight_reaches_kmeans_fixed_point(self):
         ps, _ = two_arcs(100, seed=3, labeled_per_class=2)
-        cfg = JointConfig(k=6, gamma_q=1e12, sigma=0.4, max_outer=12)
+        cfg = JointConfig(k=6, gamma_q=1e12, sigma=0.4)
         state = elastic_joint(ps, cfg, seed=5)
         for j in range(state.n_labeled, state.n_nodes):
             members = ps.points[state.assignment == j]

@@ -205,6 +205,13 @@ class TestUnderflow:
         with pytest.raises(DegenerateGraphError, match="sigma=0.001"):
             build_graph(self._points(), GraphConfig(mode="epsilon", sigma=1e-3))
 
+    def test_message_gives_sigma_as_written(self):
+        pts = np.array([[0.0], [100.0], [200.0]])
+        with pytest.raises(DegenerateGraphError) as err:
+            build_graph(PointSet(pts, np.zeros(3, dtype=int)),
+                        GraphConfig(mode="knn", k_neighbors=1, sigma=0.1))
+        assert str(err.value) == "every knn edge weight underflows to 0 at sigma=0.1"
+
     def test_partial_underflow_keeps_the_rest(self):
         # a far-away pair underflows, the near pairs do not
         pts = np.array([[0.0], [0.1], [0.2], [1000.0]])

@@ -534,38 +534,8 @@ class TestDenseOnlineMatchesSparse:
 
 
 class TestCachedGraph:
-    """The sketch's stored distances and cached centroid graph against the
-    per-step rebuild they replaced."""
-
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 60), st.integers(1, 3),
-           st.sampled_from([1.3, 2.0]), st.booleans())
-    @settings(max_examples=40, deadline=None)
-    def test_sq_dists_equal_pairwise_after_every_observe(self, seed, capacity, p, growth,
-                                                         rounded):
-        points, _ = _random_stream(seed, 120, p)
-        if rounded:                     # many duplicates
-            points = np.round(points)
-        state = QuantizerState(capacity, growth)
-        for x in points:
-            state.observe(x)
-            assert np.array_equal(state.sq_dists,
-                                  _kernels.pairwise_sq_dists(state.centroids, np.ones(p)))
-        assert not state.sq_dists.flags.writeable
-
-    @pytest.mark.parametrize("capacity", [20, 50])
-    def test_sq_dists_through_growth_duplicates_and_repartitions(self, capacity):
-        line = np.arange(40.0)[:, None] * np.array([[1.0, 0.5]])
-        points = np.vstack([line[:2], line[:2], line[2:]])
-        state = QuantizerState(capacity)
-        sizes, repartitions = [], 0
-        for x in points:
-            state.observe(x)
-            sizes.append(state.size)
-            repartitions += state.last_repartition is not None
-            assert np.array_equal(state.sq_dists,
-                                  _kernels.pairwise_sq_dists(state.centroids, np.ones(2)))
-        assert sizes[3] == 2 and max(sizes) > 16
-        assert repartitions == (1 if capacity == 20 else 0)
+    """The sketch's cached centroid graph against the per-step rebuild it
+    replaced."""
 
     def test_graph_of_an_empty_sketch_rejected(self):
         with pytest.raises(InputError, match="no centroids"):
@@ -580,8 +550,8 @@ class TestCachedGraph:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # a 16-row block of centroids and distances; one float per unit of
-        # capacity would already be 800 kB
+        # a 16-row block of centroids; one float per unit of capacity would
+        # already be 800 kB
         assert peak < 64 * 1024
 
     @given(st.integers(0, 2**32 - 1), st.integers(4, 30), st.integers(1, 3),
@@ -634,7 +604,7 @@ class TestCachedGraph:
             idx = state.observe(x)
             graph = state.graph(*key)
             appended += (graph is before and state.size > size)
-            want = CentroidGraph.build(state.sq_dists, p, *key).weights
+            want = CentroidGraph.build(state.centroids, *key).weights
             assert np.array_equal(graph.weights, want)
             for node in (idx, t % state.size):
                 comp, block = graph.block(node)
@@ -654,7 +624,7 @@ class TestCachedGraph:
         # node 2's strongest edge is now exp(-0.01) to node 4
         assert graph.weights[2, 3] == 0.0 and graph.block(2)[0].tolist() == [2, 4]
         assert np.array_equal(graph.weights,
-                              CentroidGraph.build(state.sq_dists, 1, 1.0, True, 0.0).weights)
+                              CentroidGraph.build(state.centroids, 1.0, True, 0.0).weights)
 
     def test_no_append_on_the_step_that_repartitions(self, monkeypatch):
         appended_at = []
@@ -686,17 +656,31 @@ class TestCachedGraph:
         with pytest.raises(InputError, match="sigma"):
             state.graph(sigma, True, eps_cut)
 
-    def test_no_pairwise_distances_after_the_sketch_is_built(self, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("pairwise_sq_dists called")
+    def test_pairwise_distances_only_for_rebuilds_and_repartitions(self, monkeypatch):
+        calls = []
+        pairwise = _kernels.pairwise_sq_dists
 
-        monkeypatch.setattr(_kernels, "pairwise_sq_dists", forbidden)
-        points, labels = _random_stream(4, 200, 3)
+        def counted(*args):
+            calls.append(state.observed)
+            return pairwise(*args)
+
+        monkeypatch.setattr(_kernels, "pairwise_sq_dists", counted)
+        # a small first radius: many appends, several repartitions
+        rng = np.random.default_rng(8)
+        points = np.vstack([[0.0, 0.0], [0.01, 0.0], rng.normal(0.0, 3.0, (200, 2))])
+        labels = np.where(points[:, 0] > 0, 1, -1) * (rng.random(len(points)) < 0.2)
         state = QuantizerState(10, 1.5)
         cfg = GraphConfig(mode="epsilon", sigma=1.0)
+        grown = repartitions = 0
         for x, lab in zip(points, labels):
+            before, size = state._graph, state.size
             predict_online(state, x, int(lab), 0.01, cfg)
-        assert state.radius is not None and state.size <= 10
+            rebuilt = state._graph is not None and state._graph is not before
+            repartitioned = state.last_repartition is not None
+            assert calls.count(state.observed) == rebuilt + repartitioned
+            grown += not rebuilt and state.size > size
+            repartitions += repartitioned
+        assert grown > 0 and repartitions > 0
 
     @given(st.integers(0, 2**32 - 1), st.integers(4, 40), st.integers(1, 3),
            st.sampled_from([0.3, 1.0]))
