@@ -106,6 +106,8 @@ def _sample_mixture(cm: ClassMixture, n: int, rng: PortableRng) -> np.ndarray:
 def gen_gauss_mixture(spec: MixtureSpec, n: int, seed: int) -> PointSet:
     """n labeled draws: class by prior, component by weight, point by its
     Gaussian.  Fully labeled output (labels are the true classes)."""
+    if n < 1:
+        raise InputError(f"n must be >= 1, got {n}")
     rng = PortableRng(seed)
     is_pos = rng.random(n) < spec.prior_pos
     points = np.empty((n, spec.dim))

@@ -316,7 +316,10 @@ def build_graph(ps: PointSet, cfg: GraphConfig) -> SimilarityGraph:
 
 
 def laplacian(g: SimilarityGraph, normalized: bool = False) -> sp.csr_matrix:
-    """D - W, or I - D^{-1/2} W D^{-1/2} in normalized mode."""
+    """The graph Laplacian D - W as CSR, or I - D^{-1/2} W D^{-1/2} in
+    normalized mode, which needs positive degrees; a self-loop cancels in
+    D - W.  This is the library's one D - W.  The harmonic solves never
+    form it: they assemble their systems from W's blocks and the degrees."""
     d = g.degrees
     if not normalized:
         return (sp.diags(d) - g.weights).tocsr()

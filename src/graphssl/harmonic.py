@@ -2,27 +2,33 @@
 
 ``solve_harmonic`` gives the (regularized) harmonic solution on the graph
 W = V W~ V, whose node i stands for v_i replicas (v = 1 by default), with
-L = D - W, in one of two forms:
+row sums d = W 1 and D = diag(d), in one of two forms:
 
 * hard: labeled values are clamped and the unlabeled block is solved as
-  ``(L_uu + gamma_g V_uu) l_u = -L_ul y_l``.  With gamma_g == 0 every
+  ``(D_uu + gamma_g V_uu - W_uu) l_u = W_ul y_l``.  With gamma_g == 0 every
   unlabeled value is the degree-weighted average of its neighbors; with
   gamma_g > 0 a zero-labeled sink shrinks values toward 0 with distance
   from the labels.
 * soft: the fit to pseudo-targets y is a penalty, not a constraint;
-  minimizing ``(l - y)' F V (l - y) + l' (L + gamma_g V) l`` gives the SPD
-  system ``(L + gamma_g V + F V) l = F V y``.
+  minimizing ``(l - y)' F V (l - y) + l' (D - W + gamma_g V) l`` gives the
+  SPD system ``(D + gamma_g V + F V - W) l = F V y``.
+
+Both systems are assembled from W's blocks and its row sums: the diagonal
+is d plus the shifts, minus W's diagonal, so a self-loop cancels.  No
+solve forms the Laplacian D - W; ``graph.laplacian`` is its one builder.
 
 ``hard_harmonic``, ``soft_harmonic``, ``online.compact_harmonic`` and
 ``cad.backbone_cad`` wrap it.  Its hard form is ``solve_clamped``, which
 ``online.predict_online`` also calls directly on a component block of its
 sketch's graph, skipping ``solve_harmonic``'s checks.  Every solve meets the
-relative residual ``DEFAULT_TOL``.  ``solve_spd`` factors a dense system
-(dense weights) or a sparse one (sparse weights) of at most ``DENSE_MAX_N``
-rows by Cholesky, and a larger sparse one by Jacobi-preconditioned conjugate
-gradients, which the badly conditioned hard systems of a small sink gamma_g
-need.  Its conjugate-gradient loop is its own, with scipy ``cg``'s
-arithmetic and bits but without its per-step operator dispatch.
+relative residual ``DEFAULT_TOL``, or, when factored, the normwise backward
+error ``DEFAULT_TOL`` on a system that is not numerically singular.
+``solve_spd`` factors a dense system (dense weights) or a sparse one
+(sparse weights) of at most ``DENSE_MAX_N`` rows by Cholesky, and a larger
+sparse one by Jacobi-preconditioned conjugate gradients, which the badly
+conditioned hard systems of a small sink gamma_g need.  Its
+conjugate-gradient loop is its own, with scipy ``cg``'s arithmetic and bits
+but without its per-step operator dispatch.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpocon, dpotrf, dpotrs
 
 from .errors import DegenerateGraphError, InputError, SolverError
 from .graph import SimilarityGraph, component_labels
@@ -81,8 +87,9 @@ def solve_spd(a, b: np.ndarray) -> np.ndarray:
     A dense ``ndarray`` or a system of at most ``DENSE_MAX_N`` rows is
     solved by dense Cholesky; a larger sparse one by conjugate gradients
     preconditioned with 1/diag(A), capped at 10n iterations.  Either way
-    ||Ax - b|| <= DEFAULT_TOL * ||b|| must hold; otherwise, and for a matrix
-    that is not positive definite, ``SolverError`` is raised.
+    ||Ax - b|| <= DEFAULT_TOL * ||b|| must hold, or, for Cholesky, the
+    backward-error test of ``_backward_stable``; otherwise, and for a
+    matrix that is not positive definite, ``SolverError`` is raised.
     """
     b = np.asarray(b, dtype=np.float64)
     if not sp.issparse(a):
@@ -96,12 +103,14 @@ def solve_spd(a, b: np.ndarray) -> np.ndarray:
     if isinstance(a, np.ndarray) or n <= DENSE_MAX_N:
         # LAPACK's Cholesky called directly, as cho_factor/cho_solve call it
         # (upper factor, no cleaning), without their per-call batching layer
-        factor, info = dpotrf(a if isinstance(a, np.ndarray) else a.toarray(), clean=0)
+        dense = a if isinstance(a, np.ndarray) else a.toarray()
+        factor, info = dpotrf(dense, clean=0)
         if info == 0:
             x, info = dpotrs(factor, b)
         if info != 0:
             raise SolverError("matrix is not positive definite", 1.0)
     else:
+        factor = None
         a = a.tocsr()
         diag = a.diagonal()
         if not np.all(diag > 0):
@@ -110,9 +119,26 @@ def solve_spd(a, b: np.ndarray) -> np.ndarray:
         # residual, not the recurrence CG stops on
         x = _jacobi_pcg(a, b, 1.0 / diag, 0.5 * DEFAULT_TOL * b_norm)
     residual = float(np.linalg.norm(a @ x - b))
-    if not residual <= DEFAULT_TOL * b_norm:
+    if not (residual <= DEFAULT_TOL * b_norm or factor is not None
+            and _backward_stable(dense, factor, x, b_norm, residual)):
         raise SolverError("solution misses the residual tolerance", residual / b_norm)
     return x
+
+
+def _backward_stable(a: np.ndarray, factor: np.ndarray, x: np.ndarray, b_norm: float,
+                     residual: float) -> bool:
+    """Whether x, solved with the upper Cholesky factor of a, stands although
+    its residual misses DEFAULT_TOL * ||b||.  Cholesky is backward stable
+    (Higham, Accuracy and Stability of Numerical Algorithms, sections 7.1
+    and 10.1): a small b beside a large x can leave a residual small only
+    next to ||A|| ||x||.  So accept a normwise backward error (Rigal and
+    Gaches) within DEFAULT_TOL, ||Ax - b|| <= DEFAULT_TOL (||A||_1 ||x|| +
+    ||b||), unless LAPACK's estimate of 1 / cond_1(a) is at most 10 n eps,
+    where x need have no correct digit."""
+    a_norm = float(np.linalg.norm(a, 1))
+    rcond, info = dpocon(factor, a_norm)
+    return (info == 0 and rcond > 10 * a.shape[0] * np.finfo(np.float64).eps
+            and residual <= DEFAULT_TOL * (a_norm * float(np.linalg.norm(x)) + b_norm))
 
 
 def _jacobi_pcg(a, b: np.ndarray, inv_diag: np.ndarray, stop: float) -> np.ndarray:
@@ -141,40 +167,39 @@ def _jacobi_pcg(a, b: np.ndarray, inv_diag: np.ndarray, stop: float) -> np.ndarr
     return x
 
 
-def _laplacian(weights, v):
-    """D - W of W = V weights V (W = weights when v is None): sparse for
-    sparse weights, else dense.  A self-loop cancels in D - W."""
+def _weights(weights, v):
+    """W = V weights V (W = weights when v is None), CSR for sparse
+    weights, else dense, and its row sums d."""
     if sp.issparse(weights):
-        w = weights if v is None else sp.diags(v) @ weights @ sp.diags(v)
-        return (sp.diags(np.asarray(w.sum(axis=1)).ravel()) - w).tocsr()
+        w = (weights if v is None else sp.diags(v) @ weights @ sp.diags(v)).tocsr()
+        return w, np.asarray(w.sum(axis=1)).ravel()
     w = np.asarray(weights, dtype=np.float64)
-    lap = -(w if v is None else v[:, None] * w * v[None, :])
-    np.fill_diagonal(lap, 0.0)
-    np.fill_diagonal(lap, -lap.sum(axis=1))
-    return lap
+    if v is not None:
+        w = v[:, None] * w * v[None, :]
+    return w, w.sum(axis=1)
 
 
 def solve_clamped(weights, y: np.ndarray, gamma_g: float,
                   v: np.ndarray | None = None) -> np.ndarray:
     """Hard harmonic values on W = V weights V (W = weights when v is None):
     the nonzero entries of y stay clamped and the rest solve
-    ``(L_uu + gamma_g V_uu) l_u = W_ul y_l``.  The inputs are not checked:
-    ``solve_harmonic`` checks its own, and online prediction passes one
-    labeled component of its sketch's graph."""
-    lap = _laplacian(weights, v)
+    ``(D_uu + gamma_g V_uu - W_uu) l_u = W_ul y_l``.  The inputs are not
+    checked: ``solve_harmonic`` checks its own, and online prediction
+    passes one labeled component of its sketch's graph."""
+    w, d = _weights(weights, v)
     labeled = y != 0
     u, l = np.flatnonzero(~labeled), np.flatnonzero(labeled)
     values = y.copy()
     if not u.size:
         return values
-    sink = gamma_g * (np.ones(u.size) if v is None else v[u])
-    if sp.issparse(lap):
-        a, b = lap[np.ix_(u, u)] + sp.diags(sink), -lap[np.ix_(u, l)] @ y[l]
+    shift = d[u] + gamma_g * (1.0 if v is None else v[u])
+    rows = w[u]
+    if sp.issparse(rows):
+        a, b = sp.diags(shift) - rows[:, u], rows[:, l] @ y[l]
     else:
         # C-ordered blocks, as np.ix_ gives them (the Cholesky and the
         # product read the layout), in 40% of np.ix_'s time on 75 nodes
-        rows = lap[u]
-        a, b = rows.take(u, axis=1) + np.diag(sink), -rows.take(l, axis=1) @ y[l]
+        a, b = np.diag(shift) - rows.take(u, axis=1), rows.take(l, axis=1) @ y[l]
     values[u] = solve_spd(a, b)
     return values
 
@@ -210,19 +235,19 @@ def solve_harmonic(weights, y: np.ndarray, gamma_g: float, fit: np.ndarray | Non
     fit = np.asarray(fit, dtype=np.float64)
     if fit.shape != (n,) or not np.all(np.isfinite(fit) & (fit > 0)):
         raise InputError("fit weights must be finite and > 0, one per node")
-    lap = _laplacian(weights, mult)
-    diag = sp.diags if sp.issparse(lap) else np.diag
-    return solve_spd(lap + diag(gamma_g * v) + diag(fit * v), fit * v * y)
+    w, d = _weights(weights, mult)
+    diag = sp.diags if sp.issparse(w) else np.diag
+    return solve_spd(diag(d + gamma_g * v + fit * v) - w, fit * v * y)
 
 
 def hard_harmonic(g: SimilarityGraph, labels: np.ndarray, gamma_g: float = 0.0) -> SoftLabels:
-    """Propagate clamped labels; unlabeled block solved against the
-    (optionally sink-regularized) Laplacian."""
+    """Propagate clamped labels; the unlabeled block is solved against the
+    (optionally sink-regularized) Laplacian's unlabeled block."""
     return SoftLabels(solve_harmonic(g.weights, labels, gamma_g))
 
 
 def soft_harmonic(g: SimilarityGraph, y: np.ndarray, cfg: SoftConfig) -> SoftLabels:
-    """Minimize (l - y)' C (l - y) + l' (L + gamma_g I) l.
+    """Minimize (l - y)' C (l - y) + l' (D - W + gamma_g I) l.
 
     Entries of y equal to 0 count as unlabeled and get fit weight c_u;
     nonzero entries get c_l.

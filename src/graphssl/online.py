@@ -42,9 +42,13 @@ from .harmonic import SoftLabels, check_gamma_g, solve_clamped, solve_harmonic
 ABSTAIN = 0
 
 # An edge is also cut when it is below this fraction of the strongest edge
-# at either end.  Weaker edges leave the harmonic system too ill-conditioned
-# for the solver's 1e-10 residual check.  Gaussian weights are at most 1, so
-# this cut moves no weight once eps_cut = 0.1 gamma_g is at least 1e-4.
+# at either end.  A component that hangs on far weaker edges (1e-86 to 1e-11
+# beside weights near 1) makes a small-gamma_g system numerically singular.
+# The cut does not keep every system within the 1e-10 relative residual: an
+# edge just above it can leave a tiny right-hand side beside a condition
+# number near 1e8, a system that ``solve_spd`` accepts by its backward
+# error.  Gaussian weights are at most 1, so this cut moves no weight once
+# eps_cut = 0.1 gamma_g is at least 1e-4.
 RELATIVE_CUT = 1e-4
 
 
@@ -65,8 +69,8 @@ class QuantizerState:
     def __init__(self, capacity: int, growth: float = 1.5):
         if capacity < 2:
             raise InputError("capacity must be at least 2")
-        if not growth > 1:
-            raise InputError("growth factor must exceed 1")
+        if not (np.isfinite(growth) and growth > 1):
+            raise InputError(f"growth factor must be finite and exceed 1, got {growth!r}")
         self.capacity = capacity
         self.growth = growth
         self.radius: float | None = None

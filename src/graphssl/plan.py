@@ -62,8 +62,9 @@ class ExperimentPlan:
                 object.__setattr__(self, name, operator.index(getattr(self, name)))
             except TypeError:
                 raise InputError(f"{name} must be an integer") from None
-        if self.n_runs < 1:
-            raise InputError("n_runs must be >= 1")
+        for name in ("n_samples", "n_runs"):
+            if getattr(self, name) < 1:
+                raise InputError(f"{name} must be >= 1")
         if not self.grid:
             raise InputError("parameter grid must be non-empty")
         for name, values in self.grid.items():
@@ -242,7 +243,10 @@ def _write_cell(plan: ExperimentPlan, params: dict, run: int, seed: int, outdir:
 
 
 def run_plan(plan: ExperimentPlan, threads: int = 1) -> list[CellResult]:
-    """Execute every (grid point, run) cell and write summary.csv."""
+    """Execute every (grid point, run) cell and write summary.csv, on
+    ``threads`` worker threads (0 = all cores)."""
+    if threads < 0:
+        raise InputError(f"threads must be >= 0 (0 = all cores), got {threads}")
     spec = load_dataset_spec(plan.dataset)
     outdir = Path(plan.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

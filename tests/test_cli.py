@@ -461,7 +461,9 @@ _MIXTURE_WITHOUT_POS_MEANS = ("type = mixture\npos.weights = [1.0]\n"
                                   "sigma", "truth_header", "raw_score", "model_fields",
                                   "support_rows", "pos_means", "count", "flip_fraction",
                                   "model_width", "negative_count", "rbf_width",
-                                  "model_coef", "sigma_underflow", "duplicate_grid"])
+                                  "model_coef", "sigma_underflow", "duplicate_grid",
+                                  "negative_n", "negative_n_samples", "negative_threads",
+                                  "infinite_growth"])
 def test_malformed_input_exits_2(tmp_path, capsys, case):
     data = _ssl_input(tmp_path)
     out = str(tmp_path / "out")
@@ -515,6 +517,14 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
                                     "--out", out],
         "duplicate_grid": lambda: ["run-plan", "--config", str(_bad_plan(
             tmp_path, "n_runs = 2\ngrid.lambda = [0.1, 0.1]"))],
+        "negative_n": lambda: ["gen-data", "--n", "-5", "--out", out, "--config",
+                               str(_write_mixture_cfg(tmp_path))],
+        "negative_n_samples": lambda: ["run-plan", "--config",
+                                       str(_bad_plan(tmp_path, "n_samples = -5"))],
+        "negative_threads": lambda: ["--threads", "-3", "run-plan", "--config",
+                                     str(_bad_plan(tmp_path, "n_samples = 40"))],
+        "infinite_growth": lambda: ["online-ssl", "--input", str(data), "--k", "5",
+                                    "--m", "inf", "--out", out],
     }[case]()
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -531,7 +541,9 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
             "model_width": "points have 2 features, the model's support points 3",
             "negative_count": "big_count must be >= 0", "rbf_width": "rbf width 1e-200",
             "model_coef": "m.txt: non-finite number", "sigma_underflow": "sigma=1e-200",
-            "duplicate_grid": "grid.lambda lists 0.1 twice"}[case]
+            "duplicate_grid": "grid.lambda lists 0.1 twice", "negative_n": "n must be >= 1",
+            "negative_n_samples": "n_samples must be >= 1",
+            "negative_threads": "threads must be >= 0", "infinite_growth": "growth factor"}[case]
     assert want in err
 
 

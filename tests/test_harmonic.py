@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
@@ -95,6 +95,9 @@ class TestSolveSpdPaths:
     @given(st.integers(1, 60), st.integers(0, 2**32 - 1), st.sampled_from([1e-6, 1.0]),
            st.booleans())
     @settings(max_examples=40, deadline=None)
+    # cond_1 1.5e7: the relative residual 1.09e-10 misses 1e-10, the
+    # backward error meets it
+    @example(n=53, seed=8388607, shift=1e-6, fortran=False)
     def test_dense_path_bit_identical_to_cho_solve(self, n, seed, shift, fortran):
         # LAPACK's potrf/potrs called directly give cho_factor/cho_solve's bits
         rng = np.random.default_rng(seed)
@@ -131,6 +134,23 @@ class TestSolveSpdPaths:
         lap = laplacian(random_graph(8, 1)).toarray()
         with pytest.raises(SolverError):
             solve_spd(lap, np.arange(8.0))
+
+    def test_near_singular_raises_despite_a_small_backward_error(self):
+        # exactly representable and positive definite, with eigenvalues near
+        # 2 and eps/2: Cholesky's last pivot is sqrt(eps) > 0.  The residual
+        # misses 1e-10 ||b||, but is within 1e-10 (||A||_1 ||x|| + ||b||)
+        # of x ~ 1e16, so only the condition guard rejects it
+        eps = np.finfo(np.float64).eps
+        a = np.array([[1.0, 1.0], [1.0, 1.0 + eps]])
+        b = np.array([1.0, -1.0])
+        x = cho_solve(cho_factor(a), b)
+        residual = np.linalg.norm(a @ x - b)
+        assert residual > harmonic.DEFAULT_TOL * np.linalg.norm(b)
+        assert residual <= harmonic.DEFAULT_TOL * (np.linalg.norm(a, 1) * np.linalg.norm(x)
+                                                   + np.linalg.norm(b))
+        for system in (a, sp.csr_matrix(a)):
+            with pytest.raises(SolverError, match="residual"):
+                solve_spd(system, b)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InputError):

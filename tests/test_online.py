@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components as csgraph_components
 from scipy.sparse.linalg import spsolve
@@ -111,6 +111,11 @@ class TestQuantizer:
 
 
 class TestMaxDistortion:
+    @pytest.mark.parametrize("growth", [1.0, 0.5, np.nan, np.inf])
+    def test_growth_must_be_finite_and_exceed_one(self, growth):
+        with pytest.raises(InputError, match="growth factor"):
+            QuantizerState(5, growth=growth)
+
     def test_geometric_series_values(self):
         state = QuantizerState(4, growth=2.0)
         state.radius = 1.0
@@ -557,6 +562,9 @@ class TestCachedGraph:
     @given(st.integers(0, 2**32 - 1), st.integers(4, 30), st.integers(1, 3),
            st.sampled_from([0.0, 1e-8, 1e-4, 0.01, 0.5]))
     @settings(max_examples=40, deadline=None)
+    # at step 5 a 3x3 system with cond 2e8 and ||b|| = 7e-8 misses the 1e-10
+    # relative residual; its backward error is 6e-17
+    @example(seed=1572, capacity=4, p=2, gamma_g=0.0)
     def test_predictions_match_per_step_rebuild(self, seed, capacity, p, gamma_g):
         points, labels = _random_stream(seed, 80, p)
         cfg = GraphConfig(mode="epsilon", sigma=1.0)

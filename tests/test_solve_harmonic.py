@@ -168,13 +168,18 @@ class TestCore:
         assert np.max(np.abs(dense - sparse)) <= 1e-12 * np.max(np.abs(sparse))
 
     def test_self_loops_do_not_change_the_solution(self):
+        # hard and soft, with and without multiplicities, on dense and
+        # sparse weights: the loop enters the degree and leaves the diagonal
         w = random_graph(12, 3).dense()
         y = random_labels(12, 3, 3).astype(float)
         looped = w + np.diag(np.arange(12.0))
-        for weights in (w, sp.csr_matrix(w)):
-            base = solve_harmonic(weights, y, 0.1)
-            for loops in (looped, sp.csr_matrix(looped)):
-                assert np.allclose(solve_harmonic(loops, y, 0.1), base, rtol=0, atol=1e-13)
+        for fit, v in [(None, None), (np.where(y != 0, 3.0, 0.2), None),
+                       (None, np.arange(1.0, 13.0)), (np.full(12, 0.5), np.arange(1.0, 13.0))]:
+            for weights in (w, sp.csr_matrix(w)):
+                base = solve_harmonic(weights, y, 0.1, fit, v)
+                for loops in (looped, sp.csr_matrix(looped)):
+                    got = solve_harmonic(loops, y, 0.1, fit, v)
+                    assert np.allclose(got, base, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("gamma_g", [-0.01, np.nan, np.inf, -np.inf])
     def test_gamma_rejected_on_every_system(self, gamma_g):
