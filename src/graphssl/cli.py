@@ -116,10 +116,17 @@ def _dump_model(path: str, clf: CutClassifier) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _numbers(text: str, convert) -> list:
+    """The comma-separated values of a model field; an empty field has none."""
+    return [convert(v) for v in text.split(",")] if text else []
+
+
 def _load_model(path: str) -> CutClassifier:
-    """A model file written by _dump_model; a missing field, a bad or
-    non-finite number or a support block, coefficient or retained list of
-    the wrong size raises InputError."""
+    """A model file written by _dump_model: s support rows and s
+    coefficients, and r >= s retained indices (files written before support
+    points were cut to the nonzero coefficients have s = r).  A missing
+    field, a bad or non-finite number or a support block, coefficient or
+    retained list of the wrong size raises InputError."""
     lines = Path(path).read_text().strip().splitlines()
     fields = {}
     i = 0
@@ -135,16 +142,16 @@ def _load_model(path: str) -> CutClassifier:
         raise InputError(f"{path}: model file lacks {', '.join(missing)}")
     try:
         n, p = (int(v) for v in fields["support"].split(","))
-        rows = [[float(v) for v in line.split(",")] for line in lines[i:]]
-        coef = np.array([float(v) for v in fields["coef"].split(",")])
-        retained = np.array([int(v) for v in fields["retained"].split(",")])
+        rows = [_numbers(line, float) for line in lines[i:]]
+        coef = np.array(_numbers(fields["coef"], float))
+        retained = np.array(_numbers(fields["retained"], int), dtype=np.int64)
         bias = float(fields["bias"])
     except ValueError:
         raise InputError(f"{path}: bad number in model file") from None
     if len(rows) != n or any(len(row) != p for row in rows) or coef.size != n \
-            or retained.size != n:
-        raise InputError(f"{path}: model file needs {n} support rows of {p} numbers "
-                         f"and {n} coefficients and retained indices")
+            or retained.size < n:
+        raise InputError(f"{path}: model file needs {n} support rows of {p} numbers, "
+                         f"{n} coefficients and at least {n} retained indices")
     support = np.array(rows).reshape(n, p)
     if not (np.isfinite(bias) and np.all(np.isfinite(coef)) and np.all(np.isfinite(support))):
         raise InputError(f"{path}: non-finite number in model file")

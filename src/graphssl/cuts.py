@@ -70,15 +70,16 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a @ b.T
     if spec.kind == "cubic":
         return (1.0 + a @ b.T) ** 3
-    d2 = _kernels.cross_sq_dists(a, b, np.ones(a.shape[1]))
+    d2 = _kernels.cross_sq_dists(a, b, None)
     np.divide(d2, -2.0 * spec.rbf_width ** 2, out=d2)
     return np.exp(d2, out=d2)
 
 
 @dataclass(frozen=True)
 class CutClassifier:
-    """Representer-form decision function over the retained examples:
-    f(x) = sum_i coef_i k(x_i, x) + bias."""
+    """Representer-form decision function f(x) = sum_i coef_i k(x_i, x) + bias
+    over the support points, the retained examples whose dual variable is
+    nonzero; ``retained_indices`` lists every retained example."""
 
     support_points: np.ndarray
     coefficients: np.ndarray
@@ -197,6 +198,8 @@ def train_maxmargin(points: np.ndarray, y: np.ndarray, kernel: KernelSpec,
 
     Stops when the duality gap falls below GAP_TOL relative to the objective.
     The bias is unregularized and recovered from the free support vectors.
+    Only the points with a nonzero dual variable are kept as support points;
+    ``retained_indices`` still lists all n.
     An r x r kernel above KERNEL_MAX_BYTES raises ``InputError`` before it
     is formed.
     """
@@ -230,9 +233,10 @@ def train_maxmargin(points: np.ndarray, y: np.ndarray, kernel: KernelSpec,
     free = (alpha > 1e-12 * c_box) & (alpha < c_box * (1 - 1e-12))
     if free.any():
         bias = float(np.mean(y_grad[free]))
+    support = np.flatnonzero(alpha)
     return CutClassifier(
-        support_points=points,
-        coefficients=alpha * y,
+        support_points=points[support],
+        coefficients=alpha[support] * y[support],
         bias=float(bias),
         kernel=kernel,
         retained_indices=np.arange(n),

@@ -290,7 +290,12 @@ def draw_dataset(spec, n: int, seed: int,
     draws n points and flips a fraction flip of their labels (flip seed
     seed + 1_000_003): test is None, and the labels and mask are the clean
     labels and flips of the training rows.  A core split ignores n and flip:
-    the labels and mask are the test rows' labels and injected anomalies."""
+    the labels and mask are the test rows' labels and injected anomalies.
+    Either kind rejects an n below 1 or a flip outside [0, 1]."""
+    if n < 1:
+        raise InputError(f"n must be >= 1, got {n}")
+    if not 0 <= flip <= 1:
+        raise InputError(f"flip must be in [0, 1], got {flip!r}")
     if isinstance(spec, MixtureSpec):
         clean = gen_gauss_mixture(spec, n, seed)
         train, mask = flip_labels(clean, flip, seed + 1_000_003)

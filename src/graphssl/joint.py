@@ -10,10 +10,12 @@ labeled points (pinned) and whose remaining k nodes are free centroids:
    label-difference term (the Gaussian similarity linearized around the
    current positions) pushing differently-labeled centroids apart.
 
-Points are finally labeled by their nearest centroid (1-NN).  The backbone
-graph's degree, the outer iteration cap, the outer stopping tolerance and
-the inner step cap are the constants BACKBONE_KNN, MAX_OUTER, CONV_TOL and
-INNER_CAP.
+Every assignment of the n points to their nearest backbone node measures
+only the n x k distances to the free centroids: the distances to the pinned
+nodes, which never move, are measured once per fit.  Points are finally
+labeled by their nearest centroid (1-NN).  The backbone graph's degree, the
+outer iteration cap, the outer stopping tolerance and the inner step cap
+are the constants BACKBONE_KNN, MAX_OUTER, CONV_TOL and INNER_CAP.
 """
 
 from __future__ import annotations
@@ -94,6 +96,26 @@ def _assign(points: np.ndarray, centroids: np.ndarray, psi: np.ndarray) -> np.nd
     return np.argmin(d2, axis=1).astype(np.int64)
 
 
+def _pinned_assigner(points: np.ndarray, pinned: np.ndarray, psi: np.ndarray):
+    """``_assign(points, centroids, psi)`` for backbones whose first m rows
+    are ``pinned``, which never move: their distances are measured here
+    once, and each call of the returned function measures only the n x k
+    distances to the free rows.  A pinned node wins a tie with a free one,
+    as argmin's first index does."""
+    m = pinned.shape[0]
+    rows = np.arange(points.shape[0])
+    d2 = _kernels.cross_sq_dists(points, pinned, psi)
+    near = np.argmin(d2, axis=1).astype(np.int64)
+    near_d2 = d2[rows, near]
+
+    def assign(centroids: np.ndarray) -> np.ndarray:
+        dist = _kernels.cross_sq_dists(points, centroids[m:], psi)
+        free = np.argmin(dist, axis=1)
+        return np.where(near_d2 <= dist[rows, free], near, free + m)
+
+    return assign
+
+
 def _backbone_graph(state: BackboneState):
     ps = PointSet(state.centroids, state.node_labels(), state.feature_weights)
     gcfg = GraphConfig(mode="knn", k_neighbors=min(BACKBONE_KNN, state.n_nodes - 1),
@@ -122,8 +144,9 @@ def _centroid_system(state: BackboneState, cfg: JointConfig, points: np.ndarray)
     lab = state.soft_labels
     q = (lab[:, None] - lab[None, :]) ** 2 / ((total ** 2) * (state.sigma ** 2))
     counts = np.bincount(state.assignment, minlength=total).astype(np.float64)
-    sums = np.zeros((total, points.shape[1]))
-    np.add.at(sums, state.assignment, points)
+    # bincount adds in point order, as np.add.at does, in a sixth of its time
+    sums = np.column_stack([np.bincount(state.assignment, weights=col, minlength=total)
+                            for col in points.T])
 
     free = np.arange(m, total)
     a = q[np.ix_(free, free)].T.copy()          # a[j, b] = q[b, j]
@@ -172,7 +195,7 @@ def quantization_surrogate(state: BackboneState, cfg: JointConfig,
     lab = state.soft_labels
     total = state.n_nodes
     c = state.centroids
-    d2 = _kernels.pairwise_sq_dists(c, np.ones(c.shape[1]))
+    d2 = _kernels.pairwise_sq_dists(c, None)
     spread = float(((lab[:, None] - lab[None, :]) ** 2 * d2).sum())
     spread *= -1.0 / (2.0 * (state.sigma ** 2) * total ** 2)
     pull = cfg.gamma_q / points.shape[0] * float(
@@ -227,13 +250,14 @@ def elastic_joint(ps: PointSet, cfg: JointConfig, seed: int) -> BackboneState:
     else:
         seeds = ps.points[unlabeled_idx[rng.choice(unlabeled_idx.size, cfg.k)]]
     centroids = np.vstack([ps.points[labeled_idx], seeds])
+    assign = _pinned_assigner(ps.points, centroids[:m], ps.feature_weights)
 
     state = BackboneState(
         centroids=centroids,
         pinned_labels=ps.labels[labeled_idx].copy(),
         soft_labels=np.concatenate([ps.labels[labeled_idx].astype(np.float64),
                                     np.zeros(cfg.k)]),
-        assignment=_assign(ps.points, centroids, ps.feature_weights),
+        assignment=assign(centroids),
         sigma=sigma,
         feature_weights=ps.feature_weights,
     )
@@ -244,10 +268,10 @@ def elastic_joint(ps: PointSet, cfg: JointConfig, seed: int) -> BackboneState:
         state.objective_trace.append(obj)
         for _ in range(INNER_CAP):
             state.centroids = quantization_step(state, cfg, ps.points, ps.feature_weights)
-            new_assign = _assign(ps.points, state.centroids, ps.feature_weights)
+            new_assign = assign(state.centroids)
             reseeded = _reseed_empty(state.centroids, m, new_assign, pool, ps.feature_weights)
             if reseeded:
-                new_assign = _assign(ps.points, state.centroids, ps.feature_weights)
+                new_assign = assign(state.centroids)
             changed = bool(np.any(new_assign != state.assignment)) or reseeded
             state.assignment = new_assign
             if not changed:

@@ -143,8 +143,7 @@ class QuantizerState:
     def _place(self, x: np.ndarray, label: int) -> int:
         if self._rows is None:
             return self._append(x, label, np.empty(0))
-        d2 = _kernels.cross_sq_dists(self.centroids, x[None, :],
-                                     np.ones(x.size)).ravel()
+        d2 = _kernels.cross_sq_dists(self.centroids, x[None, :], None).ravel()
         nearest = int(np.argmin(d2))
         if self.radius is None:
             if d2[nearest] == 0.0:
@@ -192,7 +191,7 @@ class QuantizerState:
         centroids, then merge each dropped centroid into its nearest
         survivor.  Returns the old->new index mapping."""
         n = self.size
-        d2 = _kernels.pairwise_sq_dists(self.centroids, np.ones(self._rows.shape[1]))
+        d2 = _kernels.pairwise_sq_dists(self.centroids, None)
         while True:
             self.radius *= self.growth
             r2 = self.radius * self.radius
@@ -295,8 +294,8 @@ class CentroidGraph:
               eps_cut: float) -> CentroidGraph:
         """The graph of the centroids, one per row."""
         p = centroids.shape[1]
-        gauss = gaussian_of_sq_dists(_kernels.pairwise_sq_dists(centroids, np.ones(p)), p,
-                                     sigma, normalize_by_p)
+        gauss = gaussian_of_sq_dists(_kernels.pairwise_sq_dists(centroids, None), p, sigma,
+                                     normalize_by_p)
         np.fill_diagonal(gauss, 0.0)
         return cls((sigma, normalize_by_p, eps_cut), p, gauss)
 
@@ -374,8 +373,9 @@ def predict_online(state: QuantizerState, x: np.ndarray, label: int, gamma_g: fl
     centroid sits in a component with no labeled centroid is treated as
     an outlier and the step abstains.  The graph and the component's
     weight block are the sketch's cached ones, so a step that moves no
-    centroid only solves.  An invalid gamma_g raises before the sketch
-    changes.
+    centroid only solves.  A labeled centroid's value is clamped to its
+    label, so its step predicts that sign without a solve.  An invalid
+    gamma_g raises before the sketch changes.
     """
     check_gamma_g(gamma_g)
     idx = state.observe(x, label)
@@ -385,6 +385,8 @@ def predict_online(state: QuantizerState, x: np.ndarray, label: int, gamma_g: fl
     if graph_cfg.sigma is None:
         raise InputError("online prediction needs an explicit sigma")
     graph = state.graph(graph_cfg.sigma, graph_cfg.normalize_by_p, 0.1 * gamma_g)
+    if labels[idx] != 0:
+        return OnlineStep(int(np.sign(labels[idx])), False, idx)
     comp, weights = graph.block(idx)
     y = labels[comp]
     if not np.any(y != 0):

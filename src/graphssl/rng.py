@@ -88,15 +88,18 @@ class PortableRng:
         return np.minimum((self.random(n) * bound).astype(np.int64), bound - 1)
 
     def shuffle_index(self, n: int) -> np.ndarray:
-        """A permutation of range(n) by Fisher-Yates."""
-        perm = np.arange(n, dtype=np.int64)
+        """A permutation of range(n) by Fisher-Yates: for i from n - 1
+        down to 1, swap entry i with entry min(floor(u * (i + 1)), i) for
+        the next uniform u.  The swap indices are computed at once; the
+        swaps run on a Python list."""
         if n < 2:
-            return perm
-        draws = self.random(n - 1)
-        for i in range(n - 1, 0, -1):
-            j = min(int(draws[n - 1 - i] * (i + 1)), i)
+            return np.arange(n, dtype=np.int64)
+        top = np.arange(n - 1, 0, -1)
+        swaps = np.minimum((self.random(n - 1) * (top + 1)).astype(np.int64), top)
+        perm = list(range(n))
+        for i, j in zip(top.tolist(), swaps.tolist()):
             perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        return np.array(perm, dtype=np.int64)
 
     def choice(self, n: int, k: int) -> np.ndarray:
         """``k`` distinct indices from range(n), in draw order."""

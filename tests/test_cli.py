@@ -7,7 +7,7 @@ import pytest
 from graphssl import (GraphConfig, InputError, PointSet, SoftConfig, build_graph,
                       fit_cad_model, rwcad_scores, rwcad_scores_loo, scale_scores,
                       softhad_score, weighted_knn_scores, weighted_knn_scores_loo)
-from graphssl.cli import main
+from graphssl.cli import _dump_model, _load_model, main
 from graphssl.datasets import default_mixtures, flip_labels, gen_gauss_mixture, load_dataset_spec
 from graphssl.io import (read_points_csv, read_scores_csv, read_truth_csv,
                          write_points_csv, write_scores_csv)
@@ -146,6 +146,51 @@ class TestMmgc:
         rows = preds.read_text().strip().splitlines()[1:]
         signs = np.array([int(r.split(",")[2]) for r in rows])
         assert np.all(signs[:20] == 1) and np.all(signs[20:] == -1)
+
+    def test_model_file_keeps_only_nonzero_coefficients(self, tmp_path):
+        data = _ssl_input(tmp_path)
+        model = tmp_path / "model.txt"
+        assert main(["mmgc", "--train", str(data), "--gamma", "0.01", "--gamma-g", "1e-6",
+                     "--epsilon", "1e-6", "--kernel", "rbf:1.5", "--graph", "knn:5",
+                     "--out", str(model)]) == 0
+        fields = dict(line.split("=", 1) for line in model.read_text().splitlines()
+                      if "=" in line)
+        s, _ = (int(v) for v in fields["support"].split(","))
+        coef = [float(v) for v in fields["coef"].split(",")]
+        assert len(coef) == s < len(fields["retained"].split(",")) == 40
+        assert 0.0 not in coef
+
+    @pytest.mark.parametrize("kernel", ["linear", "cubic", "rbf:1.5"])
+    def test_old_and_new_model_files_predict_alike(self, tmp_path, kernel):
+        # files written before support points were cut to the nonzero
+        # coefficients list every retained point, zero coefficients included
+        data = _ssl_input(tmp_path)
+        head = f"kernel={kernel}\nbias=0.25\nretained=0,7,20\n"
+        models = {"old": head + "coef=0.5,0,-0.75\nsupport=3,2\n0,0\n1,2\n4,4\n",
+                  "new": head + "coef=0.5,-0.75\nsupport=2,2\n0,0\n4,4\n"}
+        values = {}
+        for name, text in models.items():
+            model, out = tmp_path / f"{name}.txt", tmp_path / f"{name}.csv"
+            model.write_text(text)
+            assert main(["mmgc-predict", "--model", str(model), "--input", str(data),
+                         "--out", str(out)]) == 0
+            rows = [r.split(",") for r in out.read_text().strip().splitlines()[1:]]
+            values[name] = np.array([float(r[1]) for r in rows])
+        assert np.array_equal(np.sign(values["old"]), np.sign(values["new"]))
+        assert np.allclose(values["new"], values["old"], rtol=1e-12, atol=0.0)
+
+    def test_model_without_support_rows_predicts_its_bias(self, tmp_path):
+        data = _ssl_input(tmp_path)
+        model, out = tmp_path / "model.txt", tmp_path / "preds.csv"
+        model.write_text("kernel=rbf:1\nbias=-0.5\nretained=3,9\ncoef=\nsupport=0,2\n")
+        assert main(["mmgc-predict", "--model", str(model), "--input", str(data),
+                     "--out", str(out)]) == 0
+        rows = [r.split(",") for r in out.read_text().strip().splitlines()[1:]]
+        assert len(rows) == 40 and all(r[1:] == ["-0.5", "-1"] for r in rows)
+        clf = _load_model(str(model))
+        again = tmp_path / "again.txt"
+        _dump_model(str(again), clf)
+        assert again.read_text() == model.read_text()
 
 
     def test_cubic_kernel_converges(self, tmp_path):
@@ -463,7 +508,7 @@ _MIXTURE_WITHOUT_POS_MEANS = ("type = mixture\npos.weights = [1.0]\n"
                                   "model_width", "negative_count", "rbf_width",
                                   "model_coef", "sigma_underflow", "duplicate_grid",
                                   "negative_n", "negative_n_samples", "negative_threads",
-                                  "infinite_growth"])
+                                  "infinite_growth", "core_n", "core_flip"])
 def test_malformed_input_exits_2(tmp_path, capsys, case):
     data = _ssl_input(tmp_path)
     out = str(tmp_path / "out")
@@ -525,6 +570,12 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
                                      str(_bad_plan(tmp_path, "n_samples = 40"))],
         "infinite_growth": lambda: ["online-ssl", "--input", str(data), "--k", "5",
                                     "--m", "inf", "--out", out],
+        "core_n": lambda: ["gen-data", "--n", "-5", "--flip", "7", "--out", out,
+                           "--out-test", out + "-test", "--config",
+                           _bad_file(tmp_path, "core.cfg", "type = core\n")],
+        "core_flip": lambda: ["gen-data", "--flip", "7", "--out", out, "--out-test",
+                              out + "-test", "--config",
+                              _bad_file(tmp_path, "core.cfg", "type = core\n")],
     }[case]()
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -543,8 +594,11 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
             "model_coef": "m.txt: non-finite number", "sigma_underflow": "sigma=1e-200",
             "duplicate_grid": "grid.lambda lists 0.1 twice", "negative_n": "n must be >= 1",
             "negative_n_samples": "n_samples must be >= 1",
-            "negative_threads": "threads must be >= 0", "infinite_growth": "growth factor"}[case]
+            "negative_threads": "threads must be >= 0", "infinite_growth": "growth factor",
+            "core_n": "n must be >= 1", "core_flip": "flip must be in [0, 1]"}[case]
     assert want in err
+    if case.startswith("core_"):
+        assert not Path(out).exists() and not Path(out + "-test").exists()
 
 
 def test_global_config_supplies_defaults(tmp_path):

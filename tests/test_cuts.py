@@ -204,7 +204,7 @@ class TestTrainMaxMargin:
         clf = train_maxmargin(pts, y, KernelSpec("linear"), gamma=1e-4)
         vals = clf.decision_values(pts)
         assert np.all(y * vals >= 1 - 1e-4)  # zero hinge
-        w = clf.coefficients @ pts
+        w = clf.coefficients @ clf.support_points
         achieved = np.min(y * vals) / np.linalg.norm(w)
 
         # coarse grid-search oracle over direction x offset

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphssl import (BackboneState, GraphConfig, InputError, JointConfig,
                       PointSet, SoftConfig, build_graph, elastic_joint,
@@ -7,7 +9,7 @@ from graphssl import (BackboneState, GraphConfig, InputError, JointConfig,
                       quantization_step, quantization_surrogate, soft_harmonic)
 from graphssl import joint
 from graphssl._kernels import cross_sq_dists
-from graphssl.joint import _assign, _centroid_system, _reseed_empty
+from graphssl.joint import _assign, _centroid_system, _pinned_assigner, _reseed_empty
 
 from _synth import two_arcs
 
@@ -363,3 +365,69 @@ class TestReseed:
                             ps.feature_weights)
         assert got == want == (n_dead > 0)
         assert np.array_equal(centroids, want_state.centroids)
+
+
+@st.composite
+def _backbones(draw):
+    """Points on a small integer grid, pinned nodes on points and free
+    centroids partly on pinned nodes, so exact ties are common."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m, k, p = (draw(st.integers(1, hi)) for hi in (40, 6, 6, 3))
+    points = rng.integers(-2, 3, size=(n, p)).astype(np.float64)
+    pinned = points[rng.integers(0, n, m)]
+    free = rng.integers(-2, 3, size=(k, p)).astype(np.float64)
+    on_pinned = rng.random(k) < 0.5
+    free[on_pinned] = pinned[rng.integers(0, m, int(on_pinned.sum()))]
+    weights = draw(st.sampled_from(["none", "ones", "random"]))
+    psi = {"none": None, "ones": np.ones(p), "random": rng.uniform(0.5, 2.0, p)}[weights]
+    return points, np.vstack([pinned, free]), m, psi
+
+
+class TestPinnedAssigner:
+    @settings(max_examples=300, deadline=None)
+    @given(_backbones())
+    def test_equals_full_argmin_with_ties(self, backbone):
+        points, centroids, m, psi = backbone
+        got = _pinned_assigner(points, centroids[:m], psi)(centroids)
+        want = _assign(points, centroids, psi)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+    def test_free_centroid_on_a_pinned_node_loses_the_tie(self):
+        points = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
+        centroids = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 0.0], [3.0, 0.0]])
+        got = _pinned_assigner(points, centroids[:2], None)(centroids)
+        assert got.tolist() == [0, 0, 1] == _assign(points, centroids, None).tolist()
+
+    def test_each_inner_step_measures_n_times_k_pairs(self, monkeypatch):
+        ps, _ = two_arcs(150, seed=4, labeled_per_class=4)
+        cfg = JointConfig(k=12, sigma=0.4)
+        shapes = []
+
+        def counting(a, b, psi):
+            if a is ps.points:
+                shapes.append((len(a), len(b)))
+            return cross_sq_dists(a, b, psi)
+
+        monkeypatch.setattr(joint._kernels, "cross_sq_dists", counting)
+        elastic_joint(ps, cfg, seed=3)
+        # the pinned nodes once, then n x k pairs per assignment
+        assert shapes[0] == (150, 8)
+        assert len(shapes) > 10 and set(shapes[1:]) == {(150, 12)}
+
+
+def test_centroid_sums_equal_add_at():
+    # np.bincount adds each centroid's points in point order, as np.add.at does
+    rng = np.random.default_rng(6)
+    points = rng.normal(size=(300, 3)) * 10.0 ** rng.uniform(-3, 3, size=3)
+    m, k = 4, 9
+    centroids = points[rng.choice(300, m + k, replace=False)]
+    soft = np.concatenate([[1.0, -1.0, 1.0, -1.0], rng.uniform(-1, 1, k)])
+    state = _state(centroids, [1, -1, 1, -1], soft, points, sigma=0.7)
+    cfg = JointConfig(k=k, gamma_q=50.0)
+    _, rhs = _centroid_system(state, cfg, points)
+    sums = np.zeros((m + k, 3))
+    np.add.at(sums, state.assignment, points)
+    q = (soft[:, None] - soft[None, :]) ** 2 / (((m + k) ** 2) * 0.7 ** 2)
+    want = 2.0 * cfg.gamma_q / 300 * sums[m:] - q[:m, m:].T @ centroids[:m]
+    assert np.array_equal(rhs, want)

@@ -1,6 +1,7 @@
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from graphssl import _kernels
 
@@ -90,6 +91,23 @@ def test_scipy_kernels_match_einsum_reference(inputs):
     assert np.array_equal(_kernels.cross_sq_dists(x, b, psi), _einsum_cross(x, b, psi))
     i, j = np.indices(d.shape).reshape(2, -1)
     assert np.array_equal(_kernels.pair_sq_dists(x, i, j, psi), d.ravel())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 64), st.integers(1, 30), st.integers(1, 12),
+       st.integers(0, 2**32 - 1), st.integers(-3, 3))
+def test_unit_weights_equal_weighted_ones(p, n, m, seed, exponent):
+    # None and all-ones weights take scipy's unweighted kernel
+    rng = np.random.default_rng(seed)
+    x, b = (rng.normal(size=(rows, p)) * 10.0 ** exponent for rows in (n, m))
+    ones = np.ones(p)
+    cross = cdist(x, b, "sqeuclidean", w=ones)
+    pairwise = squareform(pdist(x, "sqeuclidean", w=ones))
+    i, j = np.indices((n, n)).reshape(2, -1)
+    for psi in (None, ones):
+        assert np.array_equal(_kernels.cross_sq_dists(x, b, psi), cross)
+        assert np.array_equal(_kernels.pairwise_sq_dists(x, psi), pairwise)
+        assert np.array_equal(_kernels.pair_sq_dists(x, i, j, psi), pairwise.ravel())
 
 
 def test_integer_input_upcast():

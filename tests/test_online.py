@@ -289,6 +289,11 @@ def rebuilt_step(state, x, label, gamma_g, cfg):
     cg = CompactGraph(w[np.ix_(comp, comp)], np.asarray(state.multiplicities)[comp])
     values = compact_harmonic(cg, labels[comp], gamma_g).values
     value = values[int(np.searchsorted(comp, idx))]
+    if labels[idx] != 0:
+        # a labeled centroid's value is clamped to its label, so
+        # predict_online answers its step without a solve
+        assert value == labels[idx]
+        return int(value), False, idx, None
     return (0 if value == 0.0 else int(np.sign(value))), value == 0.0, idx, values
 
 

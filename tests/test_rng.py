@@ -58,6 +58,27 @@ def test_shuffle_is_permutation():
     assert np.array_equal(np.sort(perm), np.arange(257))
 
 
+def _shuffle_index_loop(rng, n):
+    """Fisher-Yates with one swap index computed per step, as shuffle_index
+    was first written: the reference its vectorized swap indices must match."""
+    perm = np.arange(n, dtype=np.int64)
+    if n < 2:
+        return perm
+    draws = rng.random(n - 1)
+    for i in range(n - 1, 0, -1):
+        j = min(int(draws[n - 1 - i] * (i + 1)), i)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+def test_shuffle_equals_the_swap_loop():
+    for seed in range(50):
+        for n in (0, 1, 2, 3, 17, 256, 2000):
+            got = PortableRng(seed).shuffle_index(n)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, _shuffle_index_loop(PortableRng(seed), n))
+
+
 def test_choice_distinct():
     idx = PortableRng(5).choice(50, 20)
     assert len(set(idx.tolist())) == 20
