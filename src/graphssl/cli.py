@@ -4,6 +4,7 @@ the SSL solvers, CAD scoring, and experiment plans."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -13,7 +14,8 @@ import numpy as np
 from . import io as gio
 from .cad import scale_scores
 from .cuts import CutClassifier, KernelSpec, train_on_induced
-from .datasets import draw_dataset, load_dataset_spec, true_anomaly_scores
+from .datasets import (draw_dataset, load_dataset_spec, parse_config_text,
+                       true_anomaly_scores)
 from .errors import DegenerateGraphError, InputError, SolverError
 from .graph import GraphConfig, build_graph, resolve_sigma
 from .harmonic import SoftConfig, hard_harmonic, soft_harmonic
@@ -324,18 +326,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+_parser = functools.cache(build_parser)
+
+
+def _parse_with_config(argv, config_path: str) -> argparse.Namespace:
+    """``argv`` parsed by a fresh parser whose subcommands take their
+    defaults from the key=value file, so the defaults end with this call."""
+    raw = parse_config_text(Path(config_path).read_text())
+    defaults = {k.replace("-", "_"): v for k, v in raw.items()}
     parser = build_parser()
-    probe, _ = parser.parse_known_args(argv)
-    if getattr(probe, "global_config", None):
-        from .datasets import parse_config_text
-        raw = parse_config_text(Path(probe.global_config).read_text())
-        defaults = {k.replace("-", "_"): v for k, v in raw.items()}
-        for sub_parser in parser.subcommand_parsers.values():
-            known = {a.dest for a in sub_parser._actions}
-            sub_parser.set_defaults(**{k: v for k, v in defaults.items() if k in known})
-    args = parser.parse_args(argv)
+    for sub_parser in parser.subcommand_parsers.values():
+        known = {a.dest for a in sub_parser._actions}
+        sub_parser.set_defaults(**{k: v for k, v in defaults.items() if k in known})
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
+        if args.global_config:
+            args = _parse_with_config(argv, args.global_config)
         if hasattr(args, "sigma"):
             args.sigma_value = _sigma_value(args.sigma)
         return args.func(args)

@@ -9,11 +9,15 @@ from .errors import InputError
 
 def auroc(scores: np.ndarray, truth: np.ndarray) -> float:
     """Area under the ROC curve by the rank-sum formulation:
-    P(score of a random positive > random negative) + 0.5 P(tie)."""
+    P(score of a random positive > random negative) + 0.5 P(tie).
+    A NaN score has no rank and raises ``InputError``; infinities rank."""
     scores = np.asarray(scores, dtype=np.float64)
     truth = np.asarray(truth).astype(bool)
     if scores.shape != truth.shape or scores.ndim != 1:
         raise InputError("scores and truth must be equal-length vectors")
+    nan = np.flatnonzero(np.isnan(scores))
+    if nan.size:
+        raise InputError(f"score {nan[0]} is NaN ({nan.size} in all); a NaN has no rank")
     n_pos = int(truth.sum())
     n_neg = truth.size - n_pos
     if n_pos == 0 or n_neg == 0:

@@ -7,7 +7,8 @@ import pytest
 from graphssl import (GraphConfig, InputError, PointSet, SoftConfig, build_graph,
                       fit_cad_model, rwcad_scores, rwcad_scores_loo, scale_scores,
                       softhad_score, weighted_knn_scores, weighted_knn_scores_loo)
-from graphssl.cli import _dump_model, _load_model, main
+from graphssl import cli
+from graphssl.cli import _dump_model, _load_model, build_parser, main
 from graphssl.datasets import default_mixtures, flip_labels, gen_gauss_mixture, load_dataset_spec
 from graphssl.io import (read_points_csv, read_scores_csv, read_truth_csv,
                          write_points_csv, write_scores_csv)
@@ -508,7 +509,8 @@ _MIXTURE_WITHOUT_POS_MEANS = ("type = mixture\npos.weights = [1.0]\n"
                                   "model_width", "negative_count", "rbf_width",
                                   "model_coef", "sigma_underflow", "duplicate_grid",
                                   "negative_n", "negative_n_samples", "negative_threads",
-                                  "infinite_growth", "core_n", "core_flip"])
+                                  "infinite_growth", "core_n", "core_flip", "nan_score",
+                                  "global_config"])
 def test_malformed_input_exits_2(tmp_path, capsys, case):
     data = _ssl_input(tmp_path)
     out = str(tmp_path / "out")
@@ -576,6 +578,13 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
         "core_flip": lambda: ["gen-data", "--flip", "7", "--out", out, "--out-test",
                               out + "-test", "--config",
                               _bad_file(tmp_path, "core.cfg", "type = core\n")],
+        "nan_score": lambda: ["eval", "--truth", str(truth), "--scores",
+                              _bad_file(tmp_path, "s.csv", "index,raw_score,scaled_score,rank\n"
+                                                           "0,nan,0,1\n1,0.9,1,2\n"),
+                              "--out", out],
+        "global_config": lambda: ["--config", str(tmp_path / "missing.cfg"), "eval",
+                                  "--scores", str(scores), "--truth", str(truth),
+                                  "--out", out],
     }[case]()
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -595,7 +604,8 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
             "duplicate_grid": "grid.lambda lists 0.1 twice", "negative_n": "n must be >= 1",
             "negative_n_samples": "n_samples must be >= 1",
             "negative_threads": "threads must be >= 0", "infinite_growth": "growth factor",
-            "core_n": "n must be >= 1", "core_flip": "flip must be in [0, 1]"}[case]
+            "core_n": "n must be >= 1", "core_flip": "flip must be in [0, 1]",
+            "nan_score": "score 0 is NaN", "global_config": "missing.cfg"}[case]
     assert want in err
     if case.startswith("core_"):
         assert not Path(out).exists() and not Path(out + "-test").exists()
@@ -612,6 +622,39 @@ def test_global_config_supplies_defaults(tmp_path):
                  "--gamma-g", "0.5", "--graph", "knn:3",
                  "--out", str(out_plain)]) == 0
     assert out_with.read_bytes() == out_plain.read_bytes()
+
+
+def test_global_config_defaults_end_with_their_call(tmp_path):
+    mix, cfg = _write_mixture_cfg(tmp_path), tmp_path / "defaults.cfg"
+    cfg.write_text("n = 50\n")
+    with_cfg, without = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["--config", str(cfg), "gen-data", "--config", str(mix),
+                 "--out", str(with_cfg)]) == 0
+    assert main(["gen-data", "--config", str(mix), "--out", str(without)]) == 0
+    assert read_points_csv(with_cfg).n == 50 and read_points_csv(without).n == 1000
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run-plan", "--help"]])
+def test_help_of_cached_parser_matches_a_fresh_parser(capsys, argv):
+    fresh = build_parser()
+    want = (fresh.format_help() if len(argv) == 1
+            else fresh.subcommand_parsers[argv[0]].format_help())
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == want
+
+
+def test_repeated_calls_build_the_parser_once(tmp_path):
+    scores, truth = tmp_path / "scores.csv", tmp_path / "truth.csv"
+    write_scores_csv(scores, np.array([0.1, 0.9]), np.array([0.0, 1.0]))
+    truth.write_text("index,true_label,flipped,true_anomaly_score\n0,1,0,0.2\n1,-1,1,0.8\n")
+    cli._parser.cache_clear()
+    for _ in range(3):
+        assert main(["eval", "--scores", str(scores), "--truth", str(truth),
+                     "--out", str(tmp_path / "m.json")]) == 0
+    assert cli._parser.cache_info().misses == 1 and cli._parser.cache_info().hits == 2
 
 
 def test_unknown_input_path_reports_error(tmp_path, capsys):

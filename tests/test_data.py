@@ -321,6 +321,14 @@ class TestAuroc:
         want = (wins + 0.5 * ties) / (len(pos) * len(neg))
         assert got == pytest.approx(want, abs=1e-15)
 
+    def test_nan_score_rejected_and_infinities_rank(self):
+        truth = np.array([1, 0, 1, 0])
+        for first in (np.nan, 0.5):
+            with pytest.raises(InputError, match="is NaN"):
+                auroc(np.array([first, 0.2, np.nan, 0.1]), truth)
+        assert auroc(np.array([np.inf, -np.inf, 0.5, 0.1]), truth) == 1.0
+        assert auroc(np.array([-np.inf, np.inf, 0.5, 0.1]), truth) == 0.25
+
     def test_single_class_rejected(self):
         with pytest.raises(InputError):
             auroc(np.array([0.1, 0.2]), np.array([1, 1]))

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphssl import GraphConfig, InputError, PointSet, build_graph
+import scipy.sparse as sp
+
+from graphssl import GraphConfig, InputError, PointSet, SimilarityGraph, build_graph
 from graphssl.io import (fmt17, read_points_csv, write_edge_list, write_metrics_json,
-                         write_points_csv, write_scores_csv, write_soft_labels_csv,
-                         write_trace_csv, write_truth_csv)
+                         write_online_csv, write_points_csv, write_scores_csv,
+                         write_soft_labels_csv, write_trace_csv, write_truth_csv)
+from graphssl.online import OnlineStep
 
 from _synth import random_graph
 
@@ -83,6 +86,14 @@ def _fmt17_trace(path, values):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _fstring_online(path, steps):
+    """write_online_csv as it formatted one f-string per step."""
+    lines = ["t,assigned_centroid,prediction,abstained"]
+    for t, step in enumerate(steps):
+        lines.append(f"{t},{step.centroid},{step.prediction},{int(step.abstained)}")
+    path.write_text("\n".join(lines) + "\n")
+
+
 _SPECIAL = [0.0, -0.0, 5e-324, -2.2250738585072014e-308 / 3, 1.0, -3.0, 2.0**60,
             1e300, float("inf"), float("-inf"), float("nan")]
 _any_float = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=True, allow_infinity=True))
@@ -118,6 +129,67 @@ def test_row_writers_match_fmt17(tmp_path_factory, rows, coords):
     pts = np.array(coords).reshape(-1, 2 if len(coords) % 2 == 0 else 1)
     ps = PointSet(pts, np.resize([1, 0, -1], pts.shape[0]))
     _same_output(tmp, write_points_csv, _fmt17_points, ps)
+
+
+_steps = st.builds(OnlineStep, st.sampled_from([-1, 0, 1]), st.booleans(),
+                   st.integers(0, 10**6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_steps, max_size=25))
+def test_online_writer_matches_fstring_writer(tmp_path_factory, steps):
+    _same_output(tmp_path_factory.mktemp("online"), write_online_csv, _fstring_online, steps)
+
+
+def _with_specials(rng, n, specials):
+    """n floats over many magnitudes with every special value mixed in."""
+    values = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+    values[rng.choice(n, 10 * len(specials), replace=False)] = np.repeat(specials, 10)
+    return values
+
+
+def test_row_writers_match_fmt17_at_2000_rows(tmp_path):
+    n = 2000
+    rng = np.random.default_rng(18)
+    a, b = _with_specials(rng, n, _SPECIAL), _with_specials(rng, n, _SPECIAL)
+    labels = rng.choice([-1, 0, 1], size=n)
+    flipped = rng.random(n) < 0.1
+    _same_output(tmp_path, write_scores_csv, _fmt17_scores, a, b)
+    _same_output(tmp_path, write_truth_csv, _fmt17_truth, labels, flipped, a)
+    _same_output(tmp_path, write_trace_csv, _fmt17_trace, list(b))
+    _same_output(tmp_path, write_soft_labels_csv, _fmt17_soft_labels,
+                 _with_specials(rng, n, [v for v in _SPECIAL if not np.isnan(v)]))
+    finite = [v for v in _SPECIAL if np.isfinite(v)]
+    pts = np.column_stack([_with_specials(rng, n, finite) for _ in range(3)])
+    _same_output(tmp_path, write_points_csv, _fmt17_points, PointSet(pts, labels))
+    steps = [OnlineStep(int(p), bool(ab), int(c)) for p, ab, c in
+             zip(labels, flipped, rng.integers(0, 100, size=n))]
+    _same_output(tmp_path, write_online_csv, _fstring_online, steps)
+    # 2 000 upper-triangle edges; every positive finite special is a weight
+    rows, cols = np.triu_indices(200, 1)
+    pick = rng.choice(rows.size, n, replace=False)
+    weights = np.abs(_with_specials(rng, n, [v for v in finite if v > 0]))
+    upper = sp.coo_matrix((weights, (rows[pick], cols[pick])), shape=(200, 200))
+    g = SimilarityGraph(upper + upper.T)
+    write_edge_list(tmp_path / "got.txt", g)
+    _sorted_tuple_edge_list(tmp_path / "want.txt", g)
+    assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "want.txt").read_bytes()
+    assert len((tmp_path / "got.txt").read_text().splitlines()) == n
+
+
+def test_scores_writer_rejects_columns_of_unequal_length(tmp_path):
+    path = tmp_path / "s.csv"
+    with pytest.raises(InputError, match=r"unequal length \[3, 3, 1, 3\]"):
+        write_scores_csv(path, np.array([0.3, 0.1, 0.2]), np.array([0.5]))
+    assert not path.exists()
+
+
+def test_truth_writer_rejects_columns_of_unequal_length(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(InputError, match=r"unequal length \[3, 3, 3, 2\]"):
+        write_truth_csv(path, np.array([1, -1, 1]), np.array([False, True, False]),
+                        np.array([0.2, 0.8]))
+    assert not path.exists()
 
 
 def _fmt17_metrics_json(path, metrics):
