@@ -12,8 +12,9 @@ Three scorers:
   multiplicity-weighted backbone graph.
 
 rwcad and k-NN share one kernel-mass routine: the row sums of the Gaussian
-kernel between query rows and a class's training points, formed in place on
-each distance block of ``graph.sq_dist_blocks``, so memory is O(block + n).
+kernel exp(-d^2 / (p sigma^2)) between query rows and a class's training
+points, formed in place on each distance block of ``graph.sq_dist_blocks``,
+so memory is O(block + n).
 Leave-one-out (LOO) masses zero the point's own column, and a class volume
 is the sum of its points' LOO masses; both sum in another order than one
 dense kernel, within a relative 1e-14, while test-row masses are
@@ -31,14 +32,14 @@ from . import _kernels
 from .errors import DegenerateGraphError, InputError
 from .graph import (PointSet, SimilarityGraph, gaussian_in_place, resolve_sigma,
                     sq_dist_blocks)
-from .harmonic import SoftConfig, soft_harmonic, solve_harmonic
+from .harmonic import SoftConfig, solve_harmonic
 from .rng import PortableRng
 
 LAMBDA_GRID = tuple(10.0 ** e for e in range(-5, 6))
 
 
 def _kernel_mass(x: np.ndarray, points: np.ndarray, sigma: float, psi: np.ndarray,
-                 normalize_by_p: bool, own: np.ndarray | None = None) -> np.ndarray:
+                 own: np.ndarray | None = None) -> np.ndarray:
     """Row sums of the Gaussian kernel between the rows of x and points,
     formed in place on each graph.sq_dist_blocks block; own[i], when given,
     is a column zeroed in row i before the sum."""
@@ -47,7 +48,7 @@ def _kernel_mass(x: np.ndarray, points: np.ndarray, sigma: float, psi: np.ndarra
         raise InputError(f"query rows have {x.shape[1]} features, training {points.shape[1]}")
     out = np.empty(x.shape[0])
     for rows, w in sq_dist_blocks(x, points, psi):
-        gaussian_in_place(w, x.shape[1], sigma, normalize_by_p)
+        gaussian_in_place(w, x.shape[1], sigma, True)
         if own is not None:
             w[np.arange(w.shape[0]), own[rows]] = 0.0
         out[rows] = w.sum(axis=1)
@@ -58,7 +59,8 @@ def _kernel_mass(x: np.ndarray, points: np.ndarray, sigma: float, psi: np.ndarra
 @dataclass(frozen=True)
 class CadModel:
     """Per-class training points with precomputed graph volumes, class
-    priors, and the regularizer lam."""
+    priors, the regularizer lam, and each class's leave-one-out masses of
+    its own points."""
 
     points_pos: np.ndarray
     points_neg: np.ndarray
@@ -69,16 +71,14 @@ class CadModel:
     lam: float
     sigma: float
     psi: np.ndarray
-    normalize_by_p: bool = True
-    # each class's LOO masses of its own points, set by fit_cad_model
-    _own_masses: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    own_masses: tuple = field(repr=False, compare=False)
 
     def masses(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Kernel mass of each query row against each class."""
         return self._mass(x, self.points_pos), self._mass(x, self.points_neg)
 
     def _mass(self, x, points) -> np.ndarray:
-        return _kernel_mass(x, points, self.sigma, self.psi, self.normalize_by_p)
+        return _kernel_mass(x, points, self.sigma, self.psi)
 
 
 def check_cad_params(lam, priors: str = "empirical") -> np.ndarray:
@@ -95,7 +95,7 @@ def check_cad_params(lam, priors: str = "empirical") -> np.ndarray:
 
 
 def fit_cad_model(train: PointSet, lam: float = 0.0, sigma: float | None = None,
-                  normalize_by_p: bool = True, priors: str = "empirical") -> CadModel:
+                  priors: str = "empirical") -> CadModel:
     """Split the training set by class and precompute volumes and priors.
 
     priors: "empirical" uses training class frequencies; "uniform" weighs
@@ -109,18 +109,16 @@ def fit_cad_model(train: PointSet, lam: float = 0.0, sigma: float | None = None,
     if pos.shape[0] == 0 or neg.shape[0] == 0:
         raise DegenerateGraphError("both classes need at least one training point")
     sigma = resolve_sigma(sigma, train.points)
-    own = tuple(_kernel_mass(pts, pts, sigma, train.feature_weights, normalize_by_p,
-                             np.arange(pts.shape[0])) for pts in (pos, neg))
+    own = tuple(_kernel_mass(pts, pts, sigma, train.feature_weights, np.arange(pts.shape[0]))
+                for pts in (pos, neg))
     n_lab = pos.shape[0] + neg.shape[0]
     prior_pos = pos.shape[0] / n_lab if priors == "empirical" else 0.5
-    model = CadModel(
+    return CadModel(
         points_pos=pos, points_neg=neg,
         vol_pos=float(own[0].sum()), vol_neg=float(own[1].sum()),
         prior_pos=prior_pos, prior_neg=1.0 - prior_pos,
-        lam=lam, sigma=sigma, psi=train.feature_weights, normalize_by_p=normalize_by_p,
+        lam=lam, sigma=sigma, psi=train.feature_weights, own_masses=own,
     )
-    object.__setattr__(model, "_own_masses", own)
-    return model
 
 
 def _score_rows(method: str, model: CadModel, x: np.ndarray, y: np.ndarray,
@@ -145,7 +143,7 @@ def _score_rows(method: str, model: CadModel, x: np.ndarray, y: np.ndarray,
     for k, (label, points) in enumerate(((1, model.points_pos), (-1, model.points_neg))):
         m, kept = np.empty(y.size), loo & (y == label)
         if n_loo:
-            m[kept] = model._own_masses[k]
+            m[kept] = model.own_masses[k]
         m[~kept] = model._mass(x[~kept], points)
         masses.append(m)
     m_pos, m_neg = masses
@@ -181,46 +179,35 @@ def weighted_knn_scores(model: CadModel, x: np.ndarray, y: np.ndarray) -> np.nda
 
 
 def rwcad_scores_loo(ps: PointSet, lam: float | np.ndarray, sigma: float | None = None,
-                     normalize_by_p: bool = True, priors: str = "empirical") -> np.ndarray:
+                     priors: str = "empirical") -> np.ndarray:
     """Score every example of a fully labeled set against the rest of the
     set (its own node left out of its class graph).  A 1-D lam gives one
     row of scores per value from a single kernel-mass computation."""
-    model = fit_cad_model(ps, lam, sigma, normalize_by_p, priors)
+    model = fit_cad_model(ps, lam, sigma, priors)
     return _score_rows("rwcad", model, ps.points, ps.labels, n_loo=ps.n)
 
 
-def weighted_knn_scores_loo(ps: PointSet, sigma: float | None = None,
-                            normalize_by_p: bool = True) -> np.ndarray:
-    model = fit_cad_model(ps, 0.0, sigma, normalize_by_p)
+def weighted_knn_scores_loo(ps: PointSet, sigma: float | None = None) -> np.ndarray:
+    model = fit_cad_model(ps, 0.0, sigma)
     return _score_rows("knn", model, ps.points, ps.labels, n_loo=ps.n)
 
 
-def _pm1_labels(y: np.ndarray, method: str) -> np.ndarray:
+def softhad_score(g: SimilarityGraph, y: np.ndarray, cfg: SoftConfig,
+                  multiplicities: np.ndarray | None = None) -> np.ndarray:
+    """|soft harmonic solution - actual label| over a fully labeled +-1
+    graph, every node fitted with weight c_l; scores live in [0, 2], higher
+    is more anomalous.
+
+    With multiplicities, node i stands for multiplicities[i] collapsed
+    examples (a backbone): the solve minimizes
+    (l - y)' c_l V (l - y) + l' (L(VWV) + gamma_g V) l, which reproduces the
+    expanded-graph score exactly when the backbone comes from collapsing
+    duplicate rows.
+    """
     y = np.asarray(y, dtype=np.float64)
     if not np.all(np.isin(y, (-1.0, 1.0))):
-        raise InputError(f"{method} needs a fully labeled +-1 vector")
-    return y
-
-
-def softhad_score(g: SimilarityGraph, y: np.ndarray, cfg: SoftConfig) -> np.ndarray:
-    """|soft harmonic solution - actual label| over a fully labeled graph;
-    scores live in [0, 2], higher is more anomalous."""
-    y = _pm1_labels(y, "softhad")
-    return np.abs(soft_harmonic(g, y, cfg).values - y)
-
-
-def backbone_cad(centroid_graph: SimilarityGraph, multiplicities: np.ndarray,
-                 y: np.ndarray, cfg: SoftConfig) -> np.ndarray:
-    """Soft harmonic scoring on a backbone whose node i stands for
-    multiplicities[i] collapsed examples.
-
-    Minimizes (l - y)' c_l V (l - y) + l' (L(VWV) + gamma_g V) l, which
-    reproduces the expanded-graph score exactly when the backbone comes
-    from collapsing duplicate rows.
-    """
-    y = _pm1_labels(y, "backbone CAD")
-    values = solve_harmonic(centroid_graph.weights, y, cfg.gamma_g, np.full(y.shape, cfg.c_l),
-                            multiplicities)
+        raise InputError("softhad needs a fully labeled +-1 vector")
+    values = solve_harmonic(g.weights, y, cfg.gamma_g, np.full(y.shape, cfg.c_l), multiplicities)
     return np.abs(values - y)
 
 

@@ -22,7 +22,7 @@ from .harmonic import SoftConfig, hard_harmonic, soft_harmonic
 from .joint import JointConfig, elastic_joint, infer_unlabeled
 from .metrics import auroc
 from .online import QuantizerState, predict_online
-from .plan import cad_scores, plan_from_config, run_plan
+from .plan import METHODS, cad_scores, plan_from_config, run_plan
 
 
 def _sigma_value(text) -> float | None:
@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cad", help="conditional anomaly scores")
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
-    p.add_argument("--method", choices=("rwcad", "softhad", "knn"), default="rwcad")
+    p.add_argument("--method", choices=METHODS, default="rwcad")
     p.add_argument("--lambda", dest="lam", type=float, default=0.01)
     p.add_argument("--gamma-g", dest="gamma_g", type=float, default=1.0)
     p.add_argument("--c-l", dest="c_l", type=float, default=1.0)
@@ -329,15 +329,31 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-def _parse_with_config(argv, config_path: str) -> argparse.Namespace:
-    """``argv`` parsed by a fresh parser whose subcommands take their
-    defaults from the key=value file, so the defaults end with this call."""
+def _parse_with_config(argv, config_path: str, command: str) -> argparse.Namespace:
+    """``argv`` parsed by a fresh parser whose ``command`` takes its
+    defaults from the key=value file, so the defaults end with this call.
+    A value's text (a JSON value is dumped back) goes through its option's
+    ``type`` and ``choices``, as on the command line; a value they reject
+    raises ``InputError`` naming the key."""
     raw = parse_config_text(Path(config_path).read_text())
-    defaults = {k.replace("-", "_"): v for k, v in raw.items()}
     parser = build_parser()
-    for sub_parser in parser.subcommand_parsers.values():
-        known = {a.dest for a in sub_parser._actions}
-        sub_parser.set_defaults(**{k: v for k, v in defaults.items() if k in known})
+    sub_parser = parser.subcommand_parsers[command]
+    actions = {a.dest: a for a in sub_parser._actions}
+    defaults = {}
+    for key, value in raw.items():
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            continue
+        text = value if isinstance(value, str) else json.dumps(value)
+        try:
+            value = text if action.type is None else action.type(text)
+            if action.choices is not None and value not in action.choices:
+                raise ValueError
+        except ValueError:
+            raise InputError(f"{config_path}: {key} = {value!r} is not a valid "
+                             f"{action.option_strings[-1]} value") from None
+        defaults[action.dest] = value
+    sub_parser.set_defaults(**defaults)
     return parser.parse_args(argv)
 
 
@@ -345,7 +361,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         if args.global_config:
-            args = _parse_with_config(argv, args.global_config)
+            args = _parse_with_config(argv, args.global_config, args.command)
         if hasattr(args, "sigma"):
             args.sigma_value = _sigma_value(args.sigma)
         return args.func(args)

@@ -210,8 +210,8 @@ def train_maxmargin(points: np.ndarray, y: np.ndarray, kernel: KernelSpec,
         raise InputError("labels must be +-1, one per training point")
     if len(np.unique(y)) < 2:
         raise InputError("training set must contain both classes")
-    if not gamma > 0:
-        raise InputError("gamma must be positive")
+    if not 0 < gamma < np.inf:
+        raise InputError(f"gamma must be finite and positive, got {gamma!r}")
     if 8 * n * n > KERNEL_MAX_BYTES:
         raise InputError(f"the kernel of {n} training points takes {8 * n * n} bytes, "
                          f"above the {KERNEL_MAX_BYTES} the trainer allows")

@@ -118,7 +118,9 @@ class SimilarityGraph:
     """Symmetric nonnegative sparse weight matrix with zero diagonal."""
 
     def __init__(self, weights: sp.spmatrix):
-        w = sp.csr_matrix(weights, dtype=np.float64)
+        # a copy: setdiag and eliminate_zeros would write into the caller's
+        # arrays, which csr_matrix shares with a float64 CSR input
+        w = sp.csr_matrix(weights, dtype=np.float64, copy=True)
         if w.shape[0] != w.shape[1]:
             raise InputError("weight matrix must be square")
         w.setdiag(0.0)

@@ -18,7 +18,7 @@ is d plus the shifts, minus W's diagonal, so a self-loop cancels.  No
 solve forms the Laplacian D - W; ``graph.laplacian`` is its one builder.
 
 ``hard_harmonic``, ``soft_harmonic``, ``online.compact_harmonic`` and
-``cad.backbone_cad`` wrap it.  Its hard form is ``solve_clamped``, which
+``cad.softhad_score`` wrap it.  Its hard form is ``solve_clamped``, which
 ``online.predict_online`` also calls directly on a component block of its
 sketch's graph, skipping ``solve_harmonic``'s checks.  Every solve meets the
 relative residual ``DEFAULT_TOL``, or, when factored, the normwise backward

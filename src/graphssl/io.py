@@ -144,17 +144,10 @@ def read_scores_csv(path: str | Path) -> np.ndarray:
 
 
 def write_metrics_json(path: str | Path, metrics: dict) -> None:
-    def convert(obj):
-        if isinstance(obj, dict):
-            return {k: convert(v) for k, v in sorted(obj.items())}
-        if isinstance(obj, (list, tuple)):
-            return [convert(v) for v in obj]
-        if isinstance(obj, (np.floating, float)):
-            return float(obj)
-        if isinstance(obj, (np.integer,)):
-            return int(obj)
-        return obj
-    Path(path).write_text(json.dumps(convert(metrics), sort_keys=True, indent=2) + "\n")
+    """Keys sorted; a numpy scalar is written as its ``.item()``, and any
+    other type JSON lacks raises TypeError (from the unbound ``item``)."""
+    Path(path).write_text(json.dumps(metrics, sort_keys=True, indent=2,
+                                     default=np.generic.item) + "\n")
 
 
 def write_trace_csv(path: str | Path, values: list[float]) -> None:

@@ -56,6 +56,9 @@ class JointConfig:
     def __post_init__(self):
         if self.k < 1:
             raise InputError("k must be >= 1")
+        for name in ("gamma_q", "f_l", "f_u"):
+            if not np.isfinite(getattr(self, name)):
+                raise InputError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.gamma_q > 0:
             raise InputError("gamma_q must be positive")
         if not (self.f_l > self.f_u > 0):

@@ -116,13 +116,6 @@ class QuantizerState:
         """A copy of the centroids, one per row."""
         return self.centroids.copy()
 
-    def max_distortion(self) -> float:
-        """Upper bound on any observed point's distance to its centroid:
-        the geometric series radius * (1 + 1/m + 1/m^2 + ...)."""
-        if self.radius is None:
-            return 0.0
-        return self.radius * self.growth / (self.growth - 1.0)
-
     def observe(self, x: np.ndarray, label: int = 0) -> int:
         """Fold one point into the sketch; returns its centroid index
         (valid in post-call indexing)."""
@@ -225,7 +218,11 @@ class QuantizerState:
 
 
 def max_distortion(state: QuantizerState) -> float:
-    return state.max_distortion()
+    """Upper bound on any observed point's distance to its centroid:
+    the geometric series radius * (1 + 1/m + 1/m^2 + ...)."""
+    if state.radius is None:
+        return 0.0
+    return state.radius * state.growth / (state.growth - 1.0)
 
 
 @dataclass(frozen=True)

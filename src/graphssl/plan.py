@@ -268,13 +268,12 @@ def run_plan(plan: ExperimentPlan, threads: int = 1) -> list[CellResult]:
 
 def _write_summary(path: Path, plan: ExperimentPlan, points: list[dict],
                    results: list[CellResult]) -> None:
+    """One row per cell and a mean and a variance row per grid point;
+    results are in grid-then-run order, n_runs to a point."""
     keys = sorted(plan.grid)
     lines = ["method," + ",".join(keys) + ",run,seed,status,auroc,n"]
-    by_point: dict[str, list[CellResult]] = {}
-    for res in results:
-        by_point.setdefault(grid_hash(res.params), []).append(res)
-    for params in points:
-        group = sorted(by_point.get(grid_hash(params), []), key=lambda r: r.run)
+    for i, params in enumerate(points):
+        group = results[i * plan.n_runs:(i + 1) * plan.n_runs]
         prefix = plan.method + "," + ",".join(_fmt_param(params[k]) for k in keys)
         for res in group:
             value = gio.fmt17(res.auroc) if res.auroc is not None else ""

@@ -10,7 +10,7 @@ from scipy.stats import spearmanr
 
 from graphssl import (DegenerateGraphError, GraphConfig, InputError,
                       PointSet, SimilarityGraph, SoftConfig,
-                      backbone_cad, build_graph, cad_scores, fit_cad_model,
+                      build_graph, cad_scores, fit_cad_model,
                       rwcad_scores, rwcad_scores_loo, scale_scores, softhad_score,
                       weighted_knn_scores, weighted_knn_scores_loo)
 from graphssl import cad as cad_module
@@ -19,6 +19,7 @@ from graphssl import graph as graph_module
 from graphssl._kernels import cross_sq_dists, pairwise_sq_dists
 from graphssl.cad import LAMBDA_GRID, _kernel_mass
 from graphssl.graph import gaussian_of_sq_dists
+from graphssl.harmonic import DENSE_MAX_N, soft_harmonic, solve_harmonic
 
 
 def _gaussian(xi, xj, sigma):
@@ -38,29 +39,29 @@ def _mirror_training_set():
     return PointSet(pts, labels)
 
 
-def _dense_kernel(ps, sigma, normalize_by_p):
+def _dense_kernel(ps, sigma):
     """The n x n pdist kernel of ps with a zero diagonal."""
     k = gaussian_of_sq_dists(pairwise_sq_dists(ps.points, ps.feature_weights), ps.p, sigma,
-                             normalize_by_p)
+                             True)
     np.fill_diagonal(k, 0.0)
     return k
 
 
-def _cross_kernel(a, b, sigma, psi, normalize_by_p):
+def _cross_kernel(a, b, sigma, psi):
     """The dense Gaussian kernel between the rows of a and b, in one piece."""
-    return gaussian_of_sq_dists(cross_sq_dists(a, b, psi), a.shape[1], sigma, normalize_by_p)
+    return gaussian_of_sq_dists(cross_sq_dists(a, b, psi), a.shape[1], sigma, True)
 
 
-def _dense_reference(ps, sigma, normalize_by_p, x):
+def _dense_reference(ps, sigma, x):
     """Test-only copies of the dense CAD masses that the blocked routine
     replaced: leave-one-out masses as column sums of one n x n kernel,
     each class volume as the sum of one n_c x n_c kernel, and the masses
     of the query rows x as row sums of one cross kernel per class."""
-    k = _dense_kernel(ps, sigma, normalize_by_p)
+    k = _dense_kernel(ps, sigma)
     loo = tuple(k[:, ps.labels == c].sum(axis=1) for c in (1, -1))
     vols = tuple(float(k[np.ix_(ps.labels == c, ps.labels == c)].sum()) for c in (1, -1))
     test = tuple(_cross_kernel(x, ps.points[ps.labels == c], sigma,
-                               ps.feature_weights, normalize_by_p).sum(axis=1)
+                               ps.feature_weights).sum(axis=1)
                  for c in (1, -1))
     return loo, vols, test
 
@@ -139,38 +140,36 @@ def _cad_case(draw):
 
 
 class TestLooMasses:
-    @pytest.mark.parametrize("normalize_by_p", [True, False])
-    def test_pdist_kernel_bit_identical_to_cross_kernel(self, normalize_by_p):
+    def test_pdist_kernel_bit_identical_to_cross_kernel(self):
         # the blocked routine's kernel entries are the pdist kernel's bits:
         # summed over the same contiguous class columns, the dense kernel
         # gives the model's leave-one-out masses exactly
         ps = _random_labeled_set(10, n=80)
-        k = _dense_kernel(ps, 0.7, normalize_by_p)
-        model = fit_cad_model(ps, 0.0, 0.7, normalize_by_p)
-        for c, own, points in ((1, model._own_masses[0], model.points_pos),
-                               (-1, model._own_masses[1], model.points_neg)):
+        k = _dense_kernel(ps, 0.7)
+        model = fit_cad_model(ps, 0.0, 0.7)
+        for c, own, points in ((1, model.own_masses[0], model.points_pos),
+                               (-1, model.own_masses[1], model.points_neg)):
             cols = np.ascontiguousarray(k[:, ps.labels == c])
             assert np.array_equal(own, cols[ps.labels == c].sum(axis=1))
-            other = _kernel_mass(ps.points[ps.labels == -c], points, 0.7,
-                                 ps.feature_weights, normalize_by_p)
+            other = _kernel_mass(ps.points[ps.labels == -c], points, 0.7, ps.feature_weights)
             assert np.array_equal(other, cols[ps.labels == -c].sum(axis=1))
 
-    @given(_cad_case(), st.floats(0.3, 3.0), st.booleans(), st.integers(1, 7))
+    @given(_cad_case(), st.floats(0.3, 3.0), st.integers(1, 7))
     @settings(max_examples=80, deadline=None)
-    def test_blocked_masses_match_dense_reference(self, case, sigma, normalize_by_p, rows):
+    def test_blocked_masses_match_dense_reference(self, case, sigma, rows):
         ps, x, y = case
-        (ref_pos, ref_neg), ref_vols, ref_test = _dense_reference(ps, sigma, normalize_by_p, x)
+        (ref_pos, ref_neg), ref_vols, ref_test = _dense_reference(ps, sigma, x)
         with mock.patch.object(graph_module, "_EXACT_BLOCK", rows * ps.n):
-            model = fit_cad_model(ps, 0.0, sigma, normalize_by_p)
+            model = fit_cad_model(ps, 0.0, sigma)
             test = model.masses(x)
-            loo_knn = weighted_knn_scores_loo(ps, sigma, normalize_by_p)
-            loo_rwcad = rwcad_scores_loo(ps, 0.01, sigma, normalize_by_p)
+            loo_knn = weighted_knn_scores_loo(ps, sigma)
+            loo_rwcad = rwcad_scores_loo(ps, 0.01, sigma)
         # test-row masses are a dense kernel's row sums, bit for bit
         assert all(np.array_equal(got, want) for got, want in zip(test, ref_test))
         # LOO masses: own class from the fit, other class from model.masses
         is_pos = ps.labels == 1
         m_pos, m_neg = model.masses(ps.points)
-        m_pos[is_pos], m_neg[~is_pos] = model._own_masses
+        m_pos[is_pos], m_neg[~is_pos] = model.own_masses
         for got, want in ((m_pos, ref_pos), (m_neg, ref_neg),
                           (model.vol_pos, ref_vols[0]), (model.vol_neg, ref_vols[1])):
             assert np.all(np.abs(got - want) <= REL_TOL * np.abs(want))
@@ -201,7 +200,7 @@ class TestLooMasses:
             model = fit_cad_model(ps, 0.0, 0.7)
             assert all(np.array_equal(a, b) for a, b in zip(model.masses(x), whole.masses(x)))
             assert all(np.array_equal(a, b)
-                       for a, b in zip(model._own_masses, whole._own_masses))
+                       for a, b in zip(model.own_masses, whole.own_masses))
             assert (model.vol_pos, model.vol_neg) == (whole.vol_pos, whole.vol_neg)
 
     def test_empty_query_set(self):
@@ -639,6 +638,31 @@ class TestSoftHad:
             softhad_score(g, np.array([1.0, 0.0, -1.0]), SoftConfig())
 
 
+def _old_backbone_cad(g, multiplicities, y, cfg):
+    """cad.backbone_cad before softhad_score took its body."""
+    values = solve_harmonic(g.weights, y, cfg.gamma_g, np.full(y.shape, cfg.c_l),
+                            multiplicities)
+    return np.abs(values - y)
+
+
+class TestOneSofthadScorer:
+    @given(st.integers(2, 60), st.booleans(), st.integers(1, 8), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.0, 1e-8, 1e-3, 0.1, 1.0, 10.0]), st.floats(0.05, 20.0))
+    @settings(max_examples=60, deadline=None)
+    def test_bit_equal_to_the_scorers_it_replaced(self, n, above_dense, k, seed, gamma_g, c_l):
+        # random k-NN graphs on both sides of the dense-Cholesky cutoff
+        n += DENSE_MAX_N if above_dense else 0
+        rng = np.random.default_rng(seed)
+        ps = PointSet(rng.normal(size=(n, 2)), np.where(rng.random(n) < 0.5, -1, 1))
+        g = build_graph(ps, GraphConfig(mode="knn", k_neighbors=min(k, n - 1), sigma=1.0))
+        y = ps.labels.astype(float)
+        cfg = SoftConfig(gamma_g, c_l, c_l / 4)   # every node is fitted with c_l
+        assert np.array_equal(softhad_score(g, y, cfg),
+                              np.abs(soft_harmonic(g, y, cfg).values - y))
+        v = rng.integers(1, 8, n) + rng.random(n) * (seed % 2)
+        assert np.array_equal(softhad_score(g, y, cfg, v), _old_backbone_cad(g, v, y, cfg))
+
+
 class TestBackboneCad:
     def test_unit_multiplicities_match_softhad(self):
         rng = np.random.default_rng(8)
@@ -647,7 +671,7 @@ class TestBackboneCad:
         g = build_graph(ps, GraphConfig(mode="epsilon", eps_cut=0.0, sigma=1.0))
         cfg = SoftConfig(0.4, 1.0, 1.0)
         y = ps.labels.astype(float)
-        assert np.allclose(backbone_cad(g, np.ones(12), y, cfg),
+        assert np.allclose(softhad_score(g, y, cfg, np.ones(12)),
                            softhad_score(g, y, cfg), atol=1e-10)
 
     def test_duplicated_node_collapse_matches_expanded(self):
@@ -665,7 +689,7 @@ class TestBackboneCad:
 
         g_c = build_graph(PointSet(base, labels),
                           GraphConfig(mode="epsilon", eps_cut=0.0, sigma=1.0))
-        compact = backbone_cad(g_c, mult.astype(float), labels.astype(float), cfg)
+        compact = softhad_score(g_c, labels.astype(float), cfg, mult.astype(float))
         starts = np.concatenate([[0], np.cumsum(mult)[:-1]])
         assert np.max(np.abs(full[starts] - compact)) < 1e-8
 
@@ -680,7 +704,7 @@ class TestBackboneCad:
         y = np.array([1.0, -1.0])
         prev = np.inf
         for mult in (1.0, 10.0, 1e3, 1e7):
-            score = backbone_cad(g, np.array([mult, 1.0]), y, cfg)[0]
+            score = softhad_score(g, y, cfg, np.array([mult, 1.0]))[0]
             assert score <= prev + 1e-12
             prev = score
         assert prev == pytest.approx(gamma / (1.0 + gamma), abs=1e-5)
@@ -699,12 +723,12 @@ class TestBackboneFromSample:
         assert mult.sum() >= ps.n  # counts, floored at one
         cfg = SoftConfig(0.5, 1.0, 1.0)
         g = build_graph(nodes, GraphConfig(mode="epsilon", eps_cut=0.0, sigma=0.8))
-        scores = backbone_cad(g, mult, nodes.labels.astype(float), cfg)
+        scores = softhad_score(g, nodes.labels.astype(float), cfg, mult)
         assert scores.shape == (40,)
         # flipping one backbone label must raise that node's score
         y = nodes.labels.astype(float)
         y[7] = -y[7]
-        flipped_scores = backbone_cad(g, mult, y, cfg)
+        flipped_scores = softhad_score(g, y, cfg, mult)
         assert flipped_scores[7] > scores[7]
 
 

@@ -10,9 +10,10 @@ from graphssl import (GraphConfig, InputError, PointSet, SoftConfig, build_graph
 from graphssl import cli
 from graphssl.cli import _dump_model, _load_model, build_parser, main
 from graphssl.datasets import default_mixtures, flip_labels, gen_gauss_mixture, load_dataset_spec
-from graphssl.io import (read_points_csv, read_scores_csv, read_truth_csv,
+from graphssl.io import (fmt17, read_points_csv, read_scores_csv, read_truth_csv,
                          write_points_csv, write_scores_csv)
-from graphssl.plan import grid_hash, grid_points, plan_from_config, run_plan, score_method
+from graphssl.plan import (_fmt_param, grid_hash, grid_points, plan_from_config, run_plan,
+                           score_method)
 
 
 def _write_mixture_cfg(path: Path) -> Path:
@@ -309,6 +310,28 @@ class TestEval:
         assert metrics["params"] == {"lambda": 0.1}
 
 
+def _regrouping_summary(path, plan, points, results):
+    """plan._write_summary as it grouped the results by grid hash and
+    sorted each group by run."""
+    keys = sorted(plan.grid)
+    lines = ["method," + ",".join(keys) + ",run,seed,status,auroc,n"]
+    by_point = {}
+    for res in results:
+        by_point.setdefault(grid_hash(res.params), []).append(res)
+    for params in points:
+        group = sorted(by_point.get(grid_hash(params), []), key=lambda r: r.run)
+        prefix = plan.method + "," + ",".join(_fmt_param(params[k]) for k in keys)
+        for res in group:
+            value = fmt17(res.auroc) if res.auroc is not None else ""
+            lines.append(f"{prefix},{res.run},{res.seed},{res.status},{value},{res.n}")
+        oks = [r.auroc for r in group if r.status == "ok"]
+        mean = float(np.mean(oks)) if oks else float("nan")
+        var = float(np.var(oks, ddof=1)) if len(oks) > 1 else 0.0
+        lines.append(f"{prefix},mean,,aggregate,{fmt17(mean)},{len(oks)}")
+        lines.append(f"{prefix},variance,,aggregate,{fmt17(var)},{len(oks)}")
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestRunPlan:
     def _plan(self, tmp_path, grid_line="grid.lambda = [0.01, 1.0]", n_runs=2) -> Path:
         mix = _write_mixture_cfg(tmp_path)
@@ -381,6 +404,18 @@ class TestRunPlan:
             trees.append(self._tree(out))
         assert len([k for k in trees[0] if k.endswith("scores.csv")]) == 4 * 2 * 3
         assert trees[0] == trees[1]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_summary_matches_regrouping_writer(self, tmp_path, threads):
+        # lambda -1 fails its cells in the middle of the grid
+        plan = plan_from_config(self._plan(tmp_path, "grid.lambda = [0.01, -1.0, 1.0]\n"
+                                                     "grid.sigma = [0.6, 0.9]", n_runs=3),
+                                outdir=str(tmp_path / "out"))
+        results = run_plan(plan, threads=threads)
+        assert [r.status for r in results] == (["ok"] * 6 + ["failed"] * 6 + ["ok"] * 6)
+        want = tmp_path / "want.csv"
+        _regrouping_summary(want, plan, grid_points(plan.grid), results[::-1])
+        assert (tmp_path / "out" / "summary.csv").read_bytes() == want.read_bytes()
 
     def test_failed_group_marks_every_lambda_cell(self, tmp_path):
         plan = self._plan(tmp_path, "grid.lambda = [0.01, 1.0, 10.0]\ngrid.sigma = [-1.0]")
@@ -510,7 +545,9 @@ _MIXTURE_WITHOUT_POS_MEANS = ("type = mixture\npos.weights = [1.0]\n"
                                   "model_coef", "sigma_underflow", "duplicate_grid",
                                   "negative_n", "negative_n_samples", "negative_threads",
                                   "infinite_growth", "core_n", "core_flip", "nan_score",
-                                  "global_config"])
+                                  "global_config", "config_mode", "config_scale",
+                                  "config_truth_col", "config_n", "config_graph",
+                                  "infinite_gamma", "infinite_gamma_q"])
 def test_malformed_input_exits_2(tmp_path, capsys, case):
     data = _ssl_input(tmp_path)
     out = str(tmp_path / "out")
@@ -519,6 +556,9 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
     truth.write_text("index,true_label,flipped,true_anomaly_score\n0,1,0,0.2\n1,-1,1,0.8\n")
     model = "kernel=linear\nbias=0.1\nretained=0,1\ncoef=1,-1\nsupport=2,2\n0,0\n"
     model_3d = "kernel=rbf:1\nbias=0.1\nretained=0\ncoef=1\nsupport=1,3\n0,0,0\n"
+
+    def config(line):
+        return ["--config", _bad_file(tmp_path, "g.cfg", line + "\n")]
     argv = {
         "label": lambda: ["ssl", "--input", str(_malformed_points(tmp_path, "2,1.7")),
                           "--out", out],
@@ -585,6 +625,20 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
         "global_config": lambda: ["--config", str(tmp_path / "missing.cfg"), "eval",
                                   "--scores", str(scores), "--truth", str(truth),
                                   "--out", out],
+        "config_mode": lambda: [*config("mode = hadr"), "ssl", "--input", str(data),
+                                "--out", out],
+        "config_scale": lambda: [*config("scale = minmx"), "cad", "--train", str(data),
+                                 "--test", str(data), "--out", out],
+        "config_truth_col": lambda: [*config("truth_col = label"), "eval", "--scores",
+                                     str(scores), "--truth", str(truth), "--out", out],
+        "config_n": lambda: [*config("n = 50.5"), "gen-data", "--out", out, "--config",
+                             str(_write_mixture_cfg(tmp_path))],
+        "config_graph": lambda: [*config("graph = 5"), "ssl", "--input", str(data),
+                                 "--out", out],
+        "infinite_gamma": lambda: ["mmgc", "--train", str(data), "--gamma", "inf",
+                                   "--out", out],
+        "infinite_gamma_q": lambda: ["joint-ssl", "--input", str(data), "--k", "3",
+                                     "--gamma-q", "inf", "--out", out],
     }[case]()
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -605,10 +659,17 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
             "negative_n_samples": "n_samples must be >= 1",
             "negative_threads": "threads must be >= 0", "infinite_growth": "growth factor",
             "core_n": "n must be >= 1", "core_flip": "flip must be in [0, 1]",
-            "nan_score": "score 0 is NaN", "global_config": "missing.cfg"}[case]
+            "nan_score": "score 0 is NaN", "global_config": "missing.cfg",
+            "config_mode": "g.cfg: mode = 'hadr'", "config_scale": "g.cfg: scale = 'minmx'",
+            "config_truth_col": "g.cfg: truth_col = 'label'", "config_n": "g.cfg: n = 50.5",
+            "config_graph": "unknown graph spec '5'",
+            "infinite_gamma": "gamma must be finite",
+            "infinite_gamma_q": "gamma_q must be finite"}[case]
     assert want in err
     if case.startswith("core_"):
         assert not Path(out).exists() and not Path(out + "-test").exists()
+    if case.startswith(("config_", "infinite_gamma")):
+        assert not Path(out).exists()
 
 
 def test_global_config_supplies_defaults(tmp_path):
@@ -622,6 +683,18 @@ def test_global_config_supplies_defaults(tmp_path):
                  "--gamma-g", "0.5", "--graph", "knn:3",
                  "--out", str(out_plain)]) == 0
     assert out_with.read_bytes() == out_plain.read_bytes()
+
+
+def test_global_config_json_value_reaches_an_option_as_its_text(tmp_path):
+    scores, truth = tmp_path / "scores.csv", tmp_path / "truth.csv"
+    write_scores_csv(scores, np.array([0.1, 0.9]), np.array([0.0, 1.0]))
+    truth.write_text("index,true_label,flipped,true_anomaly_score\n0,1,0,0.2\n1,-1,1,0.8\n")
+    cfg = tmp_path / "defaults.cfg"
+    cfg.write_text('params = {"lambda": [0.01, 1e-06]}\n')
+    out = tmp_path / "m.json"
+    assert main(["--config", str(cfg), "eval", "--scores", str(scores), "--truth", str(truth),
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["params"] == {"lambda": [0.01, 1e-06]}
 
 
 def test_global_config_defaults_end_with_their_call(tmp_path):

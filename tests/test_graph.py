@@ -306,6 +306,24 @@ class TestConnectedComponents:
             assert np.array_equal(dense_component(w != 0, node), want == want[node])
 
 
+@pytest.mark.parametrize("diagonal", [True, False])
+@pytest.mark.parametrize("kind", ["dense", "csr"])
+def test_similarity_graph_leaves_its_input_unchanged(kind, diagonal):
+    # every diagonal entry stored: scipy then zeroes them in place
+    w = np.array([[1.0, 2.0, 0.0], [2.0, 3.0, 0.5], [0.0, 0.5, 4.0]])
+    if not diagonal:
+        np.fill_diagonal(w, 0.0)
+    given_w = w if kind == "dense" else sp.csr_matrix(w)
+    arrays = ([w] if kind == "dense"
+              else [given_w.data, given_w.indices, given_w.indptr])
+    before = [a.copy() for a in arrays]
+    g = SimilarityGraph(given_w)
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
+    assert kind == "dense" or given_w.nnz == (7 if diagonal else 4)
+    assert np.array_equal(g.dense(), w - np.diag(np.diag(w)))
+    assert g.degrees.tolist() == [2.0, 2.5, 0.5]
+
+
 def test_similarity_graph_validate_passes_for_built_graphs():
     g = random_graph(12, 1)
     g.validate()

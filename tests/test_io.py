@@ -222,6 +222,52 @@ def test_metrics_json_matches_fmt17_round_trip(tmp_path_factory, floats, value, 
     assert (tmp / "got.json").read_bytes() == (tmp / "want.json").read_bytes()
 
 
+def _converting_metrics_json(path, metrics):
+    """write_metrics_json as it converted numpy scalars by recursion."""
+    def convert(obj):
+        if isinstance(obj, dict):
+            return {k: convert(v) for k, v in sorted(obj.items())}
+        if isinstance(obj, (list, tuple)):
+            return [convert(v) for v in obj]
+        if isinstance(obj, (np.floating, float)):
+            return float(obj)
+        if isinstance(obj, (np.integer,)):
+            return int(obj)
+        return obj
+    path.write_text(json.dumps(convert(metrics), sort_keys=True, indent=2) + "\n")
+
+
+_json_leaf = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.integers(), _any_float,
+    _any_float.map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.integers(-2**31, 2**31 - 1).map(np.int32),
+    st.integers(0, 255).map(np.uint8))
+_json_tree = st.recursive(
+    _json_leaf, lambda kids: st.one_of(st.lists(kids, max_size=3),
+                                       st.lists(kids, max_size=3).map(tuple),
+                                       st.dictionaries(st.text(max_size=3), kids, max_size=3)),
+    max_leaves=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.text(max_size=3), _json_tree, max_size=5))
+def test_metrics_json_matches_converting_writer(tmp_path_factory, metrics):
+    tmp = tmp_path_factory.mktemp("metrics")
+    write_metrics_json(tmp / "got.json", metrics)
+    _converting_metrics_json(tmp / "want.json", metrics)
+    assert (tmp / "got.json").read_bytes() == (tmp / "want.json").read_bytes()
+
+
+def test_metrics_json_numpy_bools_and_unknown_types(tmp_path):
+    # a numpy bool is written as a JSON bool (the converting writer raised)
+    path = tmp_path / "m.json"
+    write_metrics_json(path, {"b": [np.bool_(True), np.bool_(False)], "n": np.int64(3)})
+    assert json.loads(path.read_text()) == {"b": [True, False], "n": 3}
+    for bad in ({1, 2}, np.arange(3), object()):
+        with pytest.raises(TypeError):
+            write_metrics_json(path, {"bad": bad})
+
+
 class TestReadPointsCsv:
     def _read(self, tmp_path, text):
         path = tmp_path / "pts.csv"

@@ -89,7 +89,7 @@ class TestQuantizer:
                 np.fill_diagonal(d, np.inf)
                 assert d.min() >= state.radius - 1e-12
             dist = np.sqrt(((stream[:t] - pts[assign]) ** 2).sum(axis=1))
-            assert dist.max() <= state.max_distortion() + 1e-12
+            assert dist.max() <= max_distortion(state) + 1e-12
 
     def test_dimension_mismatch_rejected(self):
         state = QuantizerState(4)
@@ -119,10 +119,10 @@ class TestMaxDistortion:
     def test_geometric_series_values(self):
         state = QuantizerState(4, growth=2.0)
         state.radius = 1.0
-        assert state.max_distortion() == pytest.approx(2.0)
+        assert max_distortion(state) == pytest.approx(2.0)
         state = QuantizerState(4, growth=1.5)
         state.radius = 1.0
-        assert state.max_distortion() == pytest.approx(3.0)
+        assert max_distortion(state) == pytest.approx(3.0)
 
     def test_distortion_bounds_replayed_stream(self):
         rng = np.random.default_rng(5)

@@ -1,9 +1,10 @@
 """The one harmonic core against test-only copies of the four systems it
 replaced: hard_harmonic and soft_harmonic on sparse graphs,
-online.compact_harmonic on dense centroid weights and cad.backbone_cad.
+online.compact_harmonic on dense centroid weights and the backbone form of
+cad.softhad_score (the former cad.backbone_cad).
 
 The hard, soft and compact outputs must be bit-identical to the copies.
-backbone_cad used to add its diagonal as (gamma_g + c_l) v on dense
+The backbone form used to add its diagonal as (gamma_g + c_l) v on dense
 weights; the core adds gamma_g v and then c_l v on the graph's sparse
 weights, so its scores may differ in the last bits, and above
 DENSE_MAX_N nodes by what the conjugate-gradient solve leaves.
@@ -18,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphssl import (CompactGraph, DegenerateGraphError, InputError, SimilarityGraph,
-                      SoftConfig, backbone_cad, compact_harmonic, hard_harmonic, laplacian,
-                      soft_harmonic, solve_harmonic, solve_spd)
+                      SoftConfig, compact_harmonic, hard_harmonic, laplacian,
+                      soft_harmonic, softhad_score, solve_harmonic, solve_spd)
 from graphssl.harmonic import DENSE_MAX_N, solve_clamped
 
 from _synth import random_graph, random_labels
@@ -132,7 +133,7 @@ class TestCoreMatchesOldAssemblies:
         v = rng.integers(1, 8, n).astype(float)
         y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
         cfg = SoftConfig(gamma_g, c_l, c_l)
-        got = backbone_cad(g, v, y, cfg)
+        got = softhad_score(g, y, cfg, v)
         assert np.max(np.abs(got - reference_backbone(g, v, y, cfg))) <= 1e-12
 
     def test_backbone_forms_no_dense_weights(self):
@@ -146,7 +147,7 @@ class TestCoreMatchesOldAssemblies:
         cfg = SoftConfig(1e-2, 1.0, 1.0)
         want = reference_backbone(g, v, y, cfg)
         with mock.patch.object(SimilarityGraph, "dense", side_effect=AssertionError("dense")):
-            got = backbone_cad(g, v, y, cfg)
+            got = softhad_score(g, y, cfg, v)
         assert np.max(np.abs(got - want)) <= 1e-9
 
 
