@@ -332,17 +332,25 @@ _parser = functools.cache(build_parser)
 def _parse_with_config(argv, config_path: str, command: str) -> argparse.Namespace:
     """``argv`` parsed by a fresh parser whose ``command`` takes its
     defaults from the key=value file, so the defaults end with this call.
-    A value's text (a JSON value is dumped back) goes through its option's
-    ``type`` and ``choices``, as on the command line; a value they reject
-    raises ``InputError`` naming the key."""
+    A key names an option by its dest (``gamma_g``, ``lam``) or by its name
+    (``gamma-g``, ``lambda``).  A value's text (a JSON value is dumped back)
+    goes through its option's ``type`` and ``choices``, as on the command
+    line; a value they reject raises ``InputError`` naming the key.  A key
+    that names no option of ``command`` is reported on stderr and skipped,
+    since one file may serve several subcommands."""
     raw = parse_config_text(Path(config_path).read_text())
     parser = build_parser()
     sub_parser = parser.subcommand_parsers[command]
-    actions = {a.dest: a for a in sub_parser._actions}
+    actions = {}
+    for action in sub_parser._actions:
+        actions[action.dest] = action
+        actions.update((name.lstrip("-"), action) for name in action.option_strings)
     defaults = {}
     for key, value in raw.items():
-        action = actions.get(key.replace("-", "_"))
+        action = actions.get(key, actions.get(key.replace("-", "_")))
         if action is None:
+            print(f"warning: {config_path}: {key} is not an option of {command}; ignored",
+                  file=sys.stderr)
             continue
         text = value if isinstance(value, str) else json.dumps(value)
         try:

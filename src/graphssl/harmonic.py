@@ -20,7 +20,12 @@ solve forms the Laplacian D - W; ``graph.laplacian`` is its one builder.
 ``hard_harmonic``, ``soft_harmonic``, ``online.compact_harmonic`` and
 ``cad.softhad_score`` wrap it.  Its hard form is ``solve_clamped``, which
 ``online.predict_online`` also calls directly on a component block of its
-sketch's graph, skipping ``solve_harmonic``'s checks.  Every solve meets the
+sketch's graph, skipping ``solve_harmonic``'s checks; there it runs once
+per stream point on blocks of tens of nodes, so its dense branch stays
+lean: it splits the nodes into unlabeled and labeled ones first (nothing
+is assembled when every node is labeled), forms only the unlabeled rows of
+V weights V, in place, and their sums d_u, and builds ``diag(d_u + gamma_g
+v_u) - W_uu`` in the block it cuts from them.  Every solve meets the
 relative residual ``DEFAULT_TOL``, or, when factored, the normwise backward
 error ``DEFAULT_TOL`` on a system that is not numerically singular.
 ``solve_spd`` factors a dense system (dense weights) or a sparse one
@@ -28,11 +33,14 @@ error ``DEFAULT_TOL`` on a system that is not numerically singular.
 sparse one by Jacobi-preconditioned conjugate gradients, which the badly
 conditioned hard systems of a small sink gamma_g need.  Its
 conjugate-gradient loop is its own, with scipy ``cg``'s arithmetic and bits
-but without its per-step operator dispatch.
+but without its per-step operator dispatch.  Residual norms are
+``math.sqrt(r.dot(r))``, the bits of ``np.linalg.norm`` on a real vector
+without its per-call checks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +61,7 @@ DENSE_MAX_N = 400
 
 def check_gamma_g(gamma_g: float) -> None:
     """Raise unless the sink weight gamma_g is finite and >= 0."""
-    if not (np.isfinite(gamma_g) and gamma_g >= 0):
+    if not (math.isfinite(gamma_g) and gamma_g >= 0):
         raise InputError("gamma_g must be finite and >= 0")
 
 
@@ -94,10 +102,11 @@ def solve_spd(a, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     if not sp.issparse(a):
         a = np.asarray(a, dtype=np.float64)
-    n = b.shape[0]
+    n = b.shape[0] if b.ndim == 1 else -1
     if a.shape != (n, n):
         raise InputError("system matrix must be n x n for a length-n right-hand side")
-    b_norm = float(np.linalg.norm(b))
+    # math.sqrt of the dot product has np.linalg.norm's bits on a real vector
+    b_norm = math.sqrt(b.dot(b))
     if b_norm == 0.0:
         return np.zeros(n)
     if isinstance(a, np.ndarray) or n <= DENSE_MAX_N:
@@ -118,7 +127,8 @@ def solve_spd(a, b: np.ndarray) -> np.ndarray:
         # a margin below the tolerance: the final check uses the true
         # residual, not the recurrence CG stops on
         x = _jacobi_pcg(a, b, 1.0 / diag, 0.5 * DEFAULT_TOL * b_norm)
-    residual = float(np.linalg.norm(a @ x - b))
+    r = a @ x - b
+    residual = math.sqrt(r.dot(r))
     if not (residual <= DEFAULT_TOL * b_norm or factor is not None
             and _backward_stable(dense, factor, x, b_norm, residual)):
         raise SolverError("solution misses the residual tolerance", residual / b_norm)
@@ -186,20 +196,31 @@ def solve_clamped(weights, y: np.ndarray, gamma_g: float,
     ``(D_uu + gamma_g V_uu - W_uu) l_u = W_ul y_l``.  The inputs are not
     checked: ``solve_harmonic`` checks its own, and online prediction
     passes one labeled component of its sketch's graph."""
-    w, d = _weights(weights, v)
-    labeled = y != 0
-    u, l = np.flatnonzero(~labeled), np.flatnonzero(labeled)
+    u, l = (y == 0).nonzero()[0], y.nonzero()[0]
     values = y.copy()
     if not u.size:
         return values
-    shift = d[u] + gamma_g * (1.0 if v is None else v[u])
-    rows = w[u]
-    if sp.issparse(rows):
-        a, b = sp.diags(shift) - rows[:, u], rows[:, l] @ y[l]
+    if sp.issparse(weights):
+        w, d = _weights(weights, v)
+        rows = w[u]
+        a = sp.diags(d[u] + gamma_g * (1.0 if v is None else v[u])) - rows[:, u]
+        b = rows[:, l] @ y[l]
     else:
+        # W's unlabeled rows alone, each entry (v_i w_ij) v_j as _weights
+        # forms it, so their sums are d_u
+        rows = np.asarray(weights, dtype=np.float64)[u]
+        if v is not None:
+            rows *= v[u, None]
+            rows *= v
+        shift = rows.sum(axis=1) + gamma_g * (1.0 if v is None else v[u])
         # C-ordered blocks, as np.ix_ gives them (the Cholesky and the
-        # product read the layout), in 40% of np.ix_'s time on 75 nodes
-        a, b = np.diag(shift) - rows.take(u, axis=1), rows.take(l, axis=1) @ y[l]
+        # product read the layout), in 40% of np.ix_'s time on 75 nodes.
+        # a = diag(shift) - W_uu in place: 0 - w as diag(shift) - W_uu
+        # forms it off the diagonal, and (0 - w) + s == s - w on it
+        a = rows.take(u, axis=1)
+        np.subtract(0.0, a, out=a)
+        a.reshape(-1)[::u.size + 1] += shift
+        b = rows.take(l, axis=1) @ y[l]
     values[u] = solve_spd(a, b)
     return values
 

@@ -707,6 +707,53 @@ def test_global_config_defaults_end_with_their_call(tmp_path):
     assert read_points_csv(with_cfg).n == 50 and read_points_csv(without).n == 1000
 
 
+def test_global_config_keys_may_be_option_names(tmp_path, capsys):
+    # cad's --lambda has dest lam: the option name and the dest both set it
+    rng = np.random.default_rng(1)
+    data = tmp_path / "labeled.csv"
+    write_points_csv(data, PointSet(rng.normal(0, 1, (30, 2)), np.where(rng.random(30) < 0.5,
+                                                                        1, -1)))
+    outs = {}
+    for name, text in (("name", "lambda = 0.5\n"), ("dest", "lam = 0.5\n")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        outs[name] = tmp_path / f"{name}.csv"
+        assert main(["--config", str(cfg), "cad", "--train", str(data), "--test", str(data),
+                     "--out", str(outs[name])]) == 0
+    for name, flags in (("flag", ["--lambda", "0.5"]), ("default", [])):
+        outs[name] = tmp_path / f"{name}.csv"
+        assert main(["cad", "--train", str(data), "--test", str(data), *flags,
+                     "--out", str(outs[name])]) == 0
+    assert outs["name"].read_bytes() == outs["dest"].read_bytes() == outs["flag"].read_bytes()
+    assert outs["name"].read_bytes() != outs["default"].read_bytes()
+    assert capsys.readouterr().err == ""
+
+
+def test_global_config_bad_value_under_an_option_name_exits_2(tmp_path, capsys):
+    data = _ssl_input(tmp_path)
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text("lambda = abc\n")
+    out = tmp_path / "out.csv"
+    assert main(["--config", str(cfg), "cad", "--train", str(data), "--test", str(data),
+                 "--out", str(out)]) == 2
+    assert "g.cfg: lambda = 'abc' is not a valid --lambda value" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_global_config_names_each_key_no_option_takes(tmp_path, capsys):
+    # a file shared across subcommands still runs: each ignored key is named
+    data = _ssl_input(tmp_path)
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("gama_g = 0.5\nseed = 3\nk = 4\ngamma_g = 0.25\n")
+    with_cfg, plain = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["--config", str(cfg), "ssl", "--input", str(data), "--out", str(with_cfg)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"warning: {cfg}: {key} is not an option of ssl; ignored"
+                   for key in ("gama_g", "seed", "k")]
+    assert main(["ssl", "--input", str(data), "--gamma-g", "0.25", "--out", str(plain)]) == 0
+    assert with_cfg.read_bytes() == plain.read_bytes()
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["run-plan", "--help"]])
 def test_help_of_cached_parser_matches_a_fresh_parser(capsys, argv):
     fresh = build_parser()

@@ -17,7 +17,7 @@ from graphssl import (CompactGraph, DegenerateGraphError, GraphConfig, InputErro
                       predict_online)
 from graphssl import _kernels
 from graphssl import online as online_module
-from graphssl.graph import gaussian_of_sq_dists
+from graphssl.graph import component_labels, gaussian_of_sq_dists
 from graphssl.harmonic import solve_clamped
 from graphssl.online import RELATIVE_CUT, CentroidGraph
 
@@ -108,6 +108,59 @@ class TestQuantizer:
         state = QuantizerState(3)
         assert state.observe(np.array([1.0, 1.0]), 1) == 0
         assert state.centroid_labels == [1] and state.observed == 1
+
+
+def _snapshot(state):
+    return (state.size, state.observed, state.radius, state.multiplicities,
+            state.centroid_labels, state.label_conflicts, state.last_repartition,
+            state.centroid_matrix().tolist(), state._labeled)
+
+
+class TestRejectedInput:
+    """What the sketch cannot hold raises InputError and changes nothing."""
+
+    @pytest.mark.parametrize("capacity", [2.5, np.inf, np.nan, 1, "8", True])
+    def test_capacity_must_be_an_integer_of_at_least_2(self, capacity):
+        with pytest.raises(InputError, match="capacity"):
+            QuantizerState(capacity)
+
+    def test_integer_capacities_of_any_integer_type_accepted(self):
+        for capacity in (2, np.int64(5), np.int32(7)):
+            state = QuantizerState(capacity)
+            state.observe(np.zeros(2))
+            assert state.capacity == capacity and state.size == 1
+
+    # any dimension fits an empty sketch
+    @pytest.mark.parametrize("point, match, before", [
+        (point, match, before) for point, match in (
+            ([np.nan, 0.0], "finite"), ([0.0, np.inf], "finite"), ([-np.inf, 1.0], "finite"),
+            ([], "feature"), ([0.0, 0.0, 0.0], "dimension"))
+        for before in (0, 1, 7) if before or match != "dimension"])
+    def test_bad_point_leaves_the_sketch_unchanged(self, point, match, before):
+        state = QuantizerState(4)
+        for x, lab in zip(np.random.default_rng(3).normal(0, 2, (before, 2)), [1, -1, 0] * 3):
+            state.observe(x, lab)
+        if before:
+            state.graph(1.0, True, 0.0)
+        graph, want = state._graph, _snapshot(state)
+        with pytest.raises(InputError, match=match):
+            state.observe(np.array(point))
+        assert _snapshot(state) == want and state._graph is graph
+        with pytest.raises(InputError, match=match):
+            predict_online(state, np.array(point), 1, 0.1, GraphConfig(sigma=1.0))
+        assert _snapshot(state) == want and state._graph is graph
+
+    def test_finite_points_after_a_rejected_nan_still_predict(self):
+        # a NaN centroid used to make every later solve miss its residual
+        cfg = GraphConfig(mode="epsilon", sigma=1.0)
+        state, ref = QuantizerState(8), QuantizerState(8)
+        points, labels = _random_stream(4, 40, 2)
+        for t, (x, lab) in enumerate(zip(points, labels)):
+            if t == 5:
+                with pytest.raises(InputError):
+                    predict_online(state, np.array([np.nan, 1.0]), 0, 0.01, cfg)
+            assert predict_online(state, x, int(lab), 0.01, cfg) == \
+                predict_online(ref, x, int(lab), 0.01, cfg)
 
 
 class TestMaxDistortion:
@@ -468,6 +521,28 @@ def _random_stream(seed, n, p):
     return points, labels
 
 
+def _replay_with_random_labels(seed, capacity, p, growth):
+    """Replay a stream whose labels ignore its clusters against
+    ListQuantizer, comparing the sketch's arrays after every step; returns
+    (label conflicts, repartitions)."""
+    points, _ = _random_stream(seed, 150, p)
+    labels = np.random.default_rng(seed).choice([-1, 0, 0, 0, 1], points.shape[0])
+    state, ref = QuantizerState(capacity, growth), ListQuantizer(capacity, growth)
+    repartitions = 0
+    for x, lab in zip(points, labels):
+        assert state.observe(x, int(lab)) == ref.observe(x, int(lab))
+        repartitions += ref.last_repartition is not None
+        assert state.last_repartition == ref.last_repartition
+        assert state.multiplicities == ref.multiplicities
+        assert state.centroid_labels == ref.centroid_labels
+        assert state.label_conflicts == ref.label_conflicts
+        k = len(ref.multiplicities)
+        assert np.array_equal(state._mult[:k], np.array(ref.multiplicities, dtype=np.float64))
+        assert np.array_equal(state._labels[:k], np.array(ref.centroid_labels, dtype=np.float64))
+        assert state._labeled == np.count_nonzero(ref.centroid_labels)
+    return ref.label_conflicts, repartitions
+
+
 class TestDenseOnlineMatchesSparse:
     @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(1, 3),
            st.sampled_from([1.3, 1.5, 2.0]))
@@ -483,6 +558,18 @@ class TestDenseOnlineMatchesSparse:
             assert state.centroid_labels == ref.centroid_labels
             assert state.label_conflicts == ref.label_conflicts
             assert np.array_equal(state.centroids, np.vstack(ref.centroids))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(1, 3),
+           st.sampled_from([1.3, 1.5, 2.0]))
+    @settings(max_examples=40, deadline=None)
+    @example(seed=0, capacity=4, p=1, growth=1.5)
+    def test_array_state_matches_list_quantizer_under_conflicts(self, seed, capacity, p,
+                                                                growth):
+        _replay_with_random_labels(seed, capacity, p, growth)
+
+    def test_random_label_replay_conflicts_and_repartitions(self):
+        conflicts, repartitions = _replay_with_random_labels(0, 4, 1, 1.5)
+        assert conflicts > 0 and repartitions > 0
 
     @given(st.integers(0, 2**32 - 1), st.integers(4, 30), st.integers(1, 3),
            st.sampled_from([0.0, 1e-8, 0.01, 0.5]))
@@ -638,6 +725,46 @@ class TestCachedGraph:
         assert graph.weights[2, 3] == 0.0 and graph.block(2)[0].tolist() == [2, 4]
         assert np.array_equal(graph.weights,
                               CentroidGraph.build(state.centroids, 1.0, True, 0.0).weights)
+
+    def test_one_append_joins_three_components(self, monkeypatch):
+        # a far pair, then three pairs 3 and 3.3 from the origin, over 5 from
+        # each other: at sigma 1 and eps_cut 1e-3 the origin's edges (about
+        # 0.011 and 0.0043) survive and the pairs' mutual ones (1.4e-6 and
+        # less) are cut, so the origin joins three components
+        points = [[20.0, 20.0], [20.1, 20.0]]
+        for angle in np.deg2rad([0.0, 120.0, 240.0]):
+            points += [r * np.array([np.cos(angle), np.sin(angle)]) for r in (3.0, 3.3)]
+        key = (1.0, True, 1e-3)
+        state = QuantizerState(20)
+        for x in points:
+            state.observe(np.asarray(x))
+            graph = state.graph(*key)
+        assert state.size == 8
+        for node in range(8):
+            graph.block(node)           # fill the block cache
+        labels_before = graph._component[:8].copy()
+        relabelled = []
+        label_components = CentroidGraph._label_components
+
+        def spy(g):
+            relabelled.append(g)
+            label_components(g)
+
+        monkeypatch.setattr(CentroidGraph, "_label_components", spy)
+        state.observe(np.zeros(2))
+        assert state.graph(*key) is graph and state.size == 9 and not relabelled
+        want = CentroidGraph.build(state.centroids, *key).weights
+        assert np.array_equal(graph.weights, want)
+        assert np.unique(labels_before[np.flatnonzero(want[8, :8])]).size == 3
+        # the partition of a rebuild's labelling, numbered differently
+        got, rebuilt = graph._component[:9], component_labels(want)
+        assert np.array_equal(got[:, None] == got[None, :], rebuilt[:, None] == rebuilt[None, :])
+        for node in range(9):
+            comp, block = graph.block(node)
+            assert np.array_equal(comp, rebuilt_component(want, node))
+            assert np.array_equal(block, want[np.ix_(comp, comp)])
+        assert graph.block(2)[0].tolist() == list(range(2, 9))
+        assert graph.block(0)[0].tolist() == [0, 1]
 
     def test_no_append_on_the_step_that_repartitions(self, monkeypatch):
         appended_at = []
