@@ -1,8 +1,7 @@
 """Graph-based semi-supervised learning and conditional anomaly detection."""
 
-from .cad import (CadModel, backbone_from_sample, fit_cad_model, rwcad_scores,
-                  rwcad_scores_loo, scale_scores, softhad_score, weighted_knn_scores,
-                  weighted_knn_scores_loo)
+from .cad import (CadModel, fit_cad_model, rwcad_scores, rwcad_scores_loo, scale_scores,
+                  softhad_score, weighted_knn_scores, weighted_knn_scores_loo)
 from .cuts import (CutClassifier, KernelSpec, induce_labels, kernel_matrix,
                    train_maxmargin, train_on_induced)
 from .datasets import (ClassMixture, CoreSpec, CoreTruth, MixtureSpec,

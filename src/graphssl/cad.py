@@ -28,12 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .errors import DegenerateGraphError, InputError
-from .graph import (PointSet, SimilarityGraph, gaussian_in_place, resolve_sigma,
-                    sq_dist_blocks)
+from .graph import PointSet, SimilarityGraph, gaussian_in_place, resolve_sigma, sq_dist_blocks
 from .harmonic import SoftConfig, solve_harmonic
-from .rng import PortableRng
 
 LAMBDA_GRID = tuple(10.0 ** e for e in range(-5, 6))
 
@@ -209,21 +206,6 @@ def softhad_score(g: SimilarityGraph, y: np.ndarray, cfg: SoftConfig,
         raise InputError("softhad needs a fully labeled +-1 vector")
     values = solve_harmonic(g.weights, y, cfg.gamma_g, np.full(y.shape, cfg.c_l), multiplicities)
     return np.abs(values - y)
-
-
-def backbone_from_sample(ps: PointSet, k: int, seed: int) -> tuple[PointSet, np.ndarray]:
-    """Uniformly sample k training points as backbone nodes; each node's
-    multiplicity is the number of training points nearest to it."""
-    if k > ps.n:
-        raise InputError("cannot sample more centroids than points")
-    rng = PortableRng(seed)
-    idx = np.sort(rng.choice(ps.n, k))
-    centroids = ps.points[idx]
-    d2 = _kernels.cross_sq_dists(ps.points, centroids, ps.feature_weights)
-    assign = np.argmin(d2, axis=1)
-    mult = np.bincount(assign, minlength=k).astype(np.float64)
-    mult = np.maximum(mult, 1.0)
-    return PointSet(centroids, ps.labels[idx], ps.feature_weights), mult
 
 
 def scale_scores(train_scores: np.ndarray, raw: np.ndarray) -> np.ndarray:

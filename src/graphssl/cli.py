@@ -72,8 +72,7 @@ def cmd_ssl(args) -> int:
 
 def cmd_online_ssl(args) -> int:
     ps = gio.read_points_csv(args.input)
-    cfg = GraphConfig(mode="epsilon", eps_cut=0.0,
-                      sigma=resolve_sigma(args.sigma_value, ps.points))
+    cfg = GraphConfig(sigma=resolve_sigma(args.sigma_value, ps.points))
     state = QuantizerState(capacity=args.k, growth=args.m)
     steps = []
     for i in range(ps.n):

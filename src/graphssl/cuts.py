@@ -101,8 +101,8 @@ def induce_labels(g: SimilarityGraph, labels: np.ndarray, gamma_g: float,
                   epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """Propagate and keep (index, sign) pairs with confidence >= epsilon;
     originally labeled examples are always retained with their labels."""
-    if epsilon < 0:
-        raise InputError("epsilon must be >= 0")
+    if not epsilon >= 0:
+        raise InputError(f"epsilon must be >= 0, got {epsilon!r}")
     labels = np.asarray(labels, dtype=np.int64)
     sol = hard_harmonic(g, labels, gamma_g)
     confident = np.abs(sol.values) >= epsilon
@@ -208,6 +208,8 @@ def train_maxmargin(points: np.ndarray, y: np.ndarray, kernel: KernelSpec,
     n = points.shape[0]
     if y.shape != (n,) or not np.all(np.isin(y, (-1.0, 1.0))):
         raise InputError("labels must be +-1, one per training point")
+    if not np.isfinite(points).all():
+        raise InputError("training points must be finite")
     if len(np.unique(y)) < 2:
         raise InputError("training set must contain both classes")
     if not 0 < gamma < np.inf:

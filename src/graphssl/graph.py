@@ -133,19 +133,6 @@ class SimilarityGraph:
     def n(self) -> int:
         return self.weights.shape[0]
 
-    def validate(self) -> None:
-        w = self.weights
-        if (w != w.T).nnz != 0:
-            raise InputError("weights must be exactly symmetric")
-        if w.nnz and w.data.min() < 0:
-            raise InputError("weights must be nonnegative")
-        if np.any(w.diagonal() != 0):
-            raise InputError("diagonal must be zero")
-        row_sums = np.asarray(w.sum(axis=1)).ravel()
-        scale = np.maximum(np.abs(row_sums), 1.0)
-        if np.max(np.abs(row_sums - self.degrees) / scale) > 1e-12:
-            raise InputError("stored degrees disagree with row sums")
-
     def dense(self) -> np.ndarray:
         return self.weights.toarray()
 
@@ -173,21 +160,14 @@ def resolve_sigma(sigma: float | None, points: np.ndarray) -> float:
 
 
 def gaussian_in_place(d2: np.ndarray, p: int, sigma: float, normalize_by_p: bool):
-    """exp(-d2 / (p sigma^2)), or exp(-d2 / sigma^2) when normalize_by_p is
-    off, written over the float64 array d2; the one place the divisor is
-    formed, as (p * sigma) * sigma.  d2 / -denom has the bits of -d2 / denom.
-    A divisor that underflows to 0 (0/0 = NaN at d2 = 0) raises InputError."""
+    """The library's only Gaussian form: exp(-d2 / (p sigma^2)), or
+    exp(-d2 / sigma^2) without normalize_by_p, written over the float64 d2
+    (d2 / -denom has the bits of -d2 / denom); InputError if denom is 0."""
     denom = p * sigma * sigma if normalize_by_p else sigma * sigma
     if denom == 0:
         raise InputError(f"sigma={sigma!r} makes the kernel divisor underflow to 0")
     np.divide(d2, -denom, out=d2)
     return np.exp(d2, out=d2)
-
-
-def gaussian_of_sq_dists(d2, p: int, sigma: float, normalize_by_p: bool):
-    """exp(-d2 / (p sigma^2)), or exp(-d2 / sigma^2) when normalize_by_p is
-    off, as a new array; d2 is left as it is."""
-    return gaussian_in_place(np.array(d2, dtype=np.float64), p, sigma, normalize_by_p)
 
 
 # entries of one block of exact distances from sq_dist_blocks (32 MB of float64)
@@ -265,7 +245,7 @@ def _knn_weights(ps: PointSet, k: int, sigma: float, normalize_by_p: bool) -> sp
     key = np.concatenate([rows * n + nbrs.ravel(), nbrs.ravel() * n + rows])
     # both directions of an edge carry the same distance bit for bit
     key, first = np.unique(key, return_index=True)
-    w = gaussian_of_sq_dists(nd.ravel()[first % rows.size], ps.p, sigma, normalize_by_p)
+    w = gaussian_in_place(nd.ravel()[first % rows.size], ps.p, sigma, normalize_by_p)
     keep = w != 0.0
     key, w = key[keep], w[keep]
     indptr = np.searchsorted(key, np.arange(n + 1) * n)
@@ -372,6 +352,4 @@ def connected_components(g: SimilarityGraph) -> list[np.ndarray]:
     if labels.size == 0:
         return []
     order = np.argsort(labels, kind="stable")
-    groups = np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
-    groups.sort(key=lambda a: int(a[0]))
-    return groups
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)

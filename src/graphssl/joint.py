@@ -20,6 +20,7 @@ are the constants BACKBONE_KNN, MAX_OUTER, CONV_TOL and INNER_CAP.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +55,10 @@ class JointConfig:
     kmeans_init: bool = False
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "k", operator.index(self.k))
+        except TypeError:
+            raise InputError(f"k must be an integer, got {self.k!r}") from None
         if self.k < 1:
             raise InputError("k must be >= 1")
         for name in ("gamma_q", "f_l", "f_u"):

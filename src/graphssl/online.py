@@ -49,8 +49,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InputError
-from .graph import (GraphConfig, check_sigma, component_labels, gaussian_in_place,
-                    gaussian_of_sq_dists)
+from .graph import GraphConfig, check_sigma, component_labels, gaussian_in_place
 from .harmonic import SoftLabels, check_gamma_g, solve_clamped, solve_harmonic
 
 ABSTAIN = 0
@@ -340,8 +339,8 @@ class CentroidGraph:
               eps_cut: float) -> CentroidGraph:
         """The graph of the centroids, one per row."""
         p = centroids.shape[1]
-        gauss = gaussian_of_sq_dists(_kernels.pairwise_sq_dists(centroids, None), p, sigma,
-                                     normalize_by_p)
+        gauss = gaussian_in_place(_kernels.pairwise_sq_dists(centroids, None), p, sigma,
+                                  normalize_by_p)
         np.fill_diagonal(gauss, 0.0)
         return cls((sigma, normalize_by_p, eps_cut), p, gauss)
 
@@ -432,7 +431,8 @@ def predict_online(state: QuantizerState, x: np.ndarray, label: int, gamma_g: fl
     weight block are the sketch's cached ones, so a step that moves no
     centroid only solves.  A labeled centroid's value is clamped to its
     label, so its step predicts that sign without a solve.  An invalid
-    gamma_g raises before the sketch changes.
+    gamma_g raises before the sketch changes.  Of graph_cfg only sigma
+    (required) and normalize_by_p are read.
     """
     check_gamma_g(gamma_g)
     idx = state.observe(x, label)

@@ -10,6 +10,8 @@ Normal deviates use the Box-Muller transform (log/cos from libm).
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -77,15 +79,6 @@ class PortableRng:
         out[1::2] = r * np.sin(theta)
         return out[:n]
 
-    def below(self, bound: int, n: int) -> np.ndarray:
-        """Integers in [0, bound); floor-multiply on the 53-bit stream.
-
-        Bias is < bound / 2**53, negligible at the scales used here.
-        """
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        return np.minimum((self.random(n) * bound).astype(np.int64), bound - 1)
-
     def shuffle_index(self, n: int) -> np.ndarray:
         """A permutation of range(n) by Fisher-Yates: for i from n - 1
         down to 1, swap entry i with entry min(floor(u * (i + 1)), i) for
@@ -101,7 +94,11 @@ class PortableRng:
         return np.array(perm, dtype=np.int64)
 
     def choice(self, n: int, k: int) -> np.ndarray:
-        """``k`` distinct indices from range(n), in draw order."""
-        if k > n:
-            raise ValueError("cannot draw more indices than available")
+        """``k`` distinct indices from range(n), in draw order; 0 <= k <= n."""
+        try:
+            k = operator.index(k)
+        except TypeError:
+            raise ValueError(f"k must be an integer, got {k!r}") from None
+        if not 0 <= k <= n:
+            raise ValueError(f"cannot draw {k} distinct indices from {n}")
         return self.shuffle_index(n)[:k]

@@ -18,7 +18,7 @@ from graphssl import plan as plan_module
 from graphssl import graph as graph_module
 from graphssl._kernels import cross_sq_dists, pairwise_sq_dists
 from graphssl.cad import LAMBDA_GRID, _kernel_mass
-from graphssl.graph import gaussian_of_sq_dists
+from graphssl.graph import gaussian_in_place
 from graphssl.harmonic import DENSE_MAX_N, soft_harmonic, solve_harmonic
 
 
@@ -41,15 +41,14 @@ def _mirror_training_set():
 
 def _dense_kernel(ps, sigma):
     """The n x n pdist kernel of ps with a zero diagonal."""
-    k = gaussian_of_sq_dists(pairwise_sq_dists(ps.points, ps.feature_weights), ps.p, sigma,
-                             True)
+    k = gaussian_in_place(pairwise_sq_dists(ps.points, ps.feature_weights), ps.p, sigma, True)
     np.fill_diagonal(k, 0.0)
     return k
 
 
 def _cross_kernel(a, b, sigma, psi):
     """The dense Gaussian kernel between the rows of a and b, in one piece."""
-    return gaussian_of_sq_dists(cross_sq_dists(a, b, psi), a.shape[1], sigma, True)
+    return gaussian_in_place(cross_sq_dists(a, b, psi), a.shape[1], sigma, True)
 
 
 def _dense_reference(ps, sigma, x):
@@ -712,15 +711,16 @@ class TestBackboneCad:
 
 class TestBackboneFromSample:
     def test_sampled_backbone_scores_track_full_solution(self):
-        from graphssl import backbone_from_sample
+        # a backbone of 40 sampled points, each standing for the points
+        # nearest to it
         rng = np.random.default_rng(11)
         pts = np.vstack([rng.normal(0, 0.7, (80, 2)), rng.normal(3, 0.7, (80, 2))])
         labels = np.concatenate([np.ones(80, dtype=int), -np.ones(80, dtype=int)])
-        ps = PointSet(pts, labels)
-        nodes, mult = backbone_from_sample(ps, k=40, seed=3)
-        assert nodes.n == 40
-        assert np.all(mult >= 1)
-        assert mult.sum() >= ps.n  # counts, floored at one
+        idx = np.sort(rng.choice(160, 40, replace=False))
+        nodes = PointSet(pts[idx], labels[idx])
+        mult = np.bincount(cross_sq_dists(pts, nodes.points, None).argmin(axis=1), minlength=40)
+        mult = np.maximum(mult, 1).astype(float)
+        assert mult.sum() >= 160
         cfg = SoftConfig(0.5, 1.0, 1.0)
         g = build_graph(nodes, GraphConfig(mode="epsilon", eps_cut=0.0, sigma=0.8))
         scores = softhad_score(g, nodes.labels.astype(float), cfg, mult)

@@ -547,7 +547,7 @@ _MIXTURE_WITHOUT_POS_MEANS = ("type = mixture\npos.weights = [1.0]\n"
                                   "infinite_growth", "core_n", "core_flip", "nan_score",
                                   "global_config", "config_mode", "config_scale",
                                   "config_truth_col", "config_n", "config_graph",
-                                  "infinite_gamma", "infinite_gamma_q"])
+                                  "infinite_gamma", "infinite_gamma_q", "nan_epsilon"])
 def test_malformed_input_exits_2(tmp_path, capsys, case):
     data = _ssl_input(tmp_path)
     out = str(tmp_path / "out")
@@ -639,6 +639,8 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
                                    "--out", out],
         "infinite_gamma_q": lambda: ["joint-ssl", "--input", str(data), "--k", "3",
                                      "--gamma-q", "inf", "--out", out],
+        "nan_epsilon": lambda: ["mmgc", "--train", str(data), "--gamma", "0.1",
+                                "--epsilon", "nan", "--out", out],
     }[case]()
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -664,7 +666,8 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
             "config_truth_col": "g.cfg: truth_col = 'label'", "config_n": "g.cfg: n = 50.5",
             "config_graph": "unknown graph spec '5'",
             "infinite_gamma": "gamma must be finite",
-            "infinite_gamma_q": "gamma_q must be finite"}[case]
+            "infinite_gamma_q": "gamma_q must be finite",
+            "nan_epsilon": "epsilon must be >= 0, got nan"}[case]
     assert want in err
     if case.startswith("core_"):
         assert not Path(out).exists() and not Path(out + "-test").exists()

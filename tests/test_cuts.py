@@ -163,6 +163,13 @@ class TestInduceLabels:
                        for gamma in (1e-6, 0.1, 1.0, 10.0, 1e4)]
         assert all(b <= a for a, b in zip(sizes_gamma, sizes_gamma[1:]))
 
+    @pytest.mark.parametrize("epsilon", [-1e-9, float("nan"), float("-inf")])
+    def test_epsilon_that_is_not_ge_0_rejected(self, epsilon):
+        # NaN compares false with everything: it kept only the labeled nodes
+        g, labels = self._graph()
+        with pytest.raises(InputError, match="epsilon must be >= 0"):
+            induce_labels(g, labels, 1e-6, epsilon)
+
 
 class TestTrainMaxMargin:
     def test_two_points_give_perpendicular_bisector(self):
@@ -293,6 +300,15 @@ class TestTrainMaxMargin:
     def test_single_class_rejected(self):
         with pytest.raises(InputError):
             train_maxmargin(np.zeros((3, 2)), np.ones(3), KernelSpec("linear"), 1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("rbf", 1.0)])
+    def test_non_finite_point_rejected(self, bad, kernel):
+        # it returned NaN coefficients and decision values
+        pts, y, _ = _two_blobs(0, 5, 3.0)
+        pts[3, 1] = bad
+        with pytest.raises(InputError, match="training points must be finite"):
+            train_maxmargin(pts, y, kernel, 0.1)
 
 
 class TestPredict:

@@ -12,18 +12,18 @@ from graphssl import (DegenerateGraphError, GraphConfig, InputError, PointSet,
                       laplacian, stationary_distribution)
 from graphssl._kernels import cross_sq_dists
 from graphssl.graph import (check_sigma, component_labels, dense_component,
-                            gaussian_of_sq_dists, resolve_sigma, sigma_from_points)
+                            gaussian_in_place, resolve_sigma, sigma_from_points)
 
 from _synth import random_graph
 
 
 def gaussian_weight(xi, xj, sigma, psi=None, normalize_by_p=True):
     """The Gaussian weight of one pair of points, as the graph builders and
-    the CAD kernel masses form it: gaussian_of_sq_dists of cross_sq_dists."""
+    the CAD kernel masses form it: gaussian_in_place on cross_sq_dists."""
     xi, xj = np.atleast_2d(xi), np.atleast_2d(xj)
     psi = np.ones(xi.shape[1]) if psi is None else psi
-    return gaussian_of_sq_dists(cross_sq_dists(xi, xj, psi), xi.shape[1], sigma,
-                                normalize_by_p)[0, 0]
+    return gaussian_in_place(cross_sq_dists(xi, xj, psi), xi.shape[1], sigma,
+                             normalize_by_p)[0, 0]
 
 
 class TestGaussianWeight:
@@ -325,6 +325,19 @@ def test_similarity_graph_leaves_its_input_unchanged(kind, diagonal):
 
 
 def test_similarity_graph_validate_passes_for_built_graphs():
-    g = random_graph(12, 1)
-    g.validate()
-    assert g.volume == pytest.approx(g.degrees.sum())
+    """Built k-NN and epsilon graphs are exactly symmetric, store only
+    positive weights, are zero on the diagonal and keep their row sums as
+    degrees."""
+    rng = np.random.default_rng(1)
+    pts = np.vstack([rng.normal(0.0, 0.5, (30, 3)), rng.normal(2.0, 0.5, (30, 3))])
+    pts[7] = pts[3]                     # a duplicate point
+    ps = PointSet(pts, np.zeros(60, dtype=int), np.array([1.0, 0.5, 2.0]))
+    for cfg in (GraphConfig(mode="knn", k_neighbors=4, sigma=0.3),
+                GraphConfig(mode="epsilon", eps_cut=1e-3, sigma=0.3)):
+        g = build_graph(ps, cfg)
+        w = g.weights
+        assert w.nnz > 0 and (w != w.T).nnz == 0
+        assert np.all(w.data > 0)
+        assert not w.diagonal().any()
+        assert np.array_equal(g.degrees, np.asarray(w.sum(axis=1)).ravel())
+        assert g.volume == pytest.approx(g.degrees.sum())

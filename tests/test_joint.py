@@ -229,6 +229,15 @@ class TestElasticJoint:
         with pytest.raises(InputError):
             elastic_joint(unlabeled, JointConfig(k=3, sigma=0.4), seed=0)
 
+    @pytest.mark.parametrize("k", [2.5, "3", None, 3.0])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(InputError, match="k must be an integer"):
+            JointConfig(k=k)
+
+    def test_integer_typed_k_is_an_int(self):
+        assert JointConfig(k=np.int64(3)) == JointConfig(k=3)
+        assert type(JointConfig(k=np.int64(3)).k) is int
+
 
 class TestInferUnlabeled:
     def test_point_on_centroid_takes_its_label(self):

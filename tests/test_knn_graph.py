@@ -14,7 +14,7 @@ from graphssl import (DegenerateGraphError, GraphConfig, InputError, PointSet,
                       SimilarityGraph, build_graph)
 from graphssl import _kernels
 from graphssl import graph as graph_module
-from graphssl.graph import _knn_lists, gaussian_of_sq_dists, resolve_sigma
+from graphssl.graph import _knn_lists, gaussian_in_place, resolve_sigma
 
 
 def _knn_mask(dists, k):
@@ -134,8 +134,8 @@ def dense_epsilon_reference(ps, cfg):
     """The dense epsilon construction: the n x n pdist Gaussian with a zero
     diagonal and every weight below eps_cut cut; None when every
     off-diagonal weight underflows to 0."""
-    w = gaussian_of_sq_dists(_kernels.pairwise_sq_dists(ps.points, ps.feature_weights), ps.p,
-                             resolve_sigma(cfg.sigma, ps.points), cfg.normalize_by_p)
+    w = gaussian_in_place(_kernels.pairwise_sq_dists(ps.points, ps.feature_weights), ps.p,
+                          resolve_sigma(cfg.sigma, ps.points), cfg.normalize_by_p)
     np.fill_diagonal(w, 0.0)
     if not w.any():
         return None
@@ -229,4 +229,4 @@ class TestUnderflow:
         with pytest.raises(InputError, match="sigma=1e-200"):
             build_graph(PointSet(pts, np.zeros(3, dtype=int)), cfg)
         with pytest.raises(InputError, match="sigma=1e-200"):
-            gaussian_of_sq_dists(np.zeros(2), 2, 1e-200, normalize_by_p)
+            gaussian_in_place(np.zeros(2), 2, 1e-200, normalize_by_p)

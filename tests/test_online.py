@@ -17,7 +17,7 @@ from graphssl import (CompactGraph, DegenerateGraphError, GraphConfig, InputErro
                       predict_online)
 from graphssl import _kernels
 from graphssl import online as online_module
-from graphssl.graph import component_labels, gaussian_of_sq_dists
+from graphssl.graph import component_labels, gaussian_in_place
 from graphssl.harmonic import solve_clamped
 from graphssl.online import RELATIVE_CUT, CentroidGraph
 
@@ -308,8 +308,8 @@ def rebuilt_similarity(state, cfg, eps_cut):
     pairwise distances, their Gaussian weights, the cut at eps_cut and the
     cut relative to the strongest edge at either end."""
     pts = state.centroids
-    w = gaussian_of_sq_dists(_kernels.pairwise_sq_dists(pts, np.ones(pts.shape[1])),
-                             pts.shape[1], cfg.sigma, cfg.normalize_by_p)
+    w = gaussian_in_place(_kernels.pairwise_sq_dists(pts, np.ones(pts.shape[1])),
+                          pts.shape[1], cfg.sigma, cfg.normalize_by_p)
     np.fill_diagonal(w, 0.0)
     strongest = w.max(axis=1)
     w[(w < eps_cut) | (w < RELATIVE_CUT * np.maximum.outer(strongest, strongest))] = 0.0
@@ -830,8 +830,8 @@ class TestCachedGraph:
         state = QuantizerState(capacity, 1.5)
         for x in points:
             state.observe(x)
-        w = gaussian_of_sq_dists(_kernels.pairwise_sq_dists(state.centroids, np.ones(p)), p,
-                                 sigma, True)
+        w = gaussian_in_place(_kernels.pairwise_sq_dists(state.centroids, np.ones(p)), p, sigma,
+                              True)
         np.fill_diagonal(w, 0.0)
         w[w < 1e-3] = 0.0
         assert np.array_equal(state.graph(sigma, True, 0.1 * 0.01).weights, w)

