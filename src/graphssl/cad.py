@@ -210,10 +210,15 @@ def softhad_score(g: SimilarityGraph, y: np.ndarray, cfg: SoftConfig,
 
 def scale_scores(train_scores: np.ndarray, raw: np.ndarray) -> np.ndarray:
     """(s - min) / (max - min) over the range of train_scores, clamped to
-    [0, 1]; a degenerate range maps everything to 0.5."""
+    [0, 1]; a degenerate range maps everything to 0.5.  A non-finite
+    training score or a NaN raw score raises InputError."""
     train_scores = np.asarray(train_scores, dtype=np.float64)
-    low, high = float(train_scores.min()), float(train_scores.max())
     raw = np.asarray(raw, dtype=np.float64)
+    if not np.isfinite(train_scores).all():
+        raise InputError("training scores must be finite")
+    if np.isnan(raw).any():
+        raise InputError("scores to scale must not be NaN")
+    low, high = float(train_scores.min()), float(train_scores.max())
     span = high - low
     if span == 0:
         return np.full(raw.shape, 0.5)

@@ -13,23 +13,28 @@ and the partner of largest second-order decrease (Fan, Chen & Lin, JMLR
 2005), with a duality-gap stopping rule, so any exact convex-QP solver
 would produce the same classifier.  The gap is computed in O(r) from the
 gradient the updates keep; the accepted solution's is recomputed exactly.
+SMO reads the kernel by rows alone, so the trainer never forms the r x r
+kernel: a row is formed on its first read and kept in a least-recently-read
+cache (the kernel-row cache of LIBSVM).
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, graph
 from .errors import InputError, SolverError
 from .graph import SimilarityGraph
 from .harmonic import hard_harmonic
 
 GAP_TOL = 1e-6      # duality gap, relative to the objective, at which training stops
-# Largest r x r float64 training kernel: 1 GiB, r = 11 585 retained points.
-KERNEL_MAX_BYTES = 2 ** 30
+# Bytes of float64 kernel rows the trainer keeps (always at least two rows):
+# 1 GiB, all r rows up to r = 11 585 retained points.
+KERNEL_CACHE_BYTES = 2 ** 30
 
 
 @dataclass(frozen=True)
@@ -75,6 +80,37 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.exp(d2, out=d2)
 
 
+class _KernelRows:
+    """Rows of the kernel of points with themselves, read as ``rows[i]``:
+    row i is ``kernel_matrix(spec, points[i:i+1], points)[0]``, formed on
+    its first read and kept, with the most recently read rows, while they
+    fit KERNEL_CACHE_BYTES (at least two rows)."""
+
+    def __init__(self, spec: KernelSpec, points: np.ndarray):
+        self._spec, self._points = spec, points
+        self._capacity = max(2, KERNEL_CACHE_BYTES // (8 * len(points)))
+        self._rows: OrderedDict[int, np.ndarray] = OrderedDict()
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        row = self._rows.get(i)
+        if row is not None:
+            self._rows.move_to_end(i)
+            return row
+        if len(self._rows) == self._capacity:
+            self._rows.popitem(last=False)
+        row = self._rows[i] = kernel_matrix(self._spec, self._points[i:i + 1], self._points)[0]
+        return row
+
+
+def _kernel_diagonal(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
+    """k(x, x) of each row x: 1 for rbf (cdist gives each point exactly 0
+    to itself), |x|^2 for linear and (1 + |x|^2)^3 for cubic."""
+    if spec.kind == "rbf":
+        return np.ones(len(points))
+    sq_norms = np.einsum("ij,ij->i", points, points)
+    return sq_norms if spec.kind == "linear" else (1.0 + sq_norms) ** 3
+
+
 @dataclass(frozen=True)
 class CutClassifier:
     """Representer-form decision function f(x) = sum_i coef_i k(x_i, x) + bias
@@ -93,6 +129,8 @@ class CutClassifier:
         if x.shape[1] != width:
             raise InputError(f"points have {x.shape[1]} features, the model's support "
                              f"points {width}")
+        if not np.isfinite(x).all():
+            raise InputError("query points must be finite")
         k = kernel_matrix(self.kernel, x, self.support_points)
         return k @ self.coefficients + self.bias
 
@@ -136,17 +174,17 @@ def _duality_gap(alpha, y, y_grad, gamma, m_up, m_low):
     return primal - dual, primal, bias
 
 
-def _smo(k, y, c_box, gamma, alpha, y_grad) -> None:
+def _smo(k, k_diag, y, c_box, gamma, alpha, y_grad) -> None:
     """Sequential minimal optimization of the dual from alpha, where
     y_grad = -y (Q alpha - 1) and Q = (y y') * K; both are updated in
     place.  Each step moves the maximal violator i and the j of the second
-    order rule, so the kernel is read by rows i and j only.  Stops at a
-    maximal violation of 1e-12, at a duality gap below GAP_TOL relative to
-    the objective, checked every 10 steps, or after max(100 000, 500 r)
-    steps."""
+    order rule, so K is read only as rows k[i] and k[j], from a matrix or
+    a _KernelRows cache of at least two rows, beside its diagonal k_diag.
+    Stops at a maximal violation of 1e-12, at a duality gap below GAP_TOL
+    relative to the objective, checked every 10 steps, or after
+    max(100 000, 500 r) steps."""
     n = y.size
     up, low = _working_sets(alpha, y, c_box)
-    k_diag = k.diagonal().copy()
     # y_grad on the up set and -inf off it, on the down set and +inf off
     # it; each step adds to all three, so their finite entries stay equal
     top, bottom = np.where(up, y_grad, -np.inf), np.where(low, y_grad, np.inf)
@@ -200,8 +238,11 @@ def train_maxmargin(points: np.ndarray, y: np.ndarray, kernel: KernelSpec,
     The bias is unregularized and recovered from the free support vectors.
     Only the points with a nonzero dual variable are kept as support points;
     ``retained_indices`` still lists all n.
-    An r x r kernel above KERNEL_MAX_BYTES raises ``InputError`` before it
-    is formed.
+    The r x r kernel is never formed: SMO reads the rows it needs from a
+    _KernelRows cache of at most KERNEL_CACHE_BYTES, and the accepted
+    solution's exact gradient takes the kernel with the s support points
+    in blocks of at most ``graph._EXACT_BLOCK`` entries, so memory is
+    O(cache + r p) at any r.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
@@ -214,17 +255,20 @@ def train_maxmargin(points: np.ndarray, y: np.ndarray, kernel: KernelSpec,
         raise InputError("training set must contain both classes")
     if not 0 < gamma < np.inf:
         raise InputError(f"gamma must be finite and positive, got {gamma!r}")
-    if 8 * n * n > KERNEL_MAX_BYTES:
-        raise InputError(f"the kernel of {n} training points takes {8 * n * n} bytes, "
-                         f"above the {KERNEL_MAX_BYTES} the trainer allows")
     c_box = 1.0 / (2.0 * gamma)
     alpha = np.zeros(n)
-    k = kernel_matrix(kernel, points, points)
     y_grad = y.copy()                   # y - K(alpha y) at alpha = 0
-    _smo(k, y, c_box, gamma, alpha, y_grad)
+    _smo(_KernelRows(kernel, points), _kernel_diagonal(kernel, points), y, c_box, gamma,
+         alpha, y_grad)
 
-    # the steps' updates of y_grad drift; accept on the exact values
-    y_grad = y - k @ (alpha * y)
+    # the steps' updates of y_grad drift; accept on the exact values,
+    # y - K(alpha y) over the support columns
+    support = np.flatnonzero(alpha)
+    coef = alpha[support] * y[support]
+    step = max(1, graph._EXACT_BLOCK // max(1, support.size))
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        y_grad[rows] = y[rows] - kernel_matrix(kernel, points[rows], points[support]) @ coef
     up, low = _working_sets(alpha, y, c_box)
     gap, primal, bias = _duality_gap(alpha, y, y_grad, gamma,
                                      np.max(y_grad, where=up, initial=-np.inf),
@@ -235,10 +279,9 @@ def train_maxmargin(points: np.ndarray, y: np.ndarray, kernel: KernelSpec,
     free = (alpha > 1e-12 * c_box) & (alpha < c_box * (1 - 1e-12))
     if free.any():
         bias = float(np.mean(y_grad[free]))
-    support = np.flatnonzero(alpha)
     return CutClassifier(
         support_points=points[support],
-        coefficients=alpha[support] * y[support],
+        coefficients=coef,
         bias=float(bias),
         kernel=kernel,
         retained_indices=np.arange(n),

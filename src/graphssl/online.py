@@ -24,8 +24,9 @@ is rebuilt from the centroids' pairwise distances only when the set is
 repartitioned or the kernel width or cut changes; a repartition computes
 those distances once for its scan.  A prediction assembles its system
 from the weight block of its centroid's component alone, which the graph
-keeps until that component changes; a point that merges into an existing
-centroid moves no centroid, so its prediction costs one solve.
+keeps until that component changes, and grows by one row and column when a
+new centroid joins that component alone; a point that merges into an
+existing centroid moves no centroid, so its prediction costs one solve.
 
 The sketch's per-centroid state is arrays: the centroid rows, their
 multiplicities and labels as float64 (the solve's own dtype, exact for
@@ -310,7 +311,9 @@ class OnlineStep:
 class CentroidGraph:
     """Cut Gaussian similarities of the centroids, grown one centroid at a
     time, with every node's connected component kept current and each
-    component's weight block cut out when it is first asked for.
+    component's weight block cut out when it is first asked for.  A node
+    that joins one component and cuts no older edge grows that
+    component's cached block by a last row and column.
 
     An edge survives only if its weight is at least eps_cut and at least
     ``RELATIVE_CUT`` times the strongest edge at either end; the diagonal is
@@ -392,11 +395,22 @@ class CentroidGraph:
             component[n] = self._next_label
             self._next_label += 1
             return
-        component[n] = label = joined.min()
+        component[n] = label = int(joined.min())
         if (joined != label).any():
             component[np.isin(component, joined)] = label
-        for old in set(joined.tolist()):
-            self._blocks.pop(old, None)
+            for old in set(joined.tolist()):
+                self._blocks.pop(old, None)
+        elif label in self._blocks:
+            # no kept entry moved, so the cached block only gains the new
+            # node's row and column, last as n is the largest index
+            comp, weights = self._blocks[label]
+            m = comp.size
+            comp = np.append(comp, n)
+            grown = np.empty((m + 1, m + 1))
+            grown[:m, :m] = weights
+            grown[m] = self._cut[n].take(comp)
+            grown[:m, m] = grown[m, :m]
+            self._blocks[label] = comp, grown
 
     def _label_components(self) -> None:
         """Number each node's component afresh and drop the cached blocks."""

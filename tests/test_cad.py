@@ -740,6 +740,18 @@ class TestScaleScores:
         assert scale_scores(train, np.array([-5.0]))[0] == 0.0
         assert scale_scores(train, np.array([9.0]))[0] == 1.0
 
+    @pytest.mark.parametrize("train, raw", [
+        ([np.nan, 1.0], [0.5]), ([0.0, np.inf], [0.5]), ([-np.inf, 1.0], [0.5]),
+        ([0.0, 1.0], [np.inf, np.nan])])
+    def test_non_finite_train_scores_or_nan_raw_scores_rejected(self, train, raw):
+        # they gave NaN scaled scores
+        with pytest.raises(InputError, match="finite|NaN"):
+            scale_scores(np.array(train), np.array(raw))
+
+    def test_infinite_raw_scores_clamp(self):
+        got = scale_scores(np.array([0.0, 1.0]), np.array([np.inf, -np.inf]))
+        assert got.tolist() == [1.0, 0.0]
+
     def test_degenerate_range_maps_to_half(self):
         assert np.all(scale_scores(np.array([1.0, 1.0]), np.array([0.0, 1.0, 2.0])) == 0.5)
 

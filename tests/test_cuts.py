@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -275,7 +277,8 @@ class TestTrainMaxMargin:
         c_box = 1.0 / (2.0 * gamma)
         k = kernel_matrix(kernel, pts, pts)
         alpha, y_grad = np.zeros(y.size), y.copy()
-        cuts._smo(k, y, c_box, gamma, alpha, y_grad)
+        cuts._smo(cuts._KernelRows(kernel, pts), cuts._kernel_diagonal(kernel, pts), y, c_box,
+                  gamma, alpha, y_grad)
         up, low = cuts._working_sets(alpha, y, c_box)
         gap, primal, bias = cuts._duality_gap(
             alpha, y, y_grad, gamma, np.max(y_grad, where=up, initial=-np.inf),
@@ -287,15 +290,81 @@ class TestTrainMaxMargin:
         assert abs(primal - want_primal) <= 1e-9 * scale
         assert bias == pytest.approx(want_bias, abs=1e-9)
 
-    def test_kernel_above_the_budget_rejected_before_it_is_formed(self, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("kernel formed")
+    @pytest.mark.parametrize("kernel", [KernelSpec("rbf", 1.0), KernelSpec("linear"),
+                                        KernelSpec("cubic")])
+    def test_three_row_cache_gives_the_unbounded_cache_bits(self, monkeypatch, kernel):
+        # an r x r kernel above the budget was refused; now only 1 x r rows
+        # and the r x s kernel of the support points are formed
+        pts, y, grid = _two_blobs(3, 80, 1.0)
+        want = train_maxmargin(pts, y, kernel, 0.05)
+        shapes, rows = [], []
 
-        monkeypatch.setattr(cuts, "KERNEL_MAX_BYTES", 8 * 30 * 30 - 1)
-        monkeypatch.setattr(cuts, "kernel_matrix", forbidden)
-        pts, y, _ = _two_blobs(0, 15, 3.0)
-        with pytest.raises(InputError, match=r"30 training points takes 7200 bytes"):
-            train_maxmargin(pts, y, KernelSpec("rbf", 1.0), 0.1)
+        def spy(spec, a, b):
+            out = kernel_matrix(spec, a, b)
+            shapes.append(out.shape)
+            if a.shape[0] == 1:
+                rows.append(a.tobytes())
+            return out
+
+        monkeypatch.setattr(cuts, "KERNEL_CACHE_BYTES", 3 * 8 * 160)
+        monkeypatch.setattr(cuts, "kernel_matrix", spy)
+        got = train_maxmargin(pts, y, kernel, 0.05)
+        s = want.coefficients.size
+        assert s < 160 and set(shapes) == {(1, 160), (160, s)}
+        # rows were dropped and formed again
+        assert len(rows) > len(set(rows)) + 10
+        assert np.array_equal(got.support_points, want.support_points)
+        assert np.array_equal(got.coefficients, want.coefficients)
+        assert got.bias == want.bias
+        assert np.array_equal(got.decision_values(grid), want.decision_values(grid))
+
+    def test_cached_rbf_rows_have_the_bits_of_the_full_kernel(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        pts = rng.normal(size=(50, 3)) * 0.1 + 50.0
+        spec = KernelSpec("rbf", 0.7)
+        full = kernel_matrix(spec, pts, pts)
+        monkeypatch.setattr(cuts, "KERNEL_CACHE_BYTES", 2 * 8 * 50)
+        rows = cuts._KernelRows(spec, pts)
+        for i in rng.integers(0, 50, 200):
+            assert np.array_equal(rows[int(i)], full[i])
+        assert np.array_equal(cuts._kernel_diagonal(spec, pts), full.diagonal())
+
+    @pytest.mark.parametrize("kind", ["linear", "cubic"])
+    def test_diagonal_from_the_points(self, kind):
+        rng = np.random.default_rng(12)
+        pts = rng.normal(size=(40, 4))
+        spec = KernelSpec(kind)
+        assert np.allclose(cuts._kernel_diagonal(spec, pts),
+                           kernel_matrix(spec, pts, pts).diagonal(), rtol=1e-14, atol=0.0)
+
+    def test_least_recently_read_row_is_dropped(self, monkeypatch):
+        formed = []
+
+        def spy(spec, a, b):
+            formed.append(int(a[0, 0]))
+            return kernel_matrix(spec, a, b)
+
+        pts = np.arange(5.0)[:, None]
+        monkeypatch.setattr(cuts, "KERNEL_CACHE_BYTES", 2 * 8 * 5)
+        monkeypatch.setattr(cuts, "kernel_matrix", spy)
+        rows = cuts._KernelRows(KernelSpec("linear"), pts)
+        for i in (0, 1, 0, 2, 0, 1):
+            rows[i]
+        # reading 0 again keeps it; 2 drops 1, and 1 then drops 2
+        assert formed == [0, 1, 2, 1]
+
+    def test_peak_memory_well_below_the_kernel_at_r_3000(self):
+        # the r x r kernel alone took r^2 * 8 bytes, 72 MB
+        rng = np.random.default_rng(0)
+        pts = np.vstack([rng.normal(0.0, 1.0, (1500, 2)), rng.normal(1.5, 1.0, (1500, 2))])
+        y = np.concatenate([np.ones(1500), -np.ones(1500)])
+        tracemalloc.start()
+        try:
+            train_maxmargin(pts, y, KernelSpec("rbf", 1.0), 0.05)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3000 * 3000 * 8 / 2
 
     def test_single_class_rejected(self):
         with pytest.raises(InputError):
@@ -312,6 +381,14 @@ class TestTrainMaxMargin:
 
 
 class TestPredict:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_query_rows_rejected(self, bad):
+        # they gave NaN and infinite decision values
+        pts, y, _ = _two_blobs(0, 10, 3.0)
+        clf = train_maxmargin(pts, y, KernelSpec("linear"), 0.1)
+        with pytest.raises(InputError, match="query points must be finite"):
+            clf.decision_values(np.array([[1.0, 0.0], [bad, 0.0]]))
+
     def test_support_point_margin_active(self):
         pts = np.array([[0.0, 0.0], [2.0, 0.0]])
         y = np.array([1.0, -1.0])

@@ -712,6 +712,44 @@ class TestCachedGraph:
                 assert np.array_equal(block, want[np.ix_(comp, comp)])
         assert appended > 0 or state.size <= 2
 
+    @staticmethod
+    def _assert_cached_blocks_are_fresh_cuts(graph):
+        for label, (comp, block) in graph._blocks.items():
+            assert np.array_equal(comp, (graph._component[:graph._size] == label).nonzero()[0])
+            assert block.flags.c_contiguous
+            assert np.array_equal(block, graph._cut[comp].take(comp, axis=1))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(4, 40), st.integers(1, 3), st.booleans(),
+           st.sampled_from(KEYS))
+    @settings(max_examples=40, deadline=None)
+    def test_grown_blocks_equal_a_fresh_cut_at_every_step(self, seed, capacity, p, rounded,
+                                                          key):
+        points = _random_stream(seed, 120, p)[0]
+        if rounded:                     # many duplicates
+            points = np.round(points)
+        state = QuantizerState(capacity, 1.5)
+        for x in points:
+            idx = state.observe(x)
+            graph = state.graph(*key)
+            self._assert_cached_blocks_are_fresh_cuts(graph)
+            graph.block(idx)
+
+    def test_appended_node_grows_its_component_block(self):
+        # the online-stream settings: sigma 0.8, eps_cut 1e-3
+        points, _ = _random_stream(5, 300, 2)
+        state = QuantizerState(60, 1.5)
+        grown = 0
+        for x in points:
+            before, size = state._graph, state.size
+            idx = state.observe(x)
+            graph = state.graph(0.8, True, 1e-3)
+            if graph is before and state.size > size:
+                comp_block = graph._blocks.get(int(graph._component[idx]))
+                grown += comp_block is not None and comp_block[0][-1] == idx
+            self._assert_cached_blocks_are_fresh_cuts(graph)
+            graph.block(idx)
+        assert grown > 20
+
     def test_append_cuts_an_edge_below_a_raised_strongest_edge(self):
         state = QuantizerState(10)
         for x in (0.0, 0.01, 10.0, 13.5):
