@@ -15,20 +15,21 @@ would produce the same classifier.  The gap is computed in O(r) from the
 gradient the updates keep; the accepted solution's is recomputed exactly.
 SMO reads the kernel by rows alone, so the trainer never forms the r x r
 kernel: a row is formed on its first read and kept in a least-recently-read
-cache (the kernel-row cache of LIBSVM).
+cache (the kernel-row cache of LIBSVM).  A kernel's product with the
+coefficients is formed one ``graph.row_blocks`` block at a time.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections import OrderedDict
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels, graph
 from .errors import InputError, SolverError
-from .graph import SimilarityGraph
+from .graph import SimilarityGraph, gaussian_in_place
 from .harmonic import hard_harmonic
 
 GAP_TOL = 1e-6      # duality gap, relative to the objective, at which training stops
@@ -75,31 +76,27 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a @ b.T
     if spec.kind == "cubic":
         return (1.0 + a @ b.T) ** 3
-    d2 = _kernels.cross_sq_dists(a, b, None)
-    np.divide(d2, -2.0 * spec.rbf_width ** 2, out=d2)
-    return np.exp(d2, out=d2)
+    return gaussian_in_place(_kernels.cross_sq_dists(a, b, None), 2, spec.rbf_width, True)
 
 
-class _KernelRows:
-    """Rows of the kernel of points with themselves, read as ``rows[i]``:
-    row i is ``kernel_matrix(spec, points[i:i+1], points)[0]``, formed on
-    its first read and kept, with the most recently read rows, while they
-    fit KERNEL_CACHE_BYTES (at least two rows)."""
+def _kernel_rows(spec: KernelSpec, points: np.ndarray):
+    """Rows of the kernel of points with themselves, read as ``rows(i)``:
+    row i is ``kernel_matrix(spec, points[i:i+1], points)[0]``, formed on its
+    first read and kept, with the most recently read rows, while they fit
+    KERNEL_CACHE_BYTES (at least two; one more while a row is formed)."""
+    capacity = max(2, KERNEL_CACHE_BYTES // (8 * len(points)))
+    return functools.lru_cache(maxsize=capacity)(
+        lambda i: kernel_matrix(spec, points[i:i + 1], points)[0])
 
-    def __init__(self, spec: KernelSpec, points: np.ndarray):
-        self._spec, self._points = spec, points
-        self._capacity = max(2, KERNEL_CACHE_BYTES // (8 * len(points)))
-        self._rows: OrderedDict[int, np.ndarray] = OrderedDict()
 
-    def __getitem__(self, i: int) -> np.ndarray:
-        row = self._rows.get(i)
-        if row is not None:
-            self._rows.move_to_end(i)
-            return row
-        if len(self._rows) == self._capacity:
-            self._rows.popitem(last=False)
-        row = self._rows[i] = kernel_matrix(self._spec, self._points[i:i + 1], self._points)[0]
-        return row
+def _kernel_times(spec: KernelSpec, x: np.ndarray, support: np.ndarray,
+                  coef: np.ndarray) -> np.ndarray:
+    """K(x, support) @ coef, one ``graph.row_blocks`` block of the kernel
+    at a time."""
+    out = np.empty(len(x))
+    for rows in graph.row_blocks(len(x), len(support)):
+        out[rows] = kernel_matrix(spec, x[rows], support) @ coef
+    return out
 
 
 def _kernel_diagonal(spec: KernelSpec, points: np.ndarray) -> np.ndarray:
@@ -131,8 +128,7 @@ class CutClassifier:
                              f"points {width}")
         if not np.isfinite(x).all():
             raise InputError("query points must be finite")
-        k = kernel_matrix(self.kernel, x, self.support_points)
-        return k @ self.coefficients + self.bias
+        return _kernel_times(self.kernel, x, self.support_points, self.coefficients) + self.bias
 
 
 def induce_labels(g: SimilarityGraph, labels: np.ndarray, gamma_g: float,
@@ -178,8 +174,8 @@ def _smo(k, k_diag, y, c_box, gamma, alpha, y_grad) -> None:
     """Sequential minimal optimization of the dual from alpha, where
     y_grad = -y (Q alpha - 1) and Q = (y y') * K; both are updated in
     place.  Each step moves the maximal violator i and the j of the second
-    order rule, so K is read only as rows k[i] and k[j], from a matrix or
-    a _KernelRows cache of at least two rows, beside its diagonal k_diag.
+    order rule, so K is read only as rows k(i) and k(j), from a
+    _kernel_rows cache of at least two rows, beside its diagonal k_diag.
     Stops at a maximal violation of 1e-12, at a duality gap below GAP_TOL
     relative to the objective, checked every 10 steps, or after
     max(100 000, 500 r) steps."""
@@ -203,7 +199,7 @@ def _smo(k, k_diag, y, c_box, gamma, alpha, y_grad) -> None:
         # unclipped step, with a = K_ii + K_jj - 2 K_ij floored at 1e-12
         np.subtract(m_up, bottom, out=gain)
         np.maximum(gain, 0.0, out=gain)
-        np.multiply(k[i], -2.0, out=curv)
+        np.multiply(k(i), -2.0, out=curv)
         curv += k_diag
         curv += k_diag[i]
         np.maximum(curv, 1e-12, out=curv)
@@ -219,8 +215,8 @@ def _smo(k, k_diag, y, c_box, gamma, alpha, y_grad) -> None:
         alpha[j] -= y[j] * delta
         # grad += Q_i y_i delta - Q_j y_j delta, and Q_ti = y_t y_i K_ti, so
         # y_grad += K_j delta - K_i delta with the same roundings
-        np.multiply(k[j], delta, out=step)
-        step -= np.multiply(k[i], delta, out=step_i)
+        np.multiply(k(j), delta, out=step)
+        step -= np.multiply(k(i), delta, out=step_i)
         y_grad += step
         top += step
         bottom += step
@@ -239,10 +235,10 @@ def train_maxmargin(points: np.ndarray, y: np.ndarray, kernel: KernelSpec,
     Only the points with a nonzero dual variable are kept as support points;
     ``retained_indices`` still lists all n.
     The r x r kernel is never formed: SMO reads the rows it needs from a
-    _KernelRows cache of at most KERNEL_CACHE_BYTES, and the accepted
-    solution's exact gradient takes the kernel with the s support points
-    in blocks of at most ``graph._EXACT_BLOCK`` entries, so memory is
-    O(cache + r p) at any r.
+    _kernel_rows cache of at most KERNEL_CACHE_BYTES (plus the row being
+    formed), and the accepted solution's exact gradient takes the kernel
+    with the s support points one ``graph.row_blocks`` block at a time, so
+    memory is O(cache + r p) at any r.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
@@ -258,17 +254,14 @@ def train_maxmargin(points: np.ndarray, y: np.ndarray, kernel: KernelSpec,
     c_box = 1.0 / (2.0 * gamma)
     alpha = np.zeros(n)
     y_grad = y.copy()                   # y - K(alpha y) at alpha = 0
-    _smo(_KernelRows(kernel, points), _kernel_diagonal(kernel, points), y, c_box, gamma,
+    _smo(_kernel_rows(kernel, points), _kernel_diagonal(kernel, points), y, c_box, gamma,
          alpha, y_grad)
 
     # the steps' updates of y_grad drift; accept on the exact values,
     # y - K(alpha y) over the support columns
     support = np.flatnonzero(alpha)
     coef = alpha[support] * y[support]
-    step = max(1, graph._EXACT_BLOCK // max(1, support.size))
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
-        y_grad[rows] = y[rows] - kernel_matrix(kernel, points[rows], points[support]) @ coef
+    y_grad = y - _kernel_times(kernel, points, points[support], coef)
     up, low = _working_sets(alpha, y, c_box)
     gap, primal, bias = _duality_gap(alpha, y, y_grad, gamma,
                                      np.max(y_grad, where=up, initial=-np.inf),

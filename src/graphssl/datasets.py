@@ -232,7 +232,6 @@ def _uniform_rect(rng: PortableRng, r: Rect, n: int, hole: Rect | None = None) -
 @dataclass(frozen=True)
 class CoreTruth:
     anomaly_mask: np.ndarray
-    true_scores: np.ndarray
 
 
 def _core_layout(spec: CoreSpec) -> list[tuple[Rect, int, int]]:
@@ -280,7 +279,7 @@ def gen_core_dataset(spec: CoreSpec, seed: int) -> tuple[PointSet, PointSet, Cor
     mask = np.zeros(te_labels.size, dtype=bool)
     mask[mask.size - spec.anomaly_count:] = True     # the last rows drawn
     test = PointSet(te_pts, te_labels)
-    truth = CoreTruth(mask, core_true_scores(spec, te_pts, te_labels))
+    truth = CoreTruth(mask)
     return train, test, truth
 
 

@@ -170,19 +170,26 @@ def gaussian_in_place(d2: np.ndarray, p: int, sigma: float, normalize_by_p: bool
     return np.exp(d2, out=d2)
 
 
-# entries of one block of exact distances from sq_dist_blocks (32 MB of float64)
+# entries of one block of an n x width product (32 MB of float64)
 _EXACT_BLOCK = 1 << 22
+
+
+def row_blocks(n: int, width: int):
+    """Slices covering range(n) in order, each of at least one row and at
+    most _EXACT_BLOCK entries of rows ``width`` wide: the library's one
+    block rule for the n x width distance and kernel products."""
+    step = max(1, _EXACT_BLOCK // max(1, width))
+    for start in range(0, n, step):
+        yield slice(start, min(start + step, n))
 
 
 def sq_dist_blocks(a: np.ndarray, b: np.ndarray, psi: np.ndarray):
     """Feature-weighted squared distances between the rows of a and b as
-    (rows, d2) pairs: d2 is ``cross_sq_dists(a[rows], b, psi)`` for a slice
-    rows of at least one row and at most _EXACT_BLOCK entries.  The caller
-    may overwrite each d2 and must drop it before the next is formed, so
-    memory stays at one block."""
-    step = max(1, _EXACT_BLOCK // max(1, len(b)))
-    for start in range(0, len(a), step):
-        rows = slice(start, min(start + step, len(a)))
+    (rows, d2) pairs: d2 is ``cross_sq_dists(a[rows], b, psi)`` for each
+    slice rows of ``row_blocks(len(a), len(b))``.  The caller may overwrite
+    each d2 and must drop it before the next is formed, so memory stays at
+    one block."""
+    for rows in row_blocks(len(a), len(b)):
         yield rows, _kernels.cross_sq_dists(a[rows], b, psi)
 
 

@@ -160,7 +160,7 @@ def _jacobi_pcg(a, b: np.ndarray, inv_diag: np.ndarray, stop: float) -> np.ndarr
     r = b.copy()
     p = rho_prev = None
     for _ in range(10 * b.shape[0]):
-        if np.linalg.norm(r) < stop:
+        if math.sqrt(r.dot(r)) < stop:
             break
         z = inv_diag * r
         rho = np.dot(r, z)

@@ -13,9 +13,11 @@ labeled points (pinned) and whose remaining k nodes are free centroids:
 Every assignment of the n points to their nearest backbone node measures
 only the n x k distances to the free centroids: the distances to the pinned
 nodes, which never move, are measured once per fit.  Points are finally
-labeled by their nearest centroid (1-NN).  The backbone graph's degree, the
-outer iteration cap, the outer stopping tolerance and the inner step cap
-are the constants BACKBONE_KNN, MAX_OUTER, CONV_TOL and INNER_CAP.
+labeled by their nearest centroid (1-NN).  Every nearest-node search runs
+over ``graph.sq_dist_blocks``, one block of distances at a time.  The
+backbone graph's degree, the outer iteration cap, the outer stopping
+tolerance and the inner step cap are the constants BACKBONE_KNN,
+MAX_OUTER, CONV_TOL and INNER_CAP.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InputError
-from .graph import GraphConfig, PointSet, build_graph, resolve_sigma
+from .graph import GraphConfig, PointSet, build_graph, resolve_sigma, sq_dist_blocks
 from .harmonic import SoftConfig, soft_harmonic
 from .rng import PortableRng
 
@@ -99,9 +101,20 @@ class BackboneState:
         ])
 
 
+def _nearest(points: np.ndarray, centroids: np.ndarray, psi: np.ndarray):
+    """Index of each point's nearest centroid and its squared distance, one
+    distance block at a time; a tie goes to the lowest index, as argmin's
+    does."""
+    near, near_d2 = np.empty(len(points), dtype=np.int64), np.empty(len(points))
+    for rows, d2 in sq_dist_blocks(points, centroids, psi):
+        near[rows] = np.argmin(d2, axis=1)
+        near_d2[rows] = d2[np.arange(d2.shape[0]), near[rows]]
+        del d2                  # before the next block is formed
+    return near, near_d2
+
+
 def _assign(points: np.ndarray, centroids: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    d2 = _kernels.cross_sq_dists(points, centroids, psi)
-    return np.argmin(d2, axis=1).astype(np.int64)
+    return _nearest(points, centroids, psi)[0]
 
 
 def _pinned_assigner(points: np.ndarray, pinned: np.ndarray, psi: np.ndarray):
@@ -111,15 +124,11 @@ def _pinned_assigner(points: np.ndarray, pinned: np.ndarray, psi: np.ndarray):
     distances to the free rows.  A pinned node wins a tie with a free one,
     as argmin's first index does."""
     m = pinned.shape[0]
-    rows = np.arange(points.shape[0])
-    d2 = _kernels.cross_sq_dists(points, pinned, psi)
-    near = np.argmin(d2, axis=1).astype(np.int64)
-    near_d2 = d2[rows, near]
+    near, near_d2 = _nearest(points, pinned, psi)
 
     def assign(centroids: np.ndarray) -> np.ndarray:
-        dist = _kernels.cross_sq_dists(points, centroids[m:], psi)
-        free = np.argmin(dist, axis=1)
-        return np.where(near_d2 <= dist[rows, free], near, free + m)
+        free, free_d2 = _nearest(points, centroids[m:], psi)
+        return np.where(near_d2 <= free_d2, near, free + m)
 
     return assign
 
@@ -150,18 +159,21 @@ def _centroid_system(state: BackboneState, cfg: JointConfig, points: np.ndarray)
     m, total = state.n_labeled, state.n_nodes
     n = points.shape[0]
     lab = state.soft_labels
-    q = (lab[:, None] - lab[None, :]) ** 2 / ((total ** 2) * (state.sigma ** 2))
+    # the free columns of the label-difference matrix, (m + k) x k
+    q = (lab[:, None] - lab[None, m:]) ** 2 / ((total ** 2) * (state.sigma ** 2))
     counts = np.bincount(state.assignment, minlength=total).astype(np.float64)
     # bincount adds in point order, as np.add.at does, in a sixth of its time
     sums = np.column_stack([np.bincount(state.assignment, weights=col, minlength=total)
                             for col in points.T])
 
-    free = np.arange(m, total)
-    a = q[np.ix_(free, free)].T.copy()          # a[j, b] = q[b, j]
-    a[np.diag_indices(total - m)] += 2.0 * cfg.gamma_q * counts[free] / n - q.sum(axis=0)[free]
-    rhs = 2.0 * cfg.gamma_q / n * sums[free]
+    a = q[m:].T.copy()                          # a[j, b] = q[b, j]
+    # column sums added row by row; q.sum(axis=0) adds a lone column pairwise
+    a[np.diag_indices(total - m)] += (2.0 * cfg.gamma_q * counts[m:] / n
+                                      - np.cumsum(q, axis=0)[-1])
+    rhs = 2.0 * cfg.gamma_q / n * sums[m:]
     if m:
-        rhs -= q[:m, free].T @ state.centroids[:m]
+        # a C-ordered k x m operand: BLAS's bits depend on the layout
+        rhs -= np.ascontiguousarray(q[:m].T) @ state.centroids[:m]
     return a, rhs
 
 
@@ -301,12 +313,11 @@ def _reseed_empty(centroids: np.ndarray, n_labeled: int, assignment: np.ndarray,
     empty = [j for j in range(n_labeled, centroids.shape[0]) if counts[j] == 0]
     if not empty:
         return False
-    nearest = _kernels.cross_sq_dists(pool, centroids, psi).min(axis=1)
+    nearest = _nearest(pool, centroids, psi)[1]
     for j in empty:
         far = int(np.argmax(nearest))
         centroids[j] = pool[far]
-        nearest = np.minimum(nearest, _kernels.cross_sq_dists(
-            pool, centroids[j][None, :], psi).ravel())
+        nearest = np.minimum(nearest, _nearest(pool, centroids[j:j + 1], psi)[1])
     return True
 
 

@@ -190,9 +190,9 @@ class QuantizerState:
         k = self._size
         if self._rows is None or k == self._rows.shape[0]:
             rows = min(max(16, 2 * k), self.capacity + 1)
-            self._rows = _grown(self._rows, (rows, x.size), k)
-            self._mult = _grown(self._mult, (rows,), k)
-            self._labels = _grown(self._labels, (rows,), k)
+            self._rows = np.resize(x if self._rows is None else self._rows, (rows, x.size))
+            self._mult = np.resize(self._mult, rows)
+            self._labels = np.resize(self._labels, rows)
         self._rows[k] = x
         self._mult[k] = 1.0
         self._labels[k] = label
@@ -256,14 +256,6 @@ class QuantizerState:
         self._size, self._labeled = k, int(np.count_nonzero(labels))
         self._graph = None
         return mapping
-
-
-def _grown(a: np.ndarray | None, shape: tuple, k: int) -> np.ndarray:
-    """A new array of the given shape whose first k rows are a's."""
-    grown = np.empty(shape)
-    if k:
-        grown[:k] = a[:k]
-    return grown
 
 
 def max_distortion(state: QuantizerState) -> float:

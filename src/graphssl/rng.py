@@ -41,10 +41,6 @@ class PortableRng:
         self._seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
         self._counter = 0
 
-    @property
-    def seed(self) -> int:
-        return int(self._seed)
-
     def derive(self, tag: int) -> "PortableRng":
         """Independent child stream keyed by ``tag``."""
         key = mix64(np.array([np.uint64(tag & 0xFFFFFFFFFFFFFFFF) + GOLDEN]))[0]

@@ -5,6 +5,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from graphssl import cuts
+from graphssl import graph as graph_module
 
 from graphssl import (CutClassifier, GraphConfig, InputError, KernelSpec,
                       PointSet, build_graph, induce_labels, kernel_matrix,
@@ -110,6 +111,17 @@ class TestKernels:
         want = np.exp(-cdist(a, b, "sqeuclidean") / (2.0 * 0.7 ** 2))
         assert np.array_equal(kernel_matrix(spec, a, b), want)
         assert np.all(np.diag(kernel_matrix(spec, a, a)) == 1.0)
+
+    @pytest.mark.parametrize("width", [1e-150, 1e-20, 1e-3, 0.7, 3.0, 1e20, 1e150])
+    def test_rbf_has_the_bits_of_its_own_divide_and_exp(self, width):
+        # reference: divide by -2 width^2, then exp; graph.gaussian_in_place
+        # with p = 2 and normalize_by_p gives its bits
+        rng = np.random.default_rng(8)
+        a, b = rng.normal(size=(30, 3)) * width, rng.normal(size=(20, 3)) * width
+        want = np.exp(cdist(a, b, "sqeuclidean") / (-2.0 * width ** 2))
+        got = kernel_matrix(KernelSpec("rbf", width), a, b)
+        assert 0.0 < got.min() and got.max() < 1.0
+        assert np.array_equal(got, want)
 
     def test_parse(self):
         assert KernelSpec.parse("rbf:2.5").rbf_width == 2.5
@@ -277,7 +289,7 @@ class TestTrainMaxMargin:
         c_box = 1.0 / (2.0 * gamma)
         k = kernel_matrix(kernel, pts, pts)
         alpha, y_grad = np.zeros(y.size), y.copy()
-        cuts._smo(cuts._KernelRows(kernel, pts), cuts._kernel_diagonal(kernel, pts), y, c_box,
+        cuts._smo(cuts._kernel_rows(kernel, pts), cuts._kernel_diagonal(kernel, pts), y, c_box,
                   gamma, alpha, y_grad)
         up, low = cuts._working_sets(alpha, y, c_box)
         gap, primal, bias = cuts._duality_gap(
@@ -324,9 +336,9 @@ class TestTrainMaxMargin:
         spec = KernelSpec("rbf", 0.7)
         full = kernel_matrix(spec, pts, pts)
         monkeypatch.setattr(cuts, "KERNEL_CACHE_BYTES", 2 * 8 * 50)
-        rows = cuts._KernelRows(spec, pts)
+        rows = cuts._kernel_rows(spec, pts)
         for i in rng.integers(0, 50, 200):
-            assert np.array_equal(rows[int(i)], full[i])
+            assert np.array_equal(rows(int(i)), full[i])
         assert np.array_equal(cuts._kernel_diagonal(spec, pts), full.diagonal())
 
     @pytest.mark.parametrize("kind", ["linear", "cubic"])
@@ -347,9 +359,9 @@ class TestTrainMaxMargin:
         pts = np.arange(5.0)[:, None]
         monkeypatch.setattr(cuts, "KERNEL_CACHE_BYTES", 2 * 8 * 5)
         monkeypatch.setattr(cuts, "kernel_matrix", spy)
-        rows = cuts._KernelRows(KernelSpec("linear"), pts)
+        rows = cuts._kernel_rows(KernelSpec("linear"), pts)
         for i in (0, 1, 0, 2, 0, 1):
-            rows[i]
+            rows(i)
         # reading 0 again keeps it; 2 drops 1, and 1 then drops 2
         assert formed == [0, 1, 2, 1]
 
@@ -388,6 +400,42 @@ class TestPredict:
         clf = train_maxmargin(pts, y, KernelSpec("linear"), 0.1)
         with pytest.raises(InputError, match="query points must be finite"):
             clf.decision_values(np.array([[1.0, 0.0], [bad, 0.0]]))
+
+    @pytest.mark.parametrize("kernel", [KernelSpec("rbf", 1.0), KernelSpec("linear"),
+                                        KernelSpec("cubic")])
+    def test_decision_values_at_the_default_block_are_one_product(self, kernel):
+        pts, y, grid = _two_blobs(2, 60, 1.0)
+        clf = train_maxmargin(pts, y, kernel, 0.5)
+        want = kernel_matrix(kernel, grid, clf.support_points) @ clf.coefficients + clf.bias
+        assert np.array_equal(clf.decision_values(grid), want)
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("kernel", [KernelSpec("rbf", 1.0), KernelSpec("linear"),
+                                        KernelSpec("cubic")])
+    def test_decision_values_in_blocks_of_a_few_rows(self, monkeypatch, kernel, seed):
+        pts, y, grid = _two_blobs(seed, 60, 1.0)
+        clf = train_maxmargin(pts, y, kernel, 0.5)
+        s = clf.coefficients.size
+        want = kernel_matrix(kernel, grid, clf.support_points) @ clf.coefficients + clf.bias
+        sizes = []
+
+        def spy(spec, a, b):
+            out = kernel_matrix(spec, a, b)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(graph_module, "_EXACT_BLOCK", 7 * s)
+        monkeypatch.setattr(cuts, "kernel_matrix", spy)
+        got = clf.decision_values(grid)
+        # 7-row products, whose last bits may differ from the one product's:
+        # each value, a sum of s products plus the bias, is within
+        # (s + 1) u (|K| |coef| + |bias|) of its exact value (u = 2^-53)
+        assert len(sizes) == -(-len(grid) // 7) and max(sizes) == 7 * s
+        k = kernel_matrix(kernel, grid, clf.support_points)
+        bound = 2.0 * (s + 1) * 2.0 ** -53 * (np.abs(k) @ np.abs(clf.coefficients)
+                                               + abs(clf.bias))
+        assert np.all(np.abs(got - want) <= bound)
+        assert np.array_equal(np.sign(got), np.sign(want))
 
     def test_support_point_margin_active(self):
         pts = np.array([[0.0, 0.0], [2.0, 0.0]])

@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +10,10 @@ from graphssl import (BackboneState, GraphConfig, InputError, JointConfig,
                       PointSet, SoftConfig, build_graph, elastic_joint,
                       infer_unlabeled, joint_objective, propagate_on_backbone,
                       quantization_step, quantization_surrogate, soft_harmonic)
-from graphssl import joint
+from graphssl import graph as graph_module, joint
 from graphssl._kernels import cross_sq_dists
-from graphssl.joint import _assign, _centroid_system, _pinned_assigner, _reseed_empty
+from graphssl.joint import (_assign, _centroid_system, _nearest, _pinned_assigner,
+                            _reseed_empty)
 
 from _synth import two_arcs
 
@@ -401,6 +405,17 @@ class TestPinnedAssigner:
         want = _assign(points, centroids, psi)
         assert got.dtype == np.int64
         assert np.array_equal(got, want)
+        # the full argmin, and the same under blocks of one or two rows
+        d2 = cross_sq_dists(points, centroids, psi)
+        full = np.argmin(d2, axis=1)
+        assert np.array_equal(want, full)
+        for rows in (1, 2):
+            with mock.patch.object(graph_module, "_EXACT_BLOCK", rows * len(centroids)):
+                near, near_d2 = _nearest(points, centroids, psi)
+                assert np.array_equal(near, full)
+                assert np.array_equal(near_d2, d2.min(axis=1))
+                blocked = _pinned_assigner(points, centroids[:m], psi)(centroids)
+                assert np.array_equal(blocked, full)
 
     def test_free_centroid_on_a_pinned_node_loses_the_tie(self):
         points = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
@@ -411,18 +426,57 @@ class TestPinnedAssigner:
     def test_each_inner_step_measures_n_times_k_pairs(self, monkeypatch):
         ps, _ = two_arcs(150, seed=4, labeled_per_class=4)
         cfg = JointConfig(k=12, sigma=0.4)
-        shapes = []
+        calls = []
 
         def counting(a, b, psi):
-            if a is ps.points:
-                shapes.append((len(a), len(b)))
+            if np.shares_memory(a, ps.points):
+                calls.append((len(a), len(b)))
             return cross_sq_dists(a, b, psi)
 
+        # blocks of 480 entries: a search of the 150 points takes 3 or 4 of them
+        monkeypatch.setattr(graph_module, "_EXACT_BLOCK", 40 * 12)
         monkeypatch.setattr(joint._kernels, "cross_sq_dists", counting)
         elastic_joint(ps, cfg, seed=3)
+        widths = [width for _, width in calls]
+        pairs = {w: sum(rows * width for rows, width in calls if width == w) for w in (8, 12)}
         # the pinned nodes once, then n x k pairs per assignment
-        assert shapes[0] == (150, 8)
-        assert len(shapes) > 10 and set(shapes[1:]) == {(150, 12)}
+        assert widths == sorted(widths) and set(widths) == {8, 12}
+        assert max(rows for rows, _ in calls) < 150
+        assert pairs[8] == 150 * 8
+        assert pairs[12] % (150 * 12) == 0 and pairs[12] // (150 * 12) > 10
+
+
+def _centroid_system_reference(state, cfg, points):
+    """The centroid system read from the full (m + k) x (m + k) label
+    difference matrix, as it was formed before only its free columns were."""
+    m, total, n = state.n_labeled, state.n_nodes, points.shape[0]
+    lab = state.soft_labels
+    q = (lab[:, None] - lab[None, :]) ** 2 / ((total ** 2) * (state.sigma ** 2))
+    counts = np.bincount(state.assignment, minlength=total).astype(np.float64)
+    sums = np.column_stack([np.bincount(state.assignment, weights=col, minlength=total)
+                            for col in points.T])
+    free = np.arange(m, total)
+    a = q[np.ix_(free, free)].T.copy()
+    a[np.diag_indices(total - m)] += 2.0 * cfg.gamma_q * counts[free] / n - q.sum(axis=0)[free]
+    rhs = 2.0 * cfg.gamma_q / n * sums[free] - q[:m, free].T @ state.centroids[:m]
+    return a, rhs
+
+
+@pytest.mark.parametrize("m, k", [(1, 1), (7, 1), (40, 1), (300, 1), (40, 2), (300, 9),
+                                  (7, 60)])
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("gamma_q", [1e-4, 50.0])
+def test_centroid_system_has_the_bits_of_the_full_matrix_form(m, k, p, gamma_q):
+    # propagated labels, pinned ones included, are rarely exactly +-1
+    rng = np.random.default_rng([m, k, p])
+    points = rng.normal(size=(m + k + 200, p)) * 10.0 ** rng.uniform(-3, 3, size=p)
+    centroids = points[rng.choice(len(points), m + k, replace=False)]
+    soft = rng.uniform(-1, 1, m + k)
+    state = _state(centroids, np.sign(soft[:m]).astype(np.int64), soft, points, sigma=0.7)
+    cfg = JointConfig(k=k, gamma_q=gamma_q)
+    for got, want in zip(_centroid_system(state, cfg, points),
+                         _centroid_system_reference(state, cfg, points)):
+        assert np.array_equal(got, want)
 
 
 def test_centroid_sums_equal_add_at():
@@ -440,3 +494,51 @@ def test_centroid_sums_equal_add_at():
     q = (soft[:, None] - soft[None, :]) ** 2 / (((m + k) ** 2) * 0.7 ** 2)
     want = 2.0 * cfg.gamma_q / 300 * sums[m:] - q[:m, m:].T @ centroids[:m]
     assert np.array_equal(rhs, want)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    # n x (m + k) = 12 000 x 1 500 distances, 69 blocks of 2^18 entries
+    n, m, k = 12_000, 1_400, 100
+    block = 1 << 18
+
+    def _inputs(self):
+        rng = np.random.default_rng(9)
+        points = rng.normal(size=(self.n, 2))
+        centroids = points[rng.choice(self.n, self.m + self.k, replace=False)]
+        return points, centroids, rng.uniform(0.5, 2.0, 2)
+
+    @pytest.mark.parametrize("search", ["assign", "pinned_assigner", "reseed_empty"])
+    def test_nearest_node_searches_hold_one_distance_block(self, monkeypatch, search):
+        points, centroids, psi = self._inputs()
+        m, total = self.m, self.m + self.k
+        # every centroid owns a point but the last three
+        assignment = np.arange(self.n) % (total - 3)
+        run = {
+            "assign": lambda: _assign(points, centroids, psi),
+            "pinned_assigner": lambda: _pinned_assigner(points, centroids[:m], psi)(centroids),
+            "reseed_empty": lambda: _reseed_empty(centroids.copy(), m, assignment, points, psi),
+        }[search]
+        monkeypatch.setattr(graph_module, "_EXACT_BLOCK", self.block)
+        # the full distance matrix would take n (m + k) 8 bytes, 144 MB
+        assert _traced_peak(run) < 3 * 8 * self.block
+
+    def test_centroid_system_forms_no_square_label_matrix(self):
+        # the (m + k)^2 label-difference matrix alone would take 18 MB
+        points, centroids, _ = self._inputs()
+        m, total = self.m, self.m + self.k
+        rng = np.random.default_rng(10)
+        soft = np.concatenate([np.ones(m), rng.uniform(-1, 1, self.k)])
+        state = BackboneState(centroids, np.ones(m, dtype=np.int64), soft,
+                              np.arange(self.n) % total, sigma=0.5)
+        cfg = JointConfig(k=self.k, gamma_q=50.0)
+        # at most three (m + k) x k arrays: q, its running column sums and a
+        assert _traced_peak(lambda: _centroid_system(state, cfg, points)) < 3 * 8 * total * self.k
