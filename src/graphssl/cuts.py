@@ -55,18 +55,15 @@ class KernelSpec:
 
     @classmethod
     def parse(cls, text: str) -> "KernelSpec":
-        if text == "linear":
-            return cls("linear")
-        if text == "cubic":
-            return cls("cubic")
-        if text.startswith("rbf"):
-            _, _, width = text.partition(":")
-            try:
-                value = float(width or 1.0)
-            except ValueError:
-                raise InputError(f"bad rbf width in kernel spec {text!r}") from None
-            return cls("rbf", value)
-        raise InputError(f"unknown kernel spec {text!r}")
+        """Parse the CLI syntax ``linear``, ``cubic`` or ``rbf[:WIDTH]``."""
+        kind, sep, width = text.partition(":")
+        if kind not in ("linear", "cubic", "rbf") or sep and kind != "rbf":
+            raise InputError(f"unknown kernel spec {text!r}")
+        try:
+            value = float(width or 1.0)
+        except ValueError:
+            raise InputError(f"bad rbf width in kernel spec {text!r}") from None
+        return cls(kind, value)
 
 
 def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -13,29 +13,28 @@ row sums d = W 1 and D = diag(d), in one of two forms:
   minimizing ``(l - y)' F V (l - y) + l' (D - W + gamma_g V) l`` gives the
   SPD system ``(D + gamma_g V + F V - W) l = F V y``.
 
-Both systems are assembled from W's blocks and its row sums: the diagonal
-is d plus the shifts, minus W's diagonal, so a self-loop cancels.  No
-solve forms the Laplacian D - W; ``graph.laplacian`` is its one builder.
+One assembly, ``_system``, forms both: ``diag(d_u + gamma_g v_u + extra) -
+W_uu`` and W's rows u, for the unlabeled nodes u (hard) or every node
+(soft, extra = F V).  The diagonal is d plus the shifts, minus W's
+diagonal, so a self-loop cancels; no solve forms the Laplacian D - W.
+Sparse weights give the sparse form: W in CSR, its rows u, their columns
+u.  Dense weights give the lean form that online prediction needs, where
+``solve_clamped`` runs once per stream point on tens of nodes without
+``solve_harmonic``'s checks: only W's rows u, copied and scaled in place,
+and A cut from them C-ordered and shifted in place.  ``hard_harmonic``,
+``soft_harmonic``, ``online.compact_harmonic`` and ``cad.softhad_score``
+wrap ``solve_harmonic``.
 
-``hard_harmonic``, ``soft_harmonic``, ``online.compact_harmonic`` and
-``cad.softhad_score`` wrap it.  Its hard form is ``solve_clamped``, which
-``online.predict_online`` also calls directly on a component block of its
-sketch's graph, skipping ``solve_harmonic``'s checks; there it runs once
-per stream point on blocks of tens of nodes, so its dense branch stays
-lean: it splits the nodes into unlabeled and labeled ones first (nothing
-is assembled when every node is labeled), forms only the unlabeled rows of
-V weights V, in place, and their sums d_u, and builds ``diag(d_u + gamma_g
-v_u) - W_uu`` in the block it cuts from them.  Every solve meets the
-relative residual ``DEFAULT_TOL``, or, when factored, the normwise backward
-error ``DEFAULT_TOL`` on a system that is not numerically singular.
-``solve_spd`` factors a dense system (dense weights) or a sparse one
-(sparse weights) of at most ``DENSE_MAX_N`` rows by Cholesky, and a larger
-sparse one by Jacobi-preconditioned conjugate gradients, which the badly
-conditioned hard systems of a small sink gamma_g need.  Its
-conjugate-gradient loop is its own, with scipy ``cg``'s arithmetic and bits
-but without its per-step operator dispatch.  Residual norms are
-``math.sqrt(r.dot(r))``, the bits of ``np.linalg.norm`` on a real vector
-without its per-call checks.
+Every solve meets the relative residual ``DEFAULT_TOL``, or, when
+factored, the normwise backward error ``DEFAULT_TOL`` on a system that is
+not numerically singular.  ``solve_spd`` factors a dense system (dense
+weights) or a sparse one (sparse weights) of at most ``DENSE_MAX_N`` rows
+by Cholesky, and a larger sparse one by Jacobi-preconditioned conjugate
+gradients, which the badly conditioned hard systems of a small sink
+gamma_g need.  Its conjugate-gradient loop is its own, with scipy ``cg``'s
+arithmetic and bits but without its per-step operator dispatch.  Residual
+norms are ``math.sqrt(r.dot(r))``, the bits of ``np.linalg.norm`` on a real
+vector without its per-call checks.
 """
 
 from __future__ import annotations
@@ -177,16 +176,36 @@ def _jacobi_pcg(a, b: np.ndarray, inv_diag: np.ndarray, stop: float) -> np.ndarr
     return x
 
 
-def _weights(weights, v):
-    """W = V weights V (W = weights when v is None), CSR for sparse
-    weights, else dense, and its row sums d."""
+def _system(weights, v, u, gamma_g: float, extra=0.0):
+    """``A = diag(d_u + gamma_g v_u + extra) - W_uu`` and W's rows u, where
+    W = V weights V (W = weights when v is None) and d = W 1; u is an index
+    array or ``slice(None)`` for every node.  Sparse weights give a sparse
+    A and CSR rows, dense weights dense ones."""
+    v_u = 1.0 if v is None else v[u]
     if sp.issparse(weights):
         w = (weights if v is None else sp.diags(v) @ weights @ sp.diags(v)).tocsr()
-        return w, np.asarray(w.sum(axis=1)).ravel()
+        rows = w[u]
+        d = np.asarray(rows.sum(axis=1)).ravel()
+        # the diagonal formed as CSR directly: sp.diags and its conversion
+        # took 0.09 ms of a 0.25 ms subtraction at 2 000 nodes
+        k = np.arange(d.size + 1)
+        return sp.csr_matrix((d + gamma_g * v_u + extra, k[:-1], k)) - rows[:, u], rows
+    # W's rows u alone, copied, each entry (v_i w_ij) v_j
     w = np.asarray(weights, dtype=np.float64)
+    u = np.arange(w.shape[0]) if isinstance(u, slice) else u
+    rows = w[u]
     if v is not None:
-        w = v[:, None] * w * v[None, :]
-    return w, w.sum(axis=1)
+        rows *= v_u[:, None]
+        rows *= v
+    shift = rows.sum(axis=1) + gamma_g * v_u + extra
+    # C-ordered blocks, as np.ix_ gives them (the Cholesky and the
+    # product read the layout), in 40% of np.ix_'s time on 75 nodes.
+    # A in place: 0 - w as diag(shift) - W_uu forms it off the diagonal,
+    # and (0 - w) + s == s - w on it
+    a = rows.take(u, axis=1)
+    np.subtract(0.0, a, out=a)
+    a.reshape(-1)[::u.size + 1] += shift
+    return a, rows
 
 
 def solve_clamped(weights, y: np.ndarray, gamma_g: float,
@@ -200,28 +219,10 @@ def solve_clamped(weights, y: np.ndarray, gamma_g: float,
     values = y.copy()
     if not u.size:
         return values
-    if sp.issparse(weights):
-        w, d = _weights(weights, v)
-        rows = w[u]
-        a = sp.diags(d[u] + gamma_g * (1.0 if v is None else v[u])) - rows[:, u]
-        b = rows[:, l] @ y[l]
-    else:
-        # W's unlabeled rows alone, each entry (v_i w_ij) v_j as _weights
-        # forms it, so their sums are d_u
-        rows = np.asarray(weights, dtype=np.float64)[u]
-        if v is not None:
-            rows *= v[u, None]
-            rows *= v
-        shift = rows.sum(axis=1) + gamma_g * (1.0 if v is None else v[u])
-        # C-ordered blocks, as np.ix_ gives them (the Cholesky and the
-        # product read the layout), in 40% of np.ix_'s time on 75 nodes.
-        # a = diag(shift) - W_uu in place: 0 - w as diag(shift) - W_uu
-        # forms it off the diagonal, and (0 - w) + s == s - w on it
-        a = rows.take(u, axis=1)
-        np.subtract(0.0, a, out=a)
-        a.reshape(-1)[::u.size + 1] += shift
-        b = rows.take(l, axis=1) @ y[l]
-    values[u] = solve_spd(a, b)
+    a, rows = _system(weights, v, u, gamma_g)
+    # a dense W_ul C-ordered, as np.ix_ gives it: the product reads the layout
+    w_ul = rows.take(l, axis=1) if isinstance(rows, np.ndarray) else rows[:, l]
+    values[u] = solve_spd(a, w_ul @ y[l])
     return values
 
 
@@ -256,9 +257,9 @@ def solve_harmonic(weights, y: np.ndarray, gamma_g: float, fit: np.ndarray | Non
     fit = np.asarray(fit, dtype=np.float64)
     if fit.shape != (n,) or not np.all(np.isfinite(fit) & (fit > 0)):
         raise InputError("fit weights must be finite and > 0, one per node")
-    w, d = _weights(weights, mult)
-    diag = sp.diags if sp.issparse(w) else np.diag
-    return solve_spd(diag(d + gamma_g * v + fit * v) - w, fit * v * y)
+    # every node as a slice: index-array gathers double a sparse assembly's time
+    a, _ = _system(weights, mult, slice(None), gamma_g, fit * v)
+    return solve_spd(a, fit * v * y)
 
 
 def hard_harmonic(g: SimilarityGraph, labels: np.ndarray, gamma_g: float = 0.0) -> SoftLabels:

@@ -227,9 +227,9 @@ def _write_cell(plan: ExperimentPlan, params: dict, run: int, seed: int, outdir:
     cell_dir.mkdir(parents=True, exist_ok=True)
     if error is None:
         try:
-            gio.write_scores_csv(cell_dir / "scores.csv", scores,
-                                 scale_scores(scores, scores))
-            value = auroc(scores, truth)
+            # every check before the first file: a failed cell holds error.txt alone
+            scaled, value = scale_scores(scores, scores), auroc(scores, truth)
+            gio.write_scores_csv(cell_dir / "scores.csv", scores, scaled)
             gio.write_metrics_json(cell_dir / "metrics.json", {
                 "auroc": value, "n": int(scores.size), "method": plan.method,
                 "params": params, "seed": seed,

@@ -505,6 +505,14 @@ class TestRwcad:
 
 
 class TestWeightedKnn:
+    def test_loo_zero_kernel_mass_raises(self):
+        # at sigma = 0.05 the far point's weight to every other point
+        # underflows to 0, and leave-one-out drops its own
+        pts = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.1], [5.0, 5.0]])
+        ps = PointSet(pts, np.array([1, -1, 1, -1]))
+        with pytest.raises(DegenerateGraphError, match="zero kernel mass"):
+            weighted_knn_scores_loo(ps, sigma=0.05)
+
     def test_coincides_with_own_class_scores_near_zero(self):
         pts = np.array([[0.0, 0.0], [10.0, 10.0]])
         ps = PointSet(pts, np.array([1, -1]))

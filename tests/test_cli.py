@@ -450,6 +450,33 @@ class TestRunPlan:
         assert all("InputError" in e.read_text() for e in nan_cell.rglob("error.txt"))
         assert len(list(out.glob("rwcad/*/run*/error.txt"))) == 2
 
+    def test_non_numeric_lambda_fails_only_its_own_cell(self, tmp_path):
+        # a lambda that is no number is not grouped with the valid ones
+        plan = self._plan(tmp_path, 'grid.lambda = ["abc", 0.01, 1.0]')
+        out = tmp_path / "out"
+        results = run_plan(plan_from_config(plan, outdir=str(out)))
+        assert [(r.params["lambda"], r.status) for r in results] == [
+            ("abc", "failed"), ("abc", "failed"), (0.01, "ok"), (0.01, "ok"),
+            (1.0, "ok"), (1.0, "ok")]
+        bad_cell = out / "rwcad" / grid_hash(results[0].params)
+        assert sorted(f.relative_to(bad_cell).as_posix() for f in bad_cell.rglob("*.*")) == [
+            "run0/error.txt", "run1/error.txt"]
+        assert len(list(out.glob("rwcad/*/run*/scores.csv"))) == 4
+
+    def test_cell_failing_its_auroc_writes_only_error_txt(self, tmp_path, capsys):
+        # no flips: the truth has one class, so every cell's AUROC raises
+        plan = self._plan(tmp_path)
+        plan.write_text(plan.read_text().replace("flip_fraction = 0.05", "flip_fraction = 0"))
+        out = tmp_path / "out"
+        assert main(["run-plan", "--config", str(plan), "--out-dir", str(out)]) == 1
+        assert "cells=4 failed=4" in capsys.readouterr().out
+        cells = sorted(out.glob("rwcad/*/run*"))
+        assert len(cells) == 4
+        assert all(sorted(f.name for f in cell.iterdir()) == ["error.txt"] for cell in cells)
+        rows = (out / "summary.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[4] for row in rows] == ["failed", "failed",
+                                                       "aggregate", "aggregate"] * 2
+
     def test_grouped_cells_match_cells_scored_alone(self, tmp_path):
         plan = plan_from_config(self._plan(tmp_path, "grid.lambda = [0.0, 0.01, 1.0]"),
                                 outdir=str(tmp_path / "out"))
@@ -547,7 +574,8 @@ _MIXTURE_WITHOUT_POS_MEANS = ("type = mixture\npos.weights = [1.0]\n"
                                   "infinite_growth", "core_n", "core_flip", "nan_score",
                                   "global_config", "config_mode", "config_scale",
                                   "config_truth_col", "config_n", "config_graph",
-                                  "infinite_gamma", "infinite_gamma_q", "nan_epsilon"])
+                                  "infinite_gamma", "infinite_gamma_q", "nan_epsilon",
+                                  "kernel_prefix", "no_out_test", "model_number"])
 def test_malformed_input_exits_2(tmp_path, capsys, case):
     data = _ssl_input(tmp_path)
     out = str(tmp_path / "out")
@@ -641,6 +669,13 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
                                      "--gamma-q", "inf", "--out", out],
         "nan_epsilon": lambda: ["mmgc", "--train", str(data), "--gamma", "0.1",
                                 "--epsilon", "nan", "--out", out],
+        "kernel_prefix": lambda: ["mmgc", "--train", str(data), "--gamma", "0.1",
+                                  "--kernel", "rbfoo", "--out", out],
+        "no_out_test": lambda: ["gen-data", "--out", out, "--truth", out + "-truth",
+                                "--config", _bad_file(tmp_path, "core.cfg", "type = core\n")],
+        "model_number": lambda: ["mmgc-predict", "--input", str(data), "--out", out, "--model",
+                                 _bad_file(tmp_path, "m.txt", model.replace("bias=0.1",
+                                                                            "bias=abc"))],
     }[case]()
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -667,10 +702,15 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
             "config_graph": "unknown graph spec '5'",
             "infinite_gamma": "gamma must be finite",
             "infinite_gamma_q": "gamma_q must be finite",
-            "nan_epsilon": "epsilon must be >= 0, got nan"}[case]
+            "nan_epsilon": "epsilon must be >= 0, got nan",
+            "kernel_prefix": "unknown kernel spec 'rbfoo'",
+            "no_out_test": "core datasets need --out-test",
+            "model_number": "m.txt: bad number in model file"}[case]
     assert want in err
     if case.startswith("core_"):
         assert not Path(out).exists() and not Path(out + "-test").exists()
+    if case == "no_out_test":
+        assert not Path(out).exists() and not Path(out + "-truth").exists()
     if case.startswith(("config_", "infinite_gamma")):
         assert not Path(out).exists()
 

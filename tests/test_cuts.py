@@ -8,7 +8,7 @@ from graphssl import cuts
 from graphssl import graph as graph_module
 
 from graphssl import (CutClassifier, GraphConfig, InputError, KernelSpec,
-                      PointSet, build_graph, induce_labels, kernel_matrix,
+                      PointSet, SolverError, build_graph, induce_labels, kernel_matrix,
                       train_maxmargin, train_on_induced)
 
 from _synth import two_grid_squares
@@ -135,6 +135,16 @@ class TestKernels:
         with pytest.raises(InputError, match="positive"):
             KernelSpec.parse("rbf:-1")
 
+    @pytest.mark.parametrize("text", ["rbfoo", "rbf_x", "linear:2", "cubic:3", "linear:", ""])
+    def test_parse_rejects_unknown_kinds_and_widths_on_other_kernels(self, text):
+        # the kind is the text before ':', exactly; only rbf takes a width
+        with pytest.raises(InputError, match="unknown kernel spec"):
+            KernelSpec.parse(text)
+
+    @pytest.mark.parametrize("text", ["rbf", "rbf:"])
+    def test_parse_rbf_without_width_is_width_1(self, text):
+        assert KernelSpec.parse(text) == KernelSpec("rbf", 1.0)
+
     @pytest.mark.parametrize("width", [1e-200, 1e200, float("inf")])
     def test_rbf_width_whose_divisor_is_zero_or_not_finite_rejected(self, width):
         # 2 width^2 underflows to 0 at 1e-200 and overflows at 1e200
@@ -185,7 +195,33 @@ class TestInduceLabels:
             induce_labels(g, labels, 1e-6, epsilon)
 
 
+    def test_one_class_induced_set_rejected(self):
+        # two +1 labels and no -1: the induced set has one class
+        g, labels = self._graph()
+        labels[15] = 1
+        points = np.zeros((30, 2))
+        with pytest.raises(InputError, match="induced training set must contain both"):
+            train_on_induced(points, g, labels, 1e-3, 1e-6, 1e-6, KernelSpec("linear"))
+
+
 class TestTrainMaxMargin:
+    def test_missed_gap_tolerance_raises_solver_error(self, monkeypatch):
+        # SMO stops at its violation floor long before a gap of 1e-300;
+        # the error carries the relative gap of the accepted solution
+        gaps, gap_of = [], cuts._duality_gap
+
+        def recorded(*args):
+            gaps.append(gap_of(*args))
+            return gaps[-1]
+
+        monkeypatch.setattr(cuts, "GAP_TOL", 1e-300)
+        monkeypatch.setattr(cuts, "_duality_gap", recorded)
+        pts, y, _ = _two_blobs(0, 20, 1.0)
+        with pytest.raises(SolverError, match="gap tolerance") as info:
+            train_maxmargin(pts, y, KernelSpec("linear"), gamma=0.05)
+        gap, primal, _ = gaps[-1]
+        assert 0.0 < info.value.residual == gap / max(1.0, abs(primal))
+
     def test_two_points_give_perpendicular_bisector(self):
         pts = np.array([[1.0, 1.0], [3.0, 2.0]])
         y = np.array([1.0, -1.0])

@@ -285,6 +285,23 @@ class TestPredictOnline:
         step = predict_online(state, np.array([0.0, 0.0]), 0, 0.1, self.CFG)
         assert step.abstained
 
+    def test_zero_value_in_a_labeled_component_abstains(self):
+        # the new point is equidistant from a +1 and a -1 label: its
+        # solved value is exactly 0
+        state = QuantizerState(8)
+        predict_online(state, np.array([-1.0, 0.0]), 1, 0.01, self.CFG)
+        predict_online(state, np.array([1.0, 0.0]), -1, 0.01, self.CFG)
+        solved = []
+
+        def recorded(*args):
+            solved.append(solve_clamped(*args))
+            return solved[-1]
+
+        with mock.patch.object(online_module, "solve_clamped", recorded):
+            step = predict_online(state, np.array([0.0, 2.0]), 0, 0.01, self.CFG)
+        assert len(solved) == 1 and solved[0].tolist() == [1.0, -1.0, 0.0]
+        assert step.abstained and step.prediction == online_module.ABSTAIN
+
     @pytest.mark.parametrize("gamma_g", [-0.01, np.nan, np.inf])
     def test_invalid_gamma_rejected_before_observing(self, gamma_g):
         state = QuantizerState(4)

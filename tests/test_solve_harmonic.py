@@ -78,6 +78,38 @@ def reference_backbone(g, v, y, cfg):
     return np.abs(solve_spd(a, cfg.c_l * v * y) - y)
 
 
+def reference_weights(weights, v):
+    """W = V weights V (W = weights when v is None), CSR for sparse
+    weights, else dense, and its row sums d: the assembly that hard and soft
+    systems were built from before one routine formed them."""
+    if sp.issparse(weights):
+        w = (weights if v is None else sp.diags(v) @ weights @ sp.diags(v)).tocsr()
+        return w, np.asarray(w.sum(axis=1)).ravel()
+    w = np.asarray(weights, dtype=np.float64)
+    if v is not None:
+        w = v[:, None] * w * v[None, :]
+    return w, w.sum(axis=1)
+
+
+def reference_solve(weights, y, gamma_g, fit=None, v=None):
+    """solve_harmonic's systems formed from reference_weights: soft
+    ``diag(d + gamma_g v + fit v) - W``, hard ``diag(d_u + gamma_g v_u) -
+    W_uu`` with ``W_ul y_l``; dense blocks C-ordered, as np.ix_ gives them."""
+    w, d = reference_weights(weights, v)
+    ones = np.ones(y.shape[0]) if v is None else v
+    diag = sp.diags if sp.issparse(w) else np.diag
+    if fit is not None:
+        return solve_spd(diag(d + gamma_g * ones + fit * ones) - w, fit * ones * y)
+    u, l = np.flatnonzero(y == 0), np.flatnonzero(y)
+    values = y.copy()
+    if u.size:
+        rows = w[u]
+        uu, ul = (rows[:, u], rows[:, l]) if sp.issparse(w) else (w[np.ix_(u, u)],
+                                                                    w[np.ix_(u, l)])
+        values[u] = solve_spd(diag(d[u] + gamma_g * ones[u]) - uu, ul @ y[l])
+    return values
+
+
 def _size(side, extra):
     """Node counts on both sides of the dense-Cholesky / Jacobi-PCG cutoff."""
     return 2 + extra if side == "dense" else DENSE_MAX_N + 1 + extra
@@ -89,6 +121,28 @@ def _graph(n, seed):
 
 
 class TestCoreMatchesOldAssemblies:
+    @given(st.sampled_from(["dense", "pcg"]), st.integers(0, 40), st.integers(0, 2**32 - 1),
+           GAMMAS, st.booleans(), st.booleans(), st.booleans(), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_one_assembly_bit_identical(self, side, extra, seed, gamma_g, sparse, soft,
+                                        multiplicities, loops):
+        # every system of solve_harmonic, hard and soft, on dense and sparse
+        # weights, against the blocks of reference_weights
+        n = _size(side, extra)
+        rng = np.random.default_rng(seed)
+        w = _graph(n, seed).dense()
+        if loops:
+            w += np.diag(rng.random(n))
+        v = rng.integers(1, 8, n).astype(float) if multiplicities else None
+        y = random_labels(n, 1 + seed % max(1, n // 4), seed).astype(float)
+        fit = np.where(y != 0, 10.0, 0.1) if soft else None
+        weights = sp.csr_matrix(w) if sparse else w
+        got = solve_harmonic(weights, y, gamma_g, fit, v)
+        assert np.array_equal(got, reference_solve(weights, y, gamma_g, fit, v))
+        if not soft:
+            # online prediction's call, without solve_harmonic's checks
+            assert np.array_equal(solve_clamped(weights, y, gamma_g, v), got)
+
     @given(st.sampled_from(["dense", "pcg"]), st.integers(0, 40),
            st.integers(0, 2**32 - 1), GAMMAS)
     @settings(max_examples=30, deadline=None)
