@@ -11,10 +11,10 @@ Three scorers:
   and score each example by |propagated - actual|, optionally on a
   multiplicity-weighted backbone graph.
 
-rwcad and k-NN share one kernel-mass routine: the row sums of the Gaussian
-kernel exp(-d^2 / (p sigma^2)) between query rows and a class's training
-points, formed in place on each distance block of ``graph.sq_dist_blocks``,
-so memory is O(block + n).
+rwcad and k-NN reach every class mass through ``_kernel_mass``: the row
+sums of the Gaussian kernel exp(-d^2 / (p sigma^2)) between query rows and
+a class's training points, formed in place on each distance block of
+``graph.sq_dist_blocks``, so memory is O(block + n).
 Leave-one-out (LOO) masses zero the point's own column, and a class volume
 is the sum of its points' LOO masses; both sum in another order than one
 dense kernel, within a relative 1e-14, while test-row masses are
@@ -69,13 +69,6 @@ class CadModel:
     sigma: float
     psi: np.ndarray
     own_masses: tuple = field(repr=False, compare=False)
-
-    def masses(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Kernel mass of each query row against each class."""
-        return self._mass(x, self.points_pos), self._mass(x, self.points_neg)
-
-    def _mass(self, x, points) -> np.ndarray:
-        return _kernel_mass(x, points, self.sigma, self.psi)
 
 
 def check_cad_params(lam, priors: str = "empirical") -> np.ndarray:
@@ -141,7 +134,7 @@ def _score_rows(method: str, model: CadModel, x: np.ndarray, y: np.ndarray,
         m, kept = np.empty(y.size), loo & (y == label)
         if n_loo:
             m[kept] = model.own_masses[k]
-        m[~kept] = model._mass(x[~kept], points)
+        m[~kept] = _kernel_mass(x[~kept], points, model.sigma, model.psi)
         masses.append(m)
     m_pos, m_neg = masses
     is_pos = y == 1

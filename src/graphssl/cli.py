@@ -13,7 +13,7 @@ import numpy as np
 
 from . import io as gio
 from .cad import scale_scores
-from .cuts import CutClassifier, KernelSpec, train_on_induced
+from .cuts import KernelSpec, train_on_induced
 from .datasets import (draw_dataset, load_dataset_spec, parse_config_text,
                        true_anomaly_scores)
 from .errors import DegenerateGraphError, InputError, SolverError
@@ -102,81 +102,18 @@ def cmd_joint_ssl(args) -> int:
     return 0
 
 
-def _dump_model(path: str, clf: CutClassifier) -> None:
-    lines = []
-    if clf.kernel.kind == "rbf":
-        lines.append(f"kernel=rbf:{gio.fmt17(clf.kernel.rbf_width)}")
-    else:
-        lines.append(f"kernel={clf.kernel.kind}")
-    lines.append(f"bias={gio.fmt17(clf.bias)}")
-    lines.append("retained=" + ",".join(str(i) for i in clf.retained_indices))
-    lines.append("coef=" + ",".join(gio.fmt17(c) for c in clf.coefficients))
-    lines.append(f"support={clf.support_points.shape[0]},{clf.support_points.shape[1]}")
-    for row in clf.support_points:
-        lines.append(",".join(gio.fmt17(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _numbers(text: str, convert) -> list:
-    """The comma-separated values of a model field; an empty field has none."""
-    return [convert(v) for v in text.split(",")] if text else []
-
-
-def _load_model(path: str) -> CutClassifier:
-    """A model file written by _dump_model: s support rows and s
-    coefficients, and r >= s retained indices (files written before support
-    points were cut to the nonzero coefficients have s = r).  A missing
-    field, a bad or non-finite number or a support block, coefficient or
-    retained list of the wrong size raises InputError."""
-    lines = Path(path).read_text().strip().splitlines()
-    fields = {}
-    i = 0
-    while i < len(lines) and "=" in lines[i]:
-        key, _, value = lines[i].partition("=")
-        fields[key] = value
-        i += 1
-        if key == "support":
-            break
-    missing = [key for key in ("kernel", "bias", "retained", "coef", "support")
-               if key not in fields]
-    if missing:
-        raise InputError(f"{path}: model file lacks {', '.join(missing)}")
-    try:
-        n, p = (int(v) for v in fields["support"].split(","))
-        rows = [_numbers(line, float) for line in lines[i:]]
-        coef = np.array(_numbers(fields["coef"], float))
-        retained = np.array(_numbers(fields["retained"], int), dtype=np.int64)
-        bias = float(fields["bias"])
-    except ValueError:
-        raise InputError(f"{path}: bad number in model file") from None
-    if len(rows) != n or any(len(row) != p for row in rows) or coef.size != n \
-            or retained.size < n:
-        raise InputError(f"{path}: model file needs {n} support rows of {p} numbers, "
-                         f"{n} coefficients and at least {n} retained indices")
-    support = np.array(rows).reshape(n, p)
-    if not (np.isfinite(bias) and np.all(np.isfinite(coef)) and np.all(np.isfinite(support))):
-        raise InputError(f"{path}: non-finite number in model file")
-    return CutClassifier(
-        support_points=support,
-        coefficients=coef,
-        bias=bias,
-        kernel=KernelSpec.parse(fields["kernel"]),
-        retained_indices=retained,
-    )
-
-
 def cmd_mmgc(args) -> int:
     ps = gio.read_points_csv(args.train)
     g = build_graph(ps, _graph_cfg(args))
     kernel = KernelSpec.parse(args.kernel)
     clf = train_on_induced(ps.points, g, ps.labels, args.gamma, args.gamma_g,
                            args.epsilon, kernel)
-    _dump_model(args.out, clf)
+    gio.write_cut_model(args.out, clf)
     return 0
 
 
 def cmd_mmgc_predict(args) -> int:
-    clf = _load_model(args.model)
+    clf = gio.read_cut_model(args.model)
     ps = gio.read_points_csv(args.input)
     values = clf.decision_values(ps.points)
     gio.write_soft_labels_csv(args.out, values)

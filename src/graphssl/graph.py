@@ -115,15 +115,22 @@ class GraphConfig:
 
 
 class SimilarityGraph:
-    """Symmetric nonnegative sparse weight matrix with zero diagonal."""
+    """Symmetric nonnegative sparse weight matrix with zero diagonal, in the
+    library's one canonical form: a float64 CSR copy of the input, in its
+    entry order, without diagonal entries or stored zeros."""
 
     def __init__(self, weights: sp.spmatrix):
-        # a copy: setdiag and eliminate_zeros would write into the caller's
-        # arrays, which csr_matrix shares with a float64 CSR input
+        # a copy, as zeroing writes in place; a repeated diagonal entry first
+        # sums every repeated entry, as scipy's setdiag does
         w = sp.csr_matrix(weights, dtype=np.float64, copy=True)
-        if w.shape[0] != w.shape[1]:
+        n = w.shape[0]
+        if w.shape[1] != n:
             raise InputError("weight matrix must be square")
-        w.setdiag(0.0)
+        row = np.repeat(np.arange(n), np.diff(w.indptr))
+        if np.any(np.diff(row[w.indices == row]) == 0):
+            w.sum_duplicates()
+            row = np.repeat(np.arange(n), np.diff(w.indptr))
+        w.data[w.indices == row] = 0.0
         w.eliminate_zeros()
         self.weights = w
         self.degrees = np.asarray(w.sum(axis=1)).ravel()
@@ -172,6 +179,10 @@ def gaussian_in_place(d2: np.ndarray, p: int, sigma: float, normalize_by_p: bool
 
 # entries of one block of an n x width product (32 MB of float64)
 _EXACT_BLOCK = 1 << 22
+
+# most entries an epsilon graph may keep: 2 GiB at 24 bytes an entry, 12 in
+# the row blocks' CSR parts and 12 in their stacked copy
+_EPS_MAX_ENTRIES = (2 << 30) // 24
 
 
 def row_blocks(n: int, width: int):
@@ -245,7 +256,7 @@ def _knn_lists(x: np.ndarray, psi: np.ndarray, k: int) -> tuple[np.ndarray, np.n
 
 
 def _knn_weights(ps: PointSet, k: int, sigma: float, normalize_by_p: bool) -> sp.csr_matrix:
-    """Union-rule k-NN weight matrix in canonical CSR, zeros dropped."""
+    """Union-rule k-NN weight matrix in sorted CSR, underflowed weights stored as 0."""
     n = ps.n
     nbrs, nd = _knn_lists(ps.points, ps.feature_weights, k)
     rows = np.repeat(np.arange(n), k)
@@ -253,8 +264,6 @@ def _knn_weights(ps: PointSet, k: int, sigma: float, normalize_by_p: bool) -> sp
     # both directions of an edge carry the same distance bit for bit
     key, first = np.unique(key, return_index=True)
     w = gaussian_in_place(nd.ravel()[first % rows.size], ps.p, sigma, normalize_by_p)
-    keep = w != 0.0
-    key, w = key[keep], w[keep]
     indptr = np.searchsorted(key, np.arange(n + 1) * n)
     return sp.csr_matrix((w, key % n, indptr), shape=(n, n))
 
@@ -264,13 +273,20 @@ def _epsilon_weights(ps: PointSet, eps_cut: float, sigma: float,
     """Every off-diagonal weight >= eps_cut, in canonical CSR, and whether
     every off-diagonal weight underflows to 0 before the cut.  Each row
     block's Gaussian is formed in its distance block and kept as CSR, so
-    memory is one block plus O(n + nnz)."""
-    parts, underflow = [], True
+    memory is one block plus O(n + nnz).  InputError once the kept entries
+    pass _EPS_MAX_ENTRIES, counted before each block's CSR is formed."""
+    parts, underflow, kept = [], True, 0
     for rows, w in sq_dist_blocks(ps.points, ps.points, ps.feature_weights):
         gaussian_in_place(w, ps.p, sigma, normalize_by_p)
         w[np.arange(w.shape[0]), np.arange(rows.start, rows.stop)] = 0.0
         underflow = underflow and not w.any()
         w[w < eps_cut] = 0.0
+        kept += np.count_nonzero(w)
+        if kept > _EPS_MAX_ENTRIES:
+            raise InputError(
+                f"the epsilon graph on {ps.n} points keeps {kept} entries by row "
+                f"{rows.stop} at eps_cut={eps_cut!r}, sigma={sigma!r}, more than the "
+                f"{_EPS_MAX_ENTRIES} it may hold: raise eps_cut or use a knn graph")
         parts.append(sp.csr_matrix(w))
         del w                   # before the next block is formed
     return sp.vstack(parts, format="csr"), underflow
@@ -283,7 +299,8 @@ def build_graph(ps: PointSet, cfg: GraphConfig) -> SimilarityGraph:
     ties, duplicate points included, go to the lowest index.  It needs
     O(n*k) memory and never forms an n x n matrix.  Epsilon mode scans all
     pairs exactly, one row block of distances at a time, in memory of one
-    block plus O(n + nnz); eps_cut = 0 gives the complete graph.  Raises
+    block plus O(n + nnz); eps_cut = 0 gives the complete graph, and more
+    than _EPS_MAX_ENTRIES kept entries raise ``InputError``.  Raises
     ``DegenerateGraphError`` when every weight the graph would keep
     underflows to 0 (sigma too small for the data).
     """
@@ -295,7 +312,7 @@ def build_graph(ps: PointSet, cfg: GraphConfig) -> SimilarityGraph:
     sigma = resolve_sigma(cfg.sigma, ps.points)
     if cfg.mode == "knn":
         w = _knn_weights(ps, cfg.k_neighbors, sigma, cfg.normalize_by_p)
-        underflow = w.nnz == 0
+        underflow = not w.data.any()
     else:
         w, underflow = _epsilon_weights(ps, cfg.eps_cut, sigma, cfg.normalize_by_p)
     if underflow:

@@ -1,4 +1,6 @@
-"""CSV / JSON / edge-list formats used by the CLI.
+"""Every data file of the CLI, read and written: points, truth, edge lists,
+soft labels, online steps, scores, metrics, objective traces and the cut
+model.
 
 All floats are written with 17 significant digits so outputs round-trip
 exactly and runs can be compared byte for byte.  Every row writer goes
@@ -16,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+from .cuts import CutClassifier, KernelSpec
 from .errors import InputError
 from .graph import LABEL_VALUES, PointSet, SimilarityGraph
 
@@ -153,3 +156,60 @@ def write_metrics_json(path: str | Path, metrics: dict) -> None:
 def write_trace_csv(path: str | Path, values: list[float]) -> None:
     values = np.asarray(values, dtype=np.float64).tolist()
     _write_table(path, "iteration,objective", "%d,%.17g", range(len(values)), values)
+
+
+def write_cut_model(path: str | Path, clf: CutClassifier) -> None:
+    """``key=value`` lines for the kernel, bias, retained indices,
+    coefficients and ``support=s,p``, then the s support rows of p numbers."""
+    kernel = clf.kernel.kind
+    if kernel == "rbf":
+        kernel += ":" + fmt17(clf.kernel.rbf_width)
+    s, p = clf.support_points.shape
+    header = "\n".join([f"kernel={kernel}", f"bias={fmt17(clf.bias)}",
+                        "retained=" + ",".join(str(i) for i in clf.retained_indices),
+                        "coef=" + ",".join(fmt17(c) for c in clf.coefficients),
+                        f"support={s},{p}"])
+    _write_table(path, header, ",".join(["%.17g"] * p), *clf.support_points.T.tolist())
+
+
+def _numbers(text: str, convert) -> list:
+    """The comma-separated values of a model field; an empty field has none."""
+    return [convert(v) for v in text.split(",")] if text else []
+
+
+def read_cut_model(path: str | Path) -> CutClassifier:
+    """A model file of write_cut_model: s >= 0 support rows of p >= 1 numbers,
+    s coefficients and r >= s retained indices (files written before support
+    points were cut to the nonzero coefficients have s = r).  A missing field,
+    a bad or non-finite number or a support block, coefficient or retained
+    list of the wrong size raises InputError."""
+    lines = Path(path).read_text().strip().splitlines()
+    fields = {}
+    i = 0
+    while i < len(lines) and "=" in lines[i]:
+        key, _, value = lines[i].partition("=")
+        fields[key] = value
+        i += 1
+        if key == "support":
+            break
+    missing = [key for key in ("kernel", "bias", "retained", "coef", "support")
+               if key not in fields]
+    if missing:
+        raise InputError(f"{path}: model file lacks {', '.join(missing)}")
+    try:
+        n, p = (int(v) for v in fields["support"].split(","))
+        rows = [_numbers(line, float) for line in lines[i:]]
+        coef = np.array(_numbers(fields["coef"], float))
+        retained = np.array(_numbers(fields["retained"], int), dtype=np.int64)
+        bias = float(fields["bias"])
+    except ValueError:
+        raise InputError(f"{path}: bad number in model file") from None
+    if n < 0 or p < 1 or len(rows) != n or any(len(row) != p for row in rows) \
+            or coef.size != n or retained.size < n:
+        raise InputError(f"{path}: model file needs {n} support rows of {p} numbers, "
+                         f"{n} coefficients and at least {n} retained indices")
+    support = np.array(rows).reshape(n, p)
+    if not (np.isfinite(bias) and np.all(np.isfinite(coef)) and np.all(np.isfinite(support))):
+        raise InputError(f"{path}: non-finite number in model file")
+    return CutClassifier(support_points=support, coefficients=coef, bias=bias,
+                         kernel=KernelSpec.parse(fields["kernel"]), retained_indices=retained)

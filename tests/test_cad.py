@@ -51,6 +51,12 @@ def _cross_kernel(a, b, sigma, psi):
     return gaussian_in_place(cross_sq_dists(a, b, psi), a.shape[1], sigma, True)
 
 
+def _masses(model, x):
+    """The kernel mass of each query row against each class of the model."""
+    return tuple(_kernel_mass(x, points, model.sigma, model.psi)
+                 for points in (model.points_pos, model.points_neg))
+
+
 def _dense_reference(ps, sigma, x):
     """Test-only copies of the dense CAD masses that the blocked routine
     replaced: leave-one-out masses as column sums of one n x n kernel,
@@ -160,14 +166,14 @@ class TestLooMasses:
         (ref_pos, ref_neg), ref_vols, ref_test = _dense_reference(ps, sigma, x)
         with mock.patch.object(graph_module, "_EXACT_BLOCK", rows * ps.n):
             model = fit_cad_model(ps, 0.0, sigma)
-            test = model.masses(x)
+            test = _masses(model, x)
             loo_knn = weighted_knn_scores_loo(ps, sigma)
             loo_rwcad = rwcad_scores_loo(ps, 0.01, sigma)
         # test-row masses are a dense kernel's row sums, bit for bit
         assert all(np.array_equal(got, want) for got, want in zip(test, ref_test))
-        # LOO masses: own class from the fit, other class from model.masses
+        # LOO masses: own class from the fit, other class from _kernel_mass
         is_pos = ps.labels == 1
-        m_pos, m_neg = model.masses(ps.points)
+        m_pos, m_neg = _masses(model, ps.points)
         m_pos[is_pos], m_neg[~is_pos] = model.own_masses
         for got, want in ((m_pos, ref_pos), (m_neg, ref_neg),
                           (model.vol_pos, ref_vols[0]), (model.vol_neg, ref_vols[1])):
@@ -197,7 +203,8 @@ class TestLooMasses:
         for rows in (7, 37, 11):
             monkeypatch.setattr(graph_module, "_EXACT_BLOCK", rows * ps.n)
             model = fit_cad_model(ps, 0.0, 0.7)
-            assert all(np.array_equal(a, b) for a, b in zip(model.masses(x), whole.masses(x)))
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(_masses(model, x), _masses(whole, x)))
             assert all(np.array_equal(a, b)
                        for a, b in zip(model.own_masses, whole.own_masses))
             assert (model.vol_pos, model.vol_neg) == (whole.vol_pos, whole.vol_neg)
@@ -205,7 +212,7 @@ class TestLooMasses:
     def test_empty_query_set(self):
         model = fit_cad_model(_random_labeled_set(15, n=20), 0.0, 0.7)
         empty = np.zeros((0, 3))
-        assert all(m.shape == (0,) for m in model.masses(empty))
+        assert all(m.shape == (0,) for m in _masses(model, empty))
         assert rwcad_scores(model, empty, np.zeros(0)).shape == (0,)
         assert weighted_knn_scores(model, empty, np.zeros(0)).shape == (0,)
 
@@ -224,7 +231,7 @@ class TestOnePointClass:
         lams = np.array([0.0, 0.01, 1.0])
         scores = rwcad_scores_loo(ps, lams, sigma=1.0)
         model = fit_cad_model(ps, 0.0, sigma=1.0)
-        m_pos = model.masses(ps.points[3:])[0][0]
+        m_pos = _masses(model, ps.points[3:])[0][0]
         opposite = m_pos / (model.vol_pos + 2.0 * m_pos) * model.prior_pos
         assert opposite > 0
         assert np.array_equal(scores[:, 3], opposite / (lams + opposite))
@@ -277,7 +284,7 @@ class TestMismatchedInputs:
             with pytest.raises(InputError, match="features"):
                 scorer(model, wide.points, wide.labels)
         with pytest.raises(InputError, match="features"):
-            model.masses(wide.points)
+            _masses(model, wide.points)
 
     def test_scorers_reject_one_label_per_row_mismatch(self):
         train = _random_labeled_set(17, n=20)

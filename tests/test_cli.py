@@ -8,12 +8,13 @@ from graphssl import (GraphConfig, InputError, PointSet, SoftConfig, build_graph
                       fit_cad_model, rwcad_scores, rwcad_scores_loo, scale_scores,
                       softhad_score, weighted_knn_scores, weighted_knn_scores_loo)
 from graphssl import cli
-from graphssl.cli import _dump_model, _load_model, build_parser, main
+from graphssl import graph as graph_module
+from graphssl.cli import build_parser, main
 from graphssl.datasets import default_mixtures, flip_labels, gen_gauss_mixture, load_dataset_spec
-from graphssl.io import (fmt17, read_points_csv, read_scores_csv, read_truth_csv,
-                         write_points_csv, write_scores_csv)
-from graphssl.plan import (_fmt_param, grid_hash, grid_points, plan_from_config, run_plan,
-                           score_method)
+from graphssl.io import (fmt17, read_cut_model, read_points_csv, read_scores_csv,
+                         read_truth_csv, write_cut_model, write_points_csv, write_scores_csv)
+from graphssl.plan import (ExperimentPlan, _fmt_param, grid_hash, grid_points,
+                           plan_from_config, run_plan, score_method)
 
 
 def _write_mixture_cfg(path: Path) -> Path:
@@ -189,9 +190,9 @@ class TestMmgc:
                      "--out", str(out)]) == 0
         rows = [r.split(",") for r in out.read_text().strip().splitlines()[1:]]
         assert len(rows) == 40 and all(r[1:] == ["-0.5", "-1"] for r in rows)
-        clf = _load_model(str(model))
+        clf = read_cut_model(str(model))
         again = tmp_path / "again.txt"
-        _dump_model(str(again), clf)
+        write_cut_model(str(again), clf)
         assert again.read_text() == model.read_text()
 
 
@@ -541,6 +542,21 @@ def test_plan_counts_must_be_integers(tmp_path, key, value):
         plan_from_config(path)
 
 
+@pytest.mark.parametrize("lines, match", [("method = ranked\ndataset = {mix}", "method must be"),
+                                          ("method = knn", "needs a 'dataset' key")])
+def test_plan_config_rejections(tmp_path, lines, match):
+    mix = _write_mixture_cfg(tmp_path)
+    path = tmp_path / "plan.cfg"
+    path.write_text(lines.format(mix=mix.name) + "\n")
+    with pytest.raises(InputError, match=match):
+        plan_from_config(path)
+
+
+def test_plan_grid_must_be_non_empty():
+    with pytest.raises(InputError, match="grid must be non-empty"):
+        ExperimentPlan(method="knn", grid={}, dataset="mix.cfg")
+
+
 def _malformed_points(tmp_path, cell):
     path = tmp_path / "bad.csv"
     path.write_text(f"f0,f1,label\n0,0,1\n1,1,-1\n2,{cell}\n")
@@ -575,8 +591,9 @@ _MIXTURE_WITHOUT_POS_MEANS = ("type = mixture\npos.weights = [1.0]\n"
                                   "global_config", "config_mode", "config_scale",
                                   "config_truth_col", "config_n", "config_graph",
                                   "infinite_gamma", "infinite_gamma_q", "nan_epsilon",
-                                  "kernel_prefix", "no_out_test", "model_number"])
-def test_malformed_input_exits_2(tmp_path, capsys, case):
+                                  "kernel_prefix", "no_out_test", "model_number",
+                                  "model_negative_width", "eps_budget"])
+def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, case):
     data = _ssl_input(tmp_path)
     out = str(tmp_path / "out")
     scores, truth = tmp_path / "scores.csv", tmp_path / "truth.csv"
@@ -587,6 +604,8 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
 
     def config(line):
         return ["--config", _bad_file(tmp_path, "g.cfg", line + "\n")]
+    if case == "eps_budget":        # eps:0 on the 40 points keeps 1 560 entries
+        monkeypatch.setattr(graph_module, "_EPS_MAX_ENTRIES", 100)
     argv = {
         "label": lambda: ["ssl", "--input", str(_malformed_points(tmp_path, "2,1.7")),
                           "--out", out],
@@ -676,6 +695,12 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
         "model_number": lambda: ["mmgc-predict", "--input", str(data), "--out", out, "--model",
                                  _bad_file(tmp_path, "m.txt", model.replace("bias=0.1",
                                                                             "bias=abc"))],
+        "model_negative_width": lambda: [
+            "mmgc-predict", "--input", str(data), "--out", out, "--model",
+            _bad_file(tmp_path, "m.txt", "kernel=linear\nbias=0.1\nretained=\ncoef=\n"
+                                         "support=0,-3\n")],
+        "eps_budget": lambda: ["build-graph", "--input", str(data), "--graph", "eps",
+                               "--sigma", "1", "--out", out],
     }[case]()
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -705,13 +730,15 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
             "nan_epsilon": "epsilon must be >= 0, got nan",
             "kernel_prefix": "unknown kernel spec 'rbfoo'",
             "no_out_test": "core datasets need --out-test",
-            "model_number": "m.txt: bad number in model file"}[case]
+            "model_number": "m.txt: bad number in model file",
+            "model_negative_width": "m.txt: model file needs 0 support rows of -3 numbers",
+            "eps_budget": "the epsilon graph on 40 points keeps"}[case]
     assert want in err
     if case.startswith("core_"):
         assert not Path(out).exists() and not Path(out + "-test").exists()
     if case == "no_out_test":
         assert not Path(out).exists() and not Path(out + "-truth").exists()
-    if case.startswith(("config_", "infinite_gamma")):
+    if case.startswith(("config_", "infinite_gamma", "model_negative", "eps_")):
         assert not Path(out).exists()
 
 

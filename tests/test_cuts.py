@@ -145,6 +145,11 @@ class TestKernels:
     def test_parse_rbf_without_width_is_width_1(self, text):
         assert KernelSpec.parse(text) == KernelSpec("rbf", 1.0)
 
+    @pytest.mark.parametrize("kind", ["quartic", "RBF", ""])
+    def test_unknown_kind_rejected(self, kind):
+        with pytest.raises(InputError, match="unknown kernel"):
+            KernelSpec(kind)
+
     @pytest.mark.parametrize("width", [1e-200, 1e200, float("inf")])
     def test_rbf_width_whose_divisor_is_zero_or_not_finite_rejected(self, width):
         # 2 width^2 underflows to 0 at 1e-200 and overflows at 1e200
@@ -417,6 +422,20 @@ class TestTrainMaxMargin:
     def test_single_class_rejected(self):
         with pytest.raises(InputError):
             train_maxmargin(np.zeros((3, 2)), np.ones(3), KernelSpec("linear"), 1.0)
+
+    @pytest.mark.parametrize("y", [[1.0, -1.0], [1.0, -1.0, 0.0], [1.0, -1.0, 2.0]])
+    def test_labels_must_be_signs_one_per_point(self, y):
+        with pytest.raises(InputError, match="labels must be"):
+            train_maxmargin(np.arange(6.0).reshape(3, 2), np.array(y), KernelSpec("linear"), 1.0)
+
+    def test_step_of_length_zero_stops_the_trainer(self):
+        # K_00 + K_11 - 2 K_01 overflows to inf, so every gain and the first
+        # step length are 0: SMO stops before moving, and alpha = 0 misses
+        # the gap tolerance with a relative gap of 1
+        points, y = np.array([[-1e154], [1e154]]), np.array([-1.0, 1.0])
+        with np.errstate(over="ignore"), pytest.raises(SolverError, match="gap") as info:
+            train_maxmargin(points, y, KernelSpec("linear"), 1.0)
+        assert info.value.residual == 1.0
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("rbf", 1.0)])

@@ -54,6 +54,33 @@ class TestGenGaussMixture:
         with pytest.raises(InputError):
             ClassMixture([1.0], [[0.0, 0.0]], [np.array([[1.0, 2.0], [2.0, 1.0]])])
 
+    @pytest.mark.parametrize("weights, means, covs, match", [
+        ([0.5, 0.5], [[0.0, 0.0]], [np.eye(2)], "component count"),
+        ([[1.0]], [[0.0, 0.0]], [np.eye(2)], "component count"),
+        ([0.5], [[0.0, 0.0]], [np.eye(2)], "sum to 1"),
+        ([1.5, -0.5], [[0.0, 0.0], [1.0, 1.0]], [np.eye(2)] * 2, "nonnegative"),
+        ([1.0], [[0.0, 0.0]], [np.eye(3)], "covariance shape")])
+    def test_mixture_rejections(self, weights, means, covs, match):
+        with pytest.raises(InputError, match=match):
+            ClassMixture(weights, means, covs)
+
+    def test_one_component_takes_a_2d_covariance(self):
+        cm = ClassMixture([1.0], [[0.0, 0.0]], 2.0 * np.eye(2))
+        assert cm.covs.shape == (1, 2, 2) and np.array_equal(cm.covs[0], 2.0 * np.eye(2))
+
+    @pytest.mark.parametrize("prior, dim, match", [
+        (0.0, 2, "prior_pos"), (1.0, 2, "prior_pos"), (np.nan, 2, "prior_pos"),
+        (0.5, 3, "feature dimension")])
+    def test_spec_rejections(self, prior, dim, match):
+        pos = ClassMixture([1.0], [[0.0] * dim], [np.eye(dim)])
+        with pytest.raises(InputError, match=match):
+            MixtureSpec(pos, _simple_spec().neg, prior_pos=prior)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_sample_count_must_be_positive(self, n):
+        with pytest.raises(InputError, match="n must be >= 1"):
+            gen_gauss_mixture(_simple_spec(), n, seed=0)
+
 
 class TestTrueAnomalyScore:
     def test_symmetry_point_is_half(self):
@@ -99,6 +126,12 @@ class TestFlipLabels:
         flipped, mask = flip_labels(ps, 1.0, seed=1)
         assert np.array_equal(flipped.labels, -ps.labels)
         assert mask.all()
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5, np.nan])
+    def test_fraction_outside_unit_interval_rejected(self, fraction):
+        ps = gen_gauss_mixture(_simple_spec(), 10, seed=5)
+        with pytest.raises(InputError, match="fraction"):
+            flip_labels(ps, fraction, seed=1)
 
     def test_floor_count(self):
         ps = gen_gauss_mixture(_simple_spec(), 1000, seed=6)
@@ -150,6 +183,12 @@ class TestCoreDataset:
             CoreSpec(inner=(9.0, 11.0, 4.0, 6.0))
         with pytest.raises(InputError):
             CoreSpec(tiny1=(5.0, 5.5, 5.0, 5.5))
+
+    @pytest.mark.parametrize("field", ["tiny1_label", "tiny2_label"])
+    @pytest.mark.parametrize("label", [0, 2])
+    def test_tiny_square_label_must_be_a_sign(self, field, label):
+        with pytest.raises(InputError, match="tiny square labels"):
+            CoreSpec(**{field: label})
 
     @pytest.mark.parametrize("field", ["big_count", "inner_count", "tiny1_count",
                                        "tiny2_count", "anomaly_count"])
@@ -272,7 +311,19 @@ class TestDrawDataset:
         assert np.array_equal(mask, want[2].anomaly_mask)
 
 
+    def test_unknown_spec_rejected(self):
+        with pytest.raises(InputError, match="unsupported dataset spec dict"):
+            draw_dataset({"type": "mixture"}, 10, 0, 0.0)
+
+
 class TestConfigs:
+    @pytest.mark.parametrize("text", ["type = grid\n", "big_count = 3\n"])
+    def test_config_type_must_be_mixture_or_core(self, tmp_path, text):
+        path = tmp_path / "spec.cfg"
+        path.write_text(text)
+        with pytest.raises(InputError, match="config type must be 'mixture' or 'core'"):
+            load_dataset_spec(path)
+
     def test_parse_config_text(self):
         cfg = parse_config_text("a = 1\n# comment\nb.c = [1, 2.5]\n")
         assert cfg == {"a": 1, "b.c": [1, 2.5]}
@@ -333,6 +384,12 @@ class TestAuroc:
     def test_single_class_rejected(self):
         with pytest.raises(InputError):
             auroc(np.array([0.1, 0.2]), np.array([1, 1]))
+
+    @pytest.mark.parametrize("scores, truth", [
+        (np.zeros(3), np.array([1, 0])), (np.zeros((2, 2)), np.array([[1, 0], [0, 1]]))])
+    def test_mismatched_shapes_rejected(self, scores, truth):
+        with pytest.raises(InputError, match="equal-length vectors"):
+            auroc(scores, truth)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)

@@ -10,6 +10,7 @@ from scipy.sparse.csgraph import connected_components as csgraph_components
 from graphssl import (DegenerateGraphError, GraphConfig, InputError, PointSet,
                       SimilarityGraph, build_graph, connected_components,
                       laplacian, stationary_distribution)
+from graphssl import graph as graph_module
 from graphssl._kernels import cross_sq_dists
 from graphssl.graph import (check_sigma, component_labels, dense_component,
                             gaussian_in_place, resolve_sigma, sigma_from_points)
@@ -108,6 +109,25 @@ class TestBuildGraph:
         np.fill_diagonal(want, 0.0)
         assert np.allclose(g.dense(), want, atol=1e-12)
 
+    def test_epsilon_graph_over_its_entry_budget_is_refused(self, monkeypatch):
+        # the budget holds the largest epsilon graph measured (n = 3e4,
+        # sigma = 0.2, cut 1e-3: 79.9 M entries), not eps:0 on 3e4 points
+        assert 79_900_000 < graph_module._EPS_MAX_ENTRIES < 30_000 * 29_999
+        rng = np.random.default_rng(0)
+        ps = PointSet(rng.normal(size=(40, 2)), np.zeros(40, dtype=int))
+        cfg = GraphConfig(mode="epsilon", eps_cut=0.05, sigma=0.5)
+        want = build_graph(ps, cfg).weights
+        monkeypatch.setattr(graph_module, "_EXACT_BLOCK", 7 * 40)   # 6 row blocks
+        monkeypatch.setattr(graph_module, "_EPS_MAX_ENTRIES", want.nnz)
+        got = build_graph(ps, cfg).weights
+        assert all(np.array_equal(getattr(got, name), getattr(want, name))
+                   for name in ("data", "indices", "indptr"))
+        monkeypatch.setattr(graph_module, "_EPS_MAX_ENTRIES", want.nnz - 1)
+        with pytest.raises(InputError, match=rf"the epsilon graph on 40 points keeps "
+                                             rf"{want.nnz} entries by row \d+ at "
+                                             rf"eps_cut=0.05, sigma=0.5, more than"):
+            build_graph(ps, cfg)
+
     def test_duplicate_points_weight_one(self):
         ps = PointSet(np.array([[1.0, 1], [1, 1], [4, 4]]), np.zeros(3, dtype=int))
         g = build_graph(ps, GraphConfig(mode="epsilon", eps_cut=0.0, sigma=1.0))
@@ -142,7 +162,33 @@ class TestBuildGraph:
         assert np.allclose(w1, w3, rtol=1e-10)
 
 
+@pytest.mark.parametrize("points, labels, weights, match", [
+    (np.zeros((0, 2)), np.zeros(0), None, "nonempty"),
+    (np.zeros((3, 0)), np.zeros(3), None, "nonempty"),
+    (np.zeros(3), np.zeros(3), None, "nonempty"),
+    ([[0.0, np.nan], [1.0, 1.0]], [0, 0], None, "finite"),
+    ([[0.0, 0.0], [1.0, 1.0]], [0, 0, 0], None, "length-n"),
+    ([[0.0, 0.0], [1.0, 1.0]], [0, 2], None, "labels must be in"),
+    ([[0.0, 0.0], [1.0, 1.0]], [0, 1], [1.0], "length-p"),
+    ([[0.0, 0.0], [1.0, 1.0]], [0, 1], [1.0, -0.5], "finite and >= 0"),
+    ([[0.0, 0.0], [1.0, 1.0]], [0, 1], [1.0, np.inf], "finite and >= 0")])
+def test_point_set_rejections(points, labels, weights, match):
+    with pytest.raises(InputError, match=match):
+        PointSet(points, labels, weights)
+
+
 class TestGraphConfig:
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"mode": "ring"}, "unknown graph mode"), ({"k_neighbors": 0}, "k_neighbors must be"),
+        ({"mode": "epsilon", "eps_cut": -0.1}, "eps_cut must be >= 0")])
+    def test_bad_settings_rejected(self, kwargs, match):
+        with pytest.raises(InputError, match=match):
+            GraphConfig(**kwargs)
+
+    def test_points_without_spread_have_no_sigma(self):
+        with pytest.raises(DegenerateGraphError, match="zero spread"):
+            sigma_from_points(np.ones((4, 2)))
+
     @pytest.mark.parametrize("sigma", [math.inf, -math.inf, math.nan, 0.0, -1.0])
     def test_sigma_must_be_positive_and_finite(self, sigma):
         with pytest.raises(InputError, match="sigma"):
@@ -306,10 +352,64 @@ class TestConnectedComponents:
             assert np.array_equal(dense_component(w != 0, node), want == want[node])
 
 
+def _setdiag_form(weights):
+    """Test-only copy of the canonical form SimilarityGraph took from
+    scipy: a float64 CSR copy, setdiag(0.0), then eliminate_zeros."""
+    w = sp.csr_matrix(weights, dtype=np.float64, copy=True)
+    w.setdiag(0.0)
+    w.eliminate_zeros()
+    return w
+
+
+@st.composite
+def _weight_inputs(draw):
+    """A square weight matrix, dense, COO or CSR (rows sorted or in drawn
+    order), with stored or missing diagonal entries, stored zeros and
+    repeated entries.  A row holds at most 16 entries: setdiag sorts a
+    longer row with an unstable sort, which may reorder its repeats."""
+    n = draw(st.integers(0, 8))
+    m = draw(st.integers(0, min(15, 2 * n)))
+    cell = st.integers(0, max(n - 1, 0))
+    r = np.array(draw(st.lists(cell, min_size=m, max_size=m)), dtype=np.int64)
+    c = np.array(draw(st.lists(cell, min_size=m, max_size=m)), dtype=np.int64)
+    values = st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.0, 10.0))
+    d = np.array(draw(st.lists(values, min_size=m, max_size=m)), dtype=np.float64)
+    if n and draw(st.booleans()):           # every diagonal entry stored
+        r, c = np.concatenate([r, np.arange(n)]), np.concatenate([c, np.arange(n)])
+        d = np.concatenate([d, np.ones(n)])
+    kind = draw(st.sampled_from(["dense", "coo", "csr sorted", "csr unsorted"]))
+    coo = sp.coo_matrix((d, (r, c)), shape=(n, n))
+    if kind == "dense":
+        return coo.toarray()
+    if kind == "coo":
+        return coo
+    order = np.lexsort((c, r)) if kind == "csr sorted" else np.argsort(r, kind="stable")
+    indptr = np.searchsorted(r[order], np.arange(n + 1))
+    return sp.csr_matrix((d[order], c[order], indptr), shape=(n, n))
+
+
+@given(_weight_inputs())
+@settings(max_examples=300, deadline=None)
+def test_canonical_form_matches_setdiag(weights):
+    g, want = SimilarityGraph(weights), _setdiag_form(weights)
+    for name in ("data", "indices", "indptr"):
+        got, ref = getattr(g.weights, name), getattr(want, name)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    degrees = np.asarray(want.sum(axis=1)).ravel()
+    assert np.array_equal(g.degrees, degrees)
+    assert g.volume == float(degrees.sum())
+
+
+@pytest.mark.parametrize("weights", [np.zeros((2, 3)), sp.csr_matrix((3, 2))])
+def test_similarity_graph_rejects_a_non_square_matrix(weights):
+    with pytest.raises(InputError, match="square"):
+        SimilarityGraph(weights)
+
+
 @pytest.mark.parametrize("diagonal", [True, False])
 @pytest.mark.parametrize("kind", ["dense", "csr"])
 def test_similarity_graph_leaves_its_input_unchanged(kind, diagonal):
-    # every diagonal entry stored: scipy then zeroes them in place
+    # every diagonal entry stored: the graph zeroes them in place, in its copy
     w = np.array([[1.0, 2.0, 0.0], [2.0, 3.0, 0.5], [0.0, 0.5, 4.0]])
     if not diagonal:
         np.fill_diagonal(w, 0.0)

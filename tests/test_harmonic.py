@@ -321,6 +321,13 @@ class TestHardHarmonic:
 
 
 class TestSoftHarmonic:
+    @pytest.mark.parametrize("c_l, c_u, match", [
+        (0.0, 0.1, "positive"), (1.0, -0.1, "positive"), (1.0, np.nan, "positive"),
+        (1.0, 2.0, "c_u must not exceed c_l")])
+    def test_bad_fit_weights_rejected(self, c_l, c_u, match):
+        with pytest.raises(InputError, match=match):
+            SoftConfig(1e-6, c_l, c_u)
+
     def test_isolated_labeled_node_scalar_system(self):
         g = SimilarityGraph(sp.csr_matrix(np.zeros((1, 1))))
         for gamma in (0.0, 1.0, 4.0):

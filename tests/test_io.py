@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 import scipy.sparse as sp
 
-from graphssl import GraphConfig, InputError, PointSet, SimilarityGraph, build_graph
-from graphssl.io import (fmt17, read_points_csv, write_edge_list, write_metrics_json,
-                         write_online_csv, write_points_csv, write_scores_csv,
-                         write_soft_labels_csv, write_trace_csv, write_truth_csv)
+from graphssl import (CutClassifier, GraphConfig, InputError, KernelSpec, PointSet,
+                      SimilarityGraph, build_graph)
+from graphssl.io import (fmt17, read_cut_model, read_points_csv, write_cut_model,
+                         write_edge_list, write_metrics_json, write_online_csv,
+                         write_points_csv, write_scores_csv, write_soft_labels_csv,
+                         write_trace_csv, write_truth_csv)
 from graphssl.online import OnlineStep
 
 from _synth import random_graph
@@ -86,6 +88,19 @@ def _fmt17_trace(path, values):
     path.write_text("\n".join(lines) + "\n")
 
 
+def _fmt17_cut_model(path, clf):
+    """The cut-model writer of the command line, one fmt17 per number."""
+    kernel = clf.kernel.kind
+    if kernel == "rbf":
+        kernel += ":" + fmt17(clf.kernel.rbf_width)
+    lines = [f"kernel={kernel}", f"bias={fmt17(clf.bias)}",
+             "retained=" + ",".join(str(i) for i in clf.retained_indices),
+             "coef=" + ",".join(fmt17(c) for c in clf.coefficients),
+             f"support={clf.support_points.shape[0]},{clf.support_points.shape[1]}"]
+    lines += [",".join(fmt17(v) for v in row) for row in clf.support_points]
+    path.write_text("\n".join(lines) + "\n")
+
+
 def _fstring_online(path, steps):
     """write_online_csv as it formatted one f-string per step."""
     lines = ["t,assigned_centroid,prediction,abstained"]
@@ -139,6 +154,29 @@ _steps = st.builds(OnlineStep, st.sampled_from([-1, 0, 1]), st.booleans(),
 @given(st.lists(_steps, max_size=25))
 def test_online_writer_matches_fstring_writer(tmp_path_factory, steps):
     _same_output(tmp_path_factory.mktemp("online"), write_online_csv, _fstring_online, steps)
+
+
+@st.composite
+def _cut_models(draw):
+    s, p, extra = draw(st.integers(0, 6)), draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    kernel = draw(st.sampled_from([KernelSpec("linear"), KernelSpec("cubic"),
+                                   KernelSpec("rbf", 1.0), KernelSpec("rbf", 0.3)]))
+    numbers = st.lists(_finite_float, min_size=s * p + s + 1, max_size=s * p + s + 1)
+    values = np.array(draw(numbers))
+    return CutClassifier(values[:s * p].reshape(s, p), values[s * p:-1], float(values[-1]),
+                         kernel, np.arange(s + extra, dtype=np.int64) * 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_cut_models())
+def test_cut_model_writer_matches_fmt17_writer_and_reads_back(tmp_path_factory, clf):
+    tmp = tmp_path_factory.mktemp("model")
+    _same_output(tmp, write_cut_model, _fmt17_cut_model, clf)
+    back = read_cut_model(tmp / "got.csv")
+    assert back.kernel == clf.kernel and back.bias == clf.bias
+    for name in ("support_points", "coefficients", "retained_indices"):
+        got, want = getattr(back, name), getattr(clf, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def _with_specials(rng, n, specials):
@@ -286,6 +324,13 @@ class TestReadPointsCsv:
     def test_non_numeric_cell_names_file_and_line(self, tmp_path):
         with pytest.raises(InputError, match=r"pts.csv, line 4: expected 3 numbers"):
             self._read(tmp_path, "f0,f1,label\n0,1,1\n2,3,-1\n4,x,0\n")
+
+    @pytest.mark.parametrize("text, match", [("", "empty file"), ("\n \n", "empty file"),
+                                             ("f0,f1\n0,1\n", "final column must be 'label'"),
+                                             ("label,f0\n1,0\n", "final column")])
+    def test_empty_file_or_misplaced_label_column_rejected(self, tmp_path, text, match):
+        with pytest.raises(InputError, match=rf"pts.csv: {match}"):
+            self._read(tmp_path, text)
 
     @pytest.mark.parametrize("row", ["1", "0,1", "0,1,1,1"])
     def test_ragged_row_names_its_line(self, tmp_path, row):

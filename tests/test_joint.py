@@ -238,6 +238,14 @@ class TestElasticJoint:
         with pytest.raises(InputError, match="k must be an integer"):
             JointConfig(k=k)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"k": 0}, "k must be >= 1"), ({"gamma_q": 0.0}, "gamma_q must be positive"),
+        ({"gamma_q": -1.0}, "gamma_q must be positive"), ({"f_l": 0.1}, "f_l > f_u"),
+        ({"f_l": 1.0, "f_u": 2.0}, "f_l > f_u"), ({"f_u": 0.0}, "f_l > f_u")])
+    def test_bad_settings_rejected(self, kwargs, match):
+        with pytest.raises(InputError, match=match):
+            JointConfig(**{"k": 3, **kwargs})
+
     def test_integer_typed_k_is_an_int(self):
         assert JointConfig(k=np.int64(3)) == JointConfig(k=3)
         assert type(JointConfig(k=np.int64(3)).k) is int
@@ -364,6 +372,46 @@ class TestReseed:
         want = _quantization_step_reference(state, cfg, ps.points, ps.feature_weights)
         assert np.array_equal(got, want)
         assert np.all(np.abs(got[-n_dead:]) < 10)
+
+    def test_singular_retry_falls_back_to_least_squares(self, monkeypatch):
+        # every point and node at one place and uniform labels: the pinned
+        # node 0 wins every tie, so each free centroid has no point, and a
+        # reseed on the farthest point lands on that place again; the
+        # retried system is singular too, and least squares solves it
+        points, centroids = np.tile([1.0, 2.0], (12, 1)), np.tile([1.0, 2.0], (5, 1))
+        state = BackboneState(centroids, np.array([1, -1]), np.full(5, 0.25),
+                              _assign(points, centroids, None), sigma=0.5)
+        cfg = JointConfig(k=3, sigma=0.5)
+        calls, lstsq = [], np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *args, **kwargs: calls.append(1) or lstsq(*args, **kwargs))
+        got = quantization_step(state, cfg, points, None)
+        assert len(calls) == 1
+        assert np.array_equal(got, _quantization_step_reference(state, cfg, points, None))
+        assert np.array_equal(got[:2], centroids[:2])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_centroid_emptied_by_a_step_is_reseeded(self, monkeypatch, seed):
+        # points on a 3 x 3 grid and 8 free centroids: a quantization step
+        # leaves a free centroid without a point, and elastic_joint moves it
+        # onto the unlabeled point farthest from the backbone
+        rng = np.random.default_rng(seed)
+        ps = PointSet(rng.integers(0, 3, size=(30, 2)).astype(float),
+                      np.r_[1, -1, np.zeros(28, dtype=int)])
+        results, reseed = [], joint._reseed_empty
+
+        def recorded(centroids, m, assignment, pool, psi):
+            results.append((len(pool), reseed(centroids, m, assignment, pool, psi)))
+            return results[-1][1]
+
+        monkeypatch.setattr(joint, "_reseed_empty", recorded)
+        state = elastic_joint(ps, JointConfig(k=8, sigma=0.5), seed=seed)
+        # quantization_step's reseed draws on all 30 points, elastic_joint's
+        # on the 28 unlabeled ones
+        assert (28, True) in results
+        assert np.array_equal(state.assignment,
+                              _assign(ps.points, state.centroids, ps.feature_weights))
+        assert np.all(np.isfinite(state.objective_trace))
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("n_dead", [0, 1, 2])

@@ -150,6 +150,15 @@ class TestRejectedInput:
             predict_online(state, np.array(point), 1, 0.1, GraphConfig(sigma=1.0))
         assert _snapshot(state) == want and state._graph is graph
 
+    @pytest.mark.parametrize("label", [2, -2, 0.5])
+    def test_bad_label_leaves_the_sketch_unchanged(self, label):
+        state = QuantizerState(4)
+        state.observe(np.zeros(2), 1)
+        want = _snapshot(state)
+        with pytest.raises(InputError, match="label must be in"):
+            state.observe(np.ones(2), label)
+        assert _snapshot(state) == want
+
     def test_finite_points_after_a_rejected_nan_still_predict(self):
         # a NaN centroid used to make every later solve miss its residual
         cfg = GraphConfig(mode="epsilon", sigma=1.0)
@@ -223,6 +232,13 @@ class TestCompactHarmonic:
         sol = compact_harmonic(cg, np.array([1, 0]), 1e9)
         assert abs(sol.values[1]) < 1e-6
 
+    @pytest.mark.parametrize("w, v, match", [
+        (np.zeros((2, 3)), np.ones(2), "square"), (np.zeros(4), np.ones(4), "square"),
+        (np.zeros((2, 2)), np.ones(3), "length-k"), (np.zeros((2, 2)), [1.0, 0.5], ">= 1")])
+    def test_bad_graph_rejected(self, w, v, match):
+        with pytest.raises(InputError, match=match):
+            CompactGraph(w, v)
+
     def test_needs_a_label(self):
         cg = CompactGraph(np.zeros((2, 2)), np.ones(2))
         with pytest.raises(InputError):
@@ -279,6 +295,12 @@ class TestPredictOnline:
         step = predict_online(state, np.array([100.0, 100.0]), 0, gamma_g=1.0,
                               graph_cfg=self.CFG)
         assert step.abstained
+
+    def test_labeled_sketch_needs_an_explicit_sigma(self):
+        state = QuantizerState(4)
+        predict_online(state, np.array([0.0, 0.0]), 1, 0.1, self.CFG)
+        with pytest.raises(InputError, match="explicit sigma"):
+            predict_online(state, np.array([1.0, 0.0]), 0, 0.1, GraphConfig(sigma=None))
 
     def test_no_labels_abstains(self):
         state = QuantizerState(4)

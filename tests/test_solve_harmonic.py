@@ -18,9 +18,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphssl import (CompactGraph, DegenerateGraphError, InputError, SimilarityGraph,
-                      SoftConfig, compact_harmonic, hard_harmonic, laplacian,
-                      soft_harmonic, softhad_score, solve_harmonic, solve_spd)
+from graphssl import (CompactGraph, DegenerateGraphError, GraphConfig, InputError, PointSet,
+                      SimilarityGraph, SoftConfig, build_graph, compact_harmonic,
+                      hard_harmonic, laplacian, soft_harmonic, softhad_score,
+                      solve_harmonic, solve_spd)
 from graphssl.harmonic import DENSE_MAX_N, solve_clamped
 
 from _synth import random_graph, random_labels
@@ -142,6 +143,30 @@ class TestCoreMatchesOldAssemblies:
         if not soft:
             # online prediction's call, without solve_harmonic's checks
             assert np.array_equal(solve_clamped(weights, y, gamma_g, v), got)
+
+    @given(st.sampled_from(["dense", "pcg"]), st.integers(0, 40), st.integers(0, 2**32 - 1),
+           st.sampled_from([1e-8, 1e-4, 0.3, 2.0]), st.booleans(), st.booleans(),
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_multiplicities_on_built_graphs_bit_identical(self, side, extra, seed, gamma_g,
+                                                          soft, whole, zeros):
+        # V W V scaled on W's data has the bits of reference_weights' two
+        # sparse products, on the k-NN graphs the library builds (gamma_g > 0:
+        # such a graph may hold a label-free component), and on such a graph
+        # with stored zeros, which the products drop
+        n = _size(side, extra)
+        rng = np.random.default_rng(seed)
+        ps = PointSet(rng.normal(size=(n, 2)), np.zeros(n, dtype=int))
+        w = build_graph(ps, GraphConfig(k_neighbors=min(5, n - 1), sigma=0.3)).weights
+        if zeros:
+            cut = np.triu(rng.random((n, n)) < 0.2, 1)
+            r, c = w.nonzero()
+            w = sp.csr_matrix((np.where((cut | cut.T)[r, c], 0.0, w.data), (r, c)), shape=(n, n))
+        v = rng.integers(1, 8, n).astype(float) if whole else rng.uniform(1.0, 8.0, n)
+        y = random_labels(n, 1 + seed % max(1, n // 4), seed).astype(float)
+        fit = np.where(y != 0, 10.0, 0.1) if soft else None
+        got = solve_harmonic(w, y, gamma_g, fit, v)
+        assert np.array_equal(got, reference_solve(w, y, gamma_g, fit, v))
 
     @given(st.sampled_from(["dense", "pcg"]), st.integers(0, 40),
            st.integers(0, 2**32 - 1), GAMMAS)
