@@ -161,8 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", type=int, default=1,
                         help="worker threads for run-plan (0 = all cores)")
     parser.add_argument("--config", dest="global_config", default=None,
-                        help="key=value file supplying defaults for any "
-                             "subcommand option (keys use underscores)")
+                        help="key=value file supplying defaults for --seed, --threads "
+                             "and any subcommand option (keys use underscores)")
     sub = parser.add_subparsers(dest="command", required=True)
     parser.subcommand_parsers = sub.choices
 
@@ -266,24 +266,26 @@ _parser = functools.cache(build_parser)
 
 
 def _parse_with_config(argv, config_path: str, command: str) -> argparse.Namespace:
-    """``argv`` parsed by a fresh parser whose ``command`` takes its
-    defaults from the key=value file, so the defaults end with this call.
-    A key names an option by its dest (``gamma_g``, ``lam``) or by its name
-    (``gamma-g``, ``lambda``).  A value's text (a JSON value is dumped back)
-    goes through its option's ``type`` and ``choices``, as on the command
-    line; a value they reject raises ``InputError`` naming the key.  A key
-    that names no option of ``command`` is reported on stderr and skipped,
-    since one file may serve several subcommands."""
+    """``argv`` parsed by a fresh parser whose ``command`` and global
+    ``--seed`` and ``--threads`` take their defaults from the key=value
+    file, so the defaults end with this call.  A key names an option by its
+    dest (``gamma_g``, ``lam``) or by its name (``gamma-g``, ``lambda``).  A
+    value's text (a JSON value is dumped back) goes through its option's
+    ``type`` and ``choices``, as on the command line; a value they reject
+    raises ``InputError`` naming the key.  A key that names no such option
+    is reported on stderr and skipped, since one file may serve several
+    subcommands."""
     raw = parse_config_text(Path(config_path).read_text())
     parser = build_parser()
     sub_parser = parser.subcommand_parsers[command]
     actions = {}
-    for action in sub_parser._actions:
-        actions[action.dest] = action
-        actions.update((name.lstrip("-"), action) for name in action.option_strings)
-    defaults = {}
+    for owner, action in ([(parser, a) for a in parser._actions if a.dest in ("seed", "threads")]
+                          + [(sub_parser, a) for a in sub_parser._actions]):
+        actions[action.dest] = owner, action
+        actions.update((name.lstrip("-"), (owner, action)) for name in action.option_strings)
+    defaults = {parser: {}, sub_parser: {}}
     for key, value in raw.items():
-        action = actions.get(key, actions.get(key.replace("-", "_")))
+        owner, action = actions.get(key, actions.get(key.replace("-", "_"), (None, None)))
         if action is None:
             print(f"warning: {config_path}: {key} is not an option of {command}; ignored",
                   file=sys.stderr)
@@ -296,8 +298,9 @@ def _parse_with_config(argv, config_path: str, command: str) -> argparse.Namespa
         except ValueError:
             raise InputError(f"{config_path}: {key} = {value!r} is not a valid "
                              f"{action.option_strings[-1]} value") from None
-        defaults[action.dest] = value
-    sub_parser.set_defaults(**defaults)
+        defaults[owner][action.dest] = value
+    for owner, values in defaults.items():
+        owner.set_defaults(**values)
     return parser.parse_args(argv)
 
 

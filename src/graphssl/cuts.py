@@ -60,7 +60,7 @@ class KernelSpec:
         if kind not in ("linear", "cubic", "rbf") or sep and kind != "rbf":
             raise InputError(f"unknown kernel spec {text!r}")
         try:
-            value = float(width or 1.0)
+            value = float(width or cls.rbf_width)
         except ValueError:
             raise InputError(f"bad rbf width in kernel spec {text!r}") from None
         return cls(kind, value)
@@ -235,7 +235,8 @@ def train_maxmargin(points: np.ndarray, y: np.ndarray, kernel: KernelSpec,
     _kernel_rows cache of at most KERNEL_CACHE_BYTES (plus the row being
     formed), and the accepted solution's exact gradient takes the kernel
     with the s support points one ``graph.row_blocks`` block at a time, so
-    memory is O(cache + r p) at any r.
+    memory is O(cache + r p) at any r.  Points on which 4 max k(x, x), a
+    bound of every curvature SMO forms, overflows are an ``InputError``.
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64)
@@ -248,11 +249,18 @@ def train_maxmargin(points: np.ndarray, y: np.ndarray, kernel: KernelSpec,
         raise InputError("training set must contain both classes")
     if not 0 < gamma < np.inf:
         raise InputError(f"gamma must be finite and positive, got {gamma!r}")
+    # |K_ij| <= sqrt(K_ii K_jj), so 4 max k(x, x) bounds every curvature
+    # K_ii + K_jj - 2 K_ij that SMO forms
+    with np.errstate(over="ignore"):
+        k_diag = _kernel_diagonal(kernel, points)
+        bound = 4.0 * k_diag.max()
+    if not np.isfinite(bound):
+        raise InputError(f"the {kernel.kind} kernel overflows on these training points: "
+                         "4 max k(x, x) is not finite")
     c_box = 1.0 / (2.0 * gamma)
     alpha = np.zeros(n)
     y_grad = y.copy()                   # y - K(alpha y) at alpha = 0
-    _smo(_kernel_rows(kernel, points), _kernel_diagonal(kernel, points), y, c_box, gamma,
-         alpha, y_grad)
+    _smo(_kernel_rows(kernel, points), k_diag, y, c_box, gamma, alpha, y_grad)
 
     # the steps' updates of y_grad drift; accept on the exact values,
     # y - K(alpha y) over the support columns

@@ -9,6 +9,7 @@ points.  Everything is generated by the package's counter-based RNG, so a
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import operator
 from dataclasses import dataclass
@@ -338,40 +339,51 @@ def _config_value(cfg: dict, key: str, convert, what: str):
 
 def _mixture_from_config(cfg: dict) -> MixtureSpec:
     def side(prefix):
-        return ClassMixture(*(_config_value(cfg, f"{prefix}.{part}",
+        return ClassMixture(*(_config_value(cfg, f"{prefix}.{field.name}",
                                             lambda v: np.asarray(v, dtype=np.float64),
                                             "numbers")
-                              for part in ("weights", "means", "covs")))
+                              for field in dataclasses.fields(ClassMixture)))
     prior_pos = _config_value(cfg, "prior_pos", float, "a number") if "prior_pos" in cfg else 0.5
     return MixtureSpec(pos=side("pos"), neg=side("neg"), prior_pos=prior_pos)
 
 
 def _core_from_config(cfg: dict) -> CoreSpec:
-    kwargs = {}
-    for key in ("big", "inner", "tiny1", "tiny2"):
-        if key in cfg:
-            kwargs[key] = _config_value(cfg, key, lambda v: tuple(float(x) for x in v),
-                                        "a list of numbers")
-    for key in ("big_count", "inner_count", "tiny1_count", "tiny2_count",
-                "tiny1_label", "tiny2_label", "anomaly_count"):
-        if key in cfg:
-            kwargs[key] = _config_value(cfg, key, operator.index, "an integer")
-    return CoreSpec(**kwargs)
+    def read(field):        # a tuple default is a square of floats, any other an integer
+        if isinstance(field.default, tuple):
+            return _config_value(cfg, field.name, lambda v: tuple(float(x) for x in v),
+                                 "a list of numbers")
+        return _config_value(cfg, field.name, operator.index, "an integer")
+    return CoreSpec(**{f.name: read(f) for f in dataclasses.fields(CoreSpec) if f.name in cfg})
+
+
+# the keys each config type takes beside ``type``
+_CONFIG_KEYS = {
+    "mixture": ["prior_pos"] + [f"{side}.{field.name}" for side in ("pos", "neg")
+                                for field in dataclasses.fields(ClassMixture)],
+    "core": [field.name for field in dataclasses.fields(CoreSpec)],
+}
 
 
 def _spec_from_text(text: str):
     cfg = parse_config_text(text)
     kind = cfg.get("type")
-    if kind == "mixture":
-        return _mixture_from_config(cfg)
-    if kind == "core":
-        return _core_from_config(cfg)
-    raise InputError(f"config type must be 'mixture' or 'core', got {kind!r}")
+    if kind not in _CONFIG_KEYS:
+        raise InputError(f"config type must be 'mixture' or 'core', got {kind!r}")
+    for key in cfg:
+        if key != "type" and key not in _CONFIG_KEYS[kind]:
+            raise InputError(f"{key} is not a {kind} setting; settings: "
+                             f"{', '.join(_CONFIG_KEYS[kind])}")
+    return _mixture_from_config(cfg) if kind == "mixture" else _core_from_config(cfg)
 
 
 def load_dataset_spec(path: str | Path):
-    """Read a dataset config file; its ``type`` key picks the family."""
-    return _spec_from_text(Path(path).read_text())
+    """Read a dataset config file; its ``type`` key picks the family.  An
+    ``InputError`` names the file."""
+    text = Path(path).read_text()
+    try:
+        return _spec_from_text(text)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _load_packaged(name: str):

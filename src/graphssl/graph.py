@@ -106,7 +106,8 @@ class GraphConfig:
         if kind not in ("knn", "eps"):
             raise InputError(f"unknown graph spec {text!r}")
         try:
-            number = int(value or 5) if kind == "knn" else float(value or 0.0)
+            number = (int(value or cls.k_neighbors) if kind == "knn"
+                      else float(value or cls.eps_cut))
         except ValueError:
             raise InputError(f"bad number in graph spec {text!r}") from None
         if kind == "knn":

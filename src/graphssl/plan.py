@@ -14,6 +14,10 @@ plan reproduces summary.csv byte for byte.  rwcad cells that share a run
 and differ only in lambda are scored as one task, from one draw of the data
 and one kernel-mass computation, since lambda enters only the posterior's
 final division.
+
+``GRID_SETTINGS`` is the one table of grid names: each maps to the
+``cad_scores`` keyword it fills and its value's conversion.  A cell passes
+only the names it has, so ``cad_scores``' signature holds every default.
 """
 
 from __future__ import annotations
@@ -41,6 +45,10 @@ from .harmonic import SoftConfig
 from .metrics import auroc
 
 METHODS = ("rwcad", "knn", "softhad")
+# grid name -> (cad_scores keyword, conversion of a cell's value)
+GRID_SETTINGS = {"lambda": ("lam", float), "sigma": ("sigma", float), "priors": ("priors", str),
+                 "knn": ("graph", lambda k: GraphConfig(mode="knn", k_neighbors=k)),
+                 "gamma_g": ("gamma_g", float), "c_l": ("c_l", float)}
 
 
 @dataclass(frozen=True)
@@ -62,12 +70,22 @@ class ExperimentPlan:
                 object.__setattr__(self, name, operator.index(getattr(self, name)))
             except TypeError:
                 raise InputError(f"{name} must be an integer") from None
+        try:
+            object.__setattr__(self, "flip_fraction", float(self.flip_fraction))
+        except (TypeError, ValueError):
+            raise InputError("flip_fraction must be a number") from None
         for name in ("n_samples", "n_runs"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be >= 1")
         if not self.grid:
             raise InputError("parameter grid must be non-empty")
         for name, values in self.grid.items():
+            # the reader's placeholder grid of a file without one sets nothing
+            if name not in GRID_SETTINGS and self.grid != {"default": [0]}:
+                raise InputError(f"grid.{name} is not a grid setting; "
+                                 f"settings: {', '.join(GRID_SETTINGS)}")
+            if not values:
+                raise InputError(f"grid.{name} lists no value")
             # two equal values would share one cell directory and summary row
             seen = set()
             for value in values:
@@ -78,32 +96,30 @@ class ExperimentPlan:
 
 
 def plan_from_config(path: str | Path, outdir: str | None = None) -> ExperimentPlan:
+    """A plan from its file: ``grid.NAME`` keys form the grid and every
+    other key names an ``ExperimentPlan`` field (``method`` defaults to
+    rwcad); ``dataset`` is relative to the file, and ``outdir`` wins."""
     path = Path(path)
     cfg = parse_config_text(path.read_text())
-    grid = {}
+    fields = {f.name for f in dataclasses.fields(ExperimentPlan)} - {"grid"}
+    settings, grid = {"method": "rwcad"}, {}
     for key, value in cfg.items():
         if key.startswith("grid."):
             grid[key[len("grid."):]] = value if isinstance(value, list) else [value]
-    if not grid:
-        grid = {"default": [0]}
-    dataset = cfg.get("dataset")
-    if dataset is None:
-        raise InputError("plan config needs a 'dataset' key")
-    dataset_path = (path.parent / dataset).resolve()
+        elif key in fields:
+            settings[key] = value
+        else:
+            raise InputError(f"{path}: {key} is not a plan setting; settings: "
+                             f"{', '.join(sorted(fields))} and grid.NAME")
+    if "dataset" not in settings:
+        raise InputError(f"{path}: plan config needs a 'dataset' key")
+    settings["dataset"] = str((path.parent / settings["dataset"]).resolve())
+    if outdir is not None or "outdir" in settings:
+        settings["outdir"] = str(outdir if outdir is not None else settings["outdir"])
     try:
-        flip_fraction = float(cfg.get("flip_fraction", 0.03))
-    except (TypeError, ValueError):
-        raise InputError("flip_fraction must be a number") from None
-    return ExperimentPlan(
-        method=cfg.get("method", "rwcad"),
-        grid=grid,
-        dataset=str(dataset_path),
-        n_samples=cfg.get("n_samples", 1000),
-        flip_fraction=flip_fraction,
-        n_runs=cfg.get("n_runs", 1),
-        base_seed=cfg.get("base_seed", 0),
-        outdir=str(outdir if outdir is not None else cfg.get("outdir", "plan-out")),
-    )
+        return ExperimentPlan(grid=grid or {"default": [0]}, **settings)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def grid_points(grid: dict[str, list]) -> list[dict]:
@@ -158,17 +174,12 @@ def score_method(method: str, params: dict, spec, seed: int, n_samples: int,
     ``params["lambda"]``, one row of scores per lambda.
     """
     train, test, _, truth = draw_dataset(spec, n_samples, seed, flip_fraction)
-    scores = cad_scores(
-        method, train, test, lam=_lambda(params) if lams is None else lams,
-        sigma=float(params["sigma"]) if "sigma" in params else None,
-        priors=str(params.get("priors", "empirical")),
-        graph=GraphConfig(mode="knn", k_neighbors=params.get("knn", 10)),
-        gamma_g=float(params.get("gamma_g", 1.0)), c_l=float(params.get("c_l", 1.0)))
+    settings = {keyword: convert(params[name])
+                for name, (keyword, convert) in GRID_SETTINGS.items() if name in params}
+    if lams is not None:
+        settings["lam"] = lams
+    scores = cad_scores(method, train, test, **settings)
     return (scores if test is None else scores[..., train.n:]), truth
-
-
-def _lambda(params: dict) -> float:
-    return float(params.get("lambda", 0.01))
 
 
 @dataclass
@@ -184,8 +195,8 @@ class CellResult:
 
 def _lambda_groupable(params: dict) -> bool:
     try:
-        return _lambda(params) >= 0
-    except (TypeError, ValueError):
+        return float(params["lambda"]) >= 0
+    except (KeyError, TypeError, ValueError):
         return False
 
 
@@ -211,7 +222,8 @@ def _run_group(plan: ExperimentPlan, spec, cells: list[tuple[dict, int]],
     seed = plan.base_seed + run
     rows, truth, error = [None] * len(cells), None, None
     try:
-        lams = [_lambda(p) for p, _ in cells] if plan.method == "rwcad" else None
+        lams = ([float(p["lambda"]) for p, _ in cells]
+                if plan.method == "rwcad" and "lambda" in params else None)
         scores, truth = score_method(plan.method, params, spec, seed,
                                      plan.n_samples, plan.flip_fraction, lams)
         rows = scores if lams is not None else [scores]

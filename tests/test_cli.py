@@ -592,7 +592,9 @@ _MIXTURE_WITHOUT_POS_MEANS = ("type = mixture\npos.weights = [1.0]\n"
                                   "config_truth_col", "config_n", "config_graph",
                                   "infinite_gamma", "infinite_gamma_q", "nan_epsilon",
                                   "kernel_prefix", "no_out_test", "model_number",
-                                  "model_negative_width", "eps_budget"])
+                                  "model_negative_width", "eps_budget", "plan_key",
+                                  "grid_name", "empty_grid", "mixture_key", "core_key",
+                                  "kernel_overflow"])
 def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, case):
     data = _ssl_input(tmp_path)
     out = str(tmp_path / "out")
@@ -701,6 +703,19 @@ def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, case):
                                          "support=0,-3\n")],
         "eps_budget": lambda: ["build-graph", "--input", str(data), "--graph", "eps",
                                "--sigma", "1", "--out", out],
+        "plan_key": lambda: ["run-plan", "--out-dir", out, "--config",
+                             str(_bad_plan(tmp_path, "n_sampels = 40"))],
+        "grid_name": lambda: ["run-plan", "--out-dir", out, "--config",
+                              str(_bad_plan(tmp_path, "grid.lamda = [0.001, 100.0]"))],
+        "empty_grid": lambda: ["run-plan", "--out-dir", out, "--config",
+                               str(_bad_plan(tmp_path, "grid.sigma = []"))],
+        "mixture_key": lambda: ["gen-data", "--out", out, "--config", _bad_file(
+            tmp_path, "prior.cfg", _write_mixture_cfg(tmp_path).read_text() + "prior_ps = 0.9\n")],
+        "core_key": lambda: ["gen-data", "--out", out, "--out-test", out + "-test", "--config",
+                             _bad_file(tmp_path, "core.cfg", "type = core\nbig_cnt = 5\n")],
+        "kernel_overflow": lambda: ["mmgc", "--train", _bad_file(
+            tmp_path, "far.csv", "f0,label\n-1e154,-1\n1e154,1\n0,0\n"), "--gamma", "0.1",
+            "--graph", "knn:1", "--sigma", "1e154", "--out", out],
     }[case]()
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -732,13 +747,20 @@ def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, case):
             "no_out_test": "core datasets need --out-test",
             "model_number": "m.txt: bad number in model file",
             "model_negative_width": "m.txt: model file needs 0 support rows of -3 numbers",
-            "eps_budget": "the epsilon graph on 40 points keeps"}[case]
+            "eps_budget": "the epsilon graph on 40 points keeps",
+            "plan_key": "bad.plan: n_sampels is not a plan setting",
+            "grid_name": "bad.plan: grid.lamda is not a grid setting",
+            "empty_grid": "bad.plan: grid.sigma lists no value",
+            "mixture_key": "prior.cfg: prior_ps is not a mixture setting",
+            "core_key": "core.cfg: big_cnt is not a core setting",
+            "kernel_overflow": "the linear kernel overflows"}[case]
     assert want in err
     if case.startswith("core_"):
         assert not Path(out).exists() and not Path(out + "-test").exists()
     if case == "no_out_test":
         assert not Path(out).exists() and not Path(out + "-truth").exists()
-    if case.startswith(("config_", "infinite_gamma", "model_negative", "eps_")):
+    if case.startswith(("config_", "infinite_gamma", "model_negative", "eps_", "plan_",
+                        "grid_", "empty_", "mixture_", "kernel_")):
         assert not Path(out).exists()
 
 
@@ -814,12 +836,12 @@ def test_global_config_names_each_key_no_option_takes(tmp_path, capsys):
     # a file shared across subcommands still runs: each ignored key is named
     data = _ssl_input(tmp_path)
     cfg = tmp_path / "shared.cfg"
-    cfg.write_text("gama_g = 0.5\nseed = 3\nk = 4\ngamma_g = 0.25\n")
+    cfg.write_text("gama_g = 0.5\nn = 50\nk = 4\ngamma_g = 0.25\n")
     with_cfg, plain = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["--config", str(cfg), "ssl", "--input", str(data), "--out", str(with_cfg)]) == 0
     err = capsys.readouterr().err.splitlines()
     assert err == [f"warning: {cfg}: {key} is not an option of ssl; ignored"
-                   for key in ("gama_g", "seed", "k")]
+                   for key in ("gama_g", "n", "k")]
     assert main(["ssl", "--input", str(data), "--gamma-g", "0.25", "--out", str(plain)]) == 0
     assert with_cfg.read_bytes() == plain.read_bytes()
 
