@@ -33,6 +33,7 @@ from .graph import PointSet, SimilarityGraph, gaussian_in_place, resolve_sigma, 
 from .harmonic import SoftConfig, solve_harmonic
 
 LAMBDA_GRID = tuple(10.0 ** e for e in range(-5, 6))
+PRIORS = ("empirical", "uniform")
 
 
 def _kernel_mass(x: np.ndarray, points: np.ndarray, sigma: float, psi: np.ndarray,
@@ -74,8 +75,8 @@ class CadModel:
 def check_cad_params(lam, priors: str = "empirical") -> np.ndarray:
     """Raise unless priors is "empirical" or "uniform" and lam a scalar or
     1-D array of values >= 0; returns lam as an array."""
-    if priors not in ("empirical", "uniform"):
-        raise InputError("priors must be 'empirical' or 'uniform'")
+    if priors not in PRIORS:
+        raise InputError(f"priors must be {' or '.join(map(repr, PRIORS))}")
     lam = np.asarray(lam, dtype=np.float64)
     if lam.ndim > 1:
         raise InputError("lam must be a scalar or a 1-D sequence")

@@ -1,5 +1,11 @@
 """Command-line entry point wiring dataset generation, graph construction,
-the SSL solvers, CAD scoring, and experiment plans."""
+the SSL solvers, CAD scoring, and experiment plans.
+
+An option whose default a library definition states has none here
+(``argparse.SUPPRESS``): ``_given`` passes on only the options the command
+line or the global ``--config`` gave, so an omitted one takes the default of
+the definition it fills.  The defaults below are those no definition states.
+"""
 
 from __future__ import annotations
 
@@ -12,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as gio
-from .cad import scale_scores
+from .cad import PRIORS, scale_scores
 from .cuts import KernelSpec, train_on_induced
 from .datasets import (draw_dataset, load_dataset_spec, parse_config_text,
                        true_anomaly_scores)
@@ -32,8 +38,16 @@ def _sigma_value(text) -> float | None:
         raise InputError(f"--sigma must be 'auto' or a number, got {text!r}") from None
 
 
+def _given(args, *dests: str) -> dict:
+    """The options among ``dests`` that the command line or the global
+    --config gave, by dest; the definition they fill defaults the rest."""
+    return {dest: getattr(args, dest) for dest in dests if hasattr(args, dest)}
+
+
 def _graph_cfg(args) -> GraphConfig:
-    return GraphConfig.parse(args.graph, sigma=args.sigma_value)
+    if hasattr(args, "graph"):
+        return GraphConfig.parse(args.graph, sigma=args.sigma_value)
+    return GraphConfig(sigma=args.sigma_value)
 
 
 def cmd_gen_data(args) -> int:
@@ -64,7 +78,7 @@ def cmd_ssl(args) -> int:
     if args.mode == "hard":
         sol = hard_harmonic(g, ps.labels, args.gamma_g)
     else:
-        cfg = SoftConfig(gamma_g=args.gamma_g, c_l=args.c_l, c_u=args.c_u)
+        cfg = SoftConfig(gamma_g=args.gamma_g, **_given(args, "c_l", "c_u"))
         sol = soft_harmonic(g, ps.labels.astype(np.float64), cfg)
     gio.write_soft_labels_csv(args.out, sol.values)
     return 0
@@ -73,7 +87,7 @@ def cmd_ssl(args) -> int:
 def cmd_online_ssl(args) -> int:
     ps = gio.read_points_csv(args.input)
     cfg = GraphConfig(sigma=resolve_sigma(args.sigma_value, ps.points))
-    state = QuantizerState(capacity=args.k, growth=args.m)
+    state = QuantizerState(capacity=args.k, **_given(args, "growth"))
     steps = []
     for i in range(ps.n):
         steps.append(predict_online(state, ps.points[i], int(ps.labels[i]),
@@ -91,9 +105,8 @@ def cmd_online_ssl(args) -> int:
 
 def cmd_joint_ssl(args) -> int:
     ps = gio.read_points_csv(args.input)
-    cfg = JointConfig(k=args.k, gamma_q=args.gamma_q, gamma_g=args.gamma_g,
-                      f_l=args.f_l, f_u=args.f_u,
-                      sigma=args.sigma_value)
+    cfg = JointConfig(k=args.k, sigma=args.sigma_value,
+                      **_given(args, "gamma_q", "gamma_g", "f_l", "f_u"))
     state = elastic_joint(ps, cfg, args.seed)
     values, _ = infer_unlabeled(ps, state)
     gio.write_soft_labels_csv(args.out, values)
@@ -105,7 +118,7 @@ def cmd_joint_ssl(args) -> int:
 def cmd_mmgc(args) -> int:
     ps = gio.read_points_csv(args.train)
     g = build_graph(ps, _graph_cfg(args))
-    kernel = KernelSpec.parse(args.kernel)
+    kernel = KernelSpec.parse(args.kernel) if hasattr(args, "kernel") else KernelSpec()
     clf = train_on_induced(ps.points, g, ps.labels, args.gamma, args.gamma_g,
                            args.epsilon, kernel)
     gio.write_cut_model(args.out, clf)
@@ -123,9 +136,10 @@ def cmd_mmgc_predict(args) -> int:
 def cmd_cad(args) -> int:
     train = gio.read_points_csv(args.train)
     test = gio.read_points_csv(args.test)
-    scores = cad_scores(args.method, train, test, lam=args.lam, sigma=args.sigma_value,
-                        priors=args.priors, graph=GraphConfig.parse(args.graph),
-                        gamma_g=args.gamma_g, c_l=args.c_l)
+    settings = _given(args, "lam", "priors", "graph", "gamma_g", "c_l")
+    if "graph" in settings:
+        settings["graph"] = GraphConfig.parse(settings["graph"])
+    scores = cad_scores(args.method, train, test, sigma=args.sigma_value, **settings)
     train_raw, raw = scores[:train.n], scores[train.n:]
     scaled = scale_scores(train_raw, raw) if args.scale == "minmax" else raw
     gio.write_scores_csv(args.out, raw, scaled)
@@ -149,7 +163,7 @@ def cmd_eval(args) -> int:
 
 def cmd_run_plan(args) -> int:
     plan = plan_from_config(args.config, outdir=args.out_dir)
-    results = run_plan(plan, threads=args.threads)
+    results = run_plan(plan, **_given(args, "threads"))
     failed = sum(1 for r in results if r.status != "ok")
     print(f"cells={len(results)} failed={failed} summary={Path(plan.outdir) / 'summary.csv'}")
     return 1 if failed == len(results) else 0
@@ -158,7 +172,7 @@ def cmd_run_plan(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="graphssl")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1,
+    parser.add_argument("--threads", type=int, default=argparse.SUPPRESS,
                         help="worker threads for run-plan (0 = all cores)")
     parser.add_argument("--config", dest="global_config", default=None,
                         help="key=value file supplying defaults for --seed, --threads "
@@ -177,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-graph", help="similarity graph to an edge list")
     p.add_argument("--input", required=True)
-    p.add_argument("--graph", default="knn:5")
+    p.add_argument("--graph", default=argparse.SUPPRESS)
     p.add_argument("--sigma", default="auto")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_graph)
@@ -185,10 +199,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ssl", help="propagate labels on a similarity graph")
     p.add_argument("--input", required=True)
     p.add_argument("--mode", choices=("hard", "soft"), default="hard")
+    # the CLI's own, for both modes: SoftConfig's 1e-6 would change --mode soft's output
     p.add_argument("--gamma-g", dest="gamma_g", type=float, default=0.0)
-    p.add_argument("--c-l", dest="c_l", type=float, default=10.0)
-    p.add_argument("--c-u", dest="c_u", type=float, default=0.1)
-    p.add_argument("--graph", default="knn:5")
+    p.add_argument("--c-l", dest="c_l", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--c-u", dest="c_u", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--graph", default=argparse.SUPPRESS)
     p.add_argument("--sigma", default="auto")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ssl)
@@ -196,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("online-ssl", help="streaming quantized label propagation")
     p.add_argument("--input", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=float, default=1.5)
+    p.add_argument("--m", dest="growth", type=float, metavar="M", default=argparse.SUPPRESS)
     p.add_argument("--gamma-g", dest="gamma_g", type=float, default=0.01)
     p.add_argument("--sigma", default="auto")
     p.add_argument("--out", required=True)
@@ -205,10 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("joint-ssl", help="joint quantization and propagation")
     p.add_argument("--input", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--gamma-q", dest="gamma_q", type=float, default=1e5)
-    p.add_argument("--gamma-g", dest="gamma_g", type=float, default=1e-6)
-    p.add_argument("--f-l", dest="f_l", type=float, default=10.0)
-    p.add_argument("--f-u", dest="f_u", type=float, default=0.1)
+    p.add_argument("--gamma-q", dest="gamma_q", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--gamma-g", dest="gamma_g", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--f-l", dest="f_l", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--f-u", dest="f_u", type=float, default=argparse.SUPPRESS)
     p.add_argument("--sigma", default="auto")
     p.add_argument("--out", required=True)
     p.add_argument("--trace", default=None)
@@ -219,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--gamma-g", dest="gamma_g", type=float, default=1e-6)
     p.add_argument("--epsilon", type=float, default=1e-6)
-    p.add_argument("--kernel", default="linear")
-    p.add_argument("--graph", default="knn:5")
+    p.add_argument("--kernel", default=argparse.SUPPRESS)
+    p.add_argument("--graph", default=argparse.SUPPRESS)
     p.add_argument("--sigma", default="auto")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_mmgc)
@@ -235,12 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--method", choices=METHODS, default="rwcad")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.01)
-    p.add_argument("--gamma-g", dest="gamma_g", type=float, default=1.0)
-    p.add_argument("--c-l", dest="c_l", type=float, default=1.0)
-    p.add_argument("--graph", default="knn:10")
+    p.add_argument("--lambda", dest="lam", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--gamma-g", dest="gamma_g", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--c-l", dest="c_l", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--graph", default=argparse.SUPPRESS)
     p.add_argument("--sigma", default="auto")
-    p.add_argument("--priors", choices=("empirical", "uniform"), default="empirical")
+    p.add_argument("--priors", choices=PRIORS, default=argparse.SUPPRESS)
     p.add_argument("--scale", choices=("none", "minmax"), default="none")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_cad)

@@ -161,6 +161,14 @@ def flip_labels(ps: PointSet, fraction: float, seed: int) -> tuple[PointSet, np.
 Rect = tuple[float, float, float, float]     # (x_lo, x_hi, y_lo, y_hi)
 
 
+def _rect(value) -> Rect:
+    """value as a square of floats; ValueError unless it holds four numbers."""
+    rect = tuple(float(x) for x in value)
+    if len(rect) != 4:
+        raise ValueError(f"a square takes four numbers, got {len(rect)}")
+    return rect
+
+
 def _rect_contains(outer: Rect, inner: Rect) -> bool:
     return (outer[0] <= inner[0] and inner[1] <= outer[1]
             and outer[2] <= inner[2] and inner[3] <= outer[3])
@@ -200,6 +208,13 @@ class CoreSpec:
     anomaly_count: int = 12
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if isinstance(f.default, tuple):        # a square
+                try:
+                    _rect(getattr(self, f.name))
+                except (TypeError, ValueError):
+                    raise InputError(f"{f.name} must be four numbers "
+                                     "(x_lo, x_hi, y_lo, y_hi)") from None
         if not _rect_contains(self.big, self.inner):
             raise InputError("inner square must lie inside the big square")
         for tiny in (self.tiny1, self.tiny2):
@@ -350,8 +365,7 @@ def _mixture_from_config(cfg: dict) -> MixtureSpec:
 def _core_from_config(cfg: dict) -> CoreSpec:
     def read(field):        # a tuple default is a square of floats, any other an integer
         if isinstance(field.default, tuple):
-            return _config_value(cfg, field.name, lambda v: tuple(float(x) for x in v),
-                                 "a list of numbers")
+            return _config_value(cfg, field.name, _rect, "a list of four numbers")
         return _config_value(cfg, field.name, operator.index, "an integer")
     return CoreSpec(**{f.name: read(f) for f in dataclasses.fields(CoreSpec) if f.name in cfg})
 

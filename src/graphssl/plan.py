@@ -113,6 +113,8 @@ def plan_from_config(path: str | Path, outdir: str | None = None) -> ExperimentP
                              f"{', '.join(sorted(fields))} and grid.NAME")
     if "dataset" not in settings:
         raise InputError(f"{path}: plan config needs a 'dataset' key")
+    if not isinstance(settings["dataset"], str):
+        raise InputError(f"{path}: dataset must be a path, got {settings['dataset']!r}")
     settings["dataset"] = str((path.parent / settings["dataset"]).resolve())
     if outdir is not None or "outdir" in settings:
         settings["outdir"] = str(outdir if outdir is not None else settings["outdir"])

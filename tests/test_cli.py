@@ -1,12 +1,15 @@
+import inspect
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from graphssl import (GraphConfig, InputError, PointSet, SoftConfig, build_graph,
-                      fit_cad_model, rwcad_scores, rwcad_scores_loo, scale_scores,
-                      softhad_score, weighted_knn_scores, weighted_knn_scores_loo)
+from graphssl import (GraphConfig, InputError, JointConfig, KernelSpec, PointSet,
+                      QuantizerState, SoftConfig, build_graph, cad_scores, fit_cad_model,
+                      rwcad_scores, rwcad_scores_loo, scale_scores, softhad_score,
+                      weighted_knn_scores, weighted_knn_scores_loo)
+from graphssl import cad as cad_module
 from graphssl import cli
 from graphssl import graph as graph_module
 from graphssl.cli import build_parser, main
@@ -543,7 +546,9 @@ def test_plan_counts_must_be_integers(tmp_path, key, value):
 
 
 @pytest.mark.parametrize("lines, match", [("method = ranked\ndataset = {mix}", "method must be"),
-                                          ("method = knn", "needs a 'dataset' key")])
+                                          ("method = knn", "needs a 'dataset' key"),
+                                          ("method = knn\ndataset = 5",
+                                           "plan.cfg: dataset must be a path, got 5")])
 def test_plan_config_rejections(tmp_path, lines, match):
     mix = _write_mixture_cfg(tmp_path)
     path = tmp_path / "plan.cfg"
@@ -594,7 +599,7 @@ _MIXTURE_WITHOUT_POS_MEANS = ("type = mixture\npos.weights = [1.0]\n"
                                   "kernel_prefix", "no_out_test", "model_number",
                                   "model_negative_width", "eps_budget", "plan_key",
                                   "grid_name", "empty_grid", "mixture_key", "core_key",
-                                  "kernel_overflow"])
+                                  "kernel_overflow", "core_square", "plan_dataset"])
 def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, case):
     data = _ssl_input(tmp_path)
     out = str(tmp_path / "out")
@@ -716,6 +721,10 @@ def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, case):
         "kernel_overflow": lambda: ["mmgc", "--train", _bad_file(
             tmp_path, "far.csv", "f0,label\n-1e154,-1\n1e154,1\n0,0\n"), "--gamma", "0.1",
             "--graph", "knn:1", "--sigma", "1e154", "--out", out],
+        "core_square": lambda: ["gen-data", "--out", out, "--out-test", out + "-test", "--config",
+                                _bad_file(tmp_path, "short.cfg", "type = core\nbig = [0, 10]\n")],
+        "plan_dataset": lambda: ["run-plan", "--out-dir", out, "--config",
+                                 _bad_file(tmp_path, "d5.plan", "method = knn\ndataset = 5\n")],
     }[case]()
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -753,7 +762,9 @@ def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, case):
             "empty_grid": "bad.plan: grid.sigma lists no value",
             "mixture_key": "prior.cfg: prior_ps is not a mixture setting",
             "core_key": "core.cfg: big_cnt is not a core setting",
-            "kernel_overflow": "the linear kernel overflows"}[case]
+            "kernel_overflow": "the linear kernel overflows",
+            "core_square": "short.cfg: dataset config 'big' must be a list of four numbers",
+            "plan_dataset": "d5.plan: dataset must be a path, got 5"}[case]
     assert want in err
     if case.startswith("core_"):
         assert not Path(out).exists() and not Path(out + "-test").exists()
@@ -844,6 +855,104 @@ def test_global_config_names_each_key_no_option_takes(tmp_path, capsys):
                    for key in ("gama_g", "n", "k")]
     assert main(["ssl", "--input", str(data), "--gamma-g", "0.25", "--out", str(plain)]) == 0
     assert with_cfg.read_bytes() == plain.read_bytes()
+
+
+_CAD = inspect.signature(cad_scores).parameters
+_KNN = f"knn:{GraphConfig.k_neighbors}"
+# (command, dest, flag, the default of the definition the option fills)
+_MOVED = [
+    ("joint-ssl", "gamma_q", "--gamma-q", JointConfig.gamma_q),
+    ("joint-ssl", "gamma_g", "--gamma-g", JointConfig.gamma_g),
+    ("joint-ssl", "f_l", "--f-l", JointConfig.f_l),
+    ("joint-ssl", "f_u", "--f-u", JointConfig.f_u),
+    ("ssl", "c_l", "--c-l", SoftConfig.c_l),
+    ("ssl", "c_u", "--c-u", SoftConfig.c_u),
+    ("online-ssl", "growth", "--m",
+     inspect.signature(QuantizerState).parameters["growth"].default),
+    ("cad", "lam", "--lambda", _CAD["lam"].default),
+    ("cad", "gamma_g", "--gamma-g", _CAD["gamma_g"].default),
+    ("cad", "c_l", "--c-l", _CAD["c_l"].default),
+    ("cad", "graph", "--graph", f"knn:{_CAD['graph'].default.k_neighbors}"),
+    ("cad", "priors", "--priors", _CAD["priors"].default),
+    ("build-graph", "graph", "--graph", _KNN),
+    ("ssl", "graph", "--graph", _KNN),
+    ("mmgc", "graph", "--graph", _KNN),
+    ("mmgc", "kernel", "--kernel", KernelSpec.kind),
+    ("run-plan", "threads", "--threads",
+     inspect.signature(run_plan).parameters["threads"].default),
+]
+_REQUIRED = {"build-graph": ["--input", "x.csv", "--out", "o"],
+             "ssl": ["--input", "x.csv", "--out", "o"],
+             "online-ssl": ["--input", "x.csv", "--k", "6", "--out", "o"],
+             "joint-ssl": ["--input", "x.csv", "--k", "6", "--out", "o"],
+             "mmgc": ["--train", "x.csv", "--gamma", "0.01", "--out", "o"],
+             "cad": ["--train", "x.csv", "--test", "y.csv", "--out", "o"],
+             "run-plan": ["--config", "p.cfg"]}
+
+
+def _with_flags(argv, flags):
+    # the global --threads goes before the subcommand, every other flag after it
+    glob = [f for f, _ in flags if f == "--threads"]
+    return ([x for f, v in flags if f in glob for x in (f, str(v))] + argv
+            + [x for f, v in flags if f not in glob for x in (f, str(v))])
+
+
+@pytest.mark.parametrize("command, dest, flag, default", _MOVED,
+                         ids=[f"{c}-{d}" for c, d, _, _ in _MOVED])
+def test_cli_states_no_default_a_definition_states(command, dest, flag, default):
+    argv = [command, *_REQUIRED[command]]
+    assert not hasattr(build_parser().parse_args(argv), dest)
+    given = build_parser().parse_args(_with_flags(argv, [(flag, default)]))
+    assert getattr(given, dest) == default
+
+
+def test_cad_priors_choices_are_the_cad_tuple():
+    actions = build_parser().subcommand_parsers["cad"]._option_string_actions
+    assert actions["--priors"].choices is cad_module.PRIORS
+
+
+@pytest.mark.parametrize("argv", [["build-graph"], ["ssl"], ["ssl", "--mode", "soft"],
+                                  ["online-ssl", "--k", "6"], ["joint-ssl", "--k", "6"],
+                                  ["mmgc", "--gamma", "0.01"], ["cad", "--method", "rwcad"],
+                                  ["cad", "--method", "knn"], ["cad", "--method", "softhad"],
+                                  ["run-plan"]], ids=" ".join)
+def test_omitted_options_give_the_bytes_of_their_definitions_defaults(tmp_path, capsys, argv):
+    command = argv[0]
+    if command == "cad":
+        train, test = TestCad()._train_test(tmp_path)
+        io_args = ["--train", str(train), "--test", str(test)]
+    elif command == "run-plan":
+        io_args = ["--config", str(TestRunPlan()._plan(tmp_path))]
+    else:
+        flag = "--train" if command == "mmgc" else "--input"
+        io_args = [flag, str(_ssl_input(tmp_path))]
+    flags = [(flag, default) for c, _, flag, default in _MOVED if c == command]
+    outputs = []
+    for name, given in (("omitted", []), ("explicit", flags)):
+        out = tmp_path / name
+        out_args = ["--out-dir" if command == "run-plan" else "--out", str(out)]
+        assert main(_with_flags([*argv, *io_args, *out_args], given)) == 0
+        files = sorted(out.rglob("*")) if out.is_dir() else [out]
+        outputs.append(([f.relative_to(tmp_path / name) for f in files],
+                        [f.read_bytes() for f in files if f.is_file()],
+                        capsys.readouterr().out.replace(str(out), "OUT")))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command, line, owner, field, value", [
+    ("joint-ssl", "f_l = 5", "JointConfig", "f_l", 5.0),
+    ("online-ssl", "m = 2.0", "QuantizerState", "growth", 2.0),
+    ("online-ssl", "growth = 2.0", "QuantizerState", "growth", 2.0)])
+def test_global_config_key_of_a_moved_option_reaches_its_definition(
+        tmp_path, monkeypatch, capsys, command, line, owner, field, value):
+    real, seen = getattr(cli, owner), []
+    monkeypatch.setattr(cli, owner, lambda *a, **kw: seen.append(kw) or real(*a, **kw))
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["--config", str(cfg), command, "--input", str(_ssl_input(tmp_path)),
+                 "--k", "6", "--sigma", "0.8", "--out", str(tmp_path / "o.csv")]) == 0
+    assert seen[0][field] == value
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["run-plan", "--help"]])

@@ -184,6 +184,12 @@ class TestCoreDataset:
         with pytest.raises(InputError):
             CoreSpec(tiny1=(5.0, 5.5, 5.0, 5.5))
 
+    @pytest.mark.parametrize("field", ["big", "inner", "tiny1", "tiny2"])
+    @pytest.mark.parametrize("square", [(0.0, 10.0), (0.0, 1.0, 2.0, 3.0, 4.0), 5.0])
+    def test_square_must_be_four_numbers(self, field, square):
+        with pytest.raises(InputError, match=f"{field} must be four numbers"):
+            CoreSpec(**{field: square})
+
     @pytest.mark.parametrize("field", ["tiny1_label", "tiny2_label"])
     @pytest.mark.parametrize("label", [0, 2])
     def test_tiny_square_label_must_be_a_sign(self, field, label):
@@ -336,6 +342,14 @@ class TestConfigs:
         for spec in mixtures.values():
             ps = gen_gauss_mixture(spec, 64, seed=0)
             assert ps.n == 64 and set(np.unique(ps.labels)) <= {-1, 1}
+
+    @pytest.mark.parametrize("value", ["[0, 10]", "[0, 10, 0, 10, 5]", "5", '[0, "a", 0, 10]'])
+    def test_core_square_must_be_four_numbers(self, tmp_path, value):
+        path = tmp_path / "core.cfg"
+        path.write_text(f"type = core\ninner = {value}\n")
+        with pytest.raises(InputError, match="core.cfg: dataset config 'inner' must be "
+                                             "a list of four numbers"):
+            load_dataset_spec(path)
 
     def test_shipped_core_loads(self):
         spec = default_core()
