@@ -153,7 +153,7 @@ def cmd_eval(args) -> int:
         raise InputError(f"--params is not valid JSON: {exc}") from None
     scores = gio.read_scores_csv(args.scores)
     truth = gio.read_truth_csv(args.truth)[args.truth_col]
-    value = auroc(scores, truth)
+    value = auroc(scores, truth == 1 if args.truth_col == "true_label" else truth)
     gio.write_metrics_json(args.out, {
         "auroc": value, "n": int(scores.size), "method": args.method, "params": params,
     })

@@ -10,11 +10,18 @@ from .errors import InputError
 def auroc(scores: np.ndarray, truth: np.ndarray) -> float:
     """Area under the ROC curve by the rank-sum formulation:
     P(score of a random positive > random negative) + 0.5 P(tie).
-    A NaN score has no rank and raises ``InputError``; infinities rank."""
+    truth is bool or 0/1, 1 the positive class; any other value raises
+    ``InputError``, as a NaN score does, which has no rank; infinities rank."""
     scores = np.asarray(scores, dtype=np.float64)
-    truth = np.asarray(truth).astype(bool)
+    truth = np.asarray(truth)
     if scores.shape != truth.shape or scores.ndim != 1:
         raise InputError("scores and truth must be equal-length vectors")
+    if truth.dtype != bool:
+        bad = np.flatnonzero((truth != 0) & (truth != 1))
+        if bad.size:
+            raise InputError(f"truth {bad[0]} is {truth[bad[0]].item()!r} ({bad.size} in all); "
+                             "truth must be bool or 0/1")
+        truth = truth == 1
     nan = np.flatnonzero(np.isnan(scores))
     if nan.size:
         raise InputError(f"score {nan[0]} is NaN ({nan.size} in all); a NaN has no rank")

@@ -24,21 +24,20 @@ is rebuilt from the centroids' pairwise distances only when the set is
 repartitioned or the kernel width or cut changes; a repartition computes
 those distances once for its scan.  A prediction assembles its system
 from the weight block of its centroid's component alone, which the graph
-keeps until that component changes, and grows by one row and column when a
-new centroid joins that component alone; a point that merges into an
-existing centroid moves no centroid, so its prediction costs one solve.
+keeps until that component changes; a point that merges into an existing
+centroid moves no centroid, so its prediction costs one solve.
 
 The sketch's per-centroid state is arrays: the centroid rows, their
 multiplicities and labels as float64 (the solve's own dtype, exact for
 counts below 2**53), and a count of labeled centroids, so a step builds
 no array from Python lists.  The graph keeps each node's component in an
-array grown with its weights; an added node takes a fresh component or
-joins its neighbours' components under the smallest of their labels, and
-the components are numbered afresh only when an older edge is cut.  On
-the online-stream benchmark (capacity 100, solves of about 65 rows) a
-step took about 100-150 us on a shared 2-core VM with one BLAS thread, of
-which the Cholesky factor and solve took about 25 us; the rest is numpy
-call overhead on small arrays.
+array grown with its weights; an added node takes its own index as a
+fresh component's label or joins its neighbours' components under the
+smallest of their labels, and the components are numbered afresh only
+when an older edge is cut.  On the online-stream benchmark (capacity 100,
+solves of about 65 rows) a step took about 100-150 us on a shared 2-core
+VM with one BLAS thread, of which the Cholesky factor and solve took
+about 25 us; the rest is numpy call overhead on small arrays.
 """
 
 from __future__ import annotations
@@ -133,12 +132,8 @@ class QuantizerState:
         change, which rebuild it."""
         if self._rows is None:
             raise InputError("the sketch has no centroids yet")
-        key = (sigma, normalize_by_p, eps_cut)
-        if self._graph is None or self._graph.key != key:
-            check_sigma(sigma)
-            if not (np.isfinite(eps_cut) and eps_cut >= 0):
-                raise InputError(f"eps_cut={eps_cut!r} (sigma={sigma!r}) must be finite and >= 0")
-            self._graph = CentroidGraph.build(self.centroids, *key)
+        if self._graph is None or self._graph.key != (sigma, normalize_by_p, eps_cut):
+            self._graph = CentroidGraph(self.centroids, sigma, normalize_by_p, eps_cut)
         return self._graph
 
     def centroid_matrix(self) -> np.ndarray:
@@ -303,9 +298,8 @@ class OnlineStep:
 class CentroidGraph:
     """Cut Gaussian similarities of the centroids, grown one centroid at a
     time, with every node's connected component kept current and each
-    component's weight block cut out when it is first asked for.  A node
-    that joins one component and cuts no older edge grows that
-    component's cached block by a last row and column.
+    component's weight block cut out when it is first asked for and kept
+    until a node joins that component.
 
     An edge survives only if its weight is at least eps_cut and at least
     ``RELATIVE_CUT`` times the strongest edge at either end; the diagonal is
@@ -313,31 +307,27 @@ class CentroidGraph:
     Strongest edges only grow, so cut levels only rise: a cut entry stays
     cut and a kept one still holds its Gaussian weight.  ``append`` thus
     redoes the cut from the cut weights, in the new node's row and in the
-    rows whose strongest edge it raised, with the bits of ``build`` on the
-    grown centroid set.  The weights grow by doubling.  ``weights`` is a
-    read-only view.
+    rows whose strongest edge it raised, with the bits of a graph
+    constructed from the grown centroid set.  The weights grow by
+    doubling.  ``weights`` is a read-only view.
     """
 
-    def __init__(self, key: tuple, p: int, gauss: np.ndarray):
-        """gauss: the uncut Gaussian weights with a zero diagonal, owned
-        and cut in place."""
-        self.key = key
-        self._p = p
+    def __init__(self, centroids: np.ndarray, sigma: float, normalize_by_p: bool,
+                 eps_cut: float):
+        """The graph of the centroids, one per row."""
+        check_sigma(sigma)
+        if not (np.isfinite(eps_cut) and eps_cut >= 0):
+            raise InputError(f"eps_cut={eps_cut!r} (sigma={sigma!r}) must be finite and >= 0")
+        self.key = (sigma, normalize_by_p, eps_cut)
+        self._p = centroids.shape[1]
+        gauss = gaussian_in_place(_kernels.pairwise_sq_dists(centroids, None), self._p, sigma,
+                                  normalize_by_p)
+        np.fill_diagonal(gauss, 0.0)
         self._size = gauss.shape[0]
         self._strongest = gauss.max(axis=1)
         gauss[gauss < self._threshold(slice(None))] = 0.0
         self._cut = gauss
         self._label_components()
-
-    @classmethod
-    def build(cls, centroids: np.ndarray, sigma: float, normalize_by_p: bool,
-              eps_cut: float) -> CentroidGraph:
-        """The graph of the centroids, one per row."""
-        p = centroids.shape[1]
-        gauss = gaussian_in_place(_kernels.pairwise_sq_dists(centroids, None), p, sigma,
-                                  normalize_by_p)
-        np.fill_diagonal(gauss, 0.0)
-        return cls((sigma, normalize_by_p, eps_cut), p, gauss)
 
     @property
     def weights(self) -> np.ndarray:
@@ -380,36 +370,25 @@ class CentroidGraph:
             self._label_components()    # an older edge was cut
             return
         # the new node joins its neighbours' components into the one with
-        # the smallest label
+        # the smallest label, and their cached blocks are dropped
         component = self._component[:n + 1]
         joined = component[:n][cut[-1, :n] != 0]
         if not joined.size:
-            component[n] = self._next_label
-            self._next_label += 1
+            # a label is at most the smallest index in its component, which
+            # is below n, so no live label equals n
+            component[n] = n
             return
         component[n] = label = int(joined.min())
         if (joined != label).any():
             component[np.isin(component, joined)] = label
-            for old in set(joined.tolist()):
-                self._blocks.pop(old, None)
-        elif label in self._blocks:
-            # no kept entry moved, so the cached block only gains the new
-            # node's row and column, last as n is the largest index
-            comp, weights = self._blocks[label]
-            m = comp.size
-            comp = np.append(comp, n)
-            grown = np.empty((m + 1, m + 1))
-            grown[:m, :m] = weights
-            grown[m] = self._cut[n].take(comp)
-            grown[:m, m] = grown[m, :m]
-            self._blocks[label] = comp, grown
+        for old in set(joined.tolist()):
+            self._blocks.pop(old, None)
 
     def _label_components(self) -> None:
         """Number each node's component afresh and drop the cached blocks."""
         labels = component_labels(self.weights)
         self._component = np.empty(self._cut.shape[0], dtype=labels.dtype)
         self._component[:self._size] = labels
-        self._next_label = int(labels.max()) + 1
         self._blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def block(self, idx: int) -> tuple[np.ndarray, np.ndarray]:
@@ -420,8 +399,8 @@ class CentroidGraph:
         if label not in self._blocks:
             comp = (self._component[:self._size] == label).nonzero()[0]
             # C-ordered, as np.ix_ gives it (the solve's bits depend on the
-            # layout), in 40% of np.ix_'s time
-            self._blocks[label] = comp, self._cut[comp].take(comp, axis=1)
+            # layout), in about half of np.ix_'s time
+            self._blocks[label] = comp, self._cut.take(comp, axis=0).take(comp, axis=1)
         return self._blocks[label]
 
 
@@ -437,15 +416,16 @@ def predict_online(state: QuantizerState, x: np.ndarray, label: int, gamma_g: fl
     weight block are the sketch's cached ones, so a step that moves no
     centroid only solves.  A labeled centroid's value is clamped to its
     label, so its step predicts that sign without a solve.  An invalid
-    gamma_g raises before the sketch changes.  Of graph_cfg only sigma
-    (required) and normalize_by_p are read.
+    gamma_g or a missing or invalid sigma raises before the sketch
+    changes.  Of graph_cfg only sigma and normalize_by_p are read.
     """
     check_gamma_g(gamma_g)
+    if graph_cfg.sigma is None:
+        raise InputError("online prediction needs an explicit sigma")
+    check_sigma(graph_cfg.sigma)
     idx = state.observe(x, label)
     if not state._labeled:
         return OnlineStep(ABSTAIN, True, idx)
-    if graph_cfg.sigma is None:
-        raise InputError("online prediction needs an explicit sigma")
     graph = state.graph(graph_cfg.sigma, graph_cfg.normalize_by_p, 0.1 * gamma_g)
     labels = state._labels
     if labels[idx] != 0:

@@ -74,6 +74,8 @@ class ExperimentPlan:
             object.__setattr__(self, "flip_fraction", float(self.flip_fraction))
         except (TypeError, ValueError):
             raise InputError("flip_fraction must be a number") from None
+        if not 0 <= self.flip_fraction <= 1:
+            raise InputError(f"flip_fraction must be in [0, 1], got {self.flip_fraction!r}")
         for name in ("n_samples", "n_runs"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be >= 1")

@@ -16,6 +16,7 @@ from graphssl.cli import build_parser, main
 from graphssl.datasets import default_mixtures, flip_labels, gen_gauss_mixture, load_dataset_spec
 from graphssl.io import (fmt17, read_cut_model, read_points_csv, read_scores_csv,
                          read_truth_csv, write_cut_model, write_points_csv, write_scores_csv)
+from graphssl.metrics import auroc
 from graphssl.plan import (ExperimentPlan, _fmt_param, grid_hash, grid_points,
                            plan_from_config, run_plan, score_method)
 
@@ -313,6 +314,21 @@ class TestEval:
         assert metrics["method"] == "demo"
         assert metrics["params"] == {"lambda": 0.1}
 
+    def test_truth_col_true_label_scores_the_plus_one_class(self, tmp_path, capsys):
+        data, truth, scores = (tmp_path / name for name in ("d.csv", "t.csv", "s.csv"))
+        assert main(["gen-data", "--config", str(_write_mixture_cfg(tmp_path)), "--n", "60",
+                     "--flip", "0.1", "--out", str(data), "--truth", str(truth)]) == 0
+        assert main(["cad", "--train", str(data), "--test", str(data), "--method", "knn",
+                     "--out", str(scores)]) == 0
+        raw, columns = read_scores_csv(scores), read_truth_csv(truth)
+        for col, mask in (("flipped", columns["flipped"]),
+                          ("true_label", columns["true_label"] == 1)):
+            out = tmp_path / f"{col}.json"
+            assert main(["eval", "--scores", str(scores), "--truth", str(truth),
+                         "--truth-col", col, "--out", str(out)]) == 0
+            assert json.loads(out.read_text())["auroc"] == auroc(raw, mask)
+        assert 0 < auroc(raw, columns["true_label"] == 1) < 1
+
 
 def _regrouping_summary(path, plan, points, results):
     """plan._write_summary as it grouped the results by grid hash and
@@ -548,7 +564,11 @@ def test_plan_counts_must_be_integers(tmp_path, key, value):
 @pytest.mark.parametrize("lines, match", [("method = ranked\ndataset = {mix}", "method must be"),
                                           ("method = knn", "needs a 'dataset' key"),
                                           ("method = knn\ndataset = 5",
-                                           "plan.cfg: dataset must be a path, got 5")])
+                                           "plan.cfg: dataset must be a path, got 5"),
+                                          ("method = knn\ndataset = {mix}\n"
+                                           "flip_fraction = 1.5",
+                                           r"plan.cfg: flip_fraction must be in \[0, 1\], "
+                                           "got 1.5")])
 def test_plan_config_rejections(tmp_path, lines, match):
     mix = _write_mixture_cfg(tmp_path)
     path = tmp_path / "plan.cfg"
@@ -599,7 +619,8 @@ _MIXTURE_WITHOUT_POS_MEANS = ("type = mixture\npos.weights = [1.0]\n"
                                   "kernel_prefix", "no_out_test", "model_number",
                                   "model_negative_width", "eps_budget", "plan_key",
                                   "grid_name", "empty_grid", "mixture_key", "core_key",
-                                  "kernel_overflow", "core_square", "plan_dataset"])
+                                  "kernel_overflow", "core_square", "plan_dataset",
+                                  "flip_range"])
 def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, case):
     data = _ssl_input(tmp_path)
     out = str(tmp_path / "out")
@@ -725,6 +746,8 @@ def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, case):
                                 _bad_file(tmp_path, "short.cfg", "type = core\nbig = [0, 10]\n")],
         "plan_dataset": lambda: ["run-plan", "--out-dir", out, "--config",
                                  _bad_file(tmp_path, "d5.plan", "method = knn\ndataset = 5\n")],
+        "flip_range": lambda: ["run-plan", "--out-dir", out, "--config",
+                               str(_bad_plan(tmp_path, "flip_fraction = 1.5"))],
     }[case]()
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -764,14 +787,15 @@ def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, case):
             "core_key": "core.cfg: big_cnt is not a core setting",
             "kernel_overflow": "the linear kernel overflows",
             "core_square": "short.cfg: dataset config 'big' must be a list of four numbers",
-            "plan_dataset": "d5.plan: dataset must be a path, got 5"}[case]
+            "plan_dataset": "d5.plan: dataset must be a path, got 5",
+            "flip_range": "bad.plan: flip_fraction must be in [0, 1], got 1.5"}[case]
     assert want in err
     if case.startswith("core_"):
         assert not Path(out).exists() and not Path(out + "-test").exists()
     if case == "no_out_test":
         assert not Path(out).exists() and not Path(out + "-truth").exists()
     if case.startswith(("config_", "infinite_gamma", "model_negative", "eps_", "plan_",
-                        "grid_", "empty_", "mixture_", "kernel_")):
+                        "grid_", "empty_", "mixture_", "kernel_", "flip_")):
         assert not Path(out).exists()
 
 

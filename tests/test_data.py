@@ -395,6 +395,12 @@ class TestAuroc:
         assert auroc(np.array([np.inf, -np.inf, 0.5, 0.1]), truth) == 1.0
         assert auroc(np.array([-np.inf, np.inf, 0.5, 0.1]), truth) == 0.25
 
+    @pytest.mark.parametrize("truth", [[-1, 1, 1, -1], [0, 2, 1, 0], [0.0, 0.5, 1.0, 1.0],
+                                       [0.0, np.nan, 1.0, 1.0]])
+    def test_truth_other_than_bool_or_0_1_rejected(self, truth):
+        with pytest.raises(InputError, match="truth must be bool or 0/1"):
+            auroc(np.array([0.4, 0.3, 0.2, 0.1]), np.array(truth))
+
     def test_single_class_rejected(self):
         with pytest.raises(InputError):
             auroc(np.array([0.1, 0.2]), np.array([1, 1]))

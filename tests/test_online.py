@@ -301,6 +301,13 @@ class TestPredictOnline:
         predict_online(state, np.array([0.0, 0.0]), 1, 0.1, self.CFG)
         with pytest.raises(InputError, match="explicit sigma"):
             predict_online(state, np.array([1.0, 0.0]), 0, 0.1, GraphConfig(sigma=None))
+        # a fresh sketch raises on its first step; neither raising step folds
+        # its point in
+        fresh = QuantizerState(4)
+        with pytest.raises(InputError, match="explicit sigma"):
+            predict_online(fresh, np.array([1.0, 0.0]), 1, 0.1, GraphConfig(sigma=None))
+        assert fresh.observed == fresh.size == 0
+        assert (state.observed, state.size, state.centroid_labels) == (1, 1, [1])
 
     def test_no_labels_abstains(self):
         state = QuantizerState(4)
@@ -743,7 +750,7 @@ class TestCachedGraph:
             idx = state.observe(x)
             graph = state.graph(*key)
             appended += (graph is before and state.size > size)
-            want = CentroidGraph.build(state.centroids, *key).weights
+            want = CentroidGraph(state.centroids, *key).weights
             assert np.array_equal(graph.weights, want)
             for node in (idx, t % state.size):
                 comp, block = graph.block(node)
@@ -770,24 +777,15 @@ class TestCachedGraph:
         for x in points:
             idx = state.observe(x)
             graph = state.graph(*key)
+            # the kept labels partition the nodes as a rebuild's do, and each
+            # label is at most its component's smallest index
+            got, rebuilt = graph._component[:state.size], component_labels(graph.weights)
+            assert np.array_equal(got[:, None] == got[None, :],
+                                  rebuilt[:, None] == rebuilt[None, :])
+            for label in np.unique(got):
+                assert label <= np.flatnonzero(got == label)[0]
             self._assert_cached_blocks_are_fresh_cuts(graph)
             graph.block(idx)
-
-    def test_appended_node_grows_its_component_block(self):
-        # the online-stream settings: sigma 0.8, eps_cut 1e-3
-        points, _ = _random_stream(5, 300, 2)
-        state = QuantizerState(60, 1.5)
-        grown = 0
-        for x in points:
-            before, size = state._graph, state.size
-            idx = state.observe(x)
-            graph = state.graph(0.8, True, 1e-3)
-            if graph is before and state.size > size:
-                comp_block = graph._blocks.get(int(graph._component[idx]))
-                grown += comp_block is not None and comp_block[0][-1] == idx
-            self._assert_cached_blocks_are_fresh_cuts(graph)
-            graph.block(idx)
-        assert grown > 20
 
     def test_append_cuts_an_edge_below_a_raised_strongest_edge(self):
         state = QuantizerState(10)
@@ -801,7 +799,7 @@ class TestCachedGraph:
         # node 2's strongest edge is now exp(-0.01) to node 4
         assert graph.weights[2, 3] == 0.0 and graph.block(2)[0].tolist() == [2, 4]
         assert np.array_equal(graph.weights,
-                              CentroidGraph.build(state.centroids, 1.0, True, 0.0).weights)
+                              CentroidGraph(state.centroids, 1.0, True, 0.0).weights)
 
     def test_one_append_joins_three_components(self, monkeypatch):
         # a far pair, then three pairs 3 and 3.3 from the origin, over 5 from
@@ -830,7 +828,7 @@ class TestCachedGraph:
         monkeypatch.setattr(CentroidGraph, "_label_components", spy)
         state.observe(np.zeros(2))
         assert state.graph(*key) is graph and state.size == 9 and not relabelled
-        want = CentroidGraph.build(state.centroids, *key).weights
+        want = CentroidGraph(state.centroids, *key).weights
         assert np.array_equal(graph.weights, want)
         assert np.unique(labels_before[np.flatnonzero(want[8, :8])]).size == 3
         # the partition of a rebuild's labelling, numbered differently
@@ -872,6 +870,8 @@ class TestCachedGraph:
         state.observe(np.zeros(2))
         with pytest.raises(InputError, match="sigma"):
             state.graph(sigma, True, eps_cut)
+        with pytest.raises(InputError, match="sigma"):
+            CentroidGraph(state.centroids, sigma, True, eps_cut)
 
     def test_pairwise_distances_only_for_rebuilds_and_repartitions(self, monkeypatch):
         calls = []
