@@ -114,8 +114,9 @@ def fit_cad_model(train: PointSet, lam: float = 0.0, sigma: float | None = None,
 
 def _score_rows(method: str, model: CadModel, x: np.ndarray, y: np.ndarray,
                 lam: float | np.ndarray | None = None, n_loo: int = 0) -> np.ndarray:
-    """rwcad or knn scores of the query rows x labeled y.  The first n_loo
-    rows are the model's training set, in order, scored LOO: their mass
+    """rwcad or knn scores of the query rows x labeled y; a non-finite row
+    or a label other than +-1 raises InputError.  The first n_loo rows are
+    the model's training set, in order, scored LOO: their mass
     against their own class is the one fit_cad_model kept, and their class
     volume drops by twice that mass.  knn is 1 - the Parzen posterior of the
     observed label; rwcad the posterior of the opposite label with lam
@@ -129,6 +130,11 @@ def _score_rows(method: str, model: CadModel, x: np.ndarray, y: np.ndarray,
     y = np.atleast_1d(np.asarray(y))
     if y.shape != (x.shape[0],):
         raise InputError(f"{y.size} labels for {x.shape[0]} query rows")
+    bad = ~np.isfinite(x).all(axis=1) | ~np.isin(y, (-1, 1))
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise InputError(f"{method} scores finite rows labeled +-1 only; query row {row} "
+                         f"is {x[row].tolist()} labeled {y[row]}")
     loo = np.arange(y.size) < n_loo
     masses = []
     for k, (label, points) in enumerate(((1, model.points_pos), (-1, model.points_neg))):

@@ -70,12 +70,27 @@ def _read_numeric_csv(path: str | Path) -> tuple[list[str], np.ndarray, list]:
     return header, data, lines[1:]
 
 
-def _columns(path: str | Path, names: tuple[str, ...]) -> list[np.ndarray]:
-    """The named columns of a numeric CSV, found by header name."""
-    header, data, _ = _read_numeric_csv(path)
+def _check_values(path: str | Path, data: np.ndarray, rows: list, col: int, name: str,
+                  allowed: tuple) -> None:
+    """Raise ``InputError`` naming the file, line and cell text of the first
+    value of column ``col`` outside ``allowed`` (1.0 reads as 1)."""
+    bad = np.flatnonzero(~np.isin(data[:, col], allowed))
+    if bad.size:
+        no, cells = rows[bad[0]]
+        words = ", ".join(map(str, allowed[:-1])) + f" or {allowed[-1]}"
+        raise InputError(f"{path}, line {no}: {name} {cells[col].strip()!r} is not {words}")
+
+
+def _columns(path: str | Path, names: tuple[str, ...],
+             allowed: dict | None = None) -> list[np.ndarray]:
+    """The named columns of a numeric CSV, found by header name; a column
+    named in ``allowed`` must hold only the values it maps to."""
+    header, data, rows = _read_numeric_csv(path)
     missing = [name for name in names if name not in header]
     if missing:
         raise InputError(f"{path}: no column {', '.join(map(repr, missing))}")
+    for name, values in (allowed or {}).items():
+        _check_values(path, data, rows, header.index(name), name, values)
     return [data[:, header.index(name)] for name in names]
 
 
@@ -85,10 +100,7 @@ def read_points_csv(path: str | Path) -> PointSet:
     header, data, rows = _read_numeric_csv(path)
     if header[-1] != "label":
         raise InputError(f"{path}: final column must be 'label'")
-    bad = np.flatnonzero(~np.isin(data[:, -1], LABEL_VALUES))
-    if bad.size:
-        no, cells = rows[bad[0]]
-        raise InputError(f"{path}, line {no}: label {cells[-1].strip()!r} is not -1, 0 or 1")
+    _check_values(path, data, rows, -1, "label", LABEL_VALUES)
     return PointSet(data[:, :-1], data[:, -1].astype(np.int64))
 
 
@@ -102,8 +114,11 @@ def write_truth_csv(path: str | Path, true_labels: np.ndarray, flipped: np.ndarr
 
 def read_truth_csv(path: str | Path) -> dict[str, np.ndarray]:
     """The true labels, flip mask and true anomaly scores of a truth
-    sidecar, by column name."""
-    label, flipped, score = _columns(path, ("true_label", "flipped", "true_anomaly_score"))
+    sidecar, by column name; a ``true_label`` other than -1 or 1 or a
+    ``flipped`` other than 0 or 1 raises ``InputError`` naming the file and
+    line."""
+    label, flipped, score = _columns(path, ("true_label", "flipped", "true_anomaly_score"),
+                                     {"true_label": (-1, 1), "flipped": (0, 1)})
     return {
         "true_label": label.astype(np.int64),
         "flipped": flipped.astype(bool),

@@ -177,35 +177,22 @@ def _centroid_system(state: BackboneState, cfg: JointConfig, points: np.ndarray)
     return a, rhs
 
 
-def quantization_step(state: BackboneState, cfg: JointConfig, points: np.ndarray,
-                      psi: np.ndarray) -> np.ndarray:
+def quantization_step(state: BackboneState, cfg: JointConfig, points: np.ndarray) -> np.ndarray:
     """Solve for new free centroid positions; labeled nodes never move.
 
-    A singular system (typically an empty cluster whose row degenerates)
-    re-seeds each empty cluster at the point farthest from the current
-    backbone, rebuilds, and retries once before falling back to a
-    least-squares solve.
+    A singular system (typically a free centroid that no point is assigned
+    to, under uniform labels) falls back to the least-squares step of least
+    movement, so a centroid that neither a point nor a label term places
+    stays where it is; ``elastic_joint`` re-seeds it between steps.
     """
-    m, total = state.n_labeled, state.n_nodes
-    free = np.arange(m, total)
     a, rhs = _centroid_system(state, cfg, points)
     new = state.centroids.copy()
+    free = new[state.n_labeled:]
     try:
-        new[free] = np.linalg.solve(a, rhs)
-        return new
+        free[:] = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:
-        pass
-    reseeded = state.centroids.copy()
-    _reseed_empty(reseeded, m, state.assignment, points, psi)
-    retry = BackboneState(reseeded, state.pinned_labels, state.soft_labels,
-                          _assign(points, reseeded, psi), state.sigma,
-                          feature_weights=state.feature_weights)
-    a, rhs = _centroid_system(retry, cfg, points)
-    try:
-        reseeded[free] = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError:
-        reseeded[free] = np.linalg.lstsq(a, rhs, rcond=None)[0]
-    return reseeded
+        free += np.linalg.lstsq(a, rhs - a @ free, rcond=None)[0]
+    return new
 
 
 def quantization_surrogate(state: BackboneState, cfg: JointConfig,
@@ -287,7 +274,7 @@ def elastic_joint(ps: PointSet, cfg: JointConfig, seed: int) -> BackboneState:
         obj = _propagate_and_score(state, cfg, ps.points)
         state.objective_trace.append(obj)
         for _ in range(INNER_CAP):
-            state.centroids = quantization_step(state, cfg, ps.points, ps.feature_weights)
+            state.centroids = quantization_step(state, cfg, ps.points)
             new_assign = assign(state.centroids)
             reseeded = _reseed_empty(state.centroids, m, new_assign, pool, ps.feature_weights)
             if reseeded:

@@ -79,11 +79,8 @@ class ExperimentPlan:
         for name in ("n_samples", "n_runs"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be >= 1")
-        if not self.grid:
-            raise InputError("parameter grid must be non-empty")
         for name, values in self.grid.items():
-            # the reader's placeholder grid of a file without one sets nothing
-            if name not in GRID_SETTINGS and self.grid != {"default": [0]}:
+            if name not in GRID_SETTINGS:
                 raise InputError(f"grid.{name} is not a grid setting; "
                                  f"settings: {', '.join(GRID_SETTINGS)}")
             if not values:
@@ -98,9 +95,10 @@ class ExperimentPlan:
 
 
 def plan_from_config(path: str | Path, outdir: str | None = None) -> ExperimentPlan:
-    """A plan from its file: ``grid.NAME`` keys form the grid and every
-    other key names an ``ExperimentPlan`` field (``method`` defaults to
-    rwcad); ``dataset`` is relative to the file, and ``outdir`` wins."""
+    """A plan from its file: ``grid.NAME`` keys form the grid (none: one cell
+    with no settings) and every other key names an ``ExperimentPlan`` field
+    (``method`` defaults to rwcad); ``dataset`` is relative to the file, and
+    ``outdir`` wins."""
     path = Path(path)
     cfg = parse_config_text(path.read_text())
     fields = {f.name for f in dataclasses.fields(ExperimentPlan)} - {"grid"}
@@ -121,7 +119,7 @@ def plan_from_config(path: str | Path, outdir: str | None = None) -> ExperimentP
     if outdir is not None or "outdir" in settings:
         settings["outdir"] = str(outdir if outdir is not None else settings["outdir"])
     try:
-        return ExperimentPlan(grid=grid or {"default": [0]}, **settings)
+        return ExperimentPlan(grid=grid, **settings)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
 
@@ -287,10 +285,10 @@ def _write_summary(path: Path, plan: ExperimentPlan, points: list[dict],
     """One row per cell and a mean and a variance row per grid point;
     results are in grid-then-run order, n_runs to a point."""
     keys = sorted(plan.grid)
-    lines = ["method," + ",".join(keys) + ",run,seed,status,auroc,n"]
+    lines = [",".join(["method", *keys, "run", "seed", "status", "auroc", "n"])]
     for i, params in enumerate(points):
         group = results[i * plan.n_runs:(i + 1) * plan.n_runs]
-        prefix = plan.method + "," + ",".join(_fmt_param(params[k]) for k in keys)
+        prefix = ",".join([plan.method, *(_fmt_param(params[k]) for k in keys)])
         for res in group:
             value = gio.fmt17(res.auroc) if res.auroc is not None else ""
             lines.append(f"{prefix},{res.run},{res.seed},{res.status},{value},{res.n}")

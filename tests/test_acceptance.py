@@ -333,7 +333,7 @@ def test_11_joint_quantization_sanity():
     worst = 0.0
     for _ in range(5):
         state.soft_labels = propagate_on_backbone(state, cfg)
-        new = quantization_step(state, cfg, ps.points, ps.feature_weights)
+        new = quantization_step(state, cfg, ps.points)
         total, n = state.n_nodes, ps.n
         lab = state.soft_labels
         q = (lab[:, None] - lab[None, :]) ** 2 / (total ** 2 * state.sigma ** 2)
@@ -349,8 +349,7 @@ def test_11_joint_quantization_sanity():
     # uniform soft labels reduce the update to the k-means step
     uniform = elastic_joint(ps, JointConfig(k=5, sigma=0.35), seed=1)
     uniform.soft_labels = np.full(uniform.n_nodes, 0.25)
-    new = quantization_step(uniform, JointConfig(k=5, sigma=0.35), ps.points,
-                            ps.feature_weights)
+    new = quantization_step(uniform, JointConfig(k=5, sigma=0.35), ps.points)
     kmeans_exact = True
     for j in range(uniform.n_labeled, uniform.n_nodes):
         members = ps.points[uniform.assignment == j]

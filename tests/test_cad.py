@@ -294,6 +294,26 @@ class TestMismatchedInputs:
                 scorer(model, train.points[:4], train.labels[:3])
 
 
+    @pytest.mark.parametrize("row, label", [([np.nan, 0.0, 0.0], 1), ([0.0, -np.inf, 0.0], -1),
+                                            ([0.0, 0.0, 0.0], 0), ([0.0, 0.0, 0.0], 2),
+                                            ([0.0, 0.0, 0.0], 0.5)])
+    def test_scorers_reject_a_row_they_cannot_score(self, row, label):
+        train = _random_labeled_set(17, n=20)
+        model = fit_cad_model(train, 0.0, 0.7)
+        x, y = np.vstack([train.points[:3], row]), np.r_[train.labels[:3], label]
+        for scorer in (rwcad_scores, weighted_knn_scores):
+            with pytest.raises(InputError, match=r"finite rows labeled \+-1 only; query row 3"):
+                scorer(model, x, y)
+
+    @pytest.mark.parametrize("method", ["rwcad", "knn"])
+    @pytest.mark.parametrize("with_test", [False, True])
+    def test_cad_scores_rejects_an_unlabeled_row(self, method, with_test):
+        train = _random_labeled_set(17, n=20)
+        unlabeled = PointSet(train.points, np.r_[train.labels[:-1], 0], train.feature_weights)
+        train, test = (train, unlabeled) if with_test else (unlabeled, None)
+        with pytest.raises(InputError, match=f"{method} scores finite rows labeled"):
+            cad_scores(method, train, test, sigma=0.7)
+
 class TestSingleClassTraining:
     """knn fits the same model as rwcad, so a training set with one class
     raises in every path instead of scoring all zeros leave-one-out."""

@@ -17,8 +17,8 @@ from graphssl.datasets import default_mixtures, flip_labels, gen_gauss_mixture, 
 from graphssl.io import (fmt17, read_cut_model, read_points_csv, read_scores_csv,
                          read_truth_csv, write_cut_model, write_points_csv, write_scores_csv)
 from graphssl.metrics import auroc
-from graphssl.plan import (ExperimentPlan, _fmt_param, grid_hash, grid_points,
-                           plan_from_config, run_plan, score_method)
+from graphssl.plan import (_fmt_param, grid_hash, grid_points, plan_from_config, run_plan,
+                           score_method)
 
 
 def _write_mixture_cfg(path: Path) -> Path:
@@ -577,9 +577,22 @@ def test_plan_config_rejections(tmp_path, lines, match):
         plan_from_config(path)
 
 
-def test_plan_grid_must_be_non_empty():
-    with pytest.raises(InputError, match="grid must be non-empty"):
-        ExperimentPlan(method="knn", grid={}, dataset="mix.cfg")
+def test_plan_without_a_grid_is_one_cell_with_no_settings(tmp_path):
+    mix = _write_mixture_cfg(tmp_path)
+    (tmp_path / "plan.cfg").write_text(f"method = knn\ndataset = {mix.name}\n"
+                                       "n_samples = 60\nn_runs = 2\n")
+    plan = plan_from_config(tmp_path / "plan.cfg", outdir=str(tmp_path / "out"))
+    assert plan.grid == {} and grid_points(plan.grid) == [{}]
+    run_plan(plan)
+    summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+    assert summary[0] == "method,run,seed,status,auroc,n"
+    assert [line.split(",")[:4] for line in summary[1:]] == [
+        ["knn", "0", "0", "ok"], ["knn", "1", "1", "ok"],
+        ["knn", "mean", "", "aggregate"], ["knn", "variance", "", "aggregate"]]
+    for run in (0, 1):
+        metrics = json.loads((tmp_path / "out" / "knn" / grid_hash({}) / f"run{run}"
+                              / "metrics.json").read_text())
+        assert metrics["params"] == {} and metrics["seed"] == run
 
 
 def _malformed_points(tmp_path, cell):
@@ -620,7 +633,7 @@ _MIXTURE_WITHOUT_POS_MEANS = ("type = mixture\npos.weights = [1.0]\n"
                                   "model_negative_width", "eps_budget", "plan_key",
                                   "grid_name", "empty_grid", "mixture_key", "core_key",
                                   "kernel_overflow", "core_square", "plan_dataset",
-                                  "flip_range"])
+                                  "flip_range", "cad_label", "truth_vocabulary"])
 def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, case):
     data = _ssl_input(tmp_path)
     out = str(tmp_path / "out")
@@ -748,6 +761,12 @@ def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, case):
                                  _bad_file(tmp_path, "d5.plan", "method = knn\ndataset = 5\n")],
         "flip_range": lambda: ["run-plan", "--out-dir", out, "--config",
                                str(_bad_plan(tmp_path, "flip_fraction = 1.5"))],
+        "cad_label": lambda: ["cad", "--method", "knn", "--out", out, "--train",
+                              _bad_file(tmp_path, "train.csv", "f0,label\n0,1\n1,-1\n2,1\n"),
+                              "--test", _bad_file(tmp_path, "test.csv", "f0,label\n0,1\n1,0\n")],
+        "truth_vocabulary": lambda: ["eval", "--scores", str(scores), "--out", out, "--truth",
+                                     _bad_file(tmp_path, "t.csv", truth.read_text().replace(
+                                         "1,-1,1,0.8", "1,-1,2,0.8"))],
     }[case]()
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -788,14 +807,17 @@ def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, case):
             "kernel_overflow": "the linear kernel overflows",
             "core_square": "short.cfg: dataset config 'big' must be a list of four numbers",
             "plan_dataset": "d5.plan: dataset must be a path, got 5",
-            "flip_range": "bad.plan: flip_fraction must be in [0, 1], got 1.5"}[case]
+            "flip_range": "bad.plan: flip_fraction must be in [0, 1], got 1.5",
+            "cad_label": "knn scores finite rows labeled +-1 only; query row 4 is [1.0] labeled 0",
+            "truth_vocabulary": "t.csv, line 3: flipped '2' is not 0 or 1"}[case]
     assert want in err
     if case.startswith("core_"):
         assert not Path(out).exists() and not Path(out + "-test").exists()
     if case == "no_out_test":
         assert not Path(out).exists() and not Path(out + "-truth").exists()
     if case.startswith(("config_", "infinite_gamma", "model_negative", "eps_", "plan_",
-                        "grid_", "empty_", "mixture_", "kernel_", "flip_")):
+                        "grid_", "empty_", "mixture_", "kernel_", "flip_", "cad_",
+                        "truth_")):
         assert not Path(out).exists()
 
 

@@ -9,7 +9,8 @@ import scipy.sparse as sp
 
 from graphssl import (CutClassifier, GraphConfig, InputError, KernelSpec, PointSet,
                       SimilarityGraph, build_graph)
-from graphssl.io import (fmt17, read_cut_model, read_points_csv, write_cut_model,
+from graphssl.io import (fmt17, read_cut_model, read_points_csv, read_truth_csv,
+                         write_cut_model,
                          write_edge_list, write_metrics_json, write_online_csv,
                          write_points_csv, write_scores_csv, write_soft_labels_csv,
                          write_trace_csv, write_truth_csv)
@@ -336,3 +337,25 @@ class TestReadPointsCsv:
     def test_ragged_row_names_its_line(self, tmp_path, row):
         with pytest.raises(InputError, match=r"pts.csv, line 2: expected 3 numbers"):
             self._read(tmp_path, f"f0,f1,label\n{row}\n")
+
+
+class TestReadTruthCsv:
+    def _read(self, tmp_path, label, flipped):
+        path = tmp_path / "truth.csv"
+        path.write_text("index,true_label,flipped,true_anomaly_score\n0,1,0,0.2\n"
+                        f"1,{label},{flipped},0.8\n")
+        return read_truth_csv(path)
+
+    def test_vocabulary_read_by_column(self, tmp_path):
+        truth = self._read(tmp_path, "-1.0", "1")
+        assert truth["true_label"].tolist() == [1, -1]
+        assert truth["flipped"].tolist() == [False, True]
+        assert truth["true_anomaly_score"].tolist() == [0.2, 0.8]
+
+    @pytest.mark.parametrize("label, flipped, match", [
+        ("1.7", "0", "true_label '1.7' is not -1 or 1"), ("0", "0", "true_label '0' is not"),
+        ("nan", "0", "true_label 'nan'"), ("1", "2", "flipped '2' is not 0 or 1"),
+        ("1", "-1", "flipped '-1'"), ("1", "0.5", "flipped '0.5'")])
+    def test_value_outside_its_column_vocabulary_rejected(self, tmp_path, label, flipped, match):
+        with pytest.raises(InputError, match=rf"truth.csv, line 3: {match}"):
+            self._read(tmp_path, label, flipped)

@@ -36,7 +36,7 @@ class TestQuantizationStep:
         centroids = np.vstack([points[0], points[5], points[14]])
         state = _state(centroids, [1], np.full(3, 0.7), points)
         cfg = JointConfig(k=2, gamma_q=10.0)
-        new = quantization_step(state, cfg, points, np.ones(2))
+        new = quantization_step(state, cfg, points)
         assert np.array_equal(new[0], centroids[0])  # labeled node pinned
         for j in (1, 2):
             members = points[state.assignment == j]
@@ -51,7 +51,7 @@ class TestQuantizationStep:
             soft[:2] = [1.0, -1.0]
             state = _state(centroids, [1, -1], soft, points, sigma=0.8)
             cfg = JointConfig(k=4, gamma_q=50.0)
-            new = quantization_step(state, cfg, points, np.ones(3))
+            new = quantization_step(state, cfg, points)
             # plug back into the stated equations
             total, n = 6, 40
             q = (soft[:, None] - soft[None, :]) ** 2 / (total ** 2 * 0.8 ** 2)
@@ -70,7 +70,7 @@ class TestQuantizationStep:
         soft = np.array([1.0, -0.5, 0.5])
         state = _state(centroids, [1], soft, points)
         cfg = JointConfig(k=2, gamma_q=5.0)
-        new = quantization_step(state, cfg, points, np.ones(2))
+        new = quantization_step(state, cfg, points)
         assert np.all(np.isfinite(new))
         total, n = 3, 20
         q = (soft[:, None] - soft[None, :]) ** 2 / (total ** 2 * 1.0)
@@ -207,7 +207,7 @@ class TestElasticJoint:
         state.soft_labels = propagate_on_backbone(state, cfg)
         before = quantization_surrogate(state, cfg, ps.points)
         for _ in range(5):
-            state.centroids = quantization_step(state, cfg, ps.points, ps.feature_weights)
+            state.centroids = quantization_step(state, cfg, ps.points)
             state.assignment = _assign(ps.points, state.centroids, ps.feature_weights)
             after = quantization_surrogate(state, cfg, ps.points)
             assert after <= before + 1e-9 * max(1.0, abs(before))
@@ -290,42 +290,9 @@ class TestInferUnlabeled:
         assert agree >= 0.9
 
 
-# Test-only copies of the two farthest-point reseeds as each was written
-# before they shared one routine: quantization_step with its own loop in the
-# singular-system fallback, and elastic_joint's reseed of the free centroids
-# that lost every point, over a pool of point indices.
-def _quantization_step_reference(state, cfg, points, psi):
-    m, total = state.n_labeled, state.n_nodes
-    free = np.arange(m, total)
-    a, rhs = _centroid_system(state, cfg, points)
-    new = state.centroids.copy()
-    try:
-        new[free] = np.linalg.solve(a, rhs)
-        return new
-    except np.linalg.LinAlgError:
-        pass
-    counts = np.bincount(state.assignment, minlength=total)
-    reseeded = state.centroids.copy()
-    d2 = cross_sq_dists(points, reseeded, psi)
-    nearest = d2.min(axis=1)
-    for j in free:
-        if counts[j] == 0:
-            far = int(np.argmax(nearest))
-            reseeded[j] = points[far]
-            nearest = np.minimum(
-                nearest, cross_sq_dists(points, reseeded[j][None, :], psi).ravel())
-    retry = BackboneState(reseeded, state.pinned_labels, state.soft_labels,
-                          _assign(points, reseeded, psi), state.sigma,
-                          feature_weights=state.feature_weights)
-    a, rhs = _centroid_system(retry, cfg, points)
-    new = reseeded
-    try:
-        new[free] = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError:
-        new[free] = np.linalg.lstsq(a, rhs, rcond=None)[0]
-    return new
-
-
+# A test-only copy of elastic_joint's reseed of the free centroids that lost
+# every point, over a pool of point indices, written with full distance
+# matrices.
 def _reseed_empty_reference(state, ps, assignment, pool):
     counts = np.bincount(assignment, minlength=state.n_nodes)
     empty = [j for j in range(state.n_labeled, state.n_nodes) if counts[j] == 0]
@@ -358,37 +325,41 @@ def _state_with_dead_centroids(seed, n_dead):
 
 
 class TestReseed:
+    @staticmethod
+    def _singular_step(state, cfg, points):
+        """One quantization step on a singular system, with the facts every
+        such step keeps: pinned rows and free centroids without a point stay
+        bit-equal, and each other free centroid lands on its members' mean."""
+        # uniform labels leave a zero row and column for each free centroid
+        # without a point
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(*_centroid_system(state, cfg, points))
+        got = quantization_step(state, cfg, points)
+        m = state.n_labeled
+        assert np.array_equal(got[:m], state.centroids[:m])
+        for j in range(m, state.n_nodes):
+            members = points[state.assignment == j]
+            if members.size:
+                assert np.allclose(got[j], members.mean(axis=0), rtol=0, atol=1e-12)
+            else:
+                assert np.array_equal(got[j], state.centroids[j])
+        return got
+
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("n_dead", [1, 2])
-    def test_singular_fallback_equals_reference(self, seed, n_dead):
+    def test_singular_step_leaves_unplaced_centroids_where_they_are(self, seed, n_dead):
         ps, state = _state_with_dead_centroids(seed, n_dead)
-        cfg = JointConfig(k=5 + n_dead, sigma=0.5)
         assert np.bincount(state.assignment, minlength=state.n_nodes)[-1] == 0
-        # uniform labels leave a zero row for each dead centroid: the
-        # fallback runs
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.solve(*_centroid_system(state, cfg, ps.points))
-        got = quantization_step(state, cfg, ps.points, ps.feature_weights)
-        want = _quantization_step_reference(state, cfg, ps.points, ps.feature_weights)
-        assert np.array_equal(got, want)
-        assert np.all(np.abs(got[-n_dead:]) < 10)
+        self._singular_step(state, JointConfig(k=5 + n_dead, sigma=0.5), ps.points)
 
-    def test_singular_retry_falls_back_to_least_squares(self, monkeypatch):
+    def test_singular_step_at_one_place_returns_the_centroids(self):
         # every point and node at one place and uniform labels: the pinned
-        # node 0 wins every tie, so each free centroid has no point, and a
-        # reseed on the farthest point lands on that place again; the
-        # retried system is singular too, and least squares solves it
+        # node 0 wins every tie, so no free centroid has a point
         points, centroids = np.tile([1.0, 2.0], (12, 1)), np.tile([1.0, 2.0], (5, 1))
         state = BackboneState(centroids, np.array([1, -1]), np.full(5, 0.25),
                               _assign(points, centroids, None), sigma=0.5)
-        cfg = JointConfig(k=3, sigma=0.5)
-        calls, lstsq = [], np.linalg.lstsq
-        monkeypatch.setattr(np.linalg, "lstsq",
-                            lambda *args, **kwargs: calls.append(1) or lstsq(*args, **kwargs))
-        got = quantization_step(state, cfg, points, None)
-        assert len(calls) == 1
-        assert np.array_equal(got, _quantization_step_reference(state, cfg, points, None))
-        assert np.array_equal(got[:2], centroids[:2])
+        got = self._singular_step(state, JointConfig(k=3, sigma=0.5), points)
+        assert np.array_equal(got, centroids)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_centroid_emptied_by_a_step_is_reseeded(self, monkeypatch, seed):
@@ -406,9 +377,9 @@ class TestReseed:
 
         monkeypatch.setattr(joint, "_reseed_empty", recorded)
         state = elastic_joint(ps, JointConfig(k=8, sigma=0.5), seed=seed)
-        # quantization_step's reseed draws on all 30 points, elastic_joint's
-        # on the 28 unlabeled ones
-        assert (28, True) in results
+        # elastic_joint is the one caller, and its pool is the 28 unlabeled
+        # points
+        assert (28, True) in results and {size for size, _ in results} == {28}
         assert np.array_equal(state.assignment,
                               _assign(ps.points, state.centroids, ps.feature_weights))
         assert np.all(np.isfinite(state.objective_trace))

@@ -55,8 +55,7 @@ def test_plan_file_equals_the_constructor_on_its_fields(tmp_path_factory, fields
                     + f"dataset = {json.dumps(str(dataset))}\n"
                     + "".join(f"grid.{name} = {json.dumps(values)}\n"
                               for name, values in grid.items()))
-    want = ExperimentPlan(**{"method": "rwcad", **fields}, dataset=str(dataset),
-                          grid=grid or {"default": [0]})
+    want = ExperimentPlan(**{"method": "rwcad", **fields}, dataset=str(dataset), grid=grid)
     assert plan_from_config(path) == want
 
 
@@ -81,7 +80,8 @@ def test_grid_settings_reach_cad_scores_as_its_keywords(tmp_path_factory, method
 @pytest.mark.parametrize("grid, match", [
     ({"lamda": [0.1]}, "grid.lamda is not a grid setting"),
     ({"sigma": []}, "grid.sigma lists no value"),
-    ({"default": [0], "sigma": [1.0]}, "grid.default is not a grid setting")])
+    ({"default": [0], "sigma": [1.0]}, "grid.default is not a grid setting"),
+    ({"default": [0]}, "grid.default is not a grid setting")])
 def test_constructor_refuses_grid_entries_that_set_nothing(grid, match):
     with pytest.raises(InputError, match=match):
         ExperimentPlan(method="knn", grid=grid, dataset="mix.cfg")
