@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateGraphError, InputError
-from .graph import PointSet, SimilarityGraph, gaussian_in_place, resolve_sigma, sq_dist_blocks
+from .graph import (CLASSES, PointSet, SimilarityGraph, gaussian_in_place, resolve_sigma,
+                    sq_dist_blocks)
 from .harmonic import SoftConfig, solve_harmonic
 
 LAMBDA_GRID = tuple(10.0 ** e for e in range(-5, 6))
@@ -56,16 +57,14 @@ def _kernel_mass(x: np.ndarray, points: np.ndarray, sigma: float, psi: np.ndarra
 
 @dataclass(frozen=True)
 class CadModel:
-    """Per-class training points with precomputed graph volumes, class
-    priors, the regularizer lam, and each class's leave-one-out masses of
-    its own points."""
+    """Per-class pairs in ``graph.CLASSES`` order (+1, then -1): the
+    training points, their graph volumes and the class priors; then the
+    regularizer lam, sigma, psi, and each class's leave-one-out masses of
+    its own points (a pair too)."""
 
-    points_pos: np.ndarray
-    points_neg: np.ndarray
-    vol_pos: float
-    vol_neg: float
-    prior_pos: float
-    prior_neg: float
+    points: tuple
+    vol: tuple
+    prior: tuple
     lam: float
     sigma: float
     psi: np.ndarray
@@ -95,21 +94,15 @@ def fit_cad_model(train: PointSet, lam: float = 0.0, sigma: float | None = None,
     strongly imbalanced data leaves the posterior uninformative).
     """
     check_cad_params(lam, priors)
-    pos = train.points[train.labels == 1]
-    neg = train.points[train.labels == -1]
-    if pos.shape[0] == 0 or neg.shape[0] == 0:
+    points = tuple(train.points[train.labels == label] for label in CLASSES)
+    if min(len(pts) for pts in points) == 0:
         raise DegenerateGraphError("both classes need at least one training point")
     sigma = resolve_sigma(sigma, train.points)
-    own = tuple(_kernel_mass(pts, pts, sigma, train.feature_weights, np.arange(pts.shape[0]))
-                for pts in (pos, neg))
-    n_lab = pos.shape[0] + neg.shape[0]
-    prior_pos = pos.shape[0] / n_lab if priors == "empirical" else 0.5
-    return CadModel(
-        points_pos=pos, points_neg=neg,
-        vol_pos=float(own[0].sum()), vol_neg=float(own[1].sum()),
-        prior_pos=prior_pos, prior_neg=1.0 - prior_pos,
-        lam=lam, sigma=sigma, psi=train.feature_weights, own_masses=own,
-    )
+    own = tuple(_kernel_mass(pts, pts, sigma, train.feature_weights, np.arange(len(pts)))
+                for pts in points)
+    prior_pos = len(points[0]) / (len(points[0]) + len(points[1])) if priors == "empirical" else 0.5
+    return CadModel(points, tuple(float(m.sum()) for m in own), (prior_pos, 1.0 - prior_pos),
+                    lam, sigma, train.feature_weights, own)
 
 
 def _score_rows(method: str, model: CadModel, x: np.ndarray, y: np.ndarray,
@@ -130,36 +123,31 @@ def _score_rows(method: str, model: CadModel, x: np.ndarray, y: np.ndarray,
     y = np.atleast_1d(np.asarray(y))
     if y.shape != (x.shape[0],):
         raise InputError(f"{y.size} labels for {x.shape[0]} query rows")
-    bad = ~np.isfinite(x).all(axis=1) | ~np.isin(y, (-1, 1))
+    bad = ~np.isfinite(x).all(axis=1) | ~np.isin(y, CLASSES)
     if bad.any():
         row = int(np.argmax(bad))
         raise InputError(f"{method} scores finite rows labeled +-1 only; query row {row} "
                          f"is {x[row].tolist()} labeled {y[row]}")
     loo = np.arange(y.size) < n_loo
-    masses = []
-    for k, (label, points) in enumerate(((1, model.points_pos), (-1, model.points_neg))):
-        m, kept = np.empty(y.size), loo & (y == label)
+    own_row, cols = np.where(y == CLASSES[0], 0, 1), np.arange(y.size)
+    own = np.arange(2)[:, None] == own_row      # row k marks the queries of class k
+    m = np.empty((2, y.size))
+    for k in range(2):
+        kept = loo & own[k]
         if n_loo:
-            m[kept] = model.own_masses[k]
-        m[~kept] = _kernel_mass(x[~kept], points, model.sigma, model.psi)
-        masses.append(m)
-    m_pos, m_neg = masses
-    is_pos = y == 1
+            m[k, kept] = model.own_masses[k]
+        m[k, ~kept] = _kernel_mass(x[~kept], model.points[k], model.sigma, model.psi)
     if method == "knn":
-        total = m_pos + m_neg
+        total = m[0] + m[1]
         if np.any(total <= 0):
             raise DegenerateGraphError("zero kernel mass at a query point")
-        return 1.0 - np.where(is_pos, m_pos, m_neg) / total
+        return 1.0 - m[own_row, cols] / total
     lam = model.lam if lam is None else check_cad_params(lam)
-    vol_pos = np.where(loo & is_pos, model.vol_pos - 2.0 * m_pos, model.vol_pos)
-    vol_neg = np.where(loo & (y == -1), model.vol_neg - 2.0 * m_neg, model.vol_neg)
-    den_pos, den_neg = vol_pos + 2.0 * m_pos, vol_neg + 2.0 * m_neg
-    like_pos = np.divide(m_pos, den_pos, out=np.zeros(y.size), where=den_pos > 0)
-    like_neg = np.divide(m_neg, den_neg, out=np.zeros(y.size), where=den_neg > 0)
-    total = like_pos * model.prior_pos + like_neg * model.prior_neg
-    opposite = np.where(is_pos, like_neg * model.prior_neg, like_pos * model.prior_pos)
-    denom = np.asarray(lam)[..., None] + total
-    return np.divide(opposite, denom, out=np.zeros(denom.shape), where=denom > 0)
+    vol = np.array(model.vol)[:, None]
+    den = np.where(loo & own, vol - 2.0 * m, vol) + 2.0 * m
+    like = np.divide(m, den, out=np.zeros(m.shape), where=den > 0) * np.array(model.prior)[:, None]
+    denom = np.asarray(lam)[..., None] + (like[0] + like[1])
+    return np.divide(like[1 - own_row, cols], denom, out=np.zeros(denom.shape), where=denom > 0)
 
 
 def rwcad_scores(model: CadModel, x: np.ndarray, y: np.ndarray,

@@ -41,7 +41,7 @@ KERNEL_CACHE_BYTES = 2 ** 30
 @dataclass(frozen=True)
 class KernelSpec:
     """Mercer kernel: 'linear', 'cubic' ((1 + x.z)^3), or 'rbf' with
-    exp(-||x - z||^2 / (2 width^2)), whose divisor must be finite and > 0."""
+    exp(-||x - z||^2 / (2 width^2)), whose divisor must be a normal float."""
 
     kind: str = "linear"
     rbf_width: float = 1.0
@@ -50,8 +50,8 @@ class KernelSpec:
         if self.kind not in ("linear", "cubic", "rbf"):
             raise InputError(f"unknown kernel {self.kind!r}")
         w = self.rbf_width
-        if self.kind == "rbf" and not (w > 0 and 0 < 2.0 * w * w < np.inf):
-            raise InputError(f"rbf width {w!r} must be positive with 2 width^2 finite and > 0")
+        if self.kind == "rbf" and not (w > 0 and np.finfo(np.float64).tiny <= 2.0 * w * w < np.inf):
+            raise InputError(f"rbf width {w!r} must be positive with 2 width^2 a normal float")
 
     @classmethod
     def parse(cls, text: str) -> "KernelSpec":
@@ -125,7 +125,11 @@ class CutClassifier:
                              f"points {width}")
         if not np.isfinite(x).all():
             raise InputError("query points must be finite")
-        return _kernel_times(self.kernel, x, self.support_points, self.coefficients) + self.bias
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _kernel_times(self.kernel, x, self.support_points, self.coefficients)
+        if not np.isfinite(values).all():
+            raise InputError(f"the {self.kernel.kind} kernel overflows on these query points")
+        return values + self.bias
 
 
 def induce_labels(g: SimilarityGraph, labels: np.ndarray, gamma_g: float,

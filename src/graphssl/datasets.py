@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError
-from .graph import PointSet
+from .graph import CLASSES, PointSet
 from .rng import PortableRng
 
 
@@ -39,6 +39,8 @@ class ClassMixture:
             cov = cov[None, :, :]
         if w.ndim != 1 or w.size != mu.shape[0] or cov.shape[0] != w.size:
             raise InputError("weights, means, covs must agree in component count")
+        if not (np.isfinite(mu).all() and np.isfinite(cov).all()):
+            raise InputError("means and covariances must be finite")
         if np.any(w < 0) or not np.isclose(w.sum(), 1.0):
             raise InputError("component weights must be nonnegative and sum to 1")
         chols = []
@@ -53,20 +55,25 @@ class ClassMixture:
         object.__setattr__(self, "means", mu)
         object.__setattr__(self, "covs", cov)
         object.__setattr__(self, "_chols", np.stack(chols))
+        with np.errstate(over="ignore"):
+            if not np.isfinite(self.density(self.means)).all():
+                raise InputError("a covariance so small that its density overflows")
 
     @property
     def dim(self) -> int:
         return self.means.shape[1]
 
     def density(self, x: np.ndarray) -> np.ndarray:
-        """Mixture pdf at each row of x."""
+        """Mixture pdf at each row of x; 0 where a row is too far from a
+        mean for its distance to be formed."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         out = np.zeros(x.shape[0])
         p = self.dim
         for w, mu, chol in zip(self.weights, self.means, self._chols):
-            diff = x - mu
-            sol = np.linalg.solve(chol, diff.T).T
-            quad = np.einsum("ij,ij->i", sol, sol)
+            with np.errstate(over="ignore", invalid="ignore"):
+                sol = np.linalg.solve(chol, (x - mu).T).T
+                quad = np.einsum("ij,ij->i", sol, sol)
+            quad[np.isnan(quad)] = np.inf      # inf - inf of an overflowed distance
             log_det = np.sum(np.log(np.diag(chol)))
             out += w * np.exp(-0.5 * quad - log_det - 0.5 * p * np.log(2 * np.pi))
         return out
@@ -110,24 +117,23 @@ def gen_gauss_mixture(spec: MixtureSpec, n: int, seed: int) -> PointSet:
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
     rng = PortableRng(seed)
-    is_pos = rng.random(n) < spec.prior_pos
+    labels = np.where(rng.random(n) < spec.prior_pos, 1, -1).astype(np.int64)
     points = np.empty((n, spec.dim))
-    n_pos = int(is_pos.sum())
-    pos_pts = _sample_mixture(spec.pos, n_pos, rng.derive(1)) if n_pos else np.empty((0, spec.dim))
-    neg_pts = _sample_mixture(spec.neg, n - n_pos, rng.derive(2)) if n - n_pos else np.empty((0, spec.dim))
-    points[is_pos] = pos_pts
-    points[~is_pos] = neg_pts
-    labels = np.where(is_pos, 1, -1).astype(np.int64)
+    for tag, (label, cm) in enumerate(zip(CLASSES, (spec.pos, spec.neg)), 1):
+        rows = labels == label
+        if rows.any():
+            points[rows] = _sample_mixture(cm, int(rows.sum()), rng.derive(tag))
     return PointSet(points, labels)
 
 
-def _opposite_posterior(d_pos: np.ndarray, d_neg: np.ndarray, y: np.ndarray,
-                        fallback) -> np.ndarray:
-    """Opposite-class posterior from prior-weighted densities; fallback at 0/0."""
-    total = d_pos + d_neg
-    opposite = np.where(y == 1, d_neg, d_pos)
-    return np.where(total > 0, np.divide(opposite, total, out=np.zeros_like(total),
-                                         where=total > 0), fallback)
+def _opposite_posterior(d: np.ndarray, y: np.ndarray, priors) -> np.ndarray:
+    """Posterior of the class opposite to y from d, the prior-weighted
+    densities of the classes as rows in ``CLASSES`` order; the opposite
+    class's prior where both densities are 0."""
+    opposite = (y == CLASSES[0]).astype(np.intp)        # its row in d
+    total = d[0] + d[1]
+    return np.where(total > 0, np.divide(np.choose(opposite, d), total, out=np.zeros_like(total),
+                                         where=total > 0), np.choose(opposite, priors))
 
 
 def true_anomaly_scores(spec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -137,10 +143,9 @@ def true_anomaly_scores(spec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return core_true_scores(spec, x, y)
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_1d(np.asarray(y))
-    d_pos = spec.pos.density(x) * spec.prior_pos
-    d_neg = spec.neg.density(x) * (1.0 - spec.prior_pos)
-    return _opposite_posterior(d_pos, d_neg, y,
-                               np.where(y == 1, 1.0 - spec.prior_pos, spec.prior_pos))
+    priors = (spec.prior_pos, 1.0 - spec.prior_pos)
+    d = np.array([cm.density(x) * prior for cm, prior in zip((spec.pos, spec.neg), priors)])
+    return _opposite_posterior(d, y, priors)
 
 
 def flip_labels(ps: PointSet, fraction: float, seed: int) -> tuple[PointSet, np.ndarray]:
@@ -265,10 +270,10 @@ def core_true_scores(spec: CoreSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray
     y = np.atleast_1d(np.asarray(y))
     layout = _core_layout(spec)
     total_count = sum(count for _, count, _ in layout)
-    dens = {1: np.zeros(x.shape[0]), -1: np.zeros(x.shape[0])}
+    dens = np.zeros((2, x.shape[0]))
     for rect, count, label in layout:
-        dens[label] += (count / total_count) / _rect_area(rect) * _in_rect(x, rect)
-    return _opposite_posterior(dens[1], dens[-1], y, 0.5)
+        dens[CLASSES.index(label)] += (count / total_count) / _rect_area(rect) * _in_rect(x, rect)
+    return _opposite_posterior(dens, y, (0.5, 0.5))
 
 
 def _draw_squares(rng: PortableRng, first_tag: int, parts: list[tuple[Rect, int, int]],

@@ -21,6 +21,8 @@ from . import _kernels
 from .errors import DegenerateGraphError, InputError
 
 LABEL_VALUES = (-1, 0, 1)
+CLASSES = (1, -1)      # the two classes, in the order of every per-class pair
+_TINY = np.finfo(np.float64).tiny       # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -146,17 +148,22 @@ class SimilarityGraph:
 
 
 def sigma_from_points(points: np.ndarray) -> float:
-    """Kernel width heuristic: 10% of the mean per-feature standard deviation."""
-    sigma = 0.1 * float(np.mean(np.std(np.asarray(points, dtype=np.float64), axis=0)))
-    if not sigma > 0:
+    """Kernel width heuristic: 10% of the mean per-feature standard
+    deviation, which check_sigma must accept (InputError where the spread
+    overflows or its square underflows)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = 0.1 * float(np.mean(np.std(np.asarray(points, dtype=np.float64), axis=0)))
+    if sigma == 0:
         raise DegenerateGraphError("degenerate point set: zero spread in every feature")
+    check_sigma(sigma)
     return sigma
 
 
 def check_sigma(sigma: float) -> None:
-    """Raise unless the kernel width sigma is finite and > 0."""
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise InputError(f"sigma must be finite and > 0, got {sigma!r}")
+    """Raise unless the kernel width sigma is finite and > 0 with sigma^2 a
+    normal float, so that no kernel divisor p sigma^2 underflows."""
+    if not (math.isfinite(sigma) and sigma > 0 and _TINY <= sigma * sigma < math.inf):
+        raise InputError(f"sigma={sigma!r} must be finite and > 0 with sigma^2 a normal float")
 
 
 def resolve_sigma(sigma: float | None, points: np.ndarray) -> float:
@@ -170,11 +177,17 @@ def resolve_sigma(sigma: float | None, points: np.ndarray) -> float:
 def gaussian_in_place(d2: np.ndarray, p: int, sigma: float, normalize_by_p: bool):
     """The library's only Gaussian form: exp(-d2 / (p sigma^2)), or
     exp(-d2 / sigma^2) without normalize_by_p, written over the float64 d2
-    (d2 / -denom has the bits of -d2 / denom); InputError if denom is 0."""
+    (d2 / -denom has the bits of -d2 / denom); InputError if denom is 0.
+    A quotient past the float range, possible only for denom < 1, is a
+    weight of exactly 0."""
     denom = p * sigma * sigma if normalize_by_p else sigma * sigma
     if denom == 0:
         raise InputError(f"sigma={sigma!r} makes the kernel divisor underflow to 0")
-    np.divide(d2, -denom, out=d2)
+    if denom >= 1.0:
+        np.divide(d2, -denom, out=d2)
+    else:
+        with np.errstate(over="ignore"):
+            np.divide(d2, -denom, out=d2)
     return np.exp(d2, out=d2)
 
 
@@ -232,9 +245,10 @@ def _knn_lists(x: np.ndarray, psi: np.ndarray, k: int) -> tuple[np.ndarray, np.n
     stable argsort of the dense distance rows.
     """
     n, p = x.shape
-    z = (x - x.mean(axis=0)) * np.sqrt(psi)
-    z_max = float(np.sqrt(np.max(np.einsum("ij,ij->i", z, z))))
-    if not z_max < 1e153:       # the tree's squared distances could overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = (x - x.mean(axis=0)) * np.sqrt(psi)
+        z_max = float(np.sqrt(np.max(np.einsum("ij,ij->i", z, z))))
+    if not z_max < 1e153:       # the tree's squared distances could overflow (or did)
         return _ranked_exactly(x, psi, k, np.arange(n))
     m = min(n, 2 * k + 1)
     kd_dist, cand = cKDTree(z).query(z, k=m)

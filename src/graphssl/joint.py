@@ -29,7 +29,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import InputError
-from .graph import GraphConfig, PointSet, build_graph, resolve_sigma, sq_dist_blocks
+from .graph import (GraphConfig, PointSet, build_graph, check_sigma, resolve_sigma,
+                    sq_dist_blocks)
 from .harmonic import SoftConfig, soft_harmonic
 from .rng import PortableRng
 
@@ -70,6 +71,8 @@ class JointConfig:
             raise InputError("gamma_q must be positive")
         if not (self.f_l > self.f_u > 0):
             raise InputError("need f_l > f_u > 0")
+        if self.sigma is not None:
+            check_sigma(self.sigma)
 
 
 @dataclass
@@ -183,16 +186,28 @@ def quantization_step(state: BackboneState, cfg: JointConfig, points: np.ndarray
     A singular system (typically a free centroid that no point is assigned
     to, under uniform labels) falls back to the least-squares step of least
     movement, so a centroid that neither a point nor a label term places
-    stays where it is; ``elastic_joint`` re-seeds it between steps.
+    stays where it is; ``elastic_joint`` re-seeds it between steps.  A
+    system or step past the float range raises ``InputError``.
     """
-    a, rhs = _centroid_system(state, cfg, points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, rhs = _centroid_system(state, cfg, points)
+    _check_finite(state, a, rhs)
     new = state.centroids.copy()
     free = new[state.n_labeled:]
     try:
         free[:] = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:
         free += np.linalg.lstsq(a, rhs - a @ free, rcond=None)[0]
+    _check_finite(state, free)
     return new
+
+
+def _check_finite(state: BackboneState, *values) -> None:
+    """InputError unless every value is finite: the points' spread, or
+    1 / sigma^2, is too large for the joint fit's float range."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise InputError(f"the joint fit overflows at sigma={state.sigma!r}: the points' "
+                         "spread or 1 / sigma^2 is too large")
 
 
 def quantization_surrogate(state: BackboneState, cfg: JointConfig,
@@ -235,7 +250,10 @@ def _propagate_and_score(state: BackboneState, cfg: JointConfig, points: np.ndar
     serves both."""
     g = _backbone_graph(state)
     state.soft_labels = _propagate(state, cfg, g)
-    return _objective(state, cfg, points, g)
+    with np.errstate(over="ignore", invalid="ignore"):
+        obj = _objective(state, cfg, points, g)
+    _check_finite(state, obj)
+    return obj
 
 
 def elastic_joint(ps: PointSet, cfg: JointConfig, seed: int) -> BackboneState:

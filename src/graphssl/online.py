@@ -143,8 +143,9 @@ class QuantizerState:
     def observe(self, x: np.ndarray, label: int = 0) -> int:
         """Fold one point into the sketch; returns its centroid index
         (valid in post-call indexing).  A point that is empty, of another
-        dimension than the centroids or not finite raises InputError before
-        the sketch changes."""
+        dimension than the centroids, not finite, or so far from a centroid
+        that their squared distance overflows raises InputError before the
+        sketch changes."""
         x = np.asarray(x, dtype=np.float64).ravel()
         if not x.size:
             raise InputError("a point needs at least one feature")
@@ -154,9 +155,9 @@ class QuantizerState:
             raise InputError("point coordinates must be finite")
         if label not in (-1, 0, 1):
             raise InputError("label must be in {-1, 0, +1}")
+        idx = self._place(x, label)
         self.last_repartition = None
         self.observed += 1
-        idx = self._place(x, label)
         if self._size > self.capacity:
             mapping = self._repartition()
             self.last_repartition = mapping
@@ -168,14 +169,14 @@ class QuantizerState:
             return self._append(x, label, np.empty(0))
         d2 = _kernels.cross_sq_dists(self._rows[:self._size], x[None, :], None).ravel()
         nearest = int(d2.argmin())
+        if d2[nearest] == 0.0 if self.radius is None else d2[nearest] < self.radius * self.radius:
+            return self._absorb(nearest, label)
+        if not np.isfinite(d2).all():
+            # no radius could ever merge it with those centroids
+            raise InputError("a point's squared distance to a centroid overflows")
         if self.radius is None:
-            if d2[nearest] == 0.0:
-                return self._absorb(nearest, label)
             # first two distinct points set the initial radius
             self.radius = float(np.sqrt(d2[nearest]))
-            return self._append(x, label, d2)
-        if d2[nearest] < self.radius * self.radius:
-            return self._absorb(nearest, label)
         return self._append(x, label, d2)
 
     def _append(self, x: np.ndarray, label: int, d2: np.ndarray) -> int:

@@ -144,13 +144,17 @@ def cad_scores(method: str, train: PointSet, test: PointSet | None = None, *,
     rwcad and knn score ``train`` leave-one-out and ``test`` against a
     model fitted on ``train``; a 1-D ``lam`` gives rwcad one row of scores
     per value.  softhad scores both from one soft solve (c_u = c_l) over
-    them stacked, on ``graph`` with kernel width ``sigma``.  ``lam`` and
-    ``priors`` are checked for every method, including those that ignore
-    them.
+    them stacked, on ``graph`` with kernel width ``sigma``, the width's one
+    carrier: a ``graph`` with its own sigma raises ``InputError``.  ``lam``
+    and ``priors`` are checked for every method, including those that
+    ignore them.
     """
     if method not in METHODS:
         raise InputError(f"method must be one of {METHODS}")
     check_cad_params(lam, priors)
+    if graph.sigma is not None:
+        raise InputError(f"graph.sigma={graph.sigma!r} is not read: pass the kernel width "
+                         "as sigma=")
     if test is not None and test.p != train.p:
         raise InputError(f"test rows have {test.p} features, training rows {train.p}")
     both = train if test is None else PointSet(
@@ -282,8 +286,9 @@ def run_plan(plan: ExperimentPlan, threads: int = 1) -> list[CellResult]:
 
 def _write_summary(path: Path, plan: ExperimentPlan, points: list[dict],
                    results: list[CellResult]) -> None:
-    """One row per cell and a mean and a variance row per grid point;
-    results are in grid-then-run order, n_runs to a point."""
+    """One row per cell and a mean and a variance row per grid point (no
+    mean without an ok run); results are in grid-then-run order, n_runs to
+    a point."""
     keys = sorted(plan.grid)
     lines = [",".join(["method", *keys, "run", "seed", "status", "auroc", "n"])]
     for i, params in enumerate(points):
@@ -293,9 +298,9 @@ def _write_summary(path: Path, plan: ExperimentPlan, points: list[dict],
             value = gio.fmt17(res.auroc) if res.auroc is not None else ""
             lines.append(f"{prefix},{res.run},{res.seed},{res.status},{value},{res.n}")
         oks = [r.auroc for r in group if r.status == "ok"]
-        mean = float(np.mean(oks)) if oks else float("nan")
+        mean = gio.fmt17(float(np.mean(oks))) if oks else ""
         var = float(np.var(oks, ddof=1)) if len(oks) > 1 else 0.0
-        lines.append(f"{prefix},mean,,aggregate,{gio.fmt17(mean)},{len(oks)}")
+        lines.append(f"{prefix},mean,,aggregate,{mean},{len(oks)}")
         lines.append(f"{prefix},variance,,aggregate,{gio.fmt17(var)},{len(oks)}")
     path.write_text("\n".join(lines) + "\n")
 

@@ -158,8 +158,8 @@ def test_06_rwcad_knn_identity_and_rank_agreement():
         diffs = pts - x
         k_all = np.exp(-(diffs * diffs).sum(axis=1) / (3 * sigma * sigma))
         m_pos, m_neg = k_all[labels == 1].sum(), k_all[labels == -1].sum()
-        t_pos = model.vol_pos + 2 * m_pos
-        t_neg = model.vol_neg + 2 * m_neg
+        t_pos = model.vol[0] + 2 * m_pos
+        t_neg = model.vol[1] + 2 * m_neg
         rw_ratio = (m_pos / t_pos) / (m_neg / t_neg)
         knn_ratio_corrected = (m_pos / m_neg) * (t_neg / t_pos)
         worst = max(worst, abs(rw_ratio - knn_ratio_corrected) / knn_ratio_corrected)

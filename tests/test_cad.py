@@ -54,7 +54,7 @@ def _cross_kernel(a, b, sigma, psi):
 def _masses(model, x):
     """The kernel mass of each query row against each class of the model."""
     return tuple(_kernel_mass(x, points, model.sigma, model.psi)
-                 for points in (model.points_pos, model.points_neg))
+                 for points in (model.points[0], model.points[1]))
 
 
 def _dense_reference(ps, sigma, x):
@@ -152,8 +152,8 @@ class TestLooMasses:
         ps = _random_labeled_set(10, n=80)
         k = _dense_kernel(ps, 0.7)
         model = fit_cad_model(ps, 0.0, 0.7)
-        for c, own, points in ((1, model.own_masses[0], model.points_pos),
-                               (-1, model.own_masses[1], model.points_neg)):
+        for c, own, points in ((1, model.own_masses[0], model.points[0]),
+                               (-1, model.own_masses[1], model.points[1])):
             cols = np.ascontiguousarray(k[:, ps.labels == c])
             assert np.array_equal(own, cols[ps.labels == c].sum(axis=1))
             other = _kernel_mass(ps.points[ps.labels == -c], points, 0.7, ps.feature_weights)
@@ -176,7 +176,7 @@ class TestLooMasses:
         m_pos, m_neg = _masses(model, ps.points)
         m_pos[is_pos], m_neg[~is_pos] = model.own_masses
         for got, want in ((m_pos, ref_pos), (m_neg, ref_neg),
-                          (model.vol_pos, ref_vols[0]), (model.vol_neg, ref_vols[1])):
+                          (model.vol[0], ref_vols[0]), (model.vol[1], ref_vols[1])):
             assert np.all(np.abs(got - want) <= REL_TOL * np.abs(want))
         # so the LOO scores barely move from those of the dense masses
         own = np.where(is_pos, ref_pos, ref_neg)
@@ -187,9 +187,9 @@ class TestLooMasses:
         # mass and volume 0 and likelihood 0
         den_pos, den_neg = vol_pos + 2.0 * ref_pos, vol_neg + 2.0 * ref_neg
         like_pos = np.divide(ref_pos, den_pos, out=np.zeros(ps.n),
-                             where=den_pos > 0) * model.prior_pos
+                             where=den_pos > 0) * model.prior[0]
         like_neg = np.divide(ref_neg, den_neg, out=np.zeros(ps.n),
-                             where=den_neg > 0) * model.prior_neg
+                             where=den_neg > 0) * model.prior[1]
         denom = 0.01 + (like_pos + like_neg)
         want = np.divide(np.where(is_pos, like_neg, like_pos), denom,
                          out=np.zeros(ps.n), where=denom > 0)
@@ -207,7 +207,7 @@ class TestLooMasses:
                        for a, b in zip(_masses(model, x), _masses(whole, x)))
             assert all(np.array_equal(a, b)
                        for a, b in zip(model.own_masses, whole.own_masses))
-            assert (model.vol_pos, model.vol_neg) == (whole.vol_pos, whole.vol_neg)
+            assert (model.vol[0], model.vol[1]) == (whole.vol[0], whole.vol[1])
 
     def test_empty_query_set(self):
         model = fit_cad_model(_random_labeled_set(15, n=20), 0.0, 0.7)
@@ -232,7 +232,7 @@ class TestOnePointClass:
         scores = rwcad_scores_loo(ps, lams, sigma=1.0)
         model = fit_cad_model(ps, 0.0, sigma=1.0)
         m_pos = _masses(model, ps.points[3:])[0][0]
-        opposite = m_pos / (model.vol_pos + 2.0 * m_pos) * model.prior_pos
+        opposite = m_pos / (model.vol[0] + 2.0 * m_pos) * model.prior[0]
         assert opposite > 0
         assert np.array_equal(scores[:, 3], opposite / (lams + opposite))
         assert scores[0, 3] == 1.0
@@ -521,7 +521,7 @@ class TestRwcad:
             assert like_pos / like_neg == pytest.approx(want, rel=1e-10)
             # and the model reproduces the same posteriors
             score = _rwcad_one(model, x, 1)
-            prior_pos, prior_neg = model.prior_pos, model.prior_neg
+            prior_pos, prior_neg = model.prior[0], model.prior[1]
             expect = like_neg * prior_neg / (like_pos * prior_pos + like_neg * prior_neg)
             assert score == pytest.approx(expect, rel=1e-10)
 

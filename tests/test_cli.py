@@ -345,9 +345,9 @@ def _regrouping_summary(path, plan, points, results):
             value = fmt17(res.auroc) if res.auroc is not None else ""
             lines.append(f"{prefix},{res.run},{res.seed},{res.status},{value},{res.n}")
         oks = [r.auroc for r in group if r.status == "ok"]
-        mean = float(np.mean(oks)) if oks else float("nan")
+        mean = fmt17(float(np.mean(oks))) if oks else ""
         var = float(np.var(oks, ddof=1)) if len(oks) > 1 else 0.0
-        lines.append(f"{prefix},mean,,aggregate,{fmt17(mean)},{len(oks)}")
+        lines.append(f"{prefix},mean,,aggregate,{mean},{len(oks)}")
         lines.append(f"{prefix},variance,,aggregate,{fmt17(var)},{len(oks)}")
     path.write_text("\n".join(lines) + "\n")
 
@@ -1061,3 +1061,70 @@ def test_bad_graph_settings_report_error(tmp_path, capsys, flags):
                "--sigma", "1.0", *flags, "--out", str(tmp_path / "e.txt")])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+class TestSmallSigma:
+    """A sigma whose square is not a normal float exits 2 naming it, and a
+    Gaussian quotient past the float range is a weight of 0; neither prints
+    a numpy warning (the suite turns RuntimeWarning into an error)."""
+
+    def _inputs(self, tmp_path, scale=1.0):
+        data = read_points_csv(_ssl_input(tmp_path))
+        paths = {}
+        for name, pts, labels in (
+                ("few", data.points * scale, data.labels),
+                ("full", data.points * scale, np.where(data.points[:, 0] < 2, 1, -1)),
+                ("dup", np.ones_like(data.points), data.labels)):
+            paths[name] = str(tmp_path / f"{name}.csv")
+            write_points_csv(paths[name], PointSet(pts, labels))
+        return paths
+
+    def _argv(self, command, paths, sigma, out):
+        return {
+            "build-graph": ["build-graph", "--input", paths["few"]],
+            "ssl": ["ssl", "--input", paths["few"]],
+            "online-ssl": ["online-ssl", "--input", paths["few"], "--k", "40"],
+            "joint-ssl": ["joint-ssl", "--input", paths["few"], "--k", "5"],
+            "joint-ssl-dup": ["joint-ssl", "--input", paths["dup"], "--k", "5"],
+            "mmgc": ["mmgc", "--train", paths["few"], "--gamma", "0.1"],
+            "rwcad": ["cad", "--train", paths["full"], "--test", paths["full"]],
+            "knn": ["cad", "--method", "knn", "--train", paths["full"], "--test", paths["full"]],
+            "softhad": ["cad", "--method", "softhad", "--train", paths["full"],
+                        "--test", paths["full"]],
+        }[command] + ["--sigma", sigma, "--out", out]
+
+    @pytest.mark.parametrize("sigma", ["1e-155", "1e-160"])
+    @pytest.mark.parametrize("command", ["build-graph", "ssl", "online-ssl", "joint-ssl",
+                                         "joint-ssl-dup", "mmgc", "rwcad", "knn", "softhad"])
+    def test_subnormal_square_exits_2(self, tmp_path, capsys, command, sigma):
+        out = tmp_path / "out.csv"
+        assert main(self._argv(command, self._inputs(tmp_path), sigma, str(out))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"sigma={sigma}" in err
+        assert not out.exists()
+
+    def test_rbf_width_with_subnormal_divisor_exits_2(self, tmp_path, capsys):
+        argv = ["mmgc", "--train", self._inputs(tmp_path)["few"], "--gamma", "0.1",
+                "--kernel", "rbf:1e-160", "--out", str(tmp_path / "m.txt")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "rbf width 1e-160" in err
+
+    @pytest.mark.parametrize("command,code", [("build-graph", 2), ("ssl", 2), ("online-ssl", 0),
+                                              ("joint-ssl", 2), ("mmgc", 2), ("rwcad", 0),
+                                              ("knn", 2), ("softhad", 0)])
+    def test_overflowing_quotient_is_a_zero_weight(self, tmp_path, capsys, command, code):
+        # sigma^2 = 1e-300 is normal, but d^2 / (p sigma^2) passes 1e308
+        out = tmp_path / "out.csv"
+        argv = self._argv(command, self._inputs(tmp_path, scale=1e6), "1e-150", str(out))
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err == "" if code == 0 else err.startswith("error:")
+        if command == "online-ssl":
+            # every centroid is isolated, and no unlabeled point merges into a
+            # labeled centroid: every unlabeled step abstains
+            rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+            labeled = read_points_csv(self._inputs(tmp_path)["few"]).labels != 0
+            assert [r[3] == "1" for r in rows] == (~labeled).tolist()
+        if command == "rwcad":
+            assert not np.isnan(read_scores_csv(out)).any()

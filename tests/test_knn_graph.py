@@ -224,9 +224,9 @@ class TestUnderflow:
     def test_divisor_underflow_rejected(self, mode, normalize_by_p):
         # sigma^2 underflows to 0: duplicate points would get 0/0 = NaN
         pts = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
-        cfg = GraphConfig(mode=mode, k_neighbors=1, sigma=1e-200,
-                          normalize_by_p=normalize_by_p)
         with pytest.raises(InputError, match="sigma=1e-200"):
+            cfg = GraphConfig(mode=mode, k_neighbors=1, sigma=1e-200,
+                              normalize_by_p=normalize_by_p)
             build_graph(PointSet(pts, np.zeros(3, dtype=int)), cfg)
         with pytest.raises(InputError, match="sigma=1e-200"):
             gaussian_in_place(np.zeros(2), 2, 1e-200, normalize_by_p)

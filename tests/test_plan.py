@@ -145,3 +145,15 @@ def test_global_config_threads_reach_run_plan(tmp_path, monkeypatch, capsys):
           "--out-dir", str(tmp_path / "out")])
     assert seen == [2, 3]
     assert "warning" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_cad_scores_takes_sigma_only_as_its_keyword(tmp_path, method):
+    # softhad would replace graph.sigma and rwcad and knn never read it, so
+    # a graph carrying its own sigma is refused, not silently ignored
+    (tmp_path / "mix.cfg").write_text(MIXTURE)
+    train, _, _, _ = draw_dataset(load_dataset_spec(tmp_path / "mix.cfg"), 40, 0, 0.1)
+    with pytest.raises(InputError, match="graph.sigma=0.05"):
+        cad_scores(method, train, graph=GraphConfig(mode="knn", k_neighbors=5, sigma=0.05))
+    plain = cad_scores(method, train, sigma=0.05, graph=GraphConfig(mode="knn", k_neighbors=5))
+    assert np.isfinite(plain).all()
