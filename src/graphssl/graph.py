@@ -22,7 +22,7 @@ from .errors import DegenerateGraphError, InputError
 
 LABEL_VALUES = (-1, 0, 1)
 CLASSES = (1, -1)      # the two classes, in the order of every per-class pair
-_TINY = np.finfo(np.float64).tiny       # the smallest normal float
+_TINY = float(np.finfo(np.float64).tiny)      # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -177,12 +177,13 @@ def resolve_sigma(sigma: float | None, points: np.ndarray) -> float:
 def gaussian_in_place(d2: np.ndarray, p: int, sigma: float, normalize_by_p: bool):
     """The library's only Gaussian form: exp(-d2 / (p sigma^2)), or
     exp(-d2 / sigma^2) without normalize_by_p, written over the float64 d2
-    (d2 / -denom has the bits of -d2 / denom); InputError if denom is 0.
-    A quotient past the float range, possible only for denom < 1, is a
-    weight of exactly 0."""
+    (d2 / -denom has the bits of -d2 / denom); InputError if denom is 0 or
+    not finite.  A quotient past the float range, possible only for
+    denom < 1, is a weight of exactly 0."""
     denom = p * sigma * sigma if normalize_by_p else sigma * sigma
-    if denom == 0:
-        raise InputError(f"sigma={sigma!r} makes the kernel divisor underflow to 0")
+    if not 0 < denom < math.inf:
+        raise InputError(f"sigma={sigma!r} makes the kernel divisor {denom!r}, not a "
+                         "positive finite float")
     if denom >= 1.0:
         np.divide(d2, -denom, out=d2)
     else:

@@ -151,7 +151,7 @@ def _run(argv: list[str]) -> tuple[int, str, str]:
 
 
 @given(st.data())
-@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
 def test_every_subcommand_exits_0_or_2_without_warning_or_nan(data):
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
