@@ -169,8 +169,8 @@ class QuantizerState:
             return self._append(x, label, np.empty(0))
         d2 = _kernels.cross_sq_dists(self._rows[:self._size], x[None, :], None).ravel()
         nearest = int(d2.argmin())
-        near = d2[nearest] == 0.0 if self.radius is None else d2[nearest] < self.radius * self.radius
-        if near:
+        if (d2[nearest] == 0.0 if self.radius is None
+                else d2[nearest] < self.radius * self.radius):
             return self._absorb(nearest, label)
         if not np.isfinite(d2).all():
             # no radius could ever merge it with those centroids

@@ -496,6 +496,8 @@ class TestRunPlan:
         rows = (out / "summary.csv").read_text().splitlines()[1:]
         assert [row.split(",")[4] for row in rows] == ["failed", "failed",
                                                        "aggregate", "aggregate"] * 2
+        # no AUROC and no mean without an ok run: the summary holds no NaN
+        assert [row.split(",")[5] for row in rows] == ["", "", "", "0"] * 2
 
     def test_grouped_cells_match_cells_scored_alone(self, tmp_path):
         plan = plan_from_config(self._plan(tmp_path, "grid.lambda = [0.0, 0.01, 1.0]"),

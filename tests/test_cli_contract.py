@@ -24,7 +24,8 @@ COMMANDS = ("gen-data", "build-graph", "ssl", "online-ssl", "joint-ssl", "mmgc",
 NAN = re.compile(r"(?<![A-Za-z])[-+]?nan(?![A-Za-z])", re.IGNORECASE)
 
 # small k and sigma auto are drawn often: most other values only reach a check
-_GRAPH = st.one_of(st.integers(0, 5).map("knn:{}".format), st.integers(0, 100).map("knn:{}".format),
+_GRAPH = st.one_of(st.integers(0, 5).map("knn:{}".format),
+                   st.integers(0, 100).map("knn:{}".format),
                    st.sampled_from(["eps", "eps:1e-300"]))
 _SIGMA = st.one_of(st.just("auto"), st.builds("{}e{}".format, st.sampled_from([1, 3.7]),
                                                st.integers(-160, 3)))
@@ -63,8 +64,8 @@ def _write_mixture(path: Path, points: np.ndarray, scale: float) -> str:
     mean, cov = points[0].tolist(), (scale * scale * np.eye(p)).tolist()
     text = "type = mixture\nprior_pos = 0.5\n"
     for side, sign in (("pos", 1.0), ("neg", -1.0)):
-        text += (f"{side}.weights = [1.0]\n{side}.means = {json.dumps([[sign * m for m in mean]])}\n"
-                 f"{side}.covs = {json.dumps([cov])}\n")
+        means, covs = json.dumps([[sign * m for m in mean]]), json.dumps([cov])
+        text += f"{side}.weights = [1.0]\n{side}.means = {means}\n{side}.covs = {covs}\n"
     path.write_text(text)
     return str(path)
 

@@ -552,3 +552,11 @@ class TestTwoSquares:
                               KernelSpec("linear"), gamma=1e-3)
         svm_signs = np.sign(svm.decision_values(ps.points))
         assert np.sum(svm_signs != true) > 0
+
+
+def test_prediction_whose_kernel_overflows_rejected():
+    clf = CutClassifier(np.array([[1.0, 1.0]]), np.array([1.0]), 0.0, KernelSpec("cubic"),
+                        np.array([0]))
+    assert np.isfinite(clf.decision_values(np.array([[2.0, 3.0]]))).all()
+    with pytest.raises(InputError, match="cubic kernel overflows on these query points"):
+        clf.decision_values(np.array([[1e200, 0.0]]))

@@ -421,3 +421,23 @@ class TestAuroc:
             truth[0] = ~truth[0]
         assert auroc(-scores, truth) == pytest.approx(1.0 - auroc(scores, truth),
                                                       abs=1e-12)
+
+
+class TestMixtureRange:
+    """A mixture whose densities leave the float range is refused; a row too
+    far from a mean for its distance to be formed has density 0."""
+
+    @pytest.mark.parametrize("mean, cov, match", [
+        ([[np.nan]], [[[1.0]]], "finite"), ([[0.0]], [[[np.inf]]], "finite"),
+        ([[0.0] * 3], [np.eye(3) * 1e-250], "overflows")])
+    def test_out_of_range_mixture_rejected(self, mean, cov, match):
+        with pytest.raises(InputError, match=match):
+            ClassMixture([1.0], mean, cov)
+
+    def test_overflowing_distance_is_density_0(self):
+        cm = ClassMixture([1.0], [[1e308]], [[[1.0]]])
+        assert cm.density(np.array([[-1e308]])).tolist() == [0.0]
+        spec = MixtureSpec(cm, ClassMixture([1.0], [[-1e308]], [[[1.0]]]))
+        x = np.array([[1e308], [-1e308], [0.0]])
+        scores = true_anomaly_scores(spec, x, np.array([1, 1, -1]))
+        assert scores.tolist() == [0.0, 1.0, 0.5]

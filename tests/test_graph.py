@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -193,6 +194,24 @@ class TestGraphConfig:
     def test_sigma_must_be_positive_and_finite(self, sigma):
         with pytest.raises(InputError, match="sigma"):
             GraphConfig(sigma=sigma)
+
+    @pytest.mark.parametrize("sigma", [1e-155, 1e-160, 5e-324, 1e155])
+    def test_sigma_whose_square_is_not_a_normal_float_rejected(self, sigma):
+        with pytest.raises(InputError, match=re.escape(f"sigma={sigma!r}")):
+            GraphConfig(sigma=sigma)
+
+    @pytest.mark.parametrize("points", [[[1e308], [-1e308]], [[1e-160], [3e-160]]])
+    def test_width_heuristic_outside_the_rule_rejected(self, points):
+        with pytest.raises(InputError, match="sigma="):
+            sigma_from_points(np.array(points))
+
+    def test_divisor_that_overflows_rejected(self):
+        with pytest.raises(InputError, match=re.escape("sigma=1e+154")):
+            gaussian_in_place(np.array([np.inf]), 2, 1e154, True)
+
+    def test_quotient_past_the_float_range_is_weight_0(self):
+        w = gaussian_in_place(np.array([1e12, 0.0]), 2, 1e-150, True)
+        assert w.tolist() == [0.0, 1.0]
 
     @pytest.mark.parametrize("sigma", [math.inf, math.nan, 0.0, -1.0])
     def test_one_sigma_rule(self, sigma):

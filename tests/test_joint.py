@@ -561,3 +561,18 @@ class TestBoundedMemory:
         cfg = JointConfig(k=self.k, gamma_q=50.0)
         # at most three (m + k) x k arrays: q, its running column sums and a
         assert _traced_peak(lambda: _centroid_system(state, cfg, points)) < 3 * 8 * total * self.k
+
+
+@pytest.mark.parametrize("case", ["far point", "tiny sigma"])
+def test_fit_past_the_float_range_rejected(case):
+    # a point at 1e200 overflows the quantization pull; duplicates at 1e140
+    # with sigma 1e-140 overflow the label-spread term of the centroid system.
+    # Either raised a numpy warning, then "points must be finite" or worse.
+    ps = two_arcs(60, 0)[0]
+    points, sigma = ps.points.copy(), 0.5
+    if case == "far point":
+        points[np.flatnonzero(ps.labels == 0)[3]] = 1e200
+    else:
+        points, sigma = np.full_like(points, 1e140), 1e-140
+    with pytest.raises(InputError, match="the joint fit overflows"):
+        elastic_joint(PointSet(points, ps.labels), JointConfig(k=5, sigma=sigma), seed=0)

@@ -230,3 +230,11 @@ class TestUnderflow:
             build_graph(PointSet(pts, np.zeros(3, dtype=int)), cfg)
         with pytest.raises(InputError, match="sigma=1e-200"):
             gaussian_in_place(np.zeros(2), 2, 1e-200, normalize_by_p)
+
+
+def test_coordinates_whose_spread_overflows_rank_exactly():
+    # centring overflows on points at 1e308: the rows are ranked exactly, with
+    # no numpy warning (the suite turns RuntimeWarning into an error)
+    pts = np.array([[1e308], [1e308], [0.0], [1.0]])
+    nbrs, nd = _knn_lists(pts, np.ones(1), 1)
+    assert nbrs.ravel().tolist() == [1, 0, 3, 2] and nd.ravel().tolist() == [0.0, 0.0, 1.0, 1.0]

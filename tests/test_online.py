@@ -159,6 +159,19 @@ class TestRejectedInput:
             state.observe(np.ones(2), label)
         assert _snapshot(state) == want
 
+    @pytest.mark.parametrize("before", [[[1e308]], [[1e150], [0.0]]])
+    def test_point_whose_distance_overflows_leaves_the_sketch_unchanged(self, before):
+        # no radius merges centroids an infinite distance apart: the
+        # repartition that capacity + 1 such centroids start never ended
+        state = QuantizerState(2)
+        for x in before:
+            state.observe(np.array(x), 1)
+        want = _snapshot(state)
+        with pytest.raises(InputError, match="overflows"):
+            state.observe(np.array([-1e308]))
+        assert _snapshot(state) == want
+        assert state.observe(np.array(before[0])) == 0      # a duplicate still merges
+
     def test_finite_points_after_a_rejected_nan_still_predict(self):
         # a NaN centroid used to make every later solve miss its residual
         cfg = GraphConfig(mode="epsilon", sigma=1.0)
