@@ -166,7 +166,10 @@ def cmd_run_plan(args) -> int:
     results = run_plan(plan, **_given(args, "threads"))
     failed = sum(1 for r in results if r.status != "ok")
     print(f"cells={len(results)} failed={failed} summary={Path(plan.outdir) / 'summary.csv'}")
-    return 1 if failed == len(results) else 0
+    if results and failed == len(results):
+        print(f"error: every cell of {args.config} failed: {results[0].error}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

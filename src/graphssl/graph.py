@@ -120,7 +120,11 @@ class GraphConfig:
 class SimilarityGraph:
     """Symmetric nonnegative sparse weight matrix with zero diagonal, in the
     library's one canonical form: a float64 CSR copy of the input, in its
-    entry order, without diagonal entries or stored zeros."""
+    entry order, without diagonal entries or stored zeros.
+
+    The weights are not modified after construction: ``degrees`` and
+    ``volume`` are computed once from them, and ``harmonic.hard_harmonic``
+    keeps the graph's last hard solve in a private slot."""
 
     def __init__(self, weights: sp.spmatrix):
         # a copy, as zeroing writes in place; a repeated diagonal entry first
@@ -138,6 +142,7 @@ class SimilarityGraph:
         self.weights = w
         self.degrees = np.asarray(w.sum(axis=1)).ravel()
         self.volume = float(self.degrees.sum())
+        self._hard_solve = None     # (key, values) of the last hard_harmonic
 
     @property
     def n(self) -> int:
@@ -222,11 +227,16 @@ def sq_dist_blocks(a: np.ndarray, b: np.ndarray, psi: np.ndarray):
 def _ranked_exactly(x: np.ndarray, psi: np.ndarray, k: int,
                     idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows idx of the k-NN lists by a stable argsort of each exact distance
-    row, one sq_dist_blocks block at a time."""
+    row, one sq_dist_blocks block at a time.  A row's own column ranks after
+    every other column, also where their distances are infinite."""
     nbrs, nd = np.empty((idx.size, k), dtype=np.intp), np.empty((idx.size, k))
     for rows, d2 in sq_dist_blocks(x[idx], x, psi):
-        d2[np.arange(d2.shape[0]), idx[rows]] = np.inf
-        nbrs[rows] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        own = idx[rows]
+        d2[np.arange(d2.shape[0]), own] = np.inf
+        order = np.argsort(d2, axis=1, kind="stable")
+        # k < n, so the first k of the other columns are the list
+        others = order[order != own[:, None]].reshape(len(own), -1)
+        nbrs[rows] = others[:, :k]
         nd[rows] = np.take_along_axis(d2, nbrs[rows], axis=1)
         del d2                  # before the next block is formed
     return nbrs, nd
@@ -331,10 +341,16 @@ def build_graph(ps: PointSet, cfg: GraphConfig) -> SimilarityGraph:
         underflow = not w.data.any()
     else:
         w, underflow = _epsilon_weights(ps, cfg.eps_cut, sigma, cfg.normalize_by_p)
+    check_underflow(underflow, cfg.mode, sigma)
+    return SimilarityGraph(w)
+
+
+def check_underflow(underflow: bool, mode: str, sigma: float) -> None:
+    """Raise DegenerateGraphError, naming sigma, when every weight a mode
+    graph would keep underflows to 0 (sigma too small for the data)."""
     if underflow:
         raise DegenerateGraphError(
-            f"every {cfg.mode} edge weight underflows to 0 at sigma={sigma!r}")
-    return SimilarityGraph(w)
+            f"every {mode} edge weight underflows to 0 at sigma={sigma!r}")
 
 
 def laplacian(g: SimilarityGraph, normalized: bool = False) -> sp.csr_matrix:

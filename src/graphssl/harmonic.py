@@ -23,7 +23,9 @@ u.  Dense weights give the lean form that online prediction needs, where
 ``solve_harmonic``'s checks: only W's rows u, copied and scaled in place,
 and A cut from them C-ordered and shifted in place.  ``hard_harmonic``,
 ``soft_harmonic``, ``online.compact_harmonic`` and ``cad.softhad_score``
-wrap ``solve_harmonic``.
+wrap ``solve_harmonic``, and the joint fit calls it on its small backbone's
+dense weights.  ``hard_harmonic`` keeps each graph's last solve, so a
+repeated (graph, labels, gamma_g) solve is made once.
 
 Every solve meets the relative residual ``DEFAULT_TOL``, or, when
 factored, the normwise backward error ``DEFAULT_TOL`` on a system that is
@@ -272,8 +274,22 @@ def solve_harmonic(weights, y: np.ndarray, gamma_g: float, fit: np.ndarray | Non
 
 def hard_harmonic(g: SimilarityGraph, labels: np.ndarray, gamma_g: float = 0.0) -> SoftLabels:
     """Propagate clamped labels; the unlabeled block is solved against the
-    (optionally sink-regularized) Laplacian's unlabeled block."""
-    return SoftLabels(solve_harmonic(g.weights, labels, gamma_g))
+    (optionally sink-regularized) Laplacian's unlabeled block.
+
+    The graph keeps its last hard solve, keyed by float(gamma_g) and the
+    labels' dtype, shape and float64 bytes: a repeated call returns a copy
+    of the kept values without solving again (so a max-margin cut at a
+    gamma_g already solved on its graph induces its labels for free).  This
+    holds because a SimilarityGraph's weights are not modified after
+    construction.  A solve that raises is not kept, so it raises on every
+    call."""
+    labels = np.asarray(labels)
+    y = np.asarray(labels, dtype=np.float64)
+    key = (float(gamma_g), labels.dtype.str, y.shape, y.tobytes())
+    kept = g._hard_solve
+    if kept is None or kept[0] != key:
+        kept = g._hard_solve = (key, solve_harmonic(g.weights, y, gamma_g))
+    return SoftLabels(kept[1].copy())
 
 
 def soft_harmonic(g: SimilarityGraph, y: np.ndarray, cfg: SoftConfig) -> SoftLabels:

@@ -14,7 +14,15 @@ Every assignment of the n points to their nearest backbone node measures
 only the n x k distances to the free centroids: the distances to the pinned
 nodes, which never move, are measured once per fit.  Points are finally
 labeled by their nearest centroid (1-NN).  Every nearest-node search runs
-over ``graph.sq_dist_blocks``, one block of distances at a time.  The
+over ``graph.sq_dist_blocks``, one block of distances at a time.
+
+A backbone of at most ``harmonic.DENSE_MAX_N`` nodes, where ``solve_spd``
+factors densely anyway, keeps its k-NN weights as a dense array equal
+entry for entry to ``build_graph``'s; a larger one stays sparse, so a large
+k keeps conjugate gradients and O(nnz) memory.  Dense row sums associate
+differently from CSR's, so the propagated labels may differ from the sparse
+path's in their last bits: by at most n eps (2 max degree + f_l) / f_u, a
+first-order bound on the labels (|l| <= 1) that the tests check.  The
 backbone graph's degree, the outer iteration cap, the outer stopping
 tolerance and the inner step cap are the constants BACKBONE_KNN,
 MAX_OUTER, CONV_TOL and INNER_CAP.
@@ -29,9 +37,9 @@ import numpy as np
 
 from . import _kernels
 from .errors import InputError
-from .graph import (GraphConfig, PointSet, build_graph, check_sigma, resolve_sigma,
-                    sq_dist_blocks)
-from .harmonic import SoftConfig, soft_harmonic
+from .graph import (GraphConfig, PointSet, _knn_lists, build_graph, check_sigma,
+                    check_underflow, gaussian_in_place, resolve_sigma, sq_dist_blocks)
+from .harmonic import DENSE_MAX_N, check_gamma_g, solve_harmonic
 from .rng import PortableRng
 
 BACKBONE_KNN = 3    # neighbours per node of the backbone's k-NN graph
@@ -71,6 +79,7 @@ class JointConfig:
             raise InputError("gamma_q must be positive")
         if not (self.f_l > self.f_u > 0):
             raise InputError("need f_l > f_u > 0")
+        check_gamma_g(self.gamma_g)
         if self.sigma is not None:
             check_sigma(self.sigma)
 
@@ -136,24 +145,38 @@ def _pinned_assigner(points: np.ndarray, pinned: np.ndarray, psi: np.ndarray):
     return assign
 
 
-def _backbone_graph(state: BackboneState):
+def _backbone_weights(state: BackboneState):
+    """The backbone's k-NN weights under ``build_graph``'s union rule: for
+    at most DENSE_MAX_N nodes, where ``solve_spd`` factors densely anyway,
+    a dense array equal entry for entry to build_graph's weights; above,
+    build_graph's CSR weights."""
     ps = PointSet(state.centroids, state.node_labels(), state.feature_weights)
-    gcfg = GraphConfig(mode="knn", k_neighbors=min(BACKBONE_KNN, state.n_nodes - 1),
-                       sigma=state.sigma)
-    return build_graph(ps, gcfg)
+    gcfg = GraphConfig(mode="knn", k_neighbors=min(BACKBONE_KNN, ps.n - 1), sigma=state.sigma)
+    if ps.n > DENSE_MAX_N:
+        return build_graph(ps, gcfg).weights
+    k, sigma = gcfg.k_neighbors, resolve_sigma(gcfg.sigma, ps.points)
+    nbrs, nd = _knn_lists(ps.points, ps.feature_weights, k)
+    w = gaussian_in_place(nd, ps.p, sigma, gcfg.normalize_by_p).ravel()
+    check_underflow(not w.any(), gcfg.mode, sigma)
+    dense = np.zeros((ps.n, ps.n))
+    rows, cols = np.repeat(np.arange(ps.n), k), nbrs.ravel()
+    # an edge in both lists takes the weight of its row's own list, as
+    # build_graph's first occurrence does
+    dense[cols, rows] = w
+    dense[rows, cols] = w
+    return dense
 
 
 def propagate_on_backbone(state: BackboneState, cfg: JointConfig) -> np.ndarray:
     """Soft labels on the current backbone graph: fit weight f_l on the
     labeled nodes, f_u on the free ones, smoothness from the
     sink-regularized backbone Laplacian."""
-    return _propagate(state, cfg, _backbone_graph(state))
+    return _propagate(state, cfg, _backbone_weights(state))
 
 
-def _propagate(state: BackboneState, cfg: JointConfig, g) -> np.ndarray:
+def _propagate(state: BackboneState, cfg: JointConfig, w) -> np.ndarray:
     y = state.node_labels().astype(np.float64)
-    soft = soft_harmonic(g, y, SoftConfig(gamma_g=cfg.gamma_g, c_l=cfg.f_l, c_u=cfg.f_u))
-    return soft.values
+    return solve_harmonic(w, y, cfg.gamma_g, np.where(y != 0, cfg.f_l, cfg.f_u))
 
 
 def _centroid_system(state: BackboneState, cfg: JointConfig, points: np.ndarray):
@@ -228,16 +251,17 @@ def quantization_surrogate(state: BackboneState, cfg: JointConfig,
 def joint_objective(state: BackboneState, cfg: JointConfig, points: np.ndarray) -> float:
     """Full objective: soft fit + smoothness on the backbone graph +
     scaled quantization penalty."""
-    return _objective(state, cfg, points, _backbone_graph(state))
+    return _objective(state, cfg, points, _backbone_weights(state))
 
 
-def _objective(state: BackboneState, cfg: JointConfig, points: np.ndarray, g) -> float:
+def _objective(state: BackboneState, cfg: JointConfig, points: np.ndarray, w) -> float:
     lab = state.soft_labels
     y = state.node_labels().astype(np.float64)
     f_diag = np.where(y != 0, cfg.f_l, cfg.f_u)
     resid = lab - y
     fit = float(resid @ (f_diag * resid))
-    smooth = float(lab @ (g.degrees * lab) - lab @ (g.weights @ lab))
+    degrees = np.asarray(w.sum(axis=1)).ravel()
+    smooth = float(lab @ (degrees * lab) - lab @ (w @ lab))
     smooth += cfg.gamma_g * float(lab @ lab)
     quant = cfg.gamma_q * (state.n_nodes ** 2) / points.shape[0] * float(
         ((points - state.centroids[state.assignment]) ** 2).sum())
@@ -248,10 +272,10 @@ def _propagate_and_score(state: BackboneState, cfg: JointConfig, points: np.ndar
     """Propagate labels on the current backbone and return the objective
     there; the backbone graph depends on the centroids only, so one build
     serves both."""
-    g = _backbone_graph(state)
-    state.soft_labels = _propagate(state, cfg, g)
+    w = _backbone_weights(state)
+    state.soft_labels = _propagate(state, cfg, w)
     with np.errstate(over="ignore", invalid="ignore"):
-        obj = _objective(state, cfg, points, g)
+        obj = _objective(state, cfg, points, w)
     _check_finite(state, obj)
     return obj
 

@@ -488,8 +488,10 @@ class TestRunPlan:
         plan = self._plan(tmp_path)
         plan.write_text(plan.read_text().replace("flip_fraction = 0.05", "flip_fraction = 0"))
         out = tmp_path / "out"
-        assert main(["run-plan", "--config", str(plan), "--out-dir", str(out)]) == 1
-        assert "cells=4 failed=4" in capsys.readouterr().out
+        assert main(["run-plan", "--config", str(plan), "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "cells=4 failed=4" in captured.out
+        assert captured.err.startswith(f"error: every cell of {plan} failed: ")
         cells = sorted(out.glob("rwcad/*/run*"))
         assert len(cells) == 4
         assert all(sorted(f.name for f in cell.iterdir()) == ["error.txt"] for cell in cells)

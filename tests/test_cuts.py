@@ -1,15 +1,16 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from graphssl import cuts
+from graphssl import cuts, harmonic
 from graphssl import graph as graph_module
 
 from graphssl import (CutClassifier, GraphConfig, InputError, KernelSpec,
-                      PointSet, SolverError, build_graph, induce_labels, kernel_matrix,
-                      train_maxmargin, train_on_induced)
+                      PointSet, SolverError, build_graph, hard_harmonic, induce_labels,
+                      kernel_matrix, train_maxmargin, train_on_induced)
 
 from _synth import two_grid_squares
 
@@ -207,6 +208,18 @@ class TestInduceLabels:
         points = np.zeros((30, 2))
         with pytest.raises(InputError, match="induced training set must contain both"):
             train_on_induced(points, g, labels, 1e-3, 1e-6, 1e-6, KernelSpec("linear"))
+
+
+    def test_cut_after_the_same_hard_solve_solves_once(self):
+        g, labels = self._graph()
+        points = np.vstack([np.zeros((15, 2)), np.ones((15, 2))])
+        with mock.patch.object(harmonic, "solve_harmonic",
+                               wraps=harmonic.solve_harmonic) as solve:
+            want = hard_harmonic(g, labels, 1e-2).values
+            clf = train_on_induced(points, g, labels, 0.5, 1e-2, 0.5, KernelSpec("linear"))
+            assert solve.call_count == 1
+        keep = (np.abs(want) >= 0.5) | (labels != 0)
+        assert np.array_equal(clf.retained_indices, np.flatnonzero(keep))
 
 
 class TestTrainMaxMargin:

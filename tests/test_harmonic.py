@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -318,6 +320,59 @@ class TestHardHarmonic:
             estimate = absorbed.mean()
             se = absorbed.std(ddof=1) / np.sqrt(n_walks)
             assert abs(estimate - sol.values[start]) < 3 * se + 1e-12
+
+
+class TestHardSolveKept:
+    """A graph keeps its last hard solve: a repeated (labels, gamma_g) call
+    returns a fresh copy of it without solving again."""
+
+    def _counted(self):
+        return mock.patch.object(harmonic, "solve_harmonic", wraps=harmonic.solve_harmonic)
+
+    def test_repeated_call_returns_equal_values_in_a_fresh_array(self):
+        g = random_graph(30, 5)
+        labels = random_labels(30, 6, 5)
+        with self._counted() as solve:
+            first = hard_harmonic(g, labels, 0.1).values
+            want = first.copy()
+            first[:] = 7.0              # the caller's array is its own
+            second = hard_harmonic(g, labels, 0.1).values
+            assert solve.call_count == 1
+        assert np.array_equal(second, want) and second is not first
+        second[:] = -7.0
+        assert np.array_equal(hard_harmonic(g, labels, 0.1).values, want)
+
+    def test_other_labels_dtype_or_gamma_g_misses(self):
+        g = random_graph(30, 6)
+        labels = random_labels(30, 6, 6)
+        other = labels.copy()
+        other[np.flatnonzero(labels == 0)[0]] = 1
+        calls = [(labels, 0.1), (other, 0.1), (labels, 0.1), (labels.astype(np.float64), 0.1),
+                 (labels, 0.2), (labels, 0.2)]
+        with self._counted() as solve:
+            got = [hard_harmonic(g, y, gamma).values for y, gamma in calls]
+            assert solve.call_count == 5
+        for (y, gamma), values in zip(calls, got):
+            assert np.array_equal(values, harmonic.solve_harmonic(g.weights, y, gamma))
+
+    def test_graphs_keep_their_own_solves(self):
+        labels = random_labels(30, 6, 7)
+        a, b = random_graph(30, 7), random_graph(30, 8)
+        with self._counted() as solve:
+            hard_harmonic(a, labels, 0.1)
+            hard_harmonic(b, labels, 0.1)
+            assert np.array_equal(hard_harmonic(a, labels, 0.1).values,
+                                  harmonic.solve_harmonic(a.weights, labels, 0.1))
+            assert solve.call_count == 3
+
+    def test_label_free_component_raises_on_every_call(self):
+        w = np.zeros((4, 4))
+        w[0, 1] = w[1, 0] = 1.0
+        w[2, 3] = w[3, 2] = 1.0
+        g = SimilarityGraph(sp.csr_matrix(w))
+        for _ in range(3):
+            with pytest.raises(DegenerateGraphError):
+                hard_harmonic(g, np.array([1, 0, 0, 0]), 0.0)
 
 
 class TestSoftHarmonic:

@@ -1,17 +1,20 @@
+import re
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphssl import (BackboneState, GraphConfig, InputError, JointConfig,
-                      PointSet, SoftConfig, build_graph, elastic_joint,
+from graphssl import (BackboneState, DegenerateGraphError, GraphConfig, InputError,
+                      JointConfig, PointSet, SoftConfig, build_graph, elastic_joint,
                       infer_unlabeled, joint_objective, propagate_on_backbone,
                       quantization_step, quantization_surrogate, soft_harmonic)
 from graphssl import graph as graph_module, joint
 from graphssl._kernels import cross_sq_dists
+from graphssl.harmonic import DENSE_MAX_N
 from graphssl.joint import (_assign, _centroid_system, _nearest, _pinned_assigner,
                             _reseed_empty)
 
@@ -115,6 +118,73 @@ class TestPropagateOnBackbone:
         want = soft_harmonic(g, node_labels.astype(float),
                              SoftConfig(1e-6, 10.0, 0.1))
         assert np.allclose(values, want.values, atol=1e-10)
+
+
+@st.composite
+def _backbones(draw):
+    """Backbones of up to DENSE_MAX_N nodes, some with duplicate centroids,
+    some with feature weights (zeros among them), with a config."""
+    n = draw(st.integers(2, DENSE_MAX_N))
+    m = draw(st.integers(1, n - 1))
+    p = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n, p))
+    if draw(st.booleans()):
+        x = x[rng.integers(0, max(1, n // 3), size=n)]
+    psi = draw(st.sampled_from(["none", "random", "with zeros"]))
+    fw = None if psi == "none" else rng.random(p)
+    if psi == "with zeros":
+        fw[rng.random(p) < 0.5] = 0.0
+    state = BackboneState(x, rng.choice([-1, 1], size=m), np.zeros(n), np.zeros(n, dtype=int),
+                          sigma=10.0 ** draw(st.floats(-1.5, 0.5)), feature_weights=fw)
+    cfg = JointConfig(k=1, f_u=10.0 ** draw(st.floats(-3, 0)),
+                      gamma_g=draw(st.sampled_from([0.0, 1e-6, 1e-2])))
+    return state, cfg
+
+
+class TestDenseBackbone:
+    """A backbone of at most DENSE_MAX_N nodes is a dense array with
+    build_graph's weights; its propagation is within the stated bound of
+    the sparse path's."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_backbones())
+    def test_equals_build_graph_and_propagates_within_the_bound(self, case):
+        state, cfg = case
+        ps = PointSet(state.centroids, state.node_labels(), state.feature_weights)
+        gcfg = GraphConfig(mode="knn", k_neighbors=min(joint.BACKBONE_KNN, ps.n - 1),
+                           sigma=state.sigma)
+        try:
+            g = build_graph(ps, gcfg)
+        except DegenerateGraphError as exc:    # every weight underflows
+            with pytest.raises(DegenerateGraphError, match=re.escape(str(exc))):
+                joint._backbone_weights(state)
+            return
+        with mock.patch.object(joint, "build_graph", wraps=build_graph) as build:
+            dense = joint._backbone_weights(state)
+            assert build.call_count == 0
+        assert isinstance(dense, np.ndarray) and np.array_equal(dense, g.weights.toarray())
+        got = propagate_on_backbone(state, cfg)
+        want = joint._propagate(state, cfg, g.weights)
+        # dense row sums add in another order than CSR's: the first-order
+        # bound of the joint module's docstring, with |labels| <= 1
+        tol = ps.n * np.finfo(np.float64).eps * (2 * g.degrees.max() + cfg.f_l) / cfg.f_u
+        assert np.max(np.abs(got - want)) <= tol
+
+    def test_underflow_names_sigma(self):
+        state = _state(np.array([[0.0], [1.0], [2.0]]), [1], np.zeros(3), np.zeros((1, 1)),
+                       sigma=1e-150)
+        with pytest.raises(DegenerateGraphError, match="sigma=1e-150"):
+            propagate_on_backbone(state, JointConfig(k=2))
+
+    def test_larger_backbone_goes_through_build_graph(self):
+        n = DENSE_MAX_N + 1
+        pts = np.random.default_rng(0).normal(size=(n, 2))
+        state = _state(pts, [1, -1], np.zeros(n), pts, sigma=0.5)
+        with mock.patch.object(joint, "build_graph", wraps=build_graph) as build:
+            w = joint._backbone_weights(state)
+            assert build.call_count == 1
+        assert sp.issparse(w)
 
 
 def _kmeans_then_propagate_objective(ps, cfg, seed):
@@ -241,7 +311,10 @@ class TestElasticJoint:
     @pytest.mark.parametrize("kwargs, match", [
         ({"k": 0}, "k must be >= 1"), ({"gamma_q": 0.0}, "gamma_q must be positive"),
         ({"gamma_q": -1.0}, "gamma_q must be positive"), ({"f_l": 0.1}, "f_l > f_u"),
-        ({"f_l": 1.0, "f_u": 2.0}, "f_l > f_u"), ({"f_u": 0.0}, "f_l > f_u")])
+        ({"f_l": 1.0, "f_u": 2.0}, "f_l > f_u"), ({"f_u": 0.0}, "f_l > f_u"),
+        ({"gamma_g": -1.0}, "gamma_g must be finite and >= 0"),
+        ({"gamma_g": float("nan")}, "gamma_g must be finite and >= 0"),
+        ({"gamma_g": float("inf")}, "gamma_g must be finite and >= 0")])
     def test_bad_settings_rejected(self, kwargs, match):
         with pytest.raises(InputError, match=match):
             JointConfig(**{"k": 3, **kwargs})

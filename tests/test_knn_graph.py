@@ -17,14 +17,20 @@ from graphssl import graph as graph_module
 from graphssl.graph import _knn_lists, gaussian_in_place, resolve_sigma
 
 
+def _knn_order(dists):
+    """Each row's other columns by a stable argsort of the distance row:
+    the row's own column ranks after every other, even at infinite
+    distances."""
+    n = dists.shape[0]
+    order = np.argsort(dists, axis=1, kind="stable")
+    return order[order != np.arange(n)[:, None]].reshape(n, n - 1)
+
+
 def _knn_mask(dists, k):
     n = dists.shape[0]
-    d = dists.copy()
-    np.fill_diagonal(d, np.inf)
-    order = np.argsort(d, axis=1, kind="stable")
     mask = np.zeros((n, n), dtype=bool)
     rows = np.repeat(np.arange(n), k)
-    mask[rows, order[:, :k].ravel()] = True
+    mask[rows, _knn_order(dists)[:, :k].ravel()] = True
     return mask | mask.T
 
 
@@ -238,3 +244,15 @@ def test_coordinates_whose_spread_overflows_rank_exactly():
     pts = np.array([[1e308], [1e308], [0.0], [1.0]])
     nbrs, nd = _knn_lists(pts, np.ones(1), 1)
     assert nbrs.ravel().tolist() == [1, 0, 3, 2] and nd.ravel().tolist() == [0.0, 0.0, 1.0, 1.0]
+
+
+def test_a_point_whose_distances_are_all_infinite_is_not_its_own_neighbour():
+    # every distance from row 0 overflows: among equal infinities its own
+    # column ranks last, so row 0's neighbour is row 1, as the reference's
+    pts = np.array([[1e308], [-1e308], [0.0], [1.0]])
+    with np.errstate(over="ignore"):
+        dists = _kernels.pairwise_sq_dists(pts, None)
+    nbrs, nd = _knn_lists(pts, np.ones(1), 1)
+    assert np.array_equal(nbrs, _knn_order(dists)[:, :1])
+    assert nbrs.ravel().tolist() == [1, 0, 3, 2]
+    assert nd.ravel().tolist() == [np.inf, np.inf, 1.0, 1.0]
