@@ -233,10 +233,12 @@ def _ranked_exactly(x: np.ndarray, psi: np.ndarray, k: int,
     for rows, d2 in sq_dist_blocks(x[idx], x, psi):
         own = idx[rows]
         d2[np.arange(d2.shape[0]), own] = np.inf
-        order = np.argsort(d2, axis=1, kind="stable")
-        # k < n, so the first k of the other columns are the list
-        others = order[order != own[:, None]].reshape(len(own), -1)
-        nbrs[rows] = others[:, :k]
+        # the own column, if ranked among the first k + 1, is dropped from
+        # them; else the (k+1)-th is
+        head = np.argsort(d2, axis=1, kind="stable")[:, :k + 1]
+        keep = head != own[:, None]
+        keep[keep.all(axis=1), k] = False
+        nbrs[rows] = head[keep].reshape(len(own), k)
         nd[rows] = np.take_along_axis(d2, nbrs[rows], axis=1)
         del d2                  # before the next block is formed
     return nbrs, nd
@@ -341,16 +343,10 @@ def build_graph(ps: PointSet, cfg: GraphConfig) -> SimilarityGraph:
         underflow = not w.data.any()
     else:
         w, underflow = _epsilon_weights(ps, cfg.eps_cut, sigma, cfg.normalize_by_p)
-    check_underflow(underflow, cfg.mode, sigma)
-    return SimilarityGraph(w)
-
-
-def check_underflow(underflow: bool, mode: str, sigma: float) -> None:
-    """Raise DegenerateGraphError, naming sigma, when every weight a mode
-    graph would keep underflows to 0 (sigma too small for the data)."""
     if underflow:
         raise DegenerateGraphError(
-            f"every {mode} edge weight underflows to 0 at sigma={sigma!r}")
+            f"every {cfg.mode} edge weight underflows to 0 at sigma={sigma!r}")
+    return SimilarityGraph(w)
 
 
 def laplacian(g: SimilarityGraph, normalized: bool = False) -> sp.csr_matrix:

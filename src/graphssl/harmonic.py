@@ -23,9 +23,9 @@ u.  Dense weights give the lean form that online prediction needs, where
 ``solve_harmonic``'s checks: only W's rows u, copied and scaled in place,
 and A cut from them C-ordered and shifted in place.  ``hard_harmonic``,
 ``soft_harmonic``, ``online.compact_harmonic`` and ``cad.softhad_score``
-wrap ``solve_harmonic``, and the joint fit calls it on its small backbone's
-dense weights.  ``hard_harmonic`` keeps each graph's last solve, so a
-repeated (graph, labels, gamma_g) solve is made once.
+wrap ``solve_harmonic``, and the joint fit calls it on its backbone's
+weights, made dense when small.  ``hard_harmonic`` keeps each graph's
+last solve, so a repeated (graph, labels, gamma_g) solve is made once.
 
 Every solve meets the relative residual ``DEFAULT_TOL``, or, when
 factored, the normwise backward error ``DEFAULT_TOL`` on a system that is

@@ -17,12 +17,12 @@ labeled by their nearest centroid (1-NN).  Every nearest-node search runs
 over ``graph.sq_dist_blocks``, one block of distances at a time.
 
 A backbone of at most ``harmonic.DENSE_MAX_N`` nodes, where ``solve_spd``
-factors densely anyway, keeps its k-NN weights as a dense array equal
-entry for entry to ``build_graph``'s; a larger one stays sparse, so a large
-k keeps conjugate gradients and O(nnz) memory.  Dense row sums associate
-differently from CSR's, so the propagated labels may differ from the sparse
-path's in their last bits: by at most n eps (2 max degree + f_l) / f_u, a
-first-order bound on the labels (|l| <= 1) that the tests check.  The
+factors densely anyway, is solved on ``build_graph``'s weights made dense;
+a larger one stays sparse, so a large k keeps conjugate gradients and
+O(nnz) memory.  Dense row sums associate differently from CSR's, so the
+propagated labels may differ from the sparse path's in their last bits:
+by at most n eps (2 max degree + f_l) / f_u, a first-order bound on the
+labels (|l| <= 1) that the tests check.  The
 backbone graph's degree, the outer iteration cap, the outer stopping
 tolerance and the inner step cap are the constants BACKBONE_KNN,
 MAX_OUTER, CONV_TOL and INNER_CAP.
@@ -37,8 +37,8 @@ import numpy as np
 
 from . import _kernels
 from .errors import InputError
-from .graph import (GraphConfig, PointSet, _knn_lists, build_graph, check_sigma,
-                    check_underflow, gaussian_in_place, resolve_sigma, sq_dist_blocks)
+from .graph import (GraphConfig, PointSet, build_graph, check_sigma, resolve_sigma,
+                    sq_dist_blocks)
 from .harmonic import DENSE_MAX_N, check_gamma_g, solve_harmonic
 from .rng import PortableRng
 
@@ -146,25 +146,13 @@ def _pinned_assigner(points: np.ndarray, pinned: np.ndarray, psi: np.ndarray):
 
 
 def _backbone_weights(state: BackboneState):
-    """The backbone's k-NN weights under ``build_graph``'s union rule: for
+    """The backbone's k-NN weights from ``build_graph``: a dense array for
     at most DENSE_MAX_N nodes, where ``solve_spd`` factors densely anyway,
-    a dense array equal entry for entry to build_graph's weights; above,
-    build_graph's CSR weights."""
+    else CSR."""
     ps = PointSet(state.centroids, state.node_labels(), state.feature_weights)
     gcfg = GraphConfig(mode="knn", k_neighbors=min(BACKBONE_KNN, ps.n - 1), sigma=state.sigma)
-    if ps.n > DENSE_MAX_N:
-        return build_graph(ps, gcfg).weights
-    k, sigma = gcfg.k_neighbors, resolve_sigma(gcfg.sigma, ps.points)
-    nbrs, nd = _knn_lists(ps.points, ps.feature_weights, k)
-    w = gaussian_in_place(nd, ps.p, sigma, gcfg.normalize_by_p).ravel()
-    check_underflow(not w.any(), gcfg.mode, sigma)
-    dense = np.zeros((ps.n, ps.n))
-    rows, cols = np.repeat(np.arange(ps.n), k), nbrs.ravel()
-    # an edge in both lists takes the weight of its row's own list, as
-    # build_graph's first occurrence does
-    dense[cols, rows] = w
-    dense[rows, cols] = w
-    return dense
+    w = build_graph(ps, gcfg).weights
+    return w.toarray() if ps.n <= DENSE_MAX_N else w
 
 
 def propagate_on_backbone(state: BackboneState, cfg: JointConfig) -> np.ndarray:
