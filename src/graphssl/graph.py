@@ -120,7 +120,8 @@ class GraphConfig:
 class SimilarityGraph:
     """Symmetric nonnegative sparse weight matrix with zero diagonal, in the
     library's one canonical form: a float64 CSR copy of the input, in its
-    entry order, without diagonal entries or stored zeros.
+    entry order, without diagonal entries or stored zeros.  An off-diagonal
+    weight that is negative or not finite raises ``InputError``.
 
     The weights are not modified after construction: ``degrees`` and
     ``volume`` are computed once from them, and ``harmonic.hard_harmonic``
@@ -139,6 +140,8 @@ class SimilarityGraph:
             row = np.repeat(np.arange(n), np.diff(w.indptr))
         w.data[w.indices == row] = 0.0
         w.eliminate_zeros()
+        if not np.all((w.data >= 0) & (w.data < math.inf)):
+            raise InputError("off-diagonal weights must be finite and >= 0")
         self.weights = w
         self.degrees = np.asarray(w.sum(axis=1)).ravel()
         self.volume = float(self.degrees.sum())

@@ -17,26 +17,28 @@ One assembly, ``_system``, forms both: ``diag(d_u + gamma_g v_u + extra) -
 W_uu`` and W's rows u, for the unlabeled nodes u (hard) or every node
 (soft, extra = F V).  The diagonal is d plus the shifts, minus W's
 diagonal, so a self-loop cancels; no solve forms the Laplacian D - W.
-Sparse weights give the sparse form: W in CSR, its rows u, their columns
-u.  Dense weights give the lean form that online prediction needs, where
-``solve_clamped`` runs once per stream point on tens of nodes without
-``solve_harmonic``'s checks: only W's rows u, copied and scaled in place,
-and A cut from them C-ordered and shifted in place.  ``hard_harmonic``,
-``soft_harmonic``, ``online.compact_harmonic`` and ``cad.softhad_score``
-wrap ``solve_harmonic``, and the joint fit calls it on its backbone's
-weights, made dense when small.  ``hard_harmonic`` keeps each graph's
-last solve, so a repeated (graph, labels, gamma_g) solve is made once.
+The size rule is this module's alone: a system of at most ``DENSE_MAX_N``
+rows is one dense C-ordered block, whatever the weights' format, and a
+larger one on sparse weights is sparse (W in CSR, its rows u, their
+columns u).  Dense weights give the lean form that online prediction
+needs, where ``solve_clamped`` runs once per stream point on tens of
+nodes without ``solve_harmonic``'s checks: only W's rows u, copied and
+scaled in place, and A cut from them C-ordered and shifted in place.
+``hard_harmonic``, ``soft_harmonic``, ``online.compact_harmonic``,
+``cad.softhad_score`` and the joint fit's backbone propagation all solve
+through ``solve_harmonic``.  ``hard_harmonic`` keeps each graph's last
+solve, so a repeated (graph, labels, gamma_g) solve is made once.
 
 Every solve meets the relative residual ``DEFAULT_TOL``, or, when
 factored, the normwise backward error ``DEFAULT_TOL`` on a system that is
-not numerically singular.  ``solve_spd`` factors a dense system (dense
-weights) or a sparse one (sparse weights) of at most ``DENSE_MAX_N`` rows
-by Cholesky, and a larger sparse one by Jacobi-preconditioned conjugate
-gradients, which the badly conditioned hard systems of a small sink
-gamma_g need.  Its conjugate-gradient loop is its own, with scipy ``cg``'s
-arithmetic and bits but without its per-step operator dispatch.  Residual
-norms are ``math.sqrt(r.dot(r))``, the bits of ``np.linalg.norm`` on a real
-vector without its per-call checks.
+not numerically singular.  ``solve_spd`` factors a dense system by
+Cholesky.  It solves a sparse one, which ``_system`` forms only above
+``DENSE_MAX_N`` rows, by Jacobi-preconditioned conjugate gradients, as the
+badly conditioned hard systems of a small sink gamma_g need.  Its
+conjugate-gradient loop is its own, with scipy ``cg``'s arithmetic and
+bits but without its per-step operator dispatch.  Residual norms are
+``math.sqrt(r.dot(r))``, the bits of ``np.linalg.norm`` on a real vector
+without its per-call checks.
 """
 
 from __future__ import annotations
@@ -53,7 +55,8 @@ from .graph import SimilarityGraph, component_labels
 
 DEFAULT_TOL = 1e-10
 
-# Largest sparse system solved by dense Cholesky.  On k-NN (k=10) Laplacian
+# Most rows of a system on sparse weights that _system forms dense, for
+# Cholesky; a larger one stays sparse, for Jacobi-PCG.  On k-NN (k=10) Laplacian
 # systems, one thread, Cholesky of the densified matrix and Jacobi-PCG cost
 # the same at about 400 rows (2.5-2.8 ms); Cholesky is 10x faster at 100
 # rows, PCG 5x faster at 2000.
@@ -77,8 +80,10 @@ class SoftConfig:
 
     def __post_init__(self):
         check_gamma_g(self.gamma_g)
-        if not (self.c_l > 0 and self.c_u > 0):
-            raise InputError("fit weights must be positive")
+        for name in ("c_l", "c_u"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise InputError(f"{name} must be finite and positive, got {value!r}")
         if self.c_u > self.c_l:
             raise InputError("c_u must not exceed c_l")
 
@@ -93,12 +98,15 @@ class SoftLabels:
 def solve_spd(a, b: np.ndarray) -> np.ndarray:
     """Solve the symmetric positive-definite system Ax = b.
 
-    A dense ``ndarray`` or a system of at most ``DENSE_MAX_N`` rows is
-    solved by dense Cholesky; a larger sparse one by conjugate gradients
-    preconditioned with 1/diag(A), capped at 10n iterations.  Either way
-    ||Ax - b|| <= DEFAULT_TOL * ||b|| must hold, or, for Cholesky, the
-    backward-error test of ``_backward_stable``; otherwise, and for a
-    matrix that is not positive definite, ``SolverError`` is raised.
+    A dense ``ndarray`` is solved by dense Cholesky, and so is a sparse
+    system of at most ``DENSE_MAX_N`` rows, which is densified first
+    (``solve_harmonic`` forms such systems dense itself); a larger sparse
+    one by conjugate gradients preconditioned with 1/diag(A), capped at 10n
+    iterations.  Either way ||Ax - b|| <= DEFAULT_TOL * ||b|| must hold,
+    or, for Cholesky, the backward-error test of ``_backward_stable``;
+    otherwise, and for a matrix that is not positive definite,
+    ``SolverError`` is raised.  A b that is not finite, or whose norm
+    overflows, raises ``InputError``.
     """
     b = np.asarray(b, dtype=np.float64)
     if not sp.issparse(a):
@@ -106,32 +114,38 @@ def solve_spd(a, b: np.ndarray) -> np.ndarray:
     n = b.shape[0] if b.ndim == 1 else -1
     if a.shape != (n, n):
         raise InputError("system matrix must be n x n for a length-n right-hand side")
-    # math.sqrt of the dot product has np.linalg.norm's bits on a real vector
-    b_norm = math.sqrt(b.dot(b))
-    if b_norm == 0.0:
-        return np.zeros(n)
-    if isinstance(a, np.ndarray) or n <= DENSE_MAX_N:
-        # LAPACK's Cholesky called directly, as cho_factor/cho_solve call it
-        # (upper factor, no cleaning), without their per-call batching layer
-        dense = a if isinstance(a, np.ndarray) else a.toarray()
-        factor, info = dpotrf(dense, clean=0)
-        if info == 0:
-            x, info = dpotrs(factor, b)
-        if info != 0:
-            raise SolverError("matrix is not positive definite", 1.0)
-    else:
-        factor = None
-        a = a.tocsr()
-        diag = a.diagonal()
-        if not np.all(diag > 0):
-            raise SolverError("matrix has a non-positive diagonal entry", 1.0)
-        # a margin below the tolerance: the final check uses the true
-        # residual, not the recurrence CG stops on
-        x = _jacobi_pcg(a, b, 1.0 / diag, 0.5 * DEFAULT_TOL * b_norm)
-    r = a @ x - b
-    residual = math.sqrt(r.dot(r))
-    if not (residual <= DEFAULT_TOL * b_norm or factor is not None
-            and _backward_stable(dense, factor, x, b_norm, residual)):
+    # past the float range, ||b|| or the residual is inf or NaN, which the
+    # tests below refuse without numpy's warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        # math.sqrt of the dot product has np.linalg.norm's bits on a real vector
+        b_norm = math.sqrt(b.dot(b))
+        if not math.isfinite(b_norm):
+            raise InputError("right-hand side must be finite, with a norm within the float range")
+        if b_norm == 0.0:
+            return np.zeros(n)
+        if isinstance(a, np.ndarray) or n <= DENSE_MAX_N:
+            # LAPACK's Cholesky called directly, as cho_factor/cho_solve call it
+            # (upper factor, no cleaning), without their per-call batching layer
+            dense = a if isinstance(a, np.ndarray) else a.toarray()
+            factor, info = dpotrf(dense, clean=0)
+            if info == 0:
+                x, info = dpotrs(factor, b)
+            if info != 0:
+                raise SolverError("matrix is not positive definite", 1.0)
+        else:
+            factor = None
+            a = a.tocsr()
+            diag = a.diagonal()
+            if not np.all(diag > 0):
+                raise SolverError("matrix has a non-positive diagonal entry", 1.0)
+            # a margin below the tolerance: the final check uses the true
+            # residual, not the recurrence CG stops on
+            x = _jacobi_pcg(a, b, 1.0 / diag, 0.5 * DEFAULT_TOL * b_norm)
+        r = a @ x - b
+        residual = math.sqrt(r.dot(r))
+        stands = (residual <= DEFAULT_TOL * b_norm or factor is not None
+                  and _backward_stable(dense, factor, x, b_norm, residual))
+    if not stands:
         raise SolverError("solution misses the residual tolerance", residual / b_norm)
     return x
 
@@ -181,8 +195,9 @@ def _jacobi_pcg(a, b: np.ndarray, inv_diag: np.ndarray, stop: float) -> np.ndarr
 def _system(weights, v, u, gamma_g: float, extra=0.0):
     """``A = diag(d_u + gamma_g v_u + extra) - W_uu`` and W's rows u, where
     W = V weights V (W = weights when v is None) and d = W 1; u is an index
-    array or ``slice(None)`` for every node.  Sparse weights give a sparse
-    A and CSR rows, dense weights dense ones."""
+    array or ``slice(None)`` for every node.  A is a dense C-ordered array,
+    except that sparse weights give a CSR A for more than ``DENSE_MAX_N``
+    rows u; the rows are CSR for sparse weights, else dense."""
     v_u = 1.0 if v is None else v[u]
     if sp.issparse(weights):
         w = weights.tocsr()
@@ -194,27 +209,35 @@ def _system(weights, v, u, gamma_g: float, extra=0.0):
             w.data *= np.repeat(v, np.diff(w.indptr))
             w.data *= v[w.indices]
             w.eliminate_zeros()
+        # every node's block is W itself, not two CSR copies of it
+        rows = w if isinstance(u, slice) else w[u]
+        w_uu = w if isinstance(u, slice) else rows[:, u]
+        shift = np.asarray(rows.sum(axis=1)).ravel() + gamma_g * v_u + extra
+        if shift.size > DENSE_MAX_N:
+            # the diagonal formed as CSR directly: sp.diags and its
+            # conversion took 0.09 ms of a 0.25 ms subtraction at 2 000 nodes
+            k = np.arange(shift.size + 1)
+            return sp.csr_matrix((shift, k[:-1], k)) - w_uu, rows
+        # cast to the dtype of the CSR form diag(shift) - W_uu (float64 for
+        # int weights) before toarray, which sums repeated entries in the
+        # stored dtype: the CSR form's bits, dense
+        a = w_uu.astype(np.result_type(shift, w_uu.dtype), copy=False).toarray()
+    else:
+        # W's rows u alone, copied, each entry (v_i w_ij) v_j
+        w = np.asarray(weights, dtype=np.float64)
+        u = np.arange(w.shape[0]) if isinstance(u, slice) else u
         rows = w[u]
-        d = np.asarray(rows.sum(axis=1)).ravel()
-        # the diagonal formed as CSR directly: sp.diags and its conversion
-        # took 0.09 ms of a 0.25 ms subtraction at 2 000 nodes
-        k = np.arange(d.size + 1)
-        return sp.csr_matrix((d + gamma_g * v_u + extra, k[:-1], k)) - rows[:, u], rows
-    # W's rows u alone, copied, each entry (v_i w_ij) v_j
-    w = np.asarray(weights, dtype=np.float64)
-    u = np.arange(w.shape[0]) if isinstance(u, slice) else u
-    rows = w[u]
-    if v is not None:
-        rows *= v_u[:, None]
-        rows *= v
-    shift = rows.sum(axis=1) + gamma_g * v_u + extra
-    # C-ordered blocks, as np.ix_ gives them (the Cholesky and the
-    # product read the layout), in 40% of np.ix_'s time on 75 nodes.
+        if v is not None:
+            rows *= v_u[:, None]
+            rows *= v
+        shift = rows.sum(axis=1) + gamma_g * v_u + extra
+        # C-ordered blocks, as np.ix_ gives them (the Cholesky and the
+        # product read the layout), in 40% of np.ix_'s time on 75 nodes
+        a = rows.take(u, axis=1)
     # A in place: 0 - w as diag(shift) - W_uu forms it off the diagonal,
     # and (0 - w) + s == s - w on it
-    a = rows.take(u, axis=1)
     np.subtract(0.0, a, out=a)
-    a.reshape(-1)[::u.size + 1] += shift
+    a.reshape(-1)[::shift.size + 1] += shift
     return a, rows
 
 

@@ -14,15 +14,7 @@ Every assignment of the n points to their nearest backbone node measures
 only the n x k distances to the free centroids: the distances to the pinned
 nodes, which never move, are measured once per fit.  Points are finally
 labeled by their nearest centroid (1-NN).  Every nearest-node search runs
-over ``graph.sq_dist_blocks``, one block of distances at a time.
-
-A backbone of at most ``harmonic.DENSE_MAX_N`` nodes, where ``solve_spd``
-factors densely anyway, is solved on ``build_graph``'s weights made dense;
-a larger one stays sparse, so a large k keeps conjugate gradients and
-O(nnz) memory.  Dense row sums associate differently from CSR's, so the
-propagated labels may differ from the sparse path's in their last bits:
-by at most n eps (2 max degree + f_l) / f_u, a first-order bound on the
-labels (|l| <= 1) that the tests check.  The
+over ``graph.sq_dist_blocks``, one block of distances at a time.  The
 backbone graph's degree, the outer iteration cap, the outer stopping
 tolerance and the inner step cap are the constants BACKBONE_KNN,
 MAX_OUTER, CONV_TOL and INNER_CAP.
@@ -39,7 +31,7 @@ from . import _kernels
 from .errors import InputError
 from .graph import (GraphConfig, PointSet, build_graph, check_sigma, resolve_sigma,
                     sq_dist_blocks)
-from .harmonic import DENSE_MAX_N, check_gamma_g, solve_harmonic
+from .harmonic import check_gamma_g, solve_harmonic
 from .rng import PortableRng
 
 BACKBONE_KNN = 3    # neighbours per node of the backbone's k-NN graph
@@ -146,13 +138,10 @@ def _pinned_assigner(points: np.ndarray, pinned: np.ndarray, psi: np.ndarray):
 
 
 def _backbone_weights(state: BackboneState):
-    """The backbone's k-NN weights from ``build_graph``: a dense array for
-    at most DENSE_MAX_N nodes, where ``solve_spd`` factors densely anyway,
-    else CSR."""
+    """The backbone's k-NN weights, from ``build_graph``."""
     ps = PointSet(state.centroids, state.node_labels(), state.feature_weights)
     gcfg = GraphConfig(mode="knn", k_neighbors=min(BACKBONE_KNN, ps.n - 1), sigma=state.sigma)
-    w = build_graph(ps, gcfg).weights
-    return w.toarray() if ps.n <= DENSE_MAX_N else w
+    return build_graph(ps, gcfg).weights
 
 
 def propagate_on_backbone(state: BackboneState, cfg: JointConfig) -> np.ndarray:

@@ -1,5 +1,6 @@
 import inspect
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +137,29 @@ class TestJointSsl:
         assert rc == 0
         assert len(out.read_text().strip().splitlines()) == 41
         assert trace.read_text().startswith("iteration,objective")
+
+
+@pytest.mark.parametrize("argv, match", [
+    (["ssl", "--mode", "soft", "--c-l", "1e154", "--c-u", "1e154"], "right-hand side"),
+    (["ssl", "--mode", "soft", "--c-l", "1e308", "--c-u", "1e308"], "right-hand side"),
+    (["ssl", "--mode", "soft", "--c-l", "inf"], "c_l must be finite"),
+    (["cad", "--method", "softhad", "--c-l", "1e154"], "right-hand side"),
+    (["joint-ssl", "--k", "6", "--f-l", "1e308"], "right-hand side")])
+def test_fit_weights_past_the_float_range_exit_2(tmp_path, capsys, argv, match):
+    # the solve's ||b||^2 overflows: any solution passed the residual test,
+    # with numpy's overflow warning on stderr
+    data = _ssl_input(tmp_path)
+    inputs = ["--input", str(data)]
+    if argv[0] == "cad":        # softhad scores rows labeled +-1 only
+        ps = read_points_csv(data)
+        write_points_csv(data, PointSet(ps.points, np.where(np.arange(ps.n) < ps.n // 2, 1, -1)))
+        inputs = ["--train", str(data), "--test", str(data)]
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, *inputs, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and match in err and not out.exists()
 
 
 class TestMmgc:

@@ -30,6 +30,8 @@ _GRAPH = st.one_of(st.integers(0, 5).map("knn:{}".format),
 _SIGMA = st.one_of(st.just("auto"), st.builds("{}e{}".format, st.sampled_from([1, 3.7]),
                                                st.integers(-160, 3)))
 _GAMMA_G = st.sampled_from(["0", "1e-8", "0.1"])
+# fit weights from near the bottom of the normal float range to its top
+_FIT = st.sampled_from(["1e-300", "0.1", "10", "1e154", "1e308"])
 _SIGMA_GRID = [1e-160, 1e-150, 1e-3, 0.5, 1e3]
 
 
@@ -88,12 +90,17 @@ def _calls(draw, work: Path):
                 "--truth", str(work / "out" / "truth.csv")]
         return [argv + (["--out-test", str(work / "out" / "test.csv")] if core else [])]
     if command in ("build-graph", "ssl"):
-        extra = (["--mode", draw(st.sampled_from(["hard", "soft"])), "--gamma-g", draw(_GAMMA_G)]
-                 if command == "ssl" else [])
+        extra = []
+        if command == "ssl":
+            mode = draw(st.sampled_from(["hard", "soft"]))
+            extra = ["--mode", mode, "--gamma-g", draw(_GAMMA_G)]
+            if mode == "soft":
+                extra += ["--c-l", draw(_FIT), "--c-u", draw(_FIT)]
         return [[command, "--input", data, *graph, *sigma, *extra, "--out", out]]
     if command in ("online-ssl", "joint-ssl"):
         extra = (["--gamma-g", draw(_GAMMA_G)] if command == "online-ssl"
-                 else ["--trace", str(work / "out" / "trace.csv")])
+                 else ["--f-l", draw(st.sampled_from(["10", "1e154", "1e308"])),
+                       "--trace", str(work / "out" / "trace.csv")])
         return [[command, "--input", data, "--k", str(draw(st.integers(1, 12))), *sigma, *extra,
                  "--out", out]]
     if command in ("mmgc", "mmgc-predict"):
@@ -105,8 +112,9 @@ def _calls(draw, work: Path):
         return calls + ([["mmgc-predict", "--model", model, "--input", data, "--out", out]]
                         if command == "mmgc-predict" else [])
     if command == "cad":
-        return [["cad", "--train", data, "--test", data, *graph, *sigma,
-                 "--method", draw(st.sampled_from(["rwcad", "knn", "softhad"])),
+        method = draw(st.sampled_from(["rwcad", "knn", "softhad"]))
+        fit = ["--c-l", draw(_FIT)] if method == "softhad" else []
+        return [["cad", "--train", data, "--test", data, *graph, *sigma, "--method", method, *fit,
                  "--lambda", draw(st.sampled_from(["0", "0.01"])),
                  "--scale", draw(st.sampled_from(["none", "minmax"])), "--out", out]]
     if command == "eval":

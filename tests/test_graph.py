@@ -407,6 +407,20 @@ def _weight_inputs(draw):
     return sp.csr_matrix((d[order], c[order], indptr), shape=(n, n))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+def test_non_finite_or_negative_weight_rejected(bad):
+    # such weights made stationary_distribution and laplacian NaN or
+    # negative; a diagonal entry is dropped before the check
+    w = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 2.0], [0.0, 2.0, 0.0]])
+    w[0, 1] = w[1, 0] = bad
+    for weights in (w, sp.csr_matrix(w), sp.coo_matrix(w)):
+        with pytest.raises(InputError, match="finite and >= 0"):
+            SimilarityGraph(weights)
+    np.fill_diagonal(w, bad)
+    w[0, 1] = w[1, 0] = 1.0
+    assert SimilarityGraph(w).volume == 6.0
+
+
 @given(_weight_inputs())
 @settings(max_examples=300, deadline=None)
 def test_canonical_form_matches_setdiag(weights):

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -47,6 +48,23 @@ class TestSolveSpd:
         b = rng.normal(size=25)
         x = solve_spd(a, b)
         assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b) * 1.001
+
+    @pytest.mark.parametrize("b", [[1e200, 1e200], [1.0, np.nan], [np.inf, 0.0]])
+    def test_right_hand_side_past_the_float_range_rejected(self, b):
+        # a ||b|| of inf would pass any residual test: it is refused first,
+        # without numpy's overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a in (np.eye(2), sp.identity(2, format="csr")):
+                with pytest.raises(InputError, match="right-hand side"):
+                    solve_spd(a, b)
+
+    def test_residual_past_the_float_range_raises_solver_error(self):
+        # x[1] = 1e10 / 1e-300 overflows, and so does the residual
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="residual"):
+                solve_spd(np.diag([1.0, 1e-300]), [1.0, 1e10])
 
 
 # system sizes on both sides of the dense-Cholesky / Jacobi-PCG cutoff
@@ -378,7 +396,8 @@ class TestHardSolveKept:
 class TestSoftHarmonic:
     @pytest.mark.parametrize("c_l, c_u, match", [
         (0.0, 0.1, "positive"), (1.0, -0.1, "positive"), (1.0, np.nan, "positive"),
-        (1.0, 2.0, "c_u must not exceed c_l")])
+        (1.0, 2.0, "c_u must not exceed c_l"), (np.inf, 0.1, "c_l must be finite"),
+        (np.inf, np.inf, "c_l must be finite"), (1.0, np.inf, "c_u must be finite")])
     def test_bad_fit_weights_rejected(self, c_l, c_u, match):
         with pytest.raises(InputError, match=match):
             SoftConfig(1e-6, c_l, c_u)

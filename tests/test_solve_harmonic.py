@@ -22,6 +22,7 @@ from graphssl import (CompactGraph, DegenerateGraphError, GraphConfig, InputErro
                       SimilarityGraph, SoftConfig, build_graph, compact_harmonic,
                       hard_harmonic, laplacian, soft_harmonic, softhad_score,
                       solve_harmonic, solve_spd)
+from graphssl import harmonic
 from graphssl.harmonic import DENSE_MAX_N, solve_clamped
 
 from _synth import random_graph, random_labels
@@ -121,6 +122,48 @@ def _graph(n, seed):
     return random_graph(n, seed, density=0.4 if n <= DENSE_MAX_N else 8.0 / n)
 
 
+@st.composite
+def _csr_systems(draw):
+    """Sparse weights with self-loops and repeated entries, stored as
+    float64, float32 or int, with or without multiplicities, and the nodes
+    u of a system: every node (soft), or up to DENSE_MAX_N of them (hard),
+    also on graphs of more than DENSE_MAX_N nodes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    soft = draw(st.booleans())
+    n = draw(st.integers(1, DENSE_MAX_N + 20) if soft else st.integers(2, 2 * DENSE_MAX_N))
+    nnz = draw(st.integers(0, 6 * n))
+    rows = np.sort(rng.integers(0, n, nnz))
+    # unsorted columns, repeated (row, column) pairs and diagonal entries
+    cols = np.where(rng.random(nnz) < 0.2, rows, rng.integers(0, min(n, 1 + nnz // 3), nnz))
+    dtype = draw(st.sampled_from([np.float64, np.float32, np.int64]))
+    data = (rng.integers(0, 10, nnz) if dtype is np.int64 else 10 * rng.random(nnz)).astype(dtype)
+    weights = sp.csr_matrix((data, cols, np.searchsorted(rows, np.arange(n + 1))), shape=(n, n))
+    v = draw(st.sampled_from([None, "whole", "real"]))
+    v = None if v is None else (rng.integers(1, 8, n).astype(float) if v == "whole"
+                                else rng.uniform(1.0, 8.0, n))
+    if soft:
+        u, extra = slice(None), rng.uniform(0.1, 10.0, n) * (1.0 if v is None else v)
+    else:
+        u = np.sort(rng.choice(n, draw(st.integers(1, min(n - 1, DENSE_MAX_N))), replace=False))
+        extra = 0.0
+    return weights, v, u, draw(st.sampled_from([0.0, 1e-8, 1e-2])), extra
+
+
+def reference_csr_system(weights, v, u, gamma_g, extra):
+    """``diag(d_u + gamma_g v_u + extra) - W_uu`` formed as CSR, as
+    solve_harmonic's sparse systems were before a small one was formed
+    dense, with W = V weights V scaled on the data."""
+    w = weights.tocsr()
+    if v is not None:
+        w = w.astype(np.float64)
+        w.data = w.data * np.repeat(v, np.diff(w.indptr)) * v[w.indices]
+        w.eliminate_zeros()
+    rows = w[u]
+    d = np.asarray(rows.sum(axis=1)).ravel()
+    return sp.diags(d + gamma_g * (1.0 if v is None else v[u]) + extra,
+                    format="csr") - rows[:, u]
+
+
 class TestCoreMatchesOldAssemblies:
     @given(st.sampled_from(["dense", "pcg"]), st.integers(0, 40), st.integers(0, 2**32 - 1),
            GAMMAS, st.booleans(), st.booleans(), st.booleans(), st.booleans())
@@ -167,6 +210,21 @@ class TestCoreMatchesOldAssemblies:
         fit = np.where(y != 0, 10.0, 0.1) if soft else None
         got = solve_harmonic(w, y, gamma_g, fit, v)
         assert np.array_equal(got, reference_solve(w, y, gamma_g, fit, v))
+
+    @given(_csr_systems())
+    @settings(max_examples=150, deadline=None)
+    def test_small_system_is_the_csr_form_dense(self, case):
+        # every system of at most DENSE_MAX_N rows is one dense C-ordered
+        # block, whatever the weights' format: the bits of the CSR form's
+        # toarray(); a larger one stays CSR
+        a, _ = harmonic._system(*case)
+        want = reference_csr_system(*case)
+        if want.shape[0] > DENSE_MAX_N:
+            a = a.toarray()
+        else:
+            assert isinstance(a, np.ndarray) and a.flags.c_contiguous
+        want = want.toarray()
+        assert a.dtype == want.dtype and a.tobytes() == want.tobytes()
 
     @given(st.sampled_from(["dense", "pcg"]), st.integers(0, 40),
            st.integers(0, 2**32 - 1), GAMMAS)
